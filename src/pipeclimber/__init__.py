@@ -46,10 +46,8 @@ from .errors import (
 )
 from .geometry import Bend, CenterlinePose, PipeNetwork, Straight, build_network, pose_at
 from .robot import (
-    ModuleState,
     RobotParams,
     asymmetry_deg,
-    module_state,
     required_track_speeds,
     spring_compression,
     track_path_radius,

@@ -41,7 +41,6 @@ def _print_summary(summary) -> None:
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
-    scenario.validate()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -66,7 +65,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
-    scenario.validate()
     thetas = [float(part) for part in args.theta.split(",") if part.strip()]
     entries = sweep_orientation(scenario, thetas)
     failed = False
@@ -102,7 +100,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = parse_scenario(args.scenario)
-    scenario.validate()
     print(f"{args.scenario}: OK "
           f"({len(scenario.network.segments)} segments, "
           f"{scenario.network.total_length:.1f} mm)")

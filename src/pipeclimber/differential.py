@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentOutputs, NoBracket, NonMonotoneLoad
+from .errors import InconsistentOutputs, NoBracket, NonMonotoneLoad, require, require_positive
 
 _PAIRING = ((0, 1), (1, 2), (2, 0))  # stage-2 j couples R_j with L_{j+1}
 
@@ -50,12 +50,8 @@ class TransmissionConfig:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.ring_ratio <= 0.0:
-            raise ValueError(f"ring_ratio must be > 0, got {self.ring_ratio}")
-        if self.output_ratio <= 0.0:
-            raise ValueError(f"output_ratio must be > 0, got {self.output_ratio}")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        require_positive(self, "ring_ratio", "output_ratio")
+        require(0.0 < self.efficiency <= 1.0, "efficiency", self.efficiency, "in (0, 1]")
 
     @property
     def overall_ratio(self) -> float:

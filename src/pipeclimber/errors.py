@@ -5,6 +5,8 @@ Three families matter for the CLI exit codes: configuration problems
 limits or solver failures hit while running), and plain I/O failures.
 """
 
+import math
+
 
 class PipeClimberError(Exception):
     """Base class for all errors raised by this package."""
@@ -24,14 +26,31 @@ class ParseError(ConfigError):
         self.line = line
 
 
-class ValidationError(ConfigError):
-    """A scenario value violates an invariant; names the offending key path."""
+class ValidationError(ConfigError, ValueError):
+    """A value violates an invariant.
 
-    def __init__(self, message, path=None):
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
+    ``path`` names the offending value: a dataclass field name when a
+    validator raises, the document key path once the scenario parser has
+    re-raised it.
+    """
+
+    def __init__(self, reason, path=None):
+        super().__init__(reason if path is None else f"{path}: {reason}")
+        self.reason = reason
         self.path = path
+
+
+def require(ok: bool, field: str, value, rule: str) -> None:
+    """Raise ValidationError at ``field`` unless ``ok``: "must be <rule>"."""
+    if not ok:
+        raise ValidationError(f"must be {rule}, got {value}", field)
+
+
+def require_positive(obj, *fields: str) -> None:
+    """``require`` each named field of ``obj`` to be finite and > 0."""
+    for field in fields:
+        value = getattr(obj, field)
+        require(0.0 < value < math.inf, field, value, "> 0 and finite")
 
 
 class UnknownSize(ConfigError):
@@ -43,13 +62,15 @@ class EmptyNetwork(ConfigError):
 
 
 class BadSegment(ConfigError):
-    """A segment specification violates its invariants."""
+    """A segment specification violates its invariants; ``field`` names the
+    offending dataclass field of segment ``index``."""
 
-    def __init__(self, message, index=None):
-        if index is not None:
-            message = f"segment {index}: {message}"
-        super().__init__(message)
+    def __init__(self, reason, index=None, field=None):
+        message = reason if field is None else f"{field}: {reason}"
+        super().__init__(message if index is None else f"segment {index}: {message}")
+        self.reason = reason
         self.index = index
+        self.field = field
 
 
 class SimulationError(PipeClimberError):

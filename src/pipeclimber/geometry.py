@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadSegment, EmptyNetwork, OutOfRange
+from .errors import BadSegment, EmptyNetwork, OutOfRange, ValidationError, require
 
 _WORLD_UP = np.array([0.0, 0.0, 1.0])
 _WORLD_X = np.array([1.0, 0.0, 0.0])
@@ -111,22 +111,19 @@ def _perpendicular_reference(tangent: np.ndarray) -> np.ndarray:
 
 
 def _check_segment(index: int, seg, inner_radius: float) -> None:
-    if isinstance(seg, Straight):
-        if seg.length <= 0.0:
-            raise BadSegment(f"straight length must be > 0, got {seg.length}", index)
-    elif isinstance(seg, Bend):
-        if seg.bend_radius <= inner_radius:
-            raise BadSegment(
-                f"bend radius {seg.bend_radius} must exceed pipe inner radius "
-                f"{inner_radius}",
-                index,
-            )
-        if not 0.0 < seg.sweep_angle <= 180.0:
-            raise BadSegment(
-                f"sweep angle must be in (0, 180], got {seg.sweep_angle}", index
-            )
-    else:
+    if not isinstance(seg, (Straight, Bend)):
         raise BadSegment(f"unknown segment kind {type(seg).__name__}", index)
+    try:
+        if isinstance(seg, Straight):
+            require(0.0 < seg.length < math.inf, "length", seg.length, "> 0 and finite")
+        else:
+            require(inner_radius < seg.bend_radius < math.inf, "bend_radius", seg.bend_radius,
+                    f"finite and above the pipe inner radius {inner_radius}")
+            require(0.0 < seg.sweep_angle <= 180.0, "sweep_angle", seg.sweep_angle, "in (0, 180]")
+            require(math.isfinite(seg.bend_plane_roll), "bend_plane_roll", seg.bend_plane_roll,
+                    "finite")
+    except ValidationError as exc:
+        raise BadSegment(exc.reason, index, exc.path) from None
 
 
 def build_network(
@@ -138,13 +135,13 @@ def build_network(
     """Chain segments tangentially from the start pose into a network.
 
     Defaults put the entry at the origin pointing up (+z), matching a
-    vertical first run.  Raises EmptyNetwork / BadSegment on bad input.
+    vertical first run.  Raises EmptyNetwork / BadSegment / ValidationError on
+    bad input.
     """
     segments = tuple(segments)
     if not segments:
         raise EmptyNetwork("network needs at least one segment")
-    if inner_radius <= 0.0:
-        raise ValueError(f"inner radius must be > 0, got {inner_radius}")
+    require(0.0 < inner_radius < math.inf, "inner_radius", inner_radius, "> 0 and finite")
 
     point = np.asarray(start_point, dtype=float)
     tangent = _unit(np.asarray(start_tangent, dtype=float))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetryLimit, CompressionLimit, DegenerateBend
+from .errors import AsymmetryLimit, CompressionLimit, DegenerateBend, require, require_positive
 from .geometry import CenterlinePose
 
 GRAVITY = 9.81  # m/s^2
@@ -68,26 +68,14 @@ class RobotParams:
     max_asym_deg: float = DEFAULT_MAX_ASYMMETRY_DEG
 
     def validate(self) -> None:
-        """Raise on invariant violations; CompressionLimit when the preload
-        alone already exceeds the compression budget."""
-        if self.contact_radius_mm <= 0.0:
-            raise ValueError(f"contact radius must be > 0, got {self.contact_radius_mm}")
-        if self.sprocket_radius_mm <= 0.0:
-            raise ValueError(f"sprocket radius must be > 0, got {self.sprocket_radius_mm}")
-        if self.spring_n_per_m <= 0.0:
-            raise ValueError(f"spring constant must be > 0, got {self.spring_n_per_m}")
-        if self.springs <= 0:
-            raise ValueError(f"spring count must be > 0, got {self.springs}")
-        if self.mass_kg <= 0.0:
-            raise ValueError(f"mass must be > 0, got {self.mass_kg}")
-        if not 0.0 < self.friction < 2.0:
-            raise ValueError(f"friction must be in (0, 2), got {self.friction}")
-        if self.length_mm <= 0.0:
-            raise ValueError(f"robot length must be > 0, got {self.length_mm}")
-        if self.max_asym_deg <= 0.0:
-            raise ValueError(f"max asymmetry must be > 0, got {self.max_asym_deg}")
-        if self.preload_mm < 0.0:
-            raise ValueError(f"preload must be >= 0, got {self.preload_mm}")
+        """Raise ValidationError naming the field at fault; CompressionLimit
+        when the preload alone already exceeds the compression budget."""
+        require_positive(self, "contact_radius_mm", "sprocket_radius_mm", "spring_n_per_m",
+                         "springs", "mass_kg", "length_mm", "max_compression_mm", "max_asym_deg")
+        require(math.isfinite(self.orientation_deg), "orientation_deg", self.orientation_deg,
+                "finite")
+        require(0.0 < self.friction < 2.0, "friction", self.friction, "in (0, 2)")
+        require(0.0 <= self.preload_mm < math.inf, "preload_mm", self.preload_mm, ">= 0 and finite")
         if self.preload_mm > self.max_compression_mm:
             raise CompressionLimit(
                 f"preload {self.preload_mm} mm exceeds the "
@@ -101,15 +89,6 @@ class RobotParams:
             self.orientation_deg + 120.0,
             self.orientation_deg + 240.0,
         )
-
-
-@dataclass(frozen=True)
-class ModuleState:
-    """Per-module kinematic state at one centerline pose (A, B, C order)."""
-
-    compressions: np.ndarray  # mm
-    contact_path_radii: np.ndarray | None  # mm, None on straights
-    required_speeds: np.ndarray  # mm/s
 
 
 def track_path_radius(bend_radius: float, contact_radius: float, module_angle_deg: float) -> float:
@@ -181,29 +160,6 @@ def asymmetry_deg(
             f"{params.max_asym_deg} deg limit"
         )
     return tilt
-
-
-def module_state(
-    pose: CenterlinePose,
-    center_speed: float,
-    params: RobotParams,
-    bend_extra_mm: float = 1.5,
-) -> ModuleState:
-    """Bundle compressions, contact radii, and required speeds at a pose."""
-    radii = None
-    if pose.curvature != 0.0:
-        bend_radius = 1.0 / pose.curvature
-        radii = np.array(
-            [
-                track_path_radius(bend_radius, params.contact_radius_mm, angle)
-                for angle in params.module_angles_deg
-            ]
-        )
-    return ModuleState(
-        compressions=spring_compression(pose, params, bend_extra_mm),
-        contact_path_radii=radii,
-        required_speeds=required_track_speeds(pose, center_speed, params),
-    )
 
 
 def traction_force(params: RobotParams, compression_mm: float | None = None) -> float:

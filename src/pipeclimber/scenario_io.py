@@ -2,8 +2,10 @@
 
 Scenario files are JSON with four sections (pipe, robot, transmission, sim).
 Every physical quantity carries its unit in the key name; values are
-converted exactly once, here, at the boundary.  Unknown keys are rejected
-and all validation errors name the offending key path.
+converted exactly once, here, at the boundary, where ``SCHEMA`` maps each
+key to the dataclass field it fills.  Range rules live in the dataclass
+validators.  Unknown keys are rejected and all validation errors, the
+validators' included, name the offending key path.
 
 Record output is CSV (fixed column order, 9 significant digits) or JSON
 (same field names).
@@ -12,18 +14,15 @@ Record output is CSV (fixed column order, 9 significant digits) or JSON
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import asdict
 
 from .differential import TransmissionConfig
 from .dimensions import pipe_inner_radius
-from .errors import IoError, ParseError, ValidationError
-from .geometry import Bend, PipeNetwork, Straight, build_network
-from .robot import (
-    DEFAULT_MAX_ASYMMETRY_DEG,
-    DEFAULT_MAX_COMPRESSION_MM,
-    DEFAULT_SPRINGS,
-    RobotParams,
-)
+from .errors import BadSegment, IoError, ParseError, ValidationError
+from .geometry import Bend, Straight, build_network
+from .robot import RobotParams
 from .simulator import Scenario, SimRecord
 
 CSV_COLUMNS = (
@@ -45,195 +44,145 @@ CSV_COLUMNS = (
     "torque_nm",
 )
 
-DEFAULT_BEND_EXTRA_MM = 1.5
+# (JSON key, dataclass field, required) per section, in canonical document
+# order.  Absent optional keys take the dataclass default.
+SCHEMA = {
+    "robot": (
+        ("h_mm", "contact_radius_mm", True),
+        ("sprocket_radius_mm", "sprocket_radius_mm", True),
+        ("orientation_deg", "orientation_deg", True),
+        ("spring_k_n_per_m", "spring_n_per_m", True),
+        ("preload_mm", "preload_mm", True),
+        ("max_compression_mm", "max_compression_mm", False),
+        ("springs", "springs", False),
+        ("mass_kg", "mass_kg", True),
+        ("mu", "friction", True),
+        ("robot_length_mm", "length_mm", True),
+        ("max_asym_deg", "max_asym_deg", False),
+    ),
+    "transmission": (
+        ("g1", "ring_ratio", True),
+        ("g2", "output_ratio", True),
+        ("efficiency", "efficiency", False),
+    ),
+    "sim": (
+        ("input_speed_rad_s", "input_speed_rad_s", True),
+        ("slip_stiffness", "slip_stiffness", True),
+        ("dt_s", "dt_s", True),
+        ("max_time_s", "max_time_s", True),
+        ("bend_extra_compression_mm", "bend_extra_compression_mm", False),
+    ),
+    "straight": (("length_mm", "length", True),),
+    "bend": (
+        ("bend_radius_mm", "bend_radius", True),
+        ("sweep_deg", "sweep_angle", True),
+        ("roll_deg", "bend_plane_roll", False),
+    ),
+}
+
+# Validators name the dataclass field at fault.  Field names are unique
+# across sections, so one map takes each back to its key path.
+_PATHS = {"inner_radius": "pipe.inner_radius_mm"} | {
+    field: f"{section}.{key}" for section in ("robot", "transmission", "sim")
+    for key, field, _ in SCHEMA[section]
+}
+_SEGMENT_KEYS = {field: key for kind in ("straight", "bend") for key, field, _ in SCHEMA[kind]}
 
 
-def _expect_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"expected an object, got {type(value).__name__}", path)
-    return value
+def _mapping(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected an object, got {type(obj).__name__}", path)
+    return obj
 
 
-def _check_keys(obj: dict, path: str, required: set, optional: set = frozenset()) -> None:
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ValidationError("unknown key", f"{path}.{key}" if path else key)
+def _check_keys(obj, path: str, known, required) -> dict:
+    prefix = f"{path}." if path else ""
+    for key in _mapping(obj, path):
+        if key not in known:
+            raise ValidationError("unknown key", prefix + key)
     for key in required:
         if key not in obj:
-            raise ValidationError("missing required key", f"{path}.{key}" if path else key)
+            raise ValidationError("missing required key", prefix + key)
+    return obj
 
 
-def _number(obj: dict, path: str, key: str, default=None) -> float:
-    if key not in obj:
-        return default
-    value = obj[key]
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(
-            f"expected a number, got {type(value).__name__}", f"{path}.{key}"
-        )
+        raise ValidationError(f"expected a number, got {type(value).__name__}", path)
+    # The first test catches integer literals beyond the float range too.
+    if abs(value) > sys.float_info.max or not math.isfinite(value):
+        raise ValidationError("expected a finite number", path)
     return float(value)
 
 
-def _positive(value: float, path: str) -> float:
-    if value <= 0.0:
-        raise ValidationError(f"must be > 0, got {value}", path)
-    return value
+def _fields(obj, path: str, section: str, extra=()) -> dict:
+    """Check keys against a SCHEMA section (``extra`` keys pass) and read its numbers."""
+    rows = SCHEMA[section]
+    known = {key for key, _, _ in rows} | set(extra)
+    obj = _check_keys(obj, path, known, [key for key, _, required in rows if required])
+    return {field: _number(obj[key], f"{path}.{key}") for key, field, _ in rows if key in obj}
 
 
-def _segments_from(items, path: str, contact_radius: float):
+def _segments_from(items, contact_radius: float) -> list:
     if not isinstance(items, list) or not items:
-        raise ValidationError("expected a non-empty array of segments", path)
+        raise ValidationError("expected a non-empty array of segments", "pipe.segments")
     segments = []
     for i, item in enumerate(items):
-        spath = f"{path}[{i}]"
-        seg = _expect_mapping(item, spath)
-        kind = seg.get("kind")
-        if kind == "straight":
-            _check_keys(seg, spath, {"kind", "length_mm"})
-            segments.append(Straight(_positive(_number(seg, spath, "length_mm"), f"{spath}.length_mm")))
-        elif kind == "bend":
-            _check_keys(seg, spath, {"kind", "bend_radius_mm", "sweep_deg"}, {"roll_deg"})
-            radius = _positive(_number(seg, spath, "bend_radius_mm"), f"{spath}.bend_radius_mm")
-            sweep = _number(seg, spath, "sweep_deg")
-            if not 0.0 < sweep <= 180.0:
-                raise ValidationError(
-                    f"sweep must be in (0, 180], got {sweep}", f"{spath}.sweep_deg"
-                )
-            if radius <= contact_radius:
-                raise ValidationError(
-                    f"degenerate bend: radius {radius} mm does not exceed the "
-                    f"robot contact radius {contact_radius} mm",
-                    f"{spath}.bend_radius_mm",
-                )
-            roll = _number(seg, spath, "roll_deg", 0.0)
-            segments.append(Bend(radius, sweep, roll))
-        else:
+        path = f"pipe.segments[{i}]"
+        kind = _mapping(item, path).get("kind")
+        if kind not in ("straight", "bend"):
             raise ValidationError(
-                f"kind must be 'straight' or 'bend', got {kind!r}", f"{spath}.kind"
+                f"kind must be 'straight' or 'bend', got {kind!r}", f"{path}.kind"
             )
+        fields = _fields(item, path, kind, extra={"kind"})
+        if kind == "bend" and fields["bend_radius"] <= contact_radius:
+            raise ValidationError(
+                f"degenerate bend: radius {fields['bend_radius']} mm does not exceed the "
+                f"robot contact radius {contact_radius} mm",
+                f"{path}.bend_radius_mm",
+            )
+        segments.append(Bend(**fields) if kind == "bend" else Straight(**fields))
     return segments
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate a parsed scenario document and build the Scenario."""
-    root = _expect_mapping(data, "")
-    _check_keys(root, "", {"pipe", "robot", "transmission", "sim"})
+    sections = ("pipe", "robot", "transmission", "sim")
+    root = _check_keys(data, "", sections, sections)
+    robot = _fields(root["robot"], "robot", "robot")
+    if "springs" in robot:
+        if robot["springs"] != int(robot["springs"]):
+            raise ValidationError(f"must be an integer, got {robot['springs']}", "robot.springs")
+        robot["springs"] = int(robot["springs"])
+    transmission = _fields(root["transmission"], "transmission", "transmission")
+    sim = _fields(root["sim"], "sim", "sim")
 
-    robot_obj = _expect_mapping(root["robot"], "robot")
-    _check_keys(
-        robot_obj,
-        "robot",
-        {
-            "h_mm",
-            "sprocket_radius_mm",
-            "orientation_deg",
-            "spring_k_n_per_m",
-            "preload_mm",
-            "mass_kg",
-            "mu",
-            "robot_length_mm",
-        },
-        {"max_compression_mm", "springs", "max_asym_deg"},
-    )
-    contact_radius = _positive(_number(robot_obj, "robot", "h_mm"), "robot.h_mm")
-    friction = _number(robot_obj, "robot", "mu")
-    if not 0.0 < friction < 2.0:
-        raise ValidationError(f"must be in (0, 2), got {friction}", "robot.mu")
-    springs = _number(robot_obj, "robot", "springs", float(DEFAULT_SPRINGS))
-    if springs != int(springs) or springs <= 0:
-        raise ValidationError(f"must be a positive integer, got {springs}", "robot.springs")
-    preload = _number(robot_obj, "robot", "preload_mm")
-    if preload < 0.0:
-        raise ValidationError(f"must be >= 0, got {preload}", "robot.preload_mm")
-    robot = RobotParams(
-        contact_radius_mm=contact_radius,
-        sprocket_radius_mm=_positive(
-            _number(robot_obj, "robot", "sprocket_radius_mm"), "robot.sprocket_radius_mm"
-        ),
-        orientation_deg=_number(robot_obj, "robot", "orientation_deg"),
-        spring_n_per_m=_positive(
-            _number(robot_obj, "robot", "spring_k_n_per_m"), "robot.spring_k_n_per_m"
-        ),
-        preload_mm=preload,
-        mass_kg=_positive(_number(robot_obj, "robot", "mass_kg"), "robot.mass_kg"),
-        friction=friction,
-        length_mm=_positive(
-            _number(robot_obj, "robot", "robot_length_mm"), "robot.robot_length_mm"
-        ),
-        springs=int(springs),
-        max_compression_mm=_positive(
-            _number(robot_obj, "robot", "max_compression_mm", DEFAULT_MAX_COMPRESSION_MM),
-            "robot.max_compression_mm",
-        ),
-        max_asym_deg=_positive(
-            _number(robot_obj, "robot", "max_asym_deg", DEFAULT_MAX_ASYMMETRY_DEG),
-            "robot.max_asym_deg",
-        ),
-    )
-    robot.validate()  # re-raises compression-budget violations as CompressionLimit
-
-    pipe_obj = _expect_mapping(root["pipe"], "pipe")
-    _check_keys(pipe_obj, "pipe", {"segments"}, {"inner_radius_mm", "nps", "schedule"})
-    if "inner_radius_mm" in pipe_obj:
-        if "nps" in pipe_obj or "schedule" in pipe_obj:
-            raise ValidationError(
-                "give either inner_radius_mm or nps+schedule, not both", "pipe"
-            )
-        inner_radius = _positive(
-            _number(pipe_obj, "pipe", "inner_radius_mm"), "pipe.inner_radius_mm"
-        )
-    elif "nps" in pipe_obj and "schedule" in pipe_obj:
-        inner_radius = pipe_inner_radius(pipe_obj["nps"], pipe_obj["schedule"])
+    pipe_keys = ("segments", "inner_radius_mm", "nps", "schedule")
+    pipe = _check_keys(root["pipe"], "pipe", pipe_keys, ("segments",))
+    if "inner_radius_mm" in pipe:
+        if "nps" in pipe or "schedule" in pipe:
+            raise ValidationError("give either inner_radius_mm or nps+schedule, not both", "pipe")
+        inner_radius = _number(pipe["inner_radius_mm"], "pipe.inner_radius_mm")
+    elif "nps" in pipe and "schedule" in pipe:
+        inner_radius = pipe_inner_radius(pipe["nps"], pipe["schedule"])
     else:
-        raise ValidationError(
-            "needs inner_radius_mm or both nps and schedule", "pipe"
+        raise ValidationError("needs inner_radius_mm or both nps and schedule", "pipe")
+    segments = _segments_from(pipe["segments"], robot["contact_radius_mm"])
+
+    try:
+        scenario = Scenario(
+            network=build_network(segments, inner_radius),
+            robot=RobotParams(**robot),
+            transmission=TransmissionConfig(**transmission),
+            **sim,
         )
-    segments = _segments_from(pipe_obj["segments"], "pipe.segments", contact_radius)
-    network = build_network(segments, inner_radius)
-
-    trans_obj = _expect_mapping(root["transmission"], "transmission")
-    _check_keys(trans_obj, "transmission", {"g1", "g2"}, {"efficiency"})
-    efficiency = _number(trans_obj, "transmission", "efficiency", 1.0)
-    if not 0.0 < efficiency <= 1.0:
-        raise ValidationError(f"must be in (0, 1], got {efficiency}", "transmission.efficiency")
-    transmission = TransmissionConfig(
-        ring_ratio=_positive(_number(trans_obj, "transmission", "g1"), "transmission.g1"),
-        output_ratio=_positive(_number(trans_obj, "transmission", "g2"), "transmission.g2"),
-        efficiency=efficiency,
-    )
-
-    sim_obj = _expect_mapping(root["sim"], "sim")
-    _check_keys(
-        sim_obj,
-        "sim",
-        {"input_speed_rad_s", "slip_stiffness", "dt_s", "max_time_s"},
-        {"bend_extra_compression_mm"},
-    )
-    input_speed = _number(sim_obj, "sim", "input_speed_rad_s")
-    if input_speed < 0.0:
-        raise ValidationError(f"must be >= 0, got {input_speed}", "sim.input_speed_rad_s")
-    dt = _positive(_number(sim_obj, "sim", "dt_s"), "sim.dt_s")
-    max_time = _number(sim_obj, "sim", "max_time_s")
-    if max_time <= dt:
-        raise ValidationError(
-            f"must exceed dt_s ({dt}), got {max_time}", "sim.max_time_s"
-        )
-    bend_extra = _number(sim_obj, "sim", "bend_extra_compression_mm", DEFAULT_BEND_EXTRA_MM)
-    if bend_extra < 0.0:
-        raise ValidationError(f"must be >= 0, got {bend_extra}", "sim.bend_extra_compression_mm")
-
-    return Scenario(
-        network=network,
-        robot=robot,
-        transmission=transmission,
-        input_speed_rad_s=input_speed,
-        slip_stiffness=_positive(
-            _number(sim_obj, "sim", "slip_stiffness"), "sim.slip_stiffness"
-        ),
-        dt_s=dt,
-        max_time_s=max_time,
-        bend_extra_compression_mm=bend_extra,
-    )
+        scenario.validate()  # CompressionLimit when the preload alone is over budget
+    except BadSegment as exc:
+        path = f"pipe.segments[{exc.index}].{_SEGMENT_KEYS[exc.field]}"
+        raise ValidationError(exc.reason, path) from None
+    except ValidationError as exc:
+        raise ValidationError(exc.reason, _PATHS[exc.path]) from None
+    return scenario
 
 
 def parse_scenario(path) -> Scenario:
@@ -250,52 +199,21 @@ def parse_scenario(path) -> Scenario:
     return scenario_from_dict(data)
 
 
+def _section_doc(obj, section: str) -> dict:
+    return {key: getattr(obj, field) for key, field, _ in SCHEMA[section]}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical document for a Scenario; parsing it back is an identity."""
     segments = []
     for seg in scenario.network.segments:
-        if isinstance(seg, Straight):
-            segments.append({"kind": "straight", "length_mm": seg.length})
-        else:
-            segments.append(
-                {
-                    "kind": "bend",
-                    "bend_radius_mm": seg.bend_radius,
-                    "sweep_deg": seg.sweep_angle,
-                    "roll_deg": seg.bend_plane_roll,
-                }
-            )
-    robot = scenario.robot
+        kind = "bend" if isinstance(seg, Bend) else "straight"
+        segments.append({"kind": kind, **_section_doc(seg, kind)})
     return {
-        "pipe": {
-            "inner_radius_mm": scenario.network.inner_radius,
-            "segments": segments,
-        },
-        "robot": {
-            "h_mm": robot.contact_radius_mm,
-            "sprocket_radius_mm": robot.sprocket_radius_mm,
-            "orientation_deg": robot.orientation_deg,
-            "spring_k_n_per_m": robot.spring_n_per_m,
-            "preload_mm": robot.preload_mm,
-            "max_compression_mm": robot.max_compression_mm,
-            "springs": robot.springs,
-            "mass_kg": robot.mass_kg,
-            "mu": robot.friction,
-            "robot_length_mm": robot.length_mm,
-            "max_asym_deg": robot.max_asym_deg,
-        },
-        "transmission": {
-            "g1": scenario.transmission.ring_ratio,
-            "g2": scenario.transmission.output_ratio,
-            "efficiency": scenario.transmission.efficiency,
-        },
-        "sim": {
-            "input_speed_rad_s": scenario.input_speed_rad_s,
-            "slip_stiffness": scenario.slip_stiffness,
-            "dt_s": scenario.dt_s,
-            "max_time_s": scenario.max_time_s,
-            "bend_extra_compression_mm": scenario.bend_extra_compression_mm,
-        },
+        "pipe": {"inner_radius_mm": scenario.network.inner_radius, "segments": segments},
+        "robot": _section_doc(scenario.robot, "robot"),
+        "transmission": _section_doc(scenario.transmission, "transmission"),
+        "sim": _section_doc(scenario, "sim"),
     }
 
 
@@ -345,8 +263,6 @@ def emit_records(records, fmt: str = "csv", destination=None) -> None:
             handle.write("\n")
 
     if destination is None or hasattr(destination, "write"):
-        import sys
-
         write(destination if destination is not None else sys.stdout)
         return
     try:

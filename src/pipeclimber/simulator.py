@@ -24,8 +24,10 @@ import numpy as np
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
 from .errors import EmptySweep, EndOfNetwork, MaxTimeExceeded, SimulationError, ZeroReference
+from .errors import require, require_positive
 from .geometry import Bend, PipeNetwork, pose_at
 from .robot import RobotParams, asymmetry_deg, required_track_speeds, spring_compression
+from .robot import track_path_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,20 +44,12 @@ class Scenario:
     bend_extra_compression_mm: float = 1.5
 
     def validate(self) -> None:
-        if self.dt_s <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt_s}")
-        if self.max_time_s <= self.dt_s:
-            raise ValueError(
-                f"max time {self.max_time_s} must exceed dt {self.dt_s}"
-            )
-        if self.slip_stiffness <= 0.0:
-            raise ValueError(f"slip stiffness must be > 0, got {self.slip_stiffness}")
-        if self.input_speed_rad_s < 0.0:
-            raise ValueError(f"input speed must be >= 0, got {self.input_speed_rad_s}")
-        if self.bend_extra_compression_mm < 0.0:
-            raise ValueError(
-                f"bend extra compression must be >= 0, got {self.bend_extra_compression_mm}"
-            )
+        """Raise ValidationError naming the field at fault, then validate the robot."""
+        require_positive(self, "dt_s", "slip_stiffness", "input_speed_rad_s")
+        require(self.dt_s < self.max_time_s < math.inf, "max_time_s", self.max_time_s,
+                f"finite and exceed dt_s ({self.dt_s})")
+        require(0.0 <= self.bend_extra_compression_mm < math.inf, "bend_extra_compression_mm",
+                self.bend_extra_compression_mm, ">= 0 and finite")
         self.robot.validate()
 
     @property
@@ -231,7 +225,7 @@ def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float
         return (center, center, center)
     h = scenario.robot.contact_radius_mm
     return tuple(
-        center * (seg.bend_radius + h * math.cos(math.radians(angle))) / seg.bend_radius
+        center * track_path_radius(seg.bend_radius, h, angle) / seg.bend_radius
         for angle in scenario.robot.module_angles_deg
     )
 

@@ -13,7 +13,6 @@ from pipeclimber import (
     Straight,
     asymmetry_deg,
     build_network,
-    module_state,
     pose_at,
     required_track_speeds,
     spring_compression,
@@ -165,21 +164,6 @@ def test_tilt_beyond_limit_raises():
     robot = make_robot(length_mm=20.0, max_asym_deg=10.0)
     with pytest.raises(AsymmetryLimit):
         asymmetry_deg(np.full(3, 12.0), np.full(3, 2.0), robot)
-
-
-# --- module state bundle --------------------------------------------------------------
-
-def test_module_state_in_bend(robot_params):
-    state = module_state(bend_pose(), 60.0, robot_params)
-    assert state.contact_path_radii == pytest.approx([350.0, 275.0, 275.0])
-    assert state.required_speeds == pytest.approx([70.0, 55.0, 55.0])
-    assert state.compressions == pytest.approx([9.5, 8.75, 8.75])
-
-
-def test_module_state_on_straight(robot_params):
-    state = module_state(straight_pose(), 60.0, robot_params)
-    assert state.contact_path_radii is None
-    assert np.allclose(state.required_speeds, 60.0)
 
 
 # --- traction formulas ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,10 @@ from pipeclimber import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from pipeclimber.scenario_io import SCHEMA
 from conftest import make_four_section_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def minimal_doc():
@@ -140,6 +145,79 @@ def test_overlong_preload_fails_as_compression_limit(tmp_path):
         parse_scenario(write_doc(tmp_path, doc))
 
 
+# Where each SCHEMA section, and the pipe bore, sits in the fault document:
+# its key path and the keys that reach it.  OUT_OF_RANGE lists values outside
+# each key's range; the angles take any finite value.
+LOCATIONS = {
+    "pipe": ("pipe", ["pipe"]),
+    "robot": ("robot", ["robot"]),
+    "transmission": ("transmission", ["transmission"]),
+    "sim": ("sim", ["sim"]),
+    "straight": ("pipe.segments[0]", ["pipe", "segments", 0]),
+    "bend": ("pipe.segments[1]", ["pipe", "segments", 1]),
+}
+OUT_OF_RANGE = {
+    "robot.h_mm": [0, -50],
+    "robot.sprocket_radius_mm": [0],
+    "robot.spring_k_n_per_m": [0],
+    "robot.preload_mm": [-1],
+    "robot.max_compression_mm": [0],
+    "robot.springs": [0, 2.5],
+    "robot.mass_kg": [0],
+    "robot.mu": [0, 2],
+    "robot.robot_length_mm": [0],
+    "robot.max_asym_deg": [0],
+    "transmission.g1": [0],
+    "transmission.g2": [-1],
+    "transmission.efficiency": [0, 1.5],
+    "sim.input_speed_rad_s": [0, -1],
+    "sim.slip_stiffness": [0],
+    "sim.dt_s": [0],
+    "sim.max_time_s": [0.005],  # below dt_s
+    "sim.bend_extra_compression_mm": [-0.1],
+    "pipe.inner_radius_mm": [0, -1],
+    "pipe.segments[0].length_mm": [0, -5],
+    "pipe.segments[1].bend_radius_mm": [10, 60],  # inside the robot, inside the bore
+    "pipe.segments[1].sweep_deg": [0, 181],
+}
+MISSING = object()
+
+
+def fault_doc():
+    """The four-section scenario with its bore given as inner_radius_mm."""
+    doc = json.loads((SCENARIOS / "four_section.json").read_text())
+    del doc["pipe"]["nps"], doc["pipe"]["schedule"]
+    doc["pipe"]["inner_radius_mm"] = 77.0
+    return doc
+
+
+def _fault_cases():
+    bore = {"pipe": (("inner_radius_mm", "inner_radius", False),)}
+    for section, rows in {**SCHEMA, **bore}.items():
+        for key, _, required in rows:
+            path = f"{LOCATIONS[section][0]}.{key}"
+            values = [True, "x", math.nan, math.inf, -math.inf, 10**400]  # an int beyond float
+            values += OUT_OF_RANGE.get(path, []) + ([MISSING] if required else [])
+            for value in values:
+                label = {MISSING: "missing", 10**400: "10**400"}.get(value, repr(value))
+                yield pytest.param(section, key, path, value, id=f"{path}={label}")
+
+
+@pytest.mark.parametrize("section, key, path, value", _fault_cases())
+def test_every_schema_key_rejects_bad_values_at_its_path(section, key, path, value):
+    doc = fault_doc()
+    obj = doc
+    for step in LOCATIONS[section][1]:
+        obj = obj[step]
+    if value is MISSING:
+        del obj[key]
+    else:
+        obj[key] = value
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert err.value.path == path
+
+
 def test_malformed_json_reports_the_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "pipe": {,}\n}\n')
@@ -155,8 +233,13 @@ def test_missing_file_is_an_io_error(tmp_path):
 
 # --- round trip -------------------------------------------------------------------
 
-def test_scenario_round_trips_through_its_canonical_form(tmp_path):
-    original = scenario_from_dict(minimal_doc())
+@pytest.mark.parametrize("name", ["minimal", "four_section", "straight_run"])
+def test_scenario_round_trips_through_its_canonical_form(name):
+    if name == "minimal":
+        source = minimal_doc()
+    else:
+        source = json.loads((SCENARIOS / f"{name}.json").read_text())
+    original = scenario_from_dict(source)
     doc = scenario_to_dict(original)
     rebuilt = scenario_from_dict(doc)
     assert scenario_to_dict(rebuilt) == doc

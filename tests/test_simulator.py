@@ -229,6 +229,7 @@ def test_sweep_continues_past_failed_orientations():
         {"slip_stiffness": 0.0},
         {"input_speed_rad_s": -1.0},
         {"bend_extra_compression_mm": -0.1},
+        {"input_speed_rad_s": 0.0},  # the robot would never move
     ],
 )
 def test_scenario_invariants(overrides):
