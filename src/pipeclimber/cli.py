@@ -9,13 +9,12 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .dimensions import pipe_dimensions, pipe_inner_radius
 from .errors import ConfigError, IoError, MaxTimeExceeded, SimulationError
-from .scenario_io import emit_records, parse_scenario, summary_to_dict
+from .scenario_io import emit_records, parse_scenario, summary_to_dict, write_json
 from .simulator import run as run_scenario
 from .simulator import sweep_orientation
 
@@ -43,23 +42,17 @@ def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    records_path = out_dir / f"records.{args.format}"
     try:
         records, summary = run_scenario(scenario)
     except MaxTimeExceeded as exc:
         # Keep the partial results inspectable, then fail.
-        emit_records(exc.records, args.format, out_dir / f"records.{args.format}")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    emit_records(records, args.format, out_dir / f"records.{args.format}")
-    summary_path = out_dir / "summary.json"
-    try:
-        with open(summary_path, "w", encoding="utf-8") as handle:
-            json.dump(summary_to_dict(summary), handle, indent=1)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {summary_path}: {exc}") from exc
+        emit_records(exc.records, args.format, records_path)
+        raise
+    emit_records(records, args.format, records_path)
+    write_json(summary_to_dict(summary), out_dir / "summary.json", indent=1)
     _print_summary(summary)
-    print(f"records -> {out_dir / f'records.{args.format}'}")
+    print(f"records -> {records_path}")
     return EXIT_OK
 
 
@@ -87,13 +80,8 @@ def _cmd_sweep(args) -> int:
             }
             for entry in entries
         ]
-        try:
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(out_path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=1)
-                handle.write("\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {out_path}: {exc}") from exc
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        write_json(payload, out_path, indent=1)
         print(f"sweep -> {out_path}")
     return EXIT_SIMULATION if failed else EXIT_OK
 
@@ -150,10 +138,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:

@@ -182,12 +182,17 @@ def build_network(
     )
 
 
+def segment_at(network: PipeNetwork, s: float) -> int:
+    """Index of the segment holding arc length ``s``; a boundary opens the next one."""
+    return min(bisect_right(network.cumulative_lengths, s), len(network.segments) - 1)
+
+
 def pose_at(network: PipeNetwork, s: float) -> CenterlinePose:
     """Exact analytic centerline pose at arc length ``s`` (mm)."""
     total = network.total_length
     if not 0.0 <= s <= total:
         raise OutOfRange(f"arc length {s} outside [0, {total}]")
-    index = min(bisect_right(network.cumulative_lengths, s), len(network.segments) - 1)
+    index = segment_at(network, s)
     placement = network.placements[index]
     seg = placement.segment
     local = s - placement.s_start

@@ -217,13 +217,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def save_scenario(scenario: Scenario, path) -> None:
+def write_json(payload, path, indent: int) -> None:
+    """Write ``payload`` as indented JSON plus a newline; OSError becomes IoError."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(scenario_to_dict(scenario), handle, indent=2)
+            json.dump(payload, handle, indent=indent)
             handle.write("\n")
     except OSError as exc:
-        raise IoError(f"cannot write scenario {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def save_scenario(scenario: Scenario, path) -> None:
+    write_json(scenario_to_dict(scenario), path, indent=2)
 
 
 def _record_row(record: SimRecord) -> list:

@@ -7,6 +7,11 @@ the differential settles where all three torques are equal while the mean
 output speed stays pinned to the input.  The body then advances along the
 centerline by the mean track speed.
 
+A step depends on the arc length only through the body placement, the
+segments under the body's centre, front and rear.  ``run`` calls ``step``
+once per placement and repeats its record, at the new ``t`` and ``s``, on
+the rows in between, so the physics costs per segment, not per row.
+
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
 zero by the speed-averaging law), so slip vanishes in bends without any
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -25,9 +31,11 @@ import numpy as np
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
 from .errors import EmptySweep, EndOfNetwork, MaxTimeExceeded, SimulationError, ZeroReference
 from .errors import require, require_positive
-from .geometry import Bend, PipeNetwork, pose_at
+from .geometry import Bend, PipeNetwork, pose_at, segment_at
 from .robot import RobotParams, asymmetry_deg, required_track_speeds, spring_compression
 from .robot import track_path_radius
+
+MAX_STEPS = 1_000_000  # most rows a valid scenario may take: max_time_s / dt_s
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +52,18 @@ class Scenario:
     bend_extra_compression_mm: float = 1.5
 
     def validate(self) -> None:
-        """Raise ValidationError naming the field at fault, then validate the robot."""
+        """Raise ValidationError naming the field at fault; validates the robot too."""
         require_positive(self, "dt_s", "slip_stiffness", "input_speed_rad_s")
         require(self.dt_s < self.max_time_s < math.inf, "max_time_s", self.max_time_s,
                 f"finite and exceed dt_s ({self.dt_s})")
+        require(self.max_time_s / self.dt_s <= MAX_STEPS, "max_time_s", self.max_time_s,
+                f"at most {MAX_STEPS} steps of dt_s ({self.dt_s})")
         require(0.0 <= self.bend_extra_compression_mm < math.inf, "bend_extra_compression_mm",
                 self.bend_extra_compression_mm, ">= 0 and finite")
         self.robot.validate()
+        speed = self.center_speed_mm_s  # finite factors can still multiply to 0 or inf
+        require(0.0 < speed < math.inf, "input_speed_rad_s", self.input_speed_rad_s,
+                f"such that the centerline speed ({speed} mm/s) is > 0 and finite")
 
     @property
     def center_speed_mm_s(self) -> float:
@@ -129,13 +142,6 @@ def ape(measured: float, theoretical: float) -> float:
     return 100.0 * abs(measured - theoretical) / abs(theoretical)
 
 
-# The load set is constant along a segment, so every step inside it solves a
-# bit-identical equilibrium; memoizing the pure solve keeps runs cheap.
-@lru_cache(maxsize=256)
-def _balance(input_speed: float, loads: tuple, config: TransmissionConfig):
-    return solve_torque_balance(input_speed, list(loads), config)
-
-
 def step(scenario: Scenario, state: SimState) -> tuple[SimRecord, SimState]:
     """Advance one timestep; raises EndOfNetwork once the body center leaves.
 
@@ -155,15 +161,8 @@ def step(scenario: Scenario, state: SimState) -> tuple[SimRecord, SimState]:
     _check_body_tilt(scenario, state.s)
 
     required = tuple(float(v) for v in required)
-    loads = tuple(
-        LinearLoad(
-            stiffness=scenario.slip_stiffness,
-            wheel_radius=robot.sprocket_radius_mm,
-            target_speed=required[j],
-        )
-        for j in range(3)
-    )
-    balance = _balance(scenario.input_speed_rad_s, loads, scenario.transmission)
+    loads = [LinearLoad(scenario.slip_stiffness, robot.sprocket_radius_mm, v) for v in required]
+    balance = solve_torque_balance(scenario.input_speed_rad_s, loads, scenario.transmission)
     track_speeds = tuple(w * robot.sprocket_radius_mm for w in balance.output_speeds)
 
     record = SimRecord(
@@ -176,43 +175,56 @@ def step(scenario: Scenario, state: SimState) -> tuple[SimRecord, SimState]:
         compressions=tuple(float(x) for x in compressions),
         common_torque=balance.common_torque,
     )
-    advance = scenario.dt_s * sum(track_speeds) / 3.0
-    return record, SimState(t=state.t + scenario.dt_s, s=state.s + advance)
+    return record, _next_state(scenario, record)
+
+
+def _next_state(scenario: Scenario, record: SimRecord) -> SimState:
+    # One timestep after ``record``, the body having moved at the mean track speed.
+    dt = scenario.dt_s
+    return SimState(t=record.t + dt, s=record.s + dt * sum(record.track_speeds) / 3.0)
+
+
+def _body_ends(scenario: Scenario, s: float) -> tuple[float, float]:
+    """Arc lengths of the body's front and rear, clamped to the network."""
+    half = scenario.robot.length_mm / 2.0
+    return min(s + half, scenario.network.total_length), max(s - half, 0.0)
 
 
 def _check_body_tilt(scenario: Scenario, s: float) -> None:
     # Compression difference between the body ends drives the tilt check.
-    half = scenario.robot.length_mm / 2.0
-    total = scenario.network.total_length
-    front = spring_compression(
-        pose_at(scenario.network, min(s + half, total)),
-        scenario.robot,
-        scenario.bend_extra_compression_mm,
-    )
-    rear = spring_compression(
-        pose_at(scenario.network, max(s - half, 0.0)),
-        scenario.robot,
-        scenario.bend_extra_compression_mm,
+    front, rear = (
+        spring_compression(
+            pose_at(scenario.network, end), scenario.robot, scenario.bend_extra_compression_mm
+        )
+        for end in _body_ends(scenario, s)
     )
     asymmetry_deg(front, rear, scenario.robot)
 
 
 def run(scenario: Scenario) -> tuple[list[SimRecord], SimSummary]:
-    """Step until the network ends; MaxTimeExceeded carries partial results."""
+    """Run until the network ends, calling ``step`` once per body placement;
+    MaxTimeExceeded carries partial results."""
+    network = scenario.network
     records: list[SimRecord] = []
     state = SimState(t=0.0, s=0.0)
+    placement = None
     while True:
         if state.t >= scenario.max_time_s:
             raise MaxTimeExceeded(
                 f"robot did not finish within {scenario.max_time_s} s "
-                f"(reached {state.s:.1f} of {scenario.network.total_length:.1f} mm)",
+                f"(reached {state.s:.1f} of {network.total_length:.1f} mm)",
                 records=records,
                 summary=summarize(records, scenario, state) if records else None,
             )
-        try:
-            record, state = step(scenario, state)
-        except EndOfNetwork:
+        if state.s >= network.total_length:
             break
+        here = tuple(segment_at(network, x) for x in (state.s, *_body_ends(scenario, state.s)))
+        if here != placement:
+            placement = here
+            record, state = step(scenario, state)
+        else:
+            record = replace(record, t=state.t, s=state.s)
+            state = _next_state(scenario, record)
         records.append(record)
     return records, summarize(records, scenario, state)
 
@@ -234,19 +246,10 @@ def summarize(records, scenario: Scenario, end_state: SimState) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics."""
     segment_stats = []
     per_track_ape = np.zeros(3)
-    groups: dict[int, list[SimRecord]] = {}
-    order: list[int] = []
-    for rec in records:
-        if rec.segment_index not in groups:
-            groups[rec.segment_index] = []
-            order.append(rec.segment_index)
-        groups[rec.segment_index].append(rec)
-
-    for pos, index in enumerate(order):
-        recs = groups[index]
-        exit_time = (
-            groups[order[pos + 1]][0].t if pos + 1 < len(order) else end_state.t
-        )
+    # Arc length only grows, so each segment's records are contiguous.
+    groups = [(i, list(recs)) for i, recs in groupby(records, attrgetter("segment_index"))]
+    for pos, (index, recs) in enumerate(groups):
+        exit_time = groups[pos + 1][1][0].t if pos + 1 < len(groups) else end_state.t
         mean_speeds = tuple(
             float(np.mean([r.track_speeds[j] for r in recs])) for j in range(3)
         )

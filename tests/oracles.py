@@ -2,13 +2,17 @@
 
 These deliberately avoid the code paths under test: the side-gear solve
 uses chain substitution plus a scalar parabola minimization instead of a
-matrix least-squares call, and the load-balance reference is the closed
-form for equal-stiffness linear slip loads.
+matrix least-squares call, the load-balance reference is the closed
+form for equal-stiffness linear slip loads, and the reference run solves
+every row instead of once per body placement.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from pipeclimber import EndOfNetwork, MaxTimeExceeded, SimState, step
+from pipeclimber.simulator import summarize
 
 
 def side_speeds_chain(outputs, input_speed, ring_ratio=1.0, output_ratio=1.0, free=0.0):
@@ -59,3 +63,23 @@ def equal_slip_solution(required_speeds, stiffness, wheel_radius, input_speed, o
     slip = overall_ratio * input_speed * wheel_radius - required.mean()
     speeds = (required + slip) / wheel_radius
     return speeds, stiffness * slip
+
+
+def stepwise_run(scenario):
+    """``run`` as a loop that calls ``step`` on every row: returns (records,
+    summary), or raises what ``run`` raises, MaxTimeExceeded with the partial
+    records and their summary."""
+    records = []
+    state = SimState(t=0.0, s=0.0)
+    while True:
+        if state.t >= scenario.max_time_s:
+            raise MaxTimeExceeded(
+                "time budget spent",
+                records=records,
+                summary=summarize(records, scenario, state) if records else None,
+            )
+        try:
+            record, state = step(scenario, state)
+        except EndOfNetwork:
+            return records, summarize(records, scenario, state)
+        records.append(record)

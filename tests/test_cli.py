@@ -56,6 +56,24 @@ def test_validate_bad_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edits, path",
+    [
+        ({"g1": 1e-200, "input_speed_rad_s": 1e-200}, "sim.input_speed_rad_s"),  # speed 0
+        ({"g1": 1e200, "input_speed_rad_s": 1e200}, "sim.input_speed_rad_s"),  # speed inf
+        ({"dt_s": 1e-7}, "sim.max_time_s"),  # 6e8 steps
+    ],
+)
+def test_validate_rejects_scenarios_that_cannot_run(tmp_path, capsys, edits, path):
+    doc = json.loads((SCENARIOS / "straight_run.json").read_text())
+    for key, value in edits.items():
+        doc["transmission" if key == "g1" else "sim"][key] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["validate", str(scenario)]) == 1
+    assert f"error: {path}: must be" in capsys.readouterr().err
+
+
 def test_missing_file_exits_3(tmp_path):
     assert main(["validate", str(tmp_path / "missing.json")]) == 3
 

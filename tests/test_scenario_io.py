@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -170,10 +171,10 @@ OUT_OF_RANGE = {
     "transmission.g1": [0],
     "transmission.g2": [-1],
     "transmission.efficiency": [0, 1.5],
-    "sim.input_speed_rad_s": [0, -1],
+    "sim.input_speed_rad_s": [0, -1, 1e308],  # 1e308 * the 20 mm sprocket is inf
     "sim.slip_stiffness": [0],
     "sim.dt_s": [0],
-    "sim.max_time_s": [0.005],  # below dt_s
+    "sim.max_time_s": [0.005, 1e5],  # below dt_s, over a million steps
     "sim.bend_extra_compression_mm": [-0.1],
     "pipe.inner_radius_mm": [0, -1],
     "pipe.segments[0].length_mm": [0, -5],
@@ -306,6 +307,16 @@ def test_json_mirrors_the_csv_fields():
     assert set(rows[0]) == set(CSV_COLUMNS)
     assert rows[0]["t_s"] == records[0].t
     assert rows[1]["vA_mm_s"] == records[1].track_speeds[0]
+
+
+def test_four_section_records_keep_their_digest(tmp_path):
+    # The SHA-256 the benchmark checks `pipeclimb run` output against.
+    records, _ = run(parse_scenario(SCENARIOS / "four_section.json"))
+    target = tmp_path / "records.csv"
+    emit_records(records, "csv", target)
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "623795f54112ed15afc1108057e9302675e4b99e5a336a5a20ca101573caba67"
+    )
 
 
 def test_emit_to_path(tmp_path):

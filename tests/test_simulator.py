@@ -1,13 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pipeclimber.simulator as simulator
 from pipeclimber import (
     AsymmetryLimit,
+    Bend,
     CompressionLimit,
     EmptySweep,
     EndOfNetwork,
     MaxTimeExceeded,
     SimState,
+    SimulationError,
     Straight,
     ZeroReference,
     ape,
@@ -17,6 +24,7 @@ from pipeclimber import (
     sweep_orientation,
 )
 from conftest import make_four_section_scenario, make_robot
+from oracles import stepwise_run
 
 
 def straight_only_scenario(length=500.0, **overrides):
@@ -75,6 +83,14 @@ def test_partial_results_on_timeout():
     assert len(err.value.records) == 100
     assert err.value.summary is not None
     assert err.value.summary.final_s < scenario.network.total_length
+
+
+def test_time_budget_is_checked_before_the_network_end(four_section_scenario):
+    records, summary = run(four_section_scenario)
+    spent = replace(four_section_scenario, max_time_s=summary.finish_time)
+    with pytest.raises(MaxTimeExceeded) as err:
+        run(spent)
+    assert err.value.records == records
 
 
 def test_runs_are_deterministic(four_section_scenario):
@@ -164,6 +180,66 @@ def test_run_propagates_asymmetry_limit():
         run(scenario)
 
 
+# --- one solve per body placement ---------------------------------------------------
+
+@pytest.mark.parametrize("dt_s", [0.1, 0.01, 0.001])
+def test_run_solves_once_per_body_placement(monkeypatch, dt_s):
+    # Centre, front and rear of the 200 mm body cross four segments in ten
+    # placements, whatever the time grid.
+    solve = simulator.solve_torque_balance
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(simulator, "solve_torque_balance", counted)
+    records, _ = run(make_four_section_scenario(dt_s=dt_s))
+    assert len(calls) == 10
+    assert len(records) > 4000 * 0.01 / dt_s
+
+
+def _outcome(run_fn, scenario):
+    try:
+        return run_fn(scenario), None
+    except SimulationError as exc:
+        return (getattr(exc, "records", None), getattr(exc, "summary", None)), type(exc)
+
+
+segments = st.one_of(
+    st.builds(Straight, st.floats(20.0, 400.0)),
+    st.builds(Bend, st.floats(80.0, 400.0), st.floats(5.0, 180.0), st.floats(-180.0, 180.0)),
+)
+
+
+@given(
+    network=st.lists(segments, min_size=1, max_size=4),
+    dt_s=st.floats(0.01, 0.5),
+    orientation=st.floats(0.0, 360.0),
+    length_mm=st.one_of(st.floats(10.0, 60.0), st.floats(60.0, 800.0)),
+    preload_mm=st.floats(2.0, 8.0),
+    extra_mm=st.floats(0.0, 12.0),
+    budget=st.floats(0.05, 2.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_run_matches_stepping_every_row(
+    network, dt_s, orientation, length_mm, preload_mm, extra_mm, budget
+):
+    # Short bodies and large bend compressions reach the tilt and compression limits.
+    robot = make_robot(orientation_deg=orientation, length_mm=length_mm, preload_mm=preload_mm)
+    scenario = make_four_section_scenario(
+        network=build_network(network, 77.0),
+        robot=robot,
+        dt_s=dt_s,
+        bend_extra_compression_mm=extra_mm,
+    )
+    # A budget below 1 of the nominal traversal time ends the run early.
+    finish = scenario.network.total_length / scenario.center_speed_mm_s
+    scenario = replace(scenario, max_time_s=max(1.5 * dt_s, budget * finish))
+    scenario.validate()
+    assert _outcome(run, scenario) == _outcome(stepwise_run, scenario)
+
+
 # --- APE ---------------------------------------------------------------------------
 
 def test_ape_examples():
@@ -230,6 +306,7 @@ def test_sweep_continues_past_failed_orientations():
         {"input_speed_rad_s": -1.0},
         {"bend_extra_compression_mm": -0.1},
         {"input_speed_rad_s": 0.0},  # the robot would never move
+        {"dt_s": 1e-7},  # over a million steps of dt_s before max_time_s
     ],
 )
 def test_scenario_invariants(overrides):
