@@ -30,7 +30,6 @@ from .errors import (
     DegenerateBend,
     EmptyNetwork,
     EmptySweep,
-    EndOfNetwork,
     InconsistentOutputs,
     IoError,
     MaxTimeExceeded,
@@ -66,7 +65,6 @@ from .scenario_io import (
 from .simulator import (
     Scenario,
     SimRecord,
-    SimState,
     SimSummary,
     SegmentStats,
     SweepEntry,

@@ -35,6 +35,12 @@ from .errors import InconsistentOutputs, NoBracket, NonMonotoneLoad, require, re
 
 _PAIRING = ((0, 1), (1, 2), (2, 0))  # stage-2 j couples R_j with L_{j+1}
 
+SOLVE_TOL = 1e-10  # guaranteed relative accuracy of a torque-balance mean speed
+MAX_BISECTIONS = 2000
+SPAN_FACTOR = 2.0  # growth of the bracket span per widening
+MAX_WIDENINGS = 80
+AVERAGING_TOL = 1e-9  # relative mean-speed mismatch ``internal_state`` accepts
+
 
 @dataclass(frozen=True)
 class TransmissionConfig:
@@ -129,15 +135,7 @@ def solve_free(input_speed: float, config: TransmissionConfig) -> TransmissionSt
     )
 
 
-def solve_torque_balance(
-    input_speed: float,
-    loads,
-    config: TransmissionConfig,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-    bracket_growth: float = 2.0,
-    max_expansions: int = 80,
-) -> TorqueBalance:
+def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) -> TorqueBalance:
     """Equilibrium of the train against three monotone load curves.
 
     Finds the torque level tau at which the load-curve inverses average to
@@ -147,19 +145,19 @@ def solve_torque_balance(
 
     F is strictly increasing, so evaluating each load at the target mean
     speed brackets the root immediately; bisection then shrinks the bracket
-    to float resolution, which keeps the result deterministic even when the
-    equilibrium torque is tiny.  ``tol`` (relative on the mean-speed
-    residual) is the guaranteed accuracy; the solve is verified against it
-    and far exceeds it in practice.
+    to float resolution (at most MAX_BISECTIONS halvings), which keeps the
+    result deterministic even when the equilibrium torque is tiny.
+    SOLVE_TOL (relative on the mean-speed residual) is the guaranteed
+    accuracy; the solve is verified against it and far exceeds it in
+    practice.
 
     Raises NonMonotoneLoad for a non-increasing curve and NoBracket if the
-    bracket cannot be established within ``max_expansions`` growth steps
-    (only possible for inconsistent torque/inverse implementations).
+    bracket cannot be established within MAX_WIDENINGS widenings, each
+    SPAN_FACTOR times the last (only possible for inconsistent
+    torque/inverse implementations).
     """
     if len(loads) != 3:
         raise ValueError(f"expected 3 load curves, got {len(loads)}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     for load in loads:
         if getattr(load, "slope", 1.0) <= 0.0:
             raise NonMonotoneLoad(f"load {load!r} is not strictly increasing")
@@ -177,21 +175,21 @@ def solve_torque_balance(
     # The [min, max] torque bracket is valid for exact monotone curves; grow
     # it geometrically if a user-supplied curve disagrees with its inverse.
     span = max(1.0, hi - lo, abs(lo), abs(hi))
-    expansions = 0
+    widenings = 0
     while f_lo > 0.0:
-        if expansions >= max_expansions:
+        if widenings >= MAX_WIDENINGS:
             raise NoBracket(f"no sign change below torque {lo}")
         lo -= span
-        span *= bracket_growth
+        span *= SPAN_FACTOR
         f_lo = residual(lo)
-        expansions += 1
+        widenings += 1
     while f_hi < 0.0:
-        if expansions >= max_expansions:
+        if widenings >= MAX_WIDENINGS:
             raise NoBracket(f"no sign change above torque {hi}")
         hi += span
-        span *= bracket_growth
+        span *= SPAN_FACTOR
         f_hi = residual(hi)
-        expansions += 1
+        widenings += 1
 
     iterations = 0
     if lo == hi or f_lo == 0.0:
@@ -199,7 +197,7 @@ def solve_torque_balance(
     elif f_hi == 0.0:
         tau = hi
     else:
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, MAX_BISECTIONS + 1):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:  # bracket at float resolution
                 break
@@ -212,7 +210,7 @@ def solve_torque_balance(
 
     speeds = tuple(load.inverse(tau) for load in loads)
     mean_residual = sum(speeds) / 3.0 - target
-    if abs(mean_residual) > tol * max(1.0, abs(target)):
+    if abs(mean_residual) > SOLVE_TOL * max(1.0, abs(target)):
         raise NoBracket(
             f"bisection stalled with mean-speed residual {mean_residual}"
         )
@@ -236,10 +234,7 @@ def input_torque_for(common_torque: float, config: TransmissionConfig) -> float:
 
 
 def internal_state(
-    output_speeds,
-    input_speed: float,
-    config: TransmissionConfig,
-    tol: float = 1e-9,
+    output_speeds, input_speed: float, config: TransmissionConfig
 ) -> tuple[float, float, float, float, float, float]:
     """Side-gear speeds (L1, R1, L2, R2, L3, R3) consistent with the outputs.
 
@@ -248,15 +243,15 @@ def internal_state(
     the minimum-norm solution, which is unique and testable.
 
     Raises InconsistentOutputs when mean(output_speeds) deviates from the
-    constrained value by more than ``tol`` relative (no side-gear speeds can
-    realise such outputs).
+    constrained value by more than AVERAGING_TOL relative (no side-gear
+    speeds can realise such outputs).
     """
     speeds = tuple(float(w) for w in output_speeds)
     if len(speeds) != 3:
         raise ValueError(f"expected 3 output speeds, got {len(speeds)}")
     target = config.overall_ratio * input_speed
     mean = sum(speeds) / 3.0
-    if abs(mean - target) > tol * max(1.0, abs(target)):
+    if abs(mean - target) > AVERAGING_TOL * max(1.0, abs(target)):
         raise InconsistentOutputs(
             f"mean output speed {mean} != {target} required by the averaging law"
         )
@@ -276,16 +271,11 @@ def internal_state(
     return tuple(solution)
 
 
-def balance_state(
-    input_speed: float,
-    loads,
-    config: TransmissionConfig,
-    tol: float = 1e-10,
-) -> TransmissionState:
+def balance_state(input_speed: float, loads, config: TransmissionConfig) -> TransmissionState:
     """Full consistent train state at the load-balance equilibrium."""
-    balance = solve_torque_balance(input_speed, loads, config, tol=tol)
+    balance = solve_torque_balance(input_speed, loads, config)
     ring = config.ring_ratio * input_speed
-    sides = internal_state(balance.output_speeds, input_speed, config, tol=1e-6)
+    sides = internal_state(balance.output_speeds, input_speed, config)
     tau = balance.common_torque
     return TransmissionState(
         input_speed=input_speed,

@@ -127,7 +127,3 @@ class MaxTimeExceeded(SimulationError):
 
 class IoError(PipeClimberError):
     """Failed to read or write an artifact (records, summaries, scenarios)."""
-
-
-class EndOfNetwork(Exception):
-    """Signal, not an error: the robot has traversed the whole network."""

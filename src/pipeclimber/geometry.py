@@ -3,13 +3,13 @@
 A network is an ordered chain of straight runs and circular bends, each
 continuing tangentially from the previous one.  All lengths are in mm.
 
-Bend convention: a persistent reference normal (unit vector perpendicular to
-the tangent) is carried along the chain.  It starts as world-up projected
-off the initial tangent (world-x when the pipe starts vertical), passes
-through straights unchanged, and after each bend becomes that bend's
-outward direction at exit.  ``bend_plane_roll`` rotates the bend's outward
-direction away from this reference, right-handed about the local tangent,
-so roll 0 bends in the plane of the previous bend.
+Every network enters at the origin pointing up (+z).  Bend convention: a
+persistent reference normal (unit vector perpendicular to the tangent) is
+carried along the chain.  It starts as world-x, passes through straights
+unchanged, and after each bend becomes that bend's outward direction at
+exit.  ``bend_plane_roll`` rotates the bend's outward direction away from
+this reference, right-handed about the local tangent, so roll 0 bends in
+the plane of the previous bend.
 
 Inside a bend at entry point p with entry tangent t and outward direction u
 (the arc center sits at p - R*u), the pose at angle a into the arc is::
@@ -28,10 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadSegment, EmptyNetwork, OutOfRange, ValidationError, require
-
-_WORLD_UP = np.array([0.0, 0.0, 1.0])
-_WORLD_X = np.array([1.0, 0.0, 0.0])
-
 
 @dataclass(frozen=True)
 class Straight:
@@ -100,16 +96,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _perpendicular_reference(tangent: np.ndarray) -> np.ndarray:
-    """World-up projected off the tangent, or world-x when degenerate."""
-    for candidate in (_WORLD_UP, _WORLD_X):
-        proj = candidate - np.dot(candidate, tangent) * tangent
-        norm = np.linalg.norm(proj)
-        if norm > 1e-9:
-            return proj / norm
-    raise AssertionError("no perpendicular reference found")  # unreachable
-
-
 def _check_segment(index: int, seg, inner_radius: float) -> None:
     if not isinstance(seg, (Straight, Bend)):
         raise BadSegment(f"unknown segment kind {type(seg).__name__}", index)
@@ -126,26 +112,22 @@ def _check_segment(index: int, seg, inner_radius: float) -> None:
         raise BadSegment(exc.reason, index, exc.path) from None
 
 
-def build_network(
-    segments,
-    inner_radius: float,
-    start_point=(0.0, 0.0, 0.0),
-    start_tangent=(0.0, 0.0, 1.0),
-) -> PipeNetwork:
-    """Chain segments tangentially from the start pose into a network.
+def build_network(segments, inner_radius: float) -> PipeNetwork:
+    """Chain segments tangentially into a network.
 
-    Defaults put the entry at the origin pointing up (+z), matching a
-    vertical first run.  Raises EmptyNetwork / BadSegment / ValidationError on
-    bad input.
+    The entry sits at the origin pointing up (+z), a vertical first run,
+    with world-x as the first bend reference.  Raises EmptyNetwork /
+    BadSegment / ValidationError on bad input.
     """
     segments = tuple(segments)
     if not segments:
         raise EmptyNetwork("network needs at least one segment")
     require(0.0 < inner_radius < math.inf, "inner_radius", inner_radius, "> 0 and finite")
 
-    point = np.asarray(start_point, dtype=float)
-    tangent = _unit(np.asarray(start_tangent, dtype=float))
-    reference = _perpendicular_reference(tangent)
+    # Fresh arrays per network: pose_at hands placement arrays to callers.
+    point = np.zeros(3)
+    tangent = np.array([0.0, 0.0, 1.0])
+    reference = np.array([1.0, 0.0, 0.0])
 
     placements = []
     boundaries = []

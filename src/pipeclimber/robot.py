@@ -3,7 +3,9 @@
 The robot carries three track modules spaced 120 degrees around its axis,
 pressed against the pipe wall by preloaded linear springs.  Module angles
 are measured from the bend's outward direction, so a module at angle 0 rides
-the outside of the bend.  Per-track quantities are ordered (A, B, C) for
+the outside of the bend.  Each bend uses its own outward direction, so a
+bend's ``bend_plane_roll`` moves the centerline in space but leaves every
+module angle, and hence every record and summary, unchanged.  Per-track quantities are ordered (A, B, C) for
 modules at orientation, orientation+120, orientation+240 degrees.
 
 Inside a bend of centerline radius R, the contact path of the module at

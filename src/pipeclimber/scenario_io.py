@@ -250,31 +250,22 @@ def _fmt(value) -> str:
     return format(value, ".9g")
 
 
-def emit_records(records, fmt: str = "csv", destination=None) -> None:
-    """Write the record stream as CSV or JSON to a path or open file."""
+def emit_records(records, fmt: str, path) -> None:
+    """Write the record stream to ``path`` as CSV or JSON; OSError becomes IoError."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-    def write(handle):
-        if fmt == "csv":
-            handle.write(",".join(CSV_COLUMNS) + "\n")
-            for record in records:
-                handle.write(",".join(_fmt(v) for v in _record_row(record)) + "\n")
-        else:
-            rows = [
-                dict(zip(CSV_COLUMNS, _record_row(record))) for record in records
-            ]
-            json.dump(rows, handle, indent=1)
-            handle.write("\n")
-
-    if destination is None or hasattr(destination, "write"):
-        write(destination if destination is not None else sys.stdout)
-        return
     try:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            if fmt == "csv":
+                handle.write(",".join(CSV_COLUMNS) + "\n")
+                for record in records:
+                    handle.write(",".join(_fmt(v) for v in _record_row(record)) + "\n")
+            else:
+                rows = [dict(zip(CSV_COLUMNS, _record_row(record))) for record in records]
+                json.dump(rows, handle, indent=1)
+                handle.write("\n")
     except OSError as exc:
-        raise IoError(f"cannot write records to {destination}: {exc}") from exc
+        raise IoError(f"cannot write records to {path}: {exc}") from exc
 
 
 def summary_to_dict(summary) -> dict:

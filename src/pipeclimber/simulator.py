@@ -7,10 +7,13 @@ the differential settles where all three torques are equal while the mean
 output speed stays pinned to the input.  The body then advances along the
 centerline by the mean track speed.
 
-A step depends on the arc length only through the body placement, the
-segments under the body's centre, front and rear.  ``run`` calls ``step``
-once per placement and repeats its record, at the new ``t`` and ``s``, on
-the rows in between, so the physics costs per segment, not per row.
+``run`` owns the time grid: it advances the time ``t`` and the body-centre
+arc length ``s`` and decides when the run ends, while ``step`` only solves
+the equilibrium at a given ``t`` and ``s``.  A step depends on the arc
+length only through the body placement, the segments under the body's
+centre, front and rear.  ``run`` calls ``step`` once per placement and
+repeats its record, at the new ``t`` and ``s``, on the rows in between, so
+the physics costs per segment, not per row.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -24,12 +27,11 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
-from .errors import EmptySweep, EndOfNetwork, MaxTimeExceeded, SimulationError, ZeroReference
+from .errors import EmptySweep, MaxTimeExceeded, SimulationError, ZeroReference
 from .errors import require, require_positive
 from .geometry import Bend, PipeNetwork, pose_at, segment_at
 from .robot import RobotParams, asymmetry_deg, required_track_speeds, spring_compression
@@ -47,8 +49,8 @@ class Scenario:
     transmission: TransmissionConfig
     input_speed_rad_s: float
     slip_stiffness: float
-    dt_s: float = 0.01
-    max_time_s: float = 120.0
+    dt_s: float
+    max_time_s: float
     bend_extra_compression_mm: float = 1.5
 
     def validate(self) -> None:
@@ -61,8 +63,17 @@ class Scenario:
         require(0.0 <= self.bend_extra_compression_mm < math.inf, "bend_extra_compression_mm",
                 self.bend_extra_compression_mm, ">= 0 and finite")
         self.robot.validate()
-        speed = self.center_speed_mm_s  # finite factors can still multiply to 0 or inf
-        require(0.0 < speed < math.inf, "input_speed_rad_s", self.input_speed_rad_s,
+        # Finite factors can still multiply to 0 or inf.  Blame the one
+        # farthest from 1; ties go to the input speed.
+        factors = {
+            "input_speed_rad_s": self.input_speed_rad_s,
+            "ring_ratio": self.transmission.ring_ratio,
+            "output_ratio": self.transmission.output_ratio,
+            "sprocket_radius_mm": self.robot.sprocket_radius_mm,
+        }
+        culprit = max(factors, key=lambda name: abs(math.log(factors[name])))
+        speed = self.center_speed_mm_s
+        require(0.0 < speed < math.inf, culprit, factors[culprit],
                 f"such that the centerline speed ({speed} mm/s) is > 0 and finite")
 
     @property
@@ -73,13 +84,6 @@ class Scenario:
             * self.input_speed_rad_s
             * self.robot.sprocket_radius_mm
         )
-
-
-class SimState(NamedTuple):
-    """Progress of one run: time (s) and body-center arc length (mm)."""
-
-    t: float
-    s: float
 
 
 @dataclass(frozen=True)
@@ -142,32 +146,28 @@ def ape(measured: float, theoretical: float) -> float:
     return 100.0 * abs(measured - theoretical) / abs(theoretical)
 
 
-def step(scenario: Scenario, state: SimState) -> tuple[SimRecord, SimState]:
-    """Advance one timestep; raises EndOfNetwork once the body center leaves.
+def step(scenario: Scenario, t: float, s: float) -> SimRecord:
+    """The equilibrium at time ``t`` with the body centre at arc length ``s``.
 
     Solves the torque balance against the slip loads built from the local
-    required speeds, logs the equilibrium, then advances the body by the
-    mean track speed (the centerline speed, by the averaging law).
+    required speeds.  Advancing ``t`` and ``s`` is left to ``run``.
     """
-    network = scenario.network
-    if state.s >= network.total_length:
-        raise EndOfNetwork
-    pose = pose_at(network, state.s)
+    pose = pose_at(scenario.network, s)
     robot = scenario.robot
 
     center_speed = scenario.center_speed_mm_s
     required = required_track_speeds(pose, center_speed, robot)
     compressions = spring_compression(pose, robot, scenario.bend_extra_compression_mm)
-    _check_body_tilt(scenario, state.s)
+    _check_body_tilt(scenario, s)
 
     required = tuple(float(v) for v in required)
     loads = [LinearLoad(scenario.slip_stiffness, robot.sprocket_radius_mm, v) for v in required]
     balance = solve_torque_balance(scenario.input_speed_rad_s, loads, scenario.transmission)
     track_speeds = tuple(w * robot.sprocket_radius_mm for w in balance.output_speeds)
 
-    record = SimRecord(
-        t=state.t,
-        s=state.s,
+    return SimRecord(
+        t=t,
+        s=s,
         segment_index=pose.segment_index,
         track_speeds=track_speeds,
         required_speeds=required,
@@ -175,13 +175,6 @@ def step(scenario: Scenario, state: SimState) -> tuple[SimRecord, SimState]:
         compressions=tuple(float(x) for x in compressions),
         common_torque=balance.common_torque,
     )
-    return record, _next_state(scenario, record)
-
-
-def _next_state(scenario: Scenario, record: SimRecord) -> SimState:
-    # One timestep after ``record``, the body having moved at the mean track speed.
-    dt = scenario.dt_s
-    return SimState(t=record.t + dt, s=record.s + dt * sum(record.track_speeds) / 3.0)
 
 
 def _body_ends(scenario: Scenario, s: float) -> tuple[float, float]:
@@ -203,30 +196,35 @@ def _check_body_tilt(scenario: Scenario, s: float) -> None:
 
 def run(scenario: Scenario) -> tuple[list[SimRecord], SimSummary]:
     """Run until the network ends, calling ``step`` once per body placement;
-    MaxTimeExceeded carries partial results."""
+    MaxTimeExceeded carries partial results.
+
+    Each row advances ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean
+    track speed; the time budget is checked before the network end.
+    """
     network = scenario.network
+    dt = scenario.dt_s
     records: list[SimRecord] = []
-    state = SimState(t=0.0, s=0.0)
+    t = s = 0.0
     placement = None
     while True:
-        if state.t >= scenario.max_time_s:
+        if t >= scenario.max_time_s:
             raise MaxTimeExceeded(
                 f"robot did not finish within {scenario.max_time_s} s "
-                f"(reached {state.s:.1f} of {network.total_length:.1f} mm)",
+                f"(reached {s:.1f} of {network.total_length:.1f} mm)",
                 records=records,
-                summary=summarize(records, scenario, state) if records else None,
+                summary=summarize(records, scenario, t, s) if records else None,
             )
-        if state.s >= network.total_length:
+        if s >= network.total_length:
             break
-        here = tuple(segment_at(network, x) for x in (state.s, *_body_ends(scenario, state.s)))
+        here = tuple(segment_at(network, x) for x in (s, *_body_ends(scenario, s)))
         if here != placement:
             placement = here
-            record, state = step(scenario, state)
+            record = step(scenario, t, s)
         else:
-            record = replace(record, t=state.t, s=state.s)
-            state = _next_state(scenario, record)
+            record = replace(record, t=t, s=s)
         records.append(record)
-    return records, summarize(records, scenario, state)
+        t, s = t + dt, s + dt * sum(record.track_speeds) / 3.0
+    return records, summarize(records, scenario, t, s)
 
 
 def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float, float, float]:
@@ -242,14 +240,15 @@ def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float
     )
 
 
-def summarize(records, scenario: Scenario, end_state: SimState) -> SimSummary:
-    """Aggregate records into per-segment and run-level statistics."""
+def summarize(records, scenario: Scenario, finish_time: float, final_s: float) -> SimSummary:
+    """Aggregate records into per-segment and run-level statistics; the run
+    ended at ``finish_time`` with the body centre at ``final_s``."""
     segment_stats = []
     per_track_ape = np.zeros(3)
     # Arc length only grows, so each segment's records are contiguous.
     groups = [(i, list(recs)) for i, recs in groupby(records, attrgetter("segment_index"))]
     for pos, (index, recs) in enumerate(groups):
-        exit_time = groups[pos + 1][1][0].t if pos + 1 < len(groups) else end_state.t
+        exit_time = groups[pos + 1][1][0].t if pos + 1 < len(groups) else finish_time
         mean_speeds = tuple(
             float(np.mean([r.track_speeds[j] for r in recs])) for j in range(3)
         )
@@ -275,9 +274,9 @@ def summarize(records, scenario: Scenario, end_state: SimState) -> SimSummary:
         per_track_ape_percent=tuple(float(e) for e in per_track_ape),
         max_abs_slip=max_slip,
         max_compression=max_comp,
-        finish_time=end_state.t,
-        final_s=end_state.s,
-        total_distance_mm=max(0.0, end_state.s - scenario.robot.length_mm),
+        finish_time=finish_time,
+        final_s=final_s,
+        total_distance_mm=max(0.0, final_s - scenario.robot.length_mm),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pipeclimber import EndOfNetwork, MaxTimeExceeded, SimState, step
+from pipeclimber import MaxTimeExceeded, step
 from pipeclimber.simulator import summarize
 
 
@@ -70,16 +70,16 @@ def stepwise_run(scenario):
     summary), or raises what ``run`` raises, MaxTimeExceeded with the partial
     records and their summary."""
     records = []
-    state = SimState(t=0.0, s=0.0)
+    t = s = 0.0
     while True:
-        if state.t >= scenario.max_time_s:
+        if t >= scenario.max_time_s:
             raise MaxTimeExceeded(
                 "time budget spent",
                 records=records,
-                summary=summarize(records, scenario, state) if records else None,
+                summary=summarize(records, scenario, t, s) if records else None,
             )
-        try:
-            record, state = step(scenario, state)
-        except EndOfNetwork:
-            return records, summarize(records, scenario, state)
+        if s >= scenario.network.total_length:
+            return records, summarize(records, scenario, t, s)
+        record = step(scenario, t, s)
         records.append(record)
+        t, s = t + scenario.dt_s, s + scenario.dt_s * sum(record.track_speeds) / 3.0

@@ -80,6 +80,18 @@ def test_quarter_bend_rotates_tangent_by_90_degrees():
     assert abs(np.linalg.norm(exit_.tangent) - 1.0) < 1e-12
 
 
+def test_every_network_enters_at_the_origin_pointing_up():
+    # The first bend turns away from world-x, its outward direction at entry.
+    net = build_network([Bend(300.0, 90.0)], inner_radius=77.0)
+    entry = pose_at(net, 0.0)
+    exit_ = pose_at(net, net.total_length)
+    assert np.allclose(entry.position, [0.0, 0.0, 0.0], atol=1e-9)
+    assert np.allclose(entry.tangent, [0.0, 0.0, 1.0], atol=1e-9)
+    assert np.allclose(entry.bend_outward, [1.0, 0.0, 0.0], atol=1e-9)
+    assert np.allclose(exit_.position, [-300.0, 0.0, 300.0], atol=1e-9)
+    assert np.allclose(exit_.tangent, [-1.0, 0.0, 0.0], atol=1e-9)
+
+
 def test_pose_out_of_range():
     net = build_network([Straight(350.0)], inner_radius=77.0)
     with pytest.raises(OutOfRange):

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import math
 from pathlib import Path
@@ -159,7 +158,7 @@ LOCATIONS = {
 }
 OUT_OF_RANGE = {
     "robot.h_mm": [0, -50],
-    "robot.sprocket_radius_mm": [0],
+    "robot.sprocket_radius_mm": [0, 1e308],  # the centerline speed overflows
     "robot.spring_k_n_per_m": [0],
     "robot.preload_mm": [-1],
     "robot.max_compression_mm": [0],
@@ -168,8 +167,8 @@ OUT_OF_RANGE = {
     "robot.mu": [0, 2],
     "robot.robot_length_mm": [0],
     "robot.max_asym_deg": [0],
-    "transmission.g1": [0],
-    "transmission.g2": [-1],
+    "transmission.g1": [0, 1e308],
+    "transmission.g2": [-1, 1e308],
     "transmission.efficiency": [0, 1.5],
     "sim.input_speed_rad_s": [0, -1, 1e308],  # 1e308 * the 20 mm sprocket is inf
     "sim.slip_stiffness": [0],
@@ -266,29 +265,30 @@ def sample_records(n=3):
     return records[:n]
 
 
-def test_empty_record_stream_gives_header_only():
-    buffer = io.StringIO()
-    emit_records([], "csv", buffer)
-    lines = buffer.getvalue().splitlines()
+def emitted(tmp_path, records, fmt):
+    """Text ``emit_records`` writes for ``records`` in ``fmt``."""
+    target = tmp_path / f"records.{fmt}"
+    emit_records(records, fmt, target)
+    return target.read_text(encoding="utf-8")
+
+
+def test_empty_record_stream_gives_header_only(tmp_path):
+    lines = emitted(tmp_path, [], "csv").splitlines()
     assert lines == [",".join(CSV_COLUMNS)]
 
 
-def test_csv_has_one_row_per_record():
+def test_csv_has_one_row_per_record(tmp_path):
     records = sample_records(3)
-    buffer = io.StringIO()
-    emit_records(records, "csv", buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = emitted(tmp_path, records, "csv").splitlines()
     assert len(lines) == 4
     assert lines[0].split(",") == list(CSV_COLUMNS)
     for line in lines[1:]:
         assert len(line.split(",")) == len(CSV_COLUMNS)
 
 
-def test_csv_numbers_carry_nine_significant_digits():
+def test_csv_numbers_carry_nine_significant_digits(tmp_path):
     records = sample_records(1)
-    buffer = io.StringIO()
-    emit_records(records, "csv", buffer)
-    row = buffer.getvalue().splitlines()[1].split(",")
+    row = emitted(tmp_path, records, "csv").splitlines()[1].split(",")
     t_s = float(row[0])
     assert t_s == records[0].t
     # a full-precision irrational-ish value prints with 9 significant digits
@@ -298,11 +298,9 @@ def test_csv_numbers_carry_nine_significant_digits():
     assert len(mantissa) <= 9
 
 
-def test_json_mirrors_the_csv_fields():
+def test_json_mirrors_the_csv_fields(tmp_path):
     records = sample_records(2)
-    buffer = io.StringIO()
-    emit_records(records, "json", buffer)
-    rows = json.loads(buffer.getvalue())
+    rows = json.loads(emitted(tmp_path, records, "json"))
     assert len(rows) == 2
     assert set(rows[0]) == set(CSV_COLUMNS)
     assert rows[0]["t_s"] == records[0].t
@@ -325,9 +323,9 @@ def test_emit_to_path(tmp_path):
     assert len(target.read_text().splitlines()) == 3
 
 
-def test_emit_rejects_unknown_format():
+def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        emit_records([], "xml", io.StringIO())
+        emit_records([], "xml", tmp_path / "records.xml")
 
 
 def test_emit_wraps_os_errors(tmp_path):

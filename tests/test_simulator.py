@@ -11,9 +11,8 @@ from pipeclimber import (
     Bend,
     CompressionLimit,
     EmptySweep,
-    EndOfNetwork,
     MaxTimeExceeded,
-    SimState,
+    OutOfRange,
     SimulationError,
     Straight,
     ZeroReference,
@@ -36,16 +35,14 @@ def straight_only_scenario(length=500.0, **overrides):
 # --- stepping ------------------------------------------------------------------
 
 def test_straight_step_has_no_slip(four_section_scenario):
-    record, state = step(four_section_scenario, SimState(0.0, 0.0))
+    record = step(four_section_scenario, 0.0, 0.0)
     assert record.segment_index == 0
     assert np.allclose(record.track_speeds, 50.0, atol=1e-9)
     assert max(abs(s) for s in record.slip) < 1e-9
-    assert state.s == pytest.approx(0.5)  # 50 mm/s * 0.01 s
-    assert state.t == pytest.approx(0.01)
 
 
 def test_bend_step_scales_speeds_by_path_radius(four_section_scenario):
-    record, _ = step(four_section_scenario, SimState(0.0, 700.0))  # inside the elbow
+    record = step(four_section_scenario, 0.0, 700.0)  # inside the elbow
     assert record.segment_index == 1
     expected = [50.0 * r / 300.0 for r in (350.0, 275.0, 275.0)]
     assert record.track_speeds == pytest.approx(expected, rel=1e-9)
@@ -53,9 +50,9 @@ def test_bend_step_scales_speeds_by_path_radius(four_section_scenario):
     assert max(abs(s) for s in record.slip) < 1e-9
 
 
-def test_step_past_the_end_signals_completion(four_section_scenario):
-    with pytest.raises(EndOfNetwork):
-        step(four_section_scenario, SimState(0.0, four_section_scenario.network.total_length))
+def test_step_past_the_end_is_out_of_range(four_section_scenario):
+    with pytest.raises(OutOfRange):
+        step(four_section_scenario, 0.0, four_section_scenario.network.total_length + 1.0)
 
 
 # --- full runs --------------------------------------------------------------------
@@ -63,6 +60,8 @@ def test_step_past_the_end_signals_completion(four_section_scenario):
 def test_straight_run_finishes_in_length_over_speed():
     scenario = straight_only_scenario(length=500.0)
     records, summary = run(scenario)
+    assert records[1].s == pytest.approx(0.5)  # 50 mm/s * 0.01 s
+    assert records[1].t == pytest.approx(0.01)
     assert summary.finish_time == pytest.approx(10.0, abs=scenario.dt_s + 1e-9)
     assert summary.max_abs_slip < 1e-9
     assert summary.final_s == pytest.approx(500.0, abs=50.0 * scenario.dt_s + 1e-9)
