@@ -63,6 +63,7 @@ from .scenario_io import (
     summary_to_dict,
 )
 from .simulator import (
+    Records,
     Scenario,
     SimRecord,
     SimSummary,

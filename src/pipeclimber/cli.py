@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .dimensions import pipe_dimensions, pipe_inner_radius
-from .errors import ConfigError, IoError, MaxTimeExceeded, SimulationError
+from .errors import ConfigError, IoError, MaxTimeExceeded, SimulationError, ValidationError
 from .scenario_io import emit_records, parse_scenario, summary_to_dict, write_json
 from .simulator import run as run_scenario
 from .simulator import sweep_orientation
@@ -59,7 +59,10 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
     thetas = [float(part) for part in args.theta.split(",") if part.strip()]
-    entries = sweep_orientation(scenario, thetas)
+    try:
+        entries = sweep_orientation(scenario, thetas)
+    except ValidationError as exc:  # only the orientations are new to the scenario
+        raise ValidationError(exc.reason, "--theta") from None
     failed = False
     print("theta [deg]   finish [s]   max |slip| [mm/s]   worst APE [%]")
     for entry in entries:

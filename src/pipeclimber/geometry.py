@@ -22,7 +22,6 @@ Inside a bend at entry point p with entry tangent t and outward direction u
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,29 +131,34 @@ def build_network(segments, inner_radius: float) -> PipeNetwork:
     placements = []
     boundaries = []
     s = 0.0
-    for index, seg in enumerate(segments):
-        _check_segment(index, seg, inner_radius)
-        if isinstance(seg, Straight):
-            placements.append(
-                _Placement(seg, s, s + seg.length, point, tangent, None, None)
-            )
-            point = point + seg.length * tangent
-            s += seg.length
-        else:
-            roll = math.radians(seg.bend_plane_roll)
-            binormal = np.cross(tangent, reference)
-            outward = math.cos(roll) * reference + math.sin(roll) * binormal
-            center = point - seg.bend_radius * outward
-            placements.append(
-                _Placement(seg, s, s + seg.arc_length, point, tangent, outward, center)
-            )
-            sweep = math.radians(seg.sweep_angle)
-            exit_outward = outward * math.cos(sweep) + tangent * math.sin(sweep)
-            tangent = _unit(tangent * math.cos(sweep) - outward * math.sin(sweep))
-            point = center + seg.bend_radius * exit_outward
-            reference = exit_outward
-            s += seg.arc_length
-        boundaries.append(s)
+    with np.errstate(over="ignore"):  # a network past the float range fails below
+        for index, seg in enumerate(segments):
+            _check_segment(index, seg, inner_radius)
+            if isinstance(seg, Straight):
+                placements.append(
+                    _Placement(seg, s, s + seg.length, point, tangent, None, None)
+                )
+                point = point + seg.length * tangent
+                s += seg.length
+            else:
+                roll = math.radians(seg.bend_plane_roll)
+                binormal = np.cross(tangent, reference)
+                outward = math.cos(roll) * reference + math.sin(roll) * binormal
+                center = point - seg.bend_radius * outward
+                placements.append(
+                    _Placement(seg, s, s + seg.arc_length, point, tangent, outward, center)
+                )
+                sweep = math.radians(seg.sweep_angle)
+                exit_outward = outward * math.cos(sweep) + tangent * math.sin(sweep)
+                tangent = _unit(tangent * math.cos(sweep) - outward * math.sin(sweep))
+                point = center + seg.bend_radius * exit_outward
+                reference = exit_outward
+                s += seg.arc_length
+            if not (s < math.inf and np.isfinite(point).all()):
+                field = "length" if isinstance(seg, Straight) else "bend_radius"
+                raise BadSegment(f"must keep the network within the float range, got "
+                                 f"{getattr(seg, field)}", index, field)
+            boundaries.append(s)
 
     return PipeNetwork(
         segments=segments,
@@ -164,9 +168,14 @@ def build_network(segments, inner_radius: float) -> PipeNetwork:
     )
 
 
-def segment_at(network: PipeNetwork, s: float) -> int:
-    """Index of the segment holding arc length ``s``; a boundary opens the next one."""
-    return min(bisect_right(network.cumulative_lengths, s), len(network.segments) - 1)
+def segment_at(network: PipeNetwork, s):
+    """Index of the segment holding arc length ``s``; a boundary opens the next one.
+
+    ``s`` is a number, giving an ``int``, or an array, giving an index array.
+    """
+    index = np.minimum(np.searchsorted(network.cumulative_lengths, s, side="right"),
+                       len(network.segments) - 1)
+    return index if isinstance(s, np.ndarray) else int(index)
 
 
 def pose_at(network: PipeNetwork, s: float) -> CenterlinePose:

@@ -7,8 +7,8 @@ key to the dataclass field it fills.  Range rules live in the dataclass
 validators.  Unknown keys are rejected and all validation errors, the
 validators' included, name the offending key path.
 
-Record output is CSV (fixed column order, 9 significant digits) or JSON
-(same field names).
+Record output is CSV (fixed column order, 9 significant digits), written
+from the columns of a ``Records`` table, or JSON (same field names).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .dimensions import pipe_inner_radius
 from .errors import BadSegment, IoError, ParseError, ValidationError
 from .geometry import Bend, Straight, build_network
 from .robot import RobotParams
-from .simulator import Scenario, SimRecord
+from .simulator import Records, Scenario, SimRecord
 
 CSV_COLUMNS = (
     "t_s",
@@ -231,10 +231,9 @@ def save_scenario(scenario: Scenario, path) -> None:
     write_json(scenario_to_dict(scenario), path, indent=2)
 
 
-def _record_row(record: SimRecord) -> list:
+def _constants(record: SimRecord) -> list:
+    """Every field but ``t`` and ``s``, in column order."""
     return [
-        record.t,
-        record.s,
         record.segment_index,
         *record.track_speeds,
         *record.required_speeds,
@@ -244,24 +243,46 @@ def _record_row(record: SimRecord) -> list:
     ]
 
 
+def _row(record: SimRecord) -> list:
+    return [record.t, record.s, *_constants(record)]
+
+
 def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     return format(value, ".9g")
 
 
+_CHUNK_ROWS = 4096  # rows whose t and s are Python floats at a time
+
+
+def _write_csv(records, handle) -> None:
+    if not isinstance(records, Records):
+        records = Records.from_rows(records)
+    handle.write(",".join(CSV_COLUMNS) + "\n")
+    for record, t, s in records.runs():
+        tail = "".join("," + _fmt(v) for v in _constants(record)) + "\n"
+        for start in range(0, len(t), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            ts, ss = t[start:stop].tolist(), s[start:stop].tolist()
+            handle.writelines(f"{t_row:.9g},{s_row:.9g}{tail}" for t_row, s_row in zip(ts, ss))
+
+
 def emit_records(records, fmt: str, path) -> None:
-    """Write the record stream to ``path`` as CSV or JSON; OSError becomes IoError."""
+    """Write a ``Records`` table, or a sequence of ``SimRecord`` rows, to
+    ``path`` as CSV or JSON; OSError becomes IoError.
+
+    CSV formats each placement's constant fields once and streams the rows
+    to the file without the whole text ever in memory.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             if fmt == "csv":
-                handle.write(",".join(CSV_COLUMNS) + "\n")
-                for record in records:
-                    handle.write(",".join(_fmt(v) for v in _record_row(record)) + "\n")
+                _write_csv(records, handle)
             else:
-                rows = [dict(zip(CSV_COLUMNS, _record_row(record))) for record in records]
+                rows = [dict(zip(CSV_COLUMNS, _row(record))) for record in records]
                 json.dump(rows, handle, indent=1)
                 handle.write("\n")
     except OSError as exc:

@@ -11,9 +11,14 @@ centerline by the mean track speed.
 arc length ``s`` and decides when the run ends, while ``step`` only solves
 the equilibrium at a given ``t`` and ``s``.  A step depends on the arc
 length only through the body placement, the segments under the body's
-centre, front and rear.  ``run`` calls ``step`` once per placement and
-repeats its record, at the new ``t`` and ``s``, on the rows in between, so
-the physics costs per segment, not per row.
+centre, front and rear.  ``run`` calls ``step`` once per placement and fills
+the ``t`` and ``s`` of the rows in between with a cumulative sum, so the
+physics costs per placement and each row costs a few array elements.
+
+Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and each
+placement's record once with the row where its run ends.  ``summarize`` and
+the CSV writer read the columns; indexing and iteration give
+``SimRecord`` rows.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -24,14 +29,13 @@ control input.  That limit behaviour is what the acceptance suite pins.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
-from .errors import EmptySweep, MaxTimeExceeded, SimulationError, ZeroReference
+from .errors import BadSegment, EmptySweep, MaxTimeExceeded, SimulationError, ZeroReference
 from .errors import require, require_positive
 from .geometry import Bend, PipeNetwork, pose_at, segment_at
 from .robot import RobotParams, asymmetry_deg, required_track_speeds, spring_compression
@@ -75,6 +79,12 @@ class Scenario:
         speed = self.center_speed_mm_s
         require(0.0 < speed < math.inf, culprit, factors[culprit],
                 f"such that the centerline speed ({speed} mm/s) is > 0 and finite")
+        # A bend's outer track runs at speed * (R + h) / R; keep the product finite.
+        h = self.robot.contact_radius_mm
+        for index, seg in enumerate(self.network.segments):
+            if isinstance(seg, Bend) and not speed * (seg.bend_radius + h) < math.inf:
+                raise BadSegment(f"must keep the track speeds finite at {speed} mm/s, got "
+                                 f"{seg.bend_radius}", index, "bend_radius")
 
     @property
     def center_speed_mm_s(self) -> float:
@@ -98,6 +108,66 @@ class SimRecord:
     slip: tuple[float, float, float]  # mm/s, track - required
     compressions: tuple[float, float, float]  # mm
     common_torque: float  # N*m
+
+
+class Records(Sequence):
+    """A run's records as columns, after Apache Arrow's run-end encoding.
+
+    ``t`` and ``s`` are float64 columns with one value per row.  Rows of one
+    body placement share every other field, so ``values[j]`` holds the
+    record ``step`` solved for placement ``j`` and ``run_ends[j]`` is the row
+    where its run ends.  Every run has at least one row.  Indexing and
+    iteration give ``SimRecord`` rows; slicing gives a table.  A table equals
+    any list, tuple or table of equal rows.
+    """
+
+    def __init__(self, t, s, values, run_ends):
+        self.t = t
+        self.s = s
+        self.values = tuple(values)
+        self.run_ends = np.asarray(run_ends, dtype=np.intp)
+
+    @classmethod
+    def from_rows(cls, rows) -> Records:
+        """A table of ``SimRecord`` rows, one run per row."""
+        rows = list(rows)
+        t = np.array([r.t for r in rows], dtype=float)
+        s = np.array([r.s for r in rows], dtype=float)
+        return cls(t, s, rows, range(1, len(rows) + 1))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            rows = np.arange(len(self))[key]
+            owner = np.searchsorted(self.run_ends, rows, side="right")
+            ends = np.flatnonzero(np.diff(owner, append=-1)) + 1  # where the owner changes
+            return Records(self.t[rows], self.s[rows], [self.values[j] for j in owner[ends - 1]],
+                           ends)
+        row = range(len(self))[key]  # IndexError past either end
+        value = self.values[np.searchsorted(self.run_ends, row, side="right")]
+        return replace(value, t=float(self.t[row]), s=float(self.s[row]))
+
+    def __iter__(self):
+        for value, t, s in self.runs():
+            for t_row, s_row in zip(t.tolist(), s.tolist()):
+                yield replace(value, t=t_row, s=s_row)
+
+    def runs(self):
+        """(record, t column, s column) per placement, in row order."""
+        start = 0
+        for value, end in zip(self.values, self.run_ends.tolist()):
+            yield value, self.t[start:end], self.s[start:end]
+            start = end
+
+    def __eq__(self, other):
+        if not isinstance(other, (Records, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Records({len(self)} rows, {len(self.values)} placements)"
 
 
 @dataclass(frozen=True)
@@ -177,10 +247,11 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     )
 
 
-def _body_ends(scenario: Scenario, s: float) -> tuple[float, float]:
-    """Arc lengths of the body's front and rear, clamped to the network."""
+def _body_ends(scenario: Scenario, s):
+    """Arc lengths of the body's front and rear, clamped to the network;
+    ``s`` is a number or an array."""
     half = scenario.robot.length_mm / 2.0
-    return min(s + half, scenario.network.total_length), max(s - half, 0.0)
+    return np.minimum(s + half, scenario.network.total_length), np.maximum(s - half, 0.0)
 
 
 def _check_body_tilt(scenario: Scenario, s: float) -> None:
@@ -194,7 +265,15 @@ def _check_body_tilt(scenario: Scenario, s: float) -> None:
     asymmetry_deg(front, rear, scenario.robot)
 
 
-def run(scenario: Scenario) -> tuple[list[SimRecord], SimSummary]:
+def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
+    """``start`` and ``count`` repeated additions of ``increment``.  The sum
+    runs in sequence, so each value has the bits of ``x = x + increment``."""
+    column = np.full(count + 1, increment)
+    column[0] = start
+    return np.cumsum(column, out=column)
+
+
+def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     """Run until the network ends, calling ``step`` once per body placement;
     MaxTimeExceeded carries partial results.
 
@@ -202,28 +281,64 @@ def run(scenario: Scenario) -> tuple[list[SimRecord], SimSummary]:
     track speed; the time budget is checked before the network end.
     """
     network = scenario.network
-    dt = scenario.dt_s
-    records: list[SimRecord] = []
+    dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
+    bounds = np.array(network.cumulative_lengths)
+    half = scenario.robot.length_mm / 2.0
+    # Centre arc lengths where the placement may change: every segment
+    # boundary, and half a body length before and after it.
+    marks = np.unique(np.concatenate((bounds - half, bounds, bounds + half)))
+
+    def placement(s: np.ndarray) -> np.ndarray:
+        """Rows of ``s`` whose centre, front and rear lie in the segments of ``s[0]``'s."""
+        same = np.ones(len(s), dtype=bool)
+        for x in (s, *_body_ends(scenario, s)):
+            index = segment_at(network, x)
+            same &= index == index[0]
+        return same
+
+    t_columns, s_columns, values, run_ends = [], [], [], []
+
+    def table() -> Records:
+        return Records(np.concatenate([np.empty(0), *t_columns]),
+                       np.concatenate([np.empty(0), *s_columns]), values, run_ends)
+
+    rows = 0
     t = s = 0.0
-    placement = None
     while True:
-        if t >= scenario.max_time_s:
+        if t >= limit:
+            records = table()
             raise MaxTimeExceeded(
-                f"robot did not finish within {scenario.max_time_s} s "
-                f"(reached {s:.1f} of {network.total_length:.1f} mm)",
+                f"robot did not finish within {limit} s "
+                f"(reached {s:.1f} of {total:.1f} mm)",
                 records=records,
                 summary=summarize(records, scenario, t, s) if records else None,
             )
-        if s >= network.total_length:
+        if s >= total:
             break
-        here = tuple(segment_at(network, x) for x in (s, *_body_ends(scenario, s)))
-        if here != placement:
-            placement = here
-            record = step(scenario, t, s)
-        else:
-            record = replace(record, t=t, s=s)
-        records.append(record)
-        t, s = t + dt, s + dt * sum(record.track_speeds) / 3.0
+        record = step(scenario, t, s)
+        ds = dt * sum(record.track_speeds) / 3.0
+        values.append(record)
+        stays = True
+        while stays:
+            # Rows up to the next mark or the time budget; the margin covers
+            # rounding, and a short guess only extends the placement.  A robot
+            # that does not advance (ds underflows to 0, or the solve leaves a
+            # tiny negative mean speed) runs on the time budget alone.
+            mark = float(marks[np.searchsorted(marks, s, side="right")])
+            to_mark = (mark - s) / ds if ds > 0 else math.inf
+            count = int(min(to_mark, (limit - t) / dt, MAX_STEPS)) + 2
+            t_rows, s_rows = _accumulate(t, dt, count), _accumulate(s, ds, count)
+            # Row 0 is (t, s), already checked.  The run leaves this placement
+            # at the first row over budget, at the network end or elsewhere.
+            keep = (t_rows < limit) & (s_rows < total) & placement(s_rows)
+            stays = bool(keep.all())
+            k = count if stays else int(np.argmin(keep))
+            t_columns.append(t_rows[:k])
+            s_columns.append(s_rows[:k])
+            rows += k
+            t, s = float(t_rows[k]), float(s_rows[k])
+        run_ends.append(rows)
+    records = table()
     return records, summarize(records, scenario, t, s)
 
 
@@ -240,18 +355,30 @@ def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float
     )
 
 
-def summarize(records, scenario: Scenario, finish_time: float, final_s: float) -> SimSummary:
+def summarize(records: Records, scenario: Scenario, finish_time: float,
+              final_s: float) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics; the run
     ended at ``finish_time`` with the body centre at ``final_s``."""
+    # Arc length only grows, so each segment's rows are contiguous: one
+    # [segment, first row, end row] per run of placements in that segment.
+    groups = []
+    start = 0
+    for value, end in zip(records.values, records.run_ends.tolist()):
+        if groups and groups[-1][0] == value.segment_index:
+            groups[-1][2] = end
+        else:
+            groups.append([value.segment_index, start, end])
+        start = end
+    # One contiguous float64 column per track, so np.mean adds the same
+    # values in the same order as over a list of the rows.
+    counts = np.diff(records.run_ends, prepend=0)
+    speeds = [np.repeat([v.track_speeds[j] for v in records.values], counts) for j in range(3)]
+
     segment_stats = []
     per_track_ape = np.zeros(3)
-    # Arc length only grows, so each segment's records are contiguous.
-    groups = [(i, list(recs)) for i, recs in groupby(records, attrgetter("segment_index"))]
-    for pos, (index, recs) in enumerate(groups):
-        exit_time = groups[pos + 1][1][0].t if pos + 1 < len(groups) else finish_time
-        mean_speeds = tuple(
-            float(np.mean([r.track_speeds[j] for r in recs])) for j in range(3)
-        )
+    for pos, (index, first, end) in enumerate(groups):
+        exit_time = float(records.t[end]) if pos + 1 < len(groups) else finish_time
+        mean_speeds = tuple(float(np.mean(column[first:end])) for column in speeds)
         analytic = analytic_track_speeds(scenario, index)
         errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
         per_track_ape = np.maximum(per_track_ape, errors)
@@ -259,7 +386,7 @@ def summarize(records, scenario: Scenario, finish_time: float, final_s: float) -
             SegmentStats(
                 index=index,
                 kind="bend" if isinstance(scenario.network.segments[index], Bend) else "straight",
-                entry_time=recs[0].t,
+                entry_time=float(records.t[first]),
                 exit_time=exit_time,
                 mean_track_speeds=mean_speeds,
                 analytic_speeds=analytic,
@@ -267,8 +394,9 @@ def summarize(records, scenario: Scenario, finish_time: float, final_s: float) -
             )
         )
 
-    max_slip = max(max(abs(v) for v in r.slip) for r in records)
-    max_comp = max(max(r.compressions) for r in records)
+    # Maxima over placements are maxima over rows.
+    max_slip = max(max(abs(v) for v in r.slip) for r in records.values)
+    max_comp = max(max(r.compressions) for r in records.values)
     return SimSummary(
         segments=tuple(segment_stats),
         per_track_ape_percent=tuple(float(e) for e in per_track_ape),
@@ -291,6 +419,7 @@ def sweep_orientation(scenario: Scenario, orientations_deg) -> list[SweepEntry]:
             scenario, robot=replace(scenario.robot, orientation_deg=theta)
         )
         try:
+            oriented.robot.validate()  # ValidationError, not a failed run, for a bad angle
             _, summary = run(oriented)
             entries.append(SweepEntry(orientation_deg=theta, summary=summary))
         except SimulationError as exc:

@@ -3,16 +3,25 @@
 These deliberately avoid the code paths under test: the side-gear solve
 uses chain substitution plus a scalar parabola minimization instead of a
 matrix least-squares call, the load-balance reference is the closed
-form for equal-stiffness linear slip loads, and the reference run solves
-every row instead of once per body placement.
+form for equal-stiffness linear slip loads, the reference run solves
+every row instead of once per body placement and aggregates and writes
+its rows one at a time instead of from columns, and bend track speeds
+come from contact paths traced through sampled centerline frames instead
+of the path-radius formula.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from itertools import groupby
+from operator import attrgetter
+
 import numpy as np
 
-from pipeclimber import MaxTimeExceeded, step
-from pipeclimber.simulator import summarize
+from pipeclimber import Bend, MaxTimeExceeded, pose_at, step
+from pipeclimber.scenario_io import CSV_COLUMNS
+from pipeclimber.simulator import SegmentStats, SimSummary, analytic_track_speeds, ape
 
 
 def side_speeds_chain(outputs, input_speed, ring_ratio=1.0, output_ratio=1.0, free=0.0):
@@ -65,10 +74,46 @@ def equal_slip_solution(required_speeds, stiffness, wheel_radius, input_speed, o
     return speeds, stiffness * slip
 
 
+def stepwise_summary(records, scenario, finish_time, final_s):
+    """``summarize`` over a list of rows: group them by segment and average
+    each track's speeds over the group."""
+    segment_stats = []
+    per_track_ape = np.zeros(3)
+    groups = [(i, list(recs)) for i, recs in groupby(records, attrgetter("segment_index"))]
+    for pos, (index, recs) in enumerate(groups):
+        exit_time = groups[pos + 1][1][0].t if pos + 1 < len(groups) else finish_time
+        mean_speeds = tuple(
+            float(np.mean([r.track_speeds[j] for r in recs])) for j in range(3)
+        )
+        analytic = analytic_track_speeds(scenario, index)
+        errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
+        per_track_ape = np.maximum(per_track_ape, errors)
+        segment_stats.append(
+            SegmentStats(
+                index=index,
+                kind="bend" if isinstance(scenario.network.segments[index], Bend) else "straight",
+                entry_time=recs[0].t,
+                exit_time=exit_time,
+                mean_track_speeds=mean_speeds,
+                analytic_speeds=analytic,
+                ape_percent=errors,
+            )
+        )
+    return SimSummary(
+        segments=tuple(segment_stats),
+        per_track_ape_percent=tuple(float(e) for e in per_track_ape),
+        max_abs_slip=max(max(abs(v) for v in r.slip) for r in records),
+        max_compression=max(max(r.compressions) for r in records),
+        finish_time=finish_time,
+        final_s=final_s,
+        total_distance_mm=max(0.0, final_s - scenario.robot.length_mm),
+    )
+
+
 def stepwise_run(scenario):
     """``run`` as a loop that calls ``step`` on every row: returns (records,
-    summary), or raises what ``run`` raises, MaxTimeExceeded with the partial
-    records and their summary."""
+    summary) with the records in a list, or raises what ``run`` raises,
+    MaxTimeExceeded with the partial records and their summary."""
     records = []
     t = s = 0.0
     while True:
@@ -76,10 +121,65 @@ def stepwise_run(scenario):
             raise MaxTimeExceeded(
                 "time budget spent",
                 records=records,
-                summary=summarize(records, scenario, t, s) if records else None,
+                summary=stepwise_summary(records, scenario, t, s) if records else None,
             )
         if s >= scenario.network.total_length:
-            return records, summarize(records, scenario, t, s)
+            return records, stepwise_summary(records, scenario, t, s)
         record = step(scenario, t, s)
         records.append(record)
         t, s = t + scenario.dt_s, s + scenario.dt_s * sum(record.track_speeds) / 3.0
+
+
+def _row(record) -> list:
+    return [
+        record.t,
+        record.s,
+        record.segment_index,
+        *record.track_speeds,
+        *record.required_speeds,
+        *record.slip,
+        *record.compressions,
+        record.common_torque,
+    ]
+
+
+def write_rows(records, fmt, path):
+    """``emit_records`` one row at a time: CSV with 9 significant digits, or
+    ``json.dump`` of one dict per row."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        if fmt == "csv":
+            handle.write(",".join(CSV_COLUMNS) + "\n")
+            for record in records:
+                handle.write(",".join(
+                    str(v) if isinstance(v, int) else format(v, ".9g") for v in _row(record)
+                ) + "\n")
+        else:
+            json.dump([dict(zip(CSV_COLUMNS, _row(record))) for record in records], handle,
+                      indent=1)
+            handle.write("\n")
+
+
+def contact_path_speeds(scenario, segment_index, samples=200):
+    """Track speeds in one bend from the lengths of the three contact paths.
+
+    Each path is traced through ``samples + 1`` centerline frames from
+    ``pose_at``: the contact point of the module at angle q sits at
+    ``position + h * (cos q * outward + sin q * (tangent x outward))``.  A
+    track that rolls along its path without slip moves at the centerline
+    speed times its path length over the centerline's, both measured as
+    polylines through the same frames.
+    """
+    placement = scenario.network.placements[segment_index]
+    h = scenario.robot.contact_radius_mm
+    angles = np.radians(scenario.robot.module_angles_deg)
+    points = []
+    # Stay inside the bend: its end arc length opens the next segment.
+    ends = (placement.s_start, np.nextafter(placement.s_end, placement.s_start))
+    for s in np.linspace(*ends, samples + 1):
+        pose = pose_at(scenario.network, float(s))
+        side = np.cross(pose.tangent, pose.bend_outward)
+        radials = [math.cos(q) * pose.bend_outward + math.sin(q) * side for q in angles]
+        points.append([pose.position, *(pose.position + h * r for r in radials)])
+    paths = np.array(points)  # sample, centerline then tracks A-C, xyz
+    lengths = np.linalg.norm(np.diff(paths, axis=0), axis=2).sum(axis=0)
+    return scenario.center_speed_mm_s * lengths[1:] / lengths[0]

@@ -127,6 +127,13 @@ def test_sweep_prints_each_orientation(straight_scenario, tmp_path, capsys):
     assert all(entry["error"] is None for entry in payload)
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "1e400", "-inf", "0,nan"])
+def test_sweep_rejects_non_finite_orientations(theta, capsys):
+    argv = ["sweep", str(SCENARIOS / "four_section.json"), f"--theta={theta}"]
+    assert main(argv) == 1
+    assert "error: --theta: must be finite, got" in capsys.readouterr().err
+
+
 def test_dims_lookup(capsys):
     assert main(["dims", "6", "40"]) == 0
     assert "77.0" in capsys.readouterr().out

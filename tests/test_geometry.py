@@ -60,6 +60,21 @@ def test_bad_segments_rejected_with_index(segment):
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize(
+    "segments, field",
+    [
+        ([Straight(100.0), Straight(1e308), Straight(1e308)], "length"),  # the sum overflows
+        ([Straight(100.0), Straight(1e308), Bend(1e308, 180.0)], "bend_radius"),  # arc length inf
+        # a short arc whose centre lies past the float range
+        ([Straight(1e308), Bend(100.0, 90.0), Bend(1e308, 1e-10, 180.0)], "bend_radius"),
+    ],
+)
+def test_networks_past_the_float_range_rejected(segments, field):
+    with pytest.raises(BadSegment) as err:
+        build_network(segments, inner_radius=77.0)
+    assert (err.value.index, err.value.field) == (2, field)
+
+
 def test_pose_on_straight_midpoint():
     net = build_network([Straight(350.0)], inner_radius=77.0)
     pose = pose_at(net, 175.0)

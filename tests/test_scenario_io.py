@@ -4,12 +4,16 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipeclimber import (
     CSV_COLUMNS,
     CompressionLimit,
+    ConfigError,
     IoError,
     ParseError,
+    SimulationError,
     ValidationError,
     emit_records,
     parse_scenario,
@@ -177,7 +181,8 @@ OUT_OF_RANGE = {
     "sim.bend_extra_compression_mm": [-0.1],
     "pipe.inner_radius_mm": [0, -1],
     "pipe.segments[0].length_mm": [0, -5],
-    "pipe.segments[1].bend_radius_mm": [10, 60],  # inside the robot, inside the bore
+    # inside the robot, inside the bore, outer track speed overflows
+    "pipe.segments[1].bend_radius_mm": [10, 60, 1e308],
     "pipe.segments[1].sweep_deg": [0, 181],
 }
 MISSING = object()
@@ -216,6 +221,59 @@ def test_every_schema_key_rejects_bad_values_at_its_path(section, key, path, val
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(doc)
     assert err.value.path == path
+
+
+wild = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([0, -1, 1e-300, 5e-324, 1e308, 10**400, True, "x", None]),
+)
+segment_docs = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("straight"), "length_mm": st.floats(1.0, 2000.0)}),
+    st.fixed_dictionaries({
+        "kind": st.just("bend"),
+        "bend_radius_mm": st.floats(80.0, 2000.0),
+        "sweep_deg": st.floats(0.5, 180.0),
+        "roll_deg": st.floats(-360.0, 360.0),
+    }),
+)
+# Keys an edit may set to a wild value; a segment key is set on every
+# segment of its kind.
+SETTABLE = [(section, key) for section in ("robot", "transmission", "sim")
+            for key, _, _ in SCHEMA[section]]
+SETTABLE += [("segments", key) for kind in ("straight", "bend") for key, _, _ in SCHEMA[kind]]
+
+
+@given(
+    segments=st.lists(segment_docs, min_size=1, max_size=5),
+    dt_s=st.floats(1e-3, 1.0),
+    max_time_s=st.floats(0.0, 300.0),
+    edits=st.dictionaries(st.sampled_from(SETTABLE), wild, max_size=2),
+)
+# A subnormal input speed passes every rule, but each row's advance
+# underflows to 0 and the run spends its time budget where it stands.
+@example(segments=[{"kind": "straight", "length_mm": 100.0}], dt_s=0.01, max_time_s=1.0,
+         edits={("sim", "input_speed_rad_s"): 5e-324})
+@settings(max_examples=100, deadline=None)
+def test_every_document_runs_or_fails_typed_within_its_budget(segments, dt_s, max_time_s, edits):
+    # Parse and run: the only outcomes are a ConfigError, a SimulationError or
+    # records, and the time grid bounds the rows either way.
+    doc = fault_doc()
+    doc["pipe"]["segments"] = segments
+    doc["sim"].update(dt_s=dt_s, max_time_s=max_time_s)
+    for (section, key), value in edits.items():
+        targets = [s for s in segments if key in s] if section == "segments" else [doc[section]]
+        for target in targets:
+            target[key] = value
+    try:
+        scenario = scenario_from_dict(doc)
+    except (ConfigError, SimulationError):
+        return
+    try:
+        records, _ = run(scenario)
+    except SimulationError as exc:
+        records = getattr(exc, "records", [])
+    assert len(records) <= math.ceil(scenario.max_time_s / scenario.dt_s) + 1
 
 
 def test_malformed_json_reports_the_line(tmp_path):

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pipeclimber.geometry as geometry
 import pipeclimber.simulator as simulator
 from pipeclimber import (
     AsymmetryLimit,
@@ -13,17 +15,20 @@ from pipeclimber import (
     EmptySweep,
     MaxTimeExceeded,
     OutOfRange,
+    Records,
+    SimRecord,
     SimulationError,
     Straight,
     ZeroReference,
     ape,
     build_network,
+    emit_records,
     run,
     step,
     sweep_orientation,
 )
 from conftest import make_four_section_scenario, make_robot
-from oracles import stepwise_run
+from oracles import contact_path_speeds, stepwise_run, write_rows
 
 
 def straight_only_scenario(length=500.0, **overrides):
@@ -198,6 +203,55 @@ def test_run_solves_once_per_body_placement(monkeypatch, dt_s):
     assert len(records) > 4000 * 0.01 / dt_s
 
 
+def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
+    # Counts, not timings: a run and its CSV records cost the same number of
+    # solves, segment lookups and record objects at any dt_s.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(simulator, "step", counted("step", simulator.step))
+    segment_at = counted("segment_at", geometry.segment_at)
+    monkeypatch.setattr(geometry, "segment_at", segment_at)  # pose_at's lookups
+    monkeypatch.setattr(simulator, "segment_at", segment_at)  # run's placement search
+    monkeypatch.setattr(SimRecord, "__init__", counted("SimRecord", SimRecord.__init__))
+    seen = []
+    for dt_s in (0.01, 0.001):
+        calls.clear()
+        records, _ = run(make_four_section_scenario(dt_s=dt_s))
+        emit_records(records, "csv", tmp_path / "records.csv")
+        seen.append((dict(calls), len(records)))
+    (coarse, coarse_rows), (fine, fine_rows) = seen
+    assert coarse == fine
+    assert coarse["step"] == coarse["SimRecord"] == 10
+    assert fine_rows > 9 * coarse_rows
+
+
+def test_records_table_reads_like_a_list_of_rows(four_section_scenario):
+    records, _ = run(four_section_scenario)
+    rows = list(records)
+    assert len(records) == len(rows) == 4528
+    assert len(records.values) == 10
+    assert all(type(row.t) is float and type(row.s) is float for row in rows[:3])
+    for index in (0, 1, 1234, -1, -len(rows)):
+        assert records[index] == rows[index]
+    for key in (slice(None), slice(10, 20), slice(None, None, 7), slice(-5, None),
+                slice(3000, 100, -13), slice(50, 50)):
+        assert isinstance(records[key], Records)
+        assert list(records[key]) == rows[key]
+    for index in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            records[index]
+    assert records == rows and records == tuple(rows)
+    assert records != rows[:-1] and records != rows[1:]
+    assert Records.from_rows(rows) == records
+    assert records[:0] == [] and not records[:0]
+
+
 def _outcome(run_fn, scenario):
     try:
         return run_fn(scenario), None
@@ -222,7 +276,7 @@ segments = st.one_of(
 )
 @settings(max_examples=60, deadline=None)
 def test_run_matches_stepping_every_row(
-    network, dt_s, orientation, length_mm, preload_mm, extra_mm, budget
+    tmp_path_factory, network, dt_s, orientation, length_mm, preload_mm, extra_mm, budget
 ):
     # Short bodies and large bend compressions reach the tilt and compression limits.
     robot = make_robot(orientation_deg=orientation, length_mm=length_mm, preload_mm=preload_mm)
@@ -236,7 +290,46 @@ def test_run_matches_stepping_every_row(
     finish = scenario.network.total_length / scenario.center_speed_mm_s
     scenario = replace(scenario, max_time_s=max(1.5 * dt_s, budget * finish))
     scenario.validate()
-    assert _outcome(run, scenario) == _outcome(stepwise_run, scenario)
+    _check_against_stepping(scenario, tmp_path_factory.getbasetemp())
+
+
+def _check_against_stepping(scenario, folder):
+    """``run`` and ``stepwise_run`` give equal outcomes; returns the error type."""
+    ours, expected = _outcome(run, scenario), _outcome(stepwise_run, scenario)
+    assert ours == expected
+    # The table writes the bytes a row-by-row writer gives for the same rows,
+    # complete or cut short by the time budget.
+    (records, _), error = ours
+    if records is not None:
+        for fmt in ("csv", "json"):
+            emit_records(records, fmt, folder / f"table.{fmt}")
+            write_rows(expected[0][0], fmt, folder / f"rows.{fmt}")
+            assert (folder / f"table.{fmt}").read_bytes() == (folder / f"rows.{fmt}").read_bytes()
+    return error
+
+
+@pytest.mark.parametrize("input_speed", [5e-324, 1e-322])
+def test_run_matches_stepping_when_the_robot_barely_moves(tmp_path, input_speed):
+    # A valid subnormal input speed: at 5e-324 rad/s a row's advance,
+    # dt_s times the mean track speed, underflows to 0.  The run spends its
+    # time budget where it stands, as stepping every row does.
+    scenario = make_four_section_scenario(input_speed_rad_s=input_speed, max_time_s=0.5)
+    scenario.validate()
+    assert _check_against_stepping(scenario, tmp_path) is MaxTimeExceeded
+
+
+def test_a_robot_that_slides_back_spends_its_time_budget(monkeypatch):
+    # The solver's absolute residual admits a tiny negative mean speed at
+    # tiny input speeds.  The fill is then sized from the time budget alone,
+    # and the body stays in its first placement, below s = 0.
+    real_step = simulator.step
+    monkeypatch.setattr(simulator, "step", lambda scenario, t, s: replace(
+        real_step(scenario, t, s), track_speeds=(-1e-9,) * 3))
+    with pytest.raises(MaxTimeExceeded) as err:
+        run(make_four_section_scenario(max_time_s=0.5))
+    records = err.value.records
+    assert len(records) == 50 and len(records.values) == 1
+    assert records.s[0] == 0.0 and np.all(np.diff(records.s) < 0)
 
 
 # --- APE ---------------------------------------------------------------------------
@@ -255,6 +348,27 @@ def test_ape_zero_reference():
 def test_bend_ape_is_tiny(four_section_scenario):
     _, summary = run(four_section_scenario)
     assert max(summary.per_track_ape_percent) < 1e-6
+
+
+@pytest.mark.parametrize("orientation", [0.0, 37.0, 90.0, 200.0])
+@pytest.mark.parametrize("roll", [0.0, 73.0])
+def test_bend_track_speeds_follow_the_contact_paths(orientation, roll):
+    # The oracle measures the three contact paths through sampled frames; it
+    # never uses the path-radius formula the run's required speeds come from.
+    network = build_network(
+        [Straight(500.0), Bend(300.0, 90.0, roll), Straight(350.0), Bend(300.0, 180.0, roll)],
+        77.0,
+    )
+    scenario = make_four_section_scenario(
+        network=network, robot=make_robot(orientation_deg=orientation)
+    )
+    records, _ = run(scenario)
+    for index in (1, 3):
+        expected = contact_path_speeds(scenario, index)
+        speeds = {r.track_speeds for r in records.values if r.segment_index == index}
+        assert speeds
+        for track_speeds in speeds:
+            assert track_speeds == pytest.approx(expected, rel=1e-9)
 
 
 # --- orientation sweep ----------------------------------------------------------------
