@@ -17,23 +17,21 @@ gear L_{i+1} (indices mod 3), so the linear constraints are::
 
 The system is rank 5 in 6 unknowns: a free internal circulation mode
 (alternating +/-t on L/R) remains, and ``internal_state`` resolves it by
-minimum-norm selection.
+minimum-norm selection, which has a closed form.
 
 Under load the equilibrium is found by scalar root finding on the common
 torque level: invert each (strictly monotone) load curve at a trial torque
 and adjust the torque until the mean output speed meets the averaging
-constraint.  Bracketed bisection keeps this robust for any monotone curve.
+constraint.  Bracketed bisection keeps this robust for any monotone curve;
+one secant step first narrows the bracket to a few ulps around the root.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InconsistentOutputs, NoBracket, NonMonotoneLoad, require, require_positive
-
-_PAIRING = ((0, 1), (1, 2), (2, 0))  # stage-2 j couples R_j with L_{j+1}
 
 SOLVE_TOL = 1e-10  # guaranteed relative accuracy of a torque-balance mean speed
 MAX_BISECTIONS = 2000
@@ -144,8 +142,9 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         F(tau) = mean_j loads[j].inverse(tau) - overall_ratio * input_speed
 
     F is strictly increasing, so evaluating each load at the target mean
-    speed brackets the root immediately; bisection then shrinks the bracket
-    to float resolution (at most MAX_BISECTIONS halvings), which keeps the
+    speed brackets the root immediately.  One secant step narrows the
+    bracket to a few ulps around the root; bisection then shrinks it to
+    float resolution (at most MAX_BISECTIONS halvings), which keeps the
     result deterministic even when the equilibrium torque is tiny.
     SOLVE_TOL (relative on the mean-speed residual) is the guaranteed
     accuracy; the solve is verified against it and far exceeds it in
@@ -197,6 +196,15 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     elif f_hi == 0.0:
         tau = hi
     else:
+        # Monotone curves have a monotone float residual, so bisection ends on the same adjacent
+        # pair from any sub-bracket with a sign change, such as one hugging a secant step.  A
+        # non-finite seed fails both tests and leaves the bracket whole.
+        seed = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
+        width = 4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi), abs(seed))
+        if lo < seed - width < hi and residual(seed - width) < 0.0:
+            lo = seed - width
+        if lo < seed + width < hi and residual(seed + width) >= 0.0:
+            hi = seed + width
         for iterations in range(1, MAX_BISECTIONS + 1):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:  # bracket at float resolution
@@ -211,9 +219,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     speeds = tuple(load.inverse(tau) for load in loads)
     mean_residual = sum(speeds) / 3.0 - target
     if abs(mean_residual) > SOLVE_TOL * max(1.0, abs(target)):
-        raise NoBracket(
-            f"bisection stalled with mean-speed residual {mean_residual}"
-        )
+        raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")
     return TorqueBalance(output_speeds=speeds, common_torque=tau, iterations=iterations)
 
 
@@ -240,7 +246,9 @@ def internal_state(
 
     The six averaging constraints are rank 5; the leftover one-parameter
     internal circulation mode (alternating +/-t) is resolved by returning
-    the minimum-norm solution, which is unique and testable.
+    the minimum-norm solution, which is unique and testable: with
+    rho = ring_ratio * input_speed, R_i = rho + x_i, L_i = rho - x_i and
+    x_j - x_{j+1} = 2 * w_j / output_ratio - 2 * rho =: c_j, it has sum(x) = 0.
 
     Raises InconsistentOutputs when mean(output_speeds) deviates from the
     constrained value by more than AVERAGING_TOL relative (no side-gear
@@ -252,23 +260,14 @@ def internal_state(
     target = config.overall_ratio * input_speed
     mean = sum(speeds) / 3.0
     if abs(mean - target) > AVERAGING_TOL * max(1.0, abs(target)):
-        raise InconsistentOutputs(
-            f"mean output speed {mean} != {target} required by the averaging law"
-        )
+        raise InconsistentOutputs(f"mean output speed {mean} != {target} required by the "
+                                  "averaging law")
 
-    a = np.zeros((6, 6))
-    b = np.zeros(6)
-    ring = 2.0 * config.ring_ratio * input_speed
-    for i in range(3):
-        a[i, 2 * i] = 1.0  # L_i
-        a[i, 2 * i + 1] = 1.0  # R_i
-        b[i] = ring
-    for j, (right_of, left_of) in enumerate(_PAIRING):
-        a[3 + j, 2 * right_of + 1] = 1.0  # R_j
-        a[3 + j, 2 * left_of] = 1.0  # L_{j+1}
-        b[3 + j] = 2.0 * speeds[j] / config.output_ratio
-    solution, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    return tuple(solution)
+    ring = config.ring_ratio * input_speed
+    c0, c1 = (2.0 * w / config.output_ratio - 2.0 * ring for w in speeds[:2])
+    x0 = (2.0 * c0 + c1) / 3.0
+    x1, x2 = x0 - c0, x0 - c0 - c1
+    return (ring - x0, ring + x0, ring - x1, ring + x1, ring - x2, ring + x2)
 
 
 def balance_state(input_speed: float, loads, config: TransmissionConfig) -> TransmissionState:

@@ -85,6 +85,8 @@ class PipeNetwork:
     inner_radius: float
     cumulative_lengths: tuple
     placements: tuple = field(repr=False)
+    # cumulative_lengths as a read-only float64 array, for segment_at's lookups
+    segment_ends: np.ndarray = field(repr=False, compare=False)
 
     @property
     def total_length(self) -> float:
@@ -160,11 +162,14 @@ def build_network(segments, inner_radius: float) -> PipeNetwork:
                                  f"{getattr(seg, field)}", index, field)
             boundaries.append(s)
 
+    ends = np.array(boundaries, dtype=np.float64)
+    ends.setflags(write=False)
     return PipeNetwork(
         segments=segments,
         inner_radius=inner_radius,
         cumulative_lengths=tuple(boundaries),
         placements=tuple(placements),
+        segment_ends=ends,
     )
 
 
@@ -173,9 +178,9 @@ def segment_at(network: PipeNetwork, s):
 
     ``s`` is a number, giving an ``int``, or an array, giving an index array.
     """
-    index = np.minimum(np.searchsorted(network.cumulative_lengths, s, side="right"),
-                       len(network.segments) - 1)
-    return index if isinstance(s, np.ndarray) else int(index)
+    index = np.searchsorted(network.segment_ends, s, side="right")
+    last = len(network.segments) - 1
+    return np.minimum(index, last) if isinstance(s, np.ndarray) else min(int(index), last)
 
 
 def pose_at(network: PipeNetwork, s: float) -> CenterlinePose:

@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 from .differential import TransmissionConfig
 from .dimensions import pipe_inner_radius
-from .errors import BadSegment, IoError, ParseError, ValidationError
+from .errors import BadSegment, IoError, ParseError, SimulationError, ValidationError
 from .geometry import Bend, Straight, build_network
 from .robot import RobotParams
 from .simulator import Records, Scenario, SimRecord
@@ -218,11 +218,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def write_json(payload, path, indent: int) -> None:
-    """Write ``payload`` as indented JSON plus a newline; OSError becomes IoError."""
+    """Write ``payload`` as indented JSON plus a newline; OSError becomes IoError.
+
+    A non-finite number raises SimulationError before the file is opened:
+    standard JSON cannot hold it, and only a run's results can carry one.
+    """
+    try:
+        text = json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise SimulationError(f"cannot write {path}: {exc}") from None
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent)
-            handle.write("\n")
+            handle.write(text + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -67,6 +67,9 @@ class Scenario:
         require(0.0 <= self.bend_extra_compression_mm < math.inf, "bend_extra_compression_mm",
                 self.bend_extra_compression_mm, ">= 0 and finite")
         self.robot.validate()
+        require(self.robot.preload_mm + self.bend_extra_compression_mm < math.inf,
+                "bend_extra_compression_mm", self.bend_extra_compression_mm,
+                f"such that preload_mm ({self.robot.preload_mm}) plus it is finite")
         # Finite factors can still multiply to 0 or inf.  Blame the one
         # farthest from 1; ties go to the input speed.
         factors = {
@@ -282,7 +285,7 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     """
     network = scenario.network
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
-    bounds = np.array(network.cumulative_lengths)
+    bounds = network.segment_ends
     half = scenario.robot.length_mm / 2.0
     # Centre arc lengths where the placement may change: every segment
     # boundary, and half a body length before and after it.
@@ -337,6 +340,9 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             s_columns.append(s_rows[:k])
             rows += k
             t, s = float(t_rows[k]), float(s_rows[k])
+            if not math.isfinite(s):  # cumsum carries inf or NaN on to this row
+                raise SimulationError(f"arc length left the float range ({s} mm) at {t} s: "
+                                      f"dt_s ({dt}) times the track speed is too large")
         run_ends.append(rows)
     records = table()
     return records, summarize(records, scenario, t, s)

@@ -1,13 +1,13 @@
 """Independent reference solutions used to check the library's solvers.
 
 These deliberately avoid the code paths under test: the side-gear solve
-uses chain substitution plus a scalar parabola minimization instead of a
-matrix least-squares call, the load-balance reference is the closed
-form for equal-stiffness linear slip loads, the reference run solves
-every row instead of once per body placement and aggregates and writes
-its rows one at a time instead of from columns, and bend track speeds
-come from contact paths traced through sampled centerline frames instead
-of the path-radius formula.
+uses chain substitution plus a projection off the circulation mode instead
+of the closed form, the load-balance references are plain bisection from
+the full bracket (no secant narrowing) and the closed forms for linear
+slip loads, the reference run solves every row instead of once per body
+placement and aggregates and writes its rows one at a time instead of
+from columns, and bend track speeds come from contact paths traced
+through sampled centerline frames instead of the path-radius formula.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ from operator import attrgetter
 import numpy as np
 
 from pipeclimber import Bend, MaxTimeExceeded, pose_at, step
+from pipeclimber.differential import MAX_BISECTIONS, SPAN_FACTOR, TorqueBalance
 from pipeclimber.scenario_io import CSV_COLUMNS
 from pipeclimber.simulator import SegmentStats, SimSummary, analytic_track_speeds, ape
+
+CIRCULATION = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])  # +t on every L, -t on every R
 
 
 def side_speeds_chain(outputs, input_speed, ring_ratio=1.0, output_ratio=1.0, free=0.0):
@@ -44,18 +47,69 @@ def side_speeds_chain(outputs, input_speed, ring_ratio=1.0, output_ratio=1.0, fr
 
 
 def side_speeds_min_norm(outputs, input_speed, ring_ratio=1.0, output_ratio=1.0):
-    """Minimum-norm side speeds by minimizing the quadratic |v(s)|^2 in the
-    free parameter s (exact parabola fit through three samples)."""
-    samples = np.array([0.0, 1.0, 2.0])
-    norms = []
-    for s in samples:
-        vec, closure = side_speeds_chain(outputs, input_speed, ring_ratio, output_ratio, s)
-        assert abs(closure) < 1e-6, "outputs inconsistent with the averaging law"
-        norms.append(float(vec @ vec))
-    coeffs = np.polyfit(samples, norms, 2)
-    s_best = -coeffs[1] / (2.0 * coeffs[0])
-    vec, _ = side_speeds_chain(outputs, input_speed, ring_ratio, output_ratio, s_best)
-    return vec
+    """Minimum-norm side speeds: the chain solution with L1 pinned to 0, less
+    its projection on the free internal circulation mode ``CIRCULATION``."""
+    vec, closure = side_speeds_chain(outputs, input_speed, ring_ratio, output_ratio)
+    assert abs(closure) < 1e-6, "outputs inconsistent with the averaging law"
+    return vec - (vec @ CIRCULATION) / (CIRCULATION @ CIRCULATION) * CIRCULATION
+
+
+def bisect_torque_balance(input_speed, loads, config):
+    """``solve_torque_balance`` without the secant narrowing: bracket, widen,
+    then halve the full bracket down to adjacent floats.  Returns a
+    ``TorqueBalance``; the library solve must match its torque and speeds
+    bit for bit."""
+    target = config.overall_ratio * input_speed
+
+    def residual(tau):
+        return sum(load.inverse(tau) for load in loads) / 3.0 - target
+
+    lo = min(load.torque(target) for load in loads)
+    hi = max(load.torque(target) for load in loads)
+    f_lo = residual(lo)
+    f_hi = residual(hi)
+    span = max(1.0, hi - lo, abs(lo), abs(hi))
+    while f_lo > 0.0:
+        lo -= span
+        span *= SPAN_FACTOR
+        f_lo = residual(lo)
+    while f_hi < 0.0:
+        hi += span
+        span *= SPAN_FACTOR
+        f_hi = residual(hi)
+
+    iterations = 0
+    if lo == hi or f_lo == 0.0:
+        tau = lo
+    elif f_hi == 0.0:
+        tau = hi
+    else:
+        for iterations in range(1, MAX_BISECTIONS + 1):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if residual(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        tau = lo if abs(residual(lo)) < abs(residual(hi)) else hi
+    speeds = tuple(load.inverse(tau) for load in loads)
+    return TorqueBalance(output_speeds=speeds, common_torque=tau, iterations=iterations)
+
+
+def linear_root_torque(loads, input_speed, overall_ratio):
+    """Common torque of three ``LinearLoad``s in closed form.
+
+    Each inverse is tau / (k r) - offset / (k r) + target_speed / r, so the
+    averaging law sum_j w_j = 3 * overall_ratio * input_speed gives
+
+        tau = (3 * target + sum offset/(k r) - sum target_speed/r) / sum 1/(k r)
+    """
+    target = overall_ratio * input_speed
+    weights = [1.0 / (load.stiffness * load.wheel_radius) for load in loads]
+    shift = sum(w * load.offset for w, load in zip(weights, loads))
+    speeds = sum(load.target_speed / load.wheel_radius for load in loads)
+    return (3.0 * target + shift - speeds) / sum(weights)
 
 
 def equal_slip_solution(required_speeds, stiffness, wheel_radius, input_speed, overall_ratio):

@@ -1,8 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from pipeclimber import cli
 from pipeclimber.cli import main
 from pipeclimber.scenario_io import CSV_COLUMNS
 
@@ -114,6 +116,39 @@ def test_run_timeout_exits_2_with_partial_records(straight_scenario, tmp_path, c
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert len((out / "records.csv").read_text().splitlines()) == 101
     assert "did not finish" in capsys.readouterr().err
+
+
+def test_run_whose_arc_length_overflows_exits_2(tmp_path, capsys):
+    # The centerline speed, 2e306 mm/s, is finite and passes validation, but
+    # one 1000 s row of it carries the body past the float range.
+    doc = json.loads((SCENARIOS / "straight_run.json").read_text())
+    doc["sim"].update(input_speed_rad_s=1e305, dt_s=1000, max_time_s=1e5)
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "float range" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_non_finite_summary_exits_2_without_writing(straight_scenario, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(cli, "summary_to_dict", lambda summary: {"final_s": math.inf})
+    out = tmp_path / "out"
+    assert main(["run", str(straight_scenario), "--out", str(out)]) == 2
+    assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_overflowing_bend_compression_exits_1_at_parse(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "four_section.json").read_text())
+    doc["robot"].update(preload_mm=1e308, max_compression_mm=1.5e308)
+    doc["sim"]["bend_extra_compression_mm"] = 1e308
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "error: sim.bend_extra_compression_mm: must be" in capsys.readouterr().err
 
 
 def test_sweep_prints_each_orientation(straight_scenario, tmp_path, capsys):

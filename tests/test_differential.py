@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,15 @@ from pipeclimber import (
     solve_torque_balance,
     torque_distribution,
 )
-from oracles import equal_slip_solution, side_speeds_min_norm
+from pipeclimber.differential import SOLVE_TOL
+from oracles import (
+    CIRCULATION,
+    bisect_torque_balance,
+    equal_slip_solution,
+    linear_root_torque,
+    side_speeds_min_norm,
+)
+from test_acceptance import random_case
 
 UNIT = TransmissionConfig()
 
@@ -242,6 +252,96 @@ def test_solver_matches_equal_slip_closed_form(required, stiffness, input_speed)
     )
 
 
+# --- torque balance: the secant-narrowed bisection ---------------------------------
+
+def bits(balance):
+    """The torque and speeds of a solve as exact bit patterns (-0.0 != 0.0)."""
+    return [float(v).hex() for v in (balance.common_torque, *balance.output_speeds)]
+
+
+def test_solver_bits_match_plain_bisection_on_c1_cases():
+    rng = np.random.default_rng(2022)
+    for _ in range(20_000):
+        loads, config, input_speed = random_case(rng)
+        result = solve_torque_balance(input_speed, loads, config)
+        reference = bisect_torque_balance(input_speed, loads, config)
+        assert bits(result) == bits(reference), (loads, config, input_speed)
+
+
+@given(loads=load_triples(), input_speed=st.floats(-20.0, 20.0), config=configs)
+@settings(max_examples=200, deadline=None)
+def test_solver_bits_match_plain_bisection_under_any_load(loads, input_speed, config):
+    result = solve_torque_balance(input_speed, list(loads), config)
+    assert bits(result) == bits(bisect_torque_balance(input_speed, loads, config))
+
+
+def test_solver_matches_the_linear_closed_form_on_c1_cases():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        loads, config, input_speed = random_case(rng)
+        result = solve_torque_balance(input_speed, loads, config)
+        expected = linear_root_torque(loads, input_speed, config.overall_ratio)
+        assert abs(result.common_torque - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("offset, input_speed", [(1.5e308, 1.0), (1e308, 0.0)])
+def test_overflowing_bracket_is_bisected_whole(offset, input_speed):
+    # The torques at the target are about -offset and +offset, so hi - lo
+    # overflows, the secant step is not finite and the bisection runs on the
+    # full bracket, exactly as without the step.
+    loads = [LinearLoad(1.0, offset=offset), LinearLoad(1.0, offset=-offset), LinearLoad(1.0)]
+    torques = [load.torque(input_speed) for load in loads]
+    assert max(torques) - min(torques) == math.inf
+    result = solve_torque_balance(input_speed, loads, UNIT)
+    reference = bisect_torque_balance(input_speed, loads, UNIT)
+    assert bits(result) == bits(reference)
+    assert result.iterations == reference.iterations > 1000
+
+
+@pytest.mark.parametrize("target_speed", [50.0, 48.0])
+def test_equal_loads_give_a_point_bracket(target_speed):
+    # On a straight every track needs the centre speed: the bracket is one
+    # point (zero torque at matched speeds) and nothing is bisected.
+    loads = [LinearLoad(2.0, 20.0, target_speed)] * 3
+    result = solve_torque_balance(2.5, loads, UNIT)
+    assert bits(result) == bits(bisect_torque_balance(2.5, loads, UNIT))
+    assert result.iterations == 0
+    assert result.common_torque == 2.0 * (50.0 - target_speed)
+    assert result.output_speeds == (2.5, 2.5, 2.5)
+
+
+class _CubicLoad:
+    """Strictly increasing nonlinear curve: torque = k * (speed - free)^3."""
+
+    def __init__(self, k, free):
+        self.k, self.free = k, free
+
+    def torque(self, speed):
+        return self.k * (speed - self.free) ** 3
+
+    def inverse(self, torque):
+        return self.free + float(np.cbrt(torque / self.k))
+
+
+def test_nonlinear_curves_meet_the_solve_tolerance():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        loads = [_CubicLoad(rng.uniform(0.1, 10.0), rng.uniform(-5.0, 5.0)) for _ in range(3)]
+        input_speed = float(rng.uniform(-20.0, 20.0))
+        result = solve_torque_balance(input_speed, loads, UNIT)
+        mean = sum(result.output_speeds) / 3.0
+        assert abs(mean - input_speed) <= SOLVE_TOL * max(1.0, abs(input_speed))
+
+
+def test_secant_step_leaves_few_bisections():
+    # Plain bisection takes about 56 halvings per C1 case; the secant step
+    # leaves about 7.  No timing: the count is deterministic.
+    rng = np.random.default_rng(42)
+    cases = [random_case(rng) for _ in range(1000)]
+    iterations = [solve_torque_balance(w, loads, config).iterations for loads, config, w in cases]
+    assert np.mean(iterations) <= 12
+
+
 # --- torque distribution -------------------------------------------------------
 
 def test_torque_split_unit_ratios():
@@ -313,6 +413,20 @@ def test_internal_state_matches_independent_oracle():
             outputs, input_speed, config.ring_ratio, config.output_ratio
         )
         triple_approx(sides, tuple(expected), tol=1e-7)
+
+
+def test_internal_state_is_the_orthogonal_minimum_norm_solution():
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        loads, config, input_speed = random_case(rng)
+        outputs = solve_torque_balance(input_speed, loads, config).output_speeds
+        sides = internal_state(outputs, input_speed, config)
+        expected = side_speeds_min_norm(
+            outputs, input_speed, config.ring_ratio, config.output_ratio
+        )
+        triple_approx(sides, tuple(expected), tol=1e-12)
+        scale = max(1.0, max(abs(v) for v in expected))
+        assert abs(np.dot(sides, CIRCULATION)) <= 1e-12 * scale
 
 
 def test_internal_state_rejects_inconsistent_outputs():
