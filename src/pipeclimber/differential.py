@@ -34,7 +34,9 @@ from dataclasses import dataclass
 from .errors import InconsistentOutputs, NoBracket, NonMonotoneLoad, require, require_positive
 
 SOLVE_TOL = 1e-10  # guaranteed relative accuracy of a torque-balance mean speed
-MAX_BISECTIONS = 2000
+# A bracket that spans the double range needs up to 1025 + 1074 + 1 halvings
+# to reach adjacent floats: from 2**1024 down to the subnormal spacing.
+MAX_BISECTIONS = 2200
 SPAN_FACTOR = 2.0  # growth of the bracket span per widening
 MAX_WIDENINGS = 80
 AVERAGING_TOL = 1e-9  # relative mean-speed mismatch ``internal_state`` accepts

@@ -263,9 +263,7 @@ def _fmt(value) -> str:
 _CHUNK_ROWS = 4096  # rows whose t and s are Python floats at a time
 
 
-def _write_csv(records, handle) -> None:
-    if not isinstance(records, Records):
-        records = Records.from_rows(records)
+def _write_csv(records: Records, handle) -> None:
     handle.write(",".join(CSV_COLUMNS) + "\n")
     for record, t, s in records.runs():
         tail = "".join("," + _fmt(v) for v in _constants(record)) + "\n"
@@ -275,9 +273,9 @@ def _write_csv(records, handle) -> None:
             handle.writelines(f"{t_row:.9g},{s_row:.9g}{tail}" for t_row, s_row in zip(ts, ss))
 
 
-def emit_records(records, fmt: str, path) -> None:
-    """Write a ``Records`` table, or a sequence of ``SimRecord`` rows, to
-    ``path`` as CSV or JSON; OSError becomes IoError.
+def emit_records(records: Records, fmt: str, path) -> None:
+    """Write a ``Records`` table to ``path`` as CSV or JSON; OSError becomes
+    IoError.
 
     CSV formats each placement's constant fields once and streams the rows
     to the file without the whole text ever in memory.

@@ -9,11 +9,12 @@ centerline by the mean track speed.
 
 ``run`` owns the time grid: it advances the time ``t`` and the body-centre
 arc length ``s`` and decides when the run ends, while ``step`` only solves
-the equilibrium at a given ``t`` and ``s``.  A step depends on the arc
-length only through the body placement, the segments under the body's
-centre, front and rear.  ``run`` calls ``step`` once per placement and fills
-the ``t`` and ``s`` of the rows in between with a cumulative sum, so the
-physics costs per placement and each row costs a few array elements.
+the equilibrium at a given ``t`` and ``s``.  The equilibrium depends only
+on the segment under the body's centre; the front and rear matter only to
+the compression and tilt checks.  So ``run`` makes one solve per centre
+segment; placements are run-ends where the body's front or rear crosses a
+boundary.  A cumulative sum fills each segment's ``t`` and ``s``, so the
+physics costs per segment and each row a few array elements.
 
 Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and each
 placement's record once with the row where its run ends.  ``summarize`` and
@@ -29,6 +30,7 @@ control input.  That limit behaviour is what the acceptance suite pins.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -118,10 +120,9 @@ class Records(Sequence):
 
     ``t`` and ``s`` are float64 columns with one value per row.  Rows of one
     body placement share every other field, so ``values[j]`` holds the
-    record ``step`` solved for placement ``j`` and ``run_ends[j]`` is the row
-    where its run ends.  Every run has at least one row.  Indexing and
-    iteration give ``SimRecord`` rows; slicing gives a table.  A table equals
-    any list, tuple or table of equal rows.
+    record of placement ``j`` and ``run_ends[j]`` is the row where its run
+    ends.  Every run has at least one row.  Indexing by row number and
+    iteration give ``SimRecord`` rows; two tables are equal when their rows are.
     """
 
     def __init__(self, t, s, values, run_ends):
@@ -130,25 +131,11 @@ class Records(Sequence):
         self.values = tuple(values)
         self.run_ends = np.asarray(run_ends, dtype=np.intp)
 
-    @classmethod
-    def from_rows(cls, rows) -> Records:
-        """A table of ``SimRecord`` rows, one run per row."""
-        rows = list(rows)
-        t = np.array([r.t for r in rows], dtype=float)
-        s = np.array([r.s for r in rows], dtype=float)
-        return cls(t, s, rows, range(1, len(rows) + 1))
-
     def __len__(self) -> int:
         return len(self.t)
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            rows = np.arange(len(self))[key]
-            owner = np.searchsorted(self.run_ends, rows, side="right")
-            ends = np.flatnonzero(np.diff(owner, append=-1)) + 1  # where the owner changes
-            return Records(self.t[rows], self.s[rows], [self.values[j] for j in owner[ends - 1]],
-                           ends)
-        row = range(len(self))[key]  # IndexError past either end
+        row = range(len(self))[operator.index(key)]  # IndexError past either end
         value = self.values[np.searchsorted(self.run_ends, row, side="right")]
         return replace(value, t=float(self.t[row]), s=float(self.s[row]))
 
@@ -165,7 +152,7 @@ class Records(Sequence):
             start = end
 
     def __eq__(self, other):
-        if not isinstance(other, (Records, list, tuple)):
+        if not isinstance(other, Records):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
@@ -250,11 +237,10 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     )
 
 
-def _body_ends(scenario: Scenario, s):
-    """Arc lengths of the body's front and rear, clamped to the network;
-    ``s`` is a number or an array."""
+def _body_ends(scenario: Scenario, s: float) -> tuple[float, float]:
+    """Arc lengths of the body's front and rear, clamped to the network."""
     half = scenario.robot.length_mm / 2.0
-    return np.minimum(s + half, scenario.network.total_length), np.maximum(s - half, 0.0)
+    return min(s + half, scenario.network.total_length), max(s - half, 0.0)
 
 
 def _check_body_tilt(scenario: Scenario, s: float) -> None:
@@ -276,28 +262,37 @@ def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
     return np.cumsum(column, out=column)
 
 
-def run(scenario: Scenario) -> tuple[Records, SimSummary]:
-    """Run until the network ends, calling ``step`` once per body placement;
-    MaxTimeExceeded carries partial results.
+def _crossings(network: PipeNetwork, s: np.ndarray, half: float) -> list[int]:
+    """Rows of the centre column ``s``, past the first, where the segment under
+    the body's front or rear differs from the row before.  Clamping an end to
+    the network would not change its segment."""
+    front, rear = segment_at(network, s + half), segment_at(network, s - half)
+    moved = (front[1:] != front[:-1]) | (rear[1:] != rear[:-1])
+    return (np.flatnonzero(moved) + 1).tolist()
 
-    Each row advances ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean
-    track speed; the time budget is checked before the network end.
+
+def run(scenario: Scenario) -> tuple[Records, SimSummary]:
+    """Run until the network ends; MaxTimeExceeded carries partial results.
+
+    One solve per centre segment; placements are run-ends where the body's
+    front or rear crosses a boundary.  Such a row repeats ``step``'s
+    compression and tilt checks and reuses its solve.  Each row advances
+    ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed.  Where
+    the centre leaves its segment, the run checks the float range, then the
+    time budget, then the network end.
     """
-    network = scenario.network
+    network, robot = scenario.network, scenario.robot
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
     bounds = network.segment_ends
-    half = scenario.robot.length_mm / 2.0
-    # Centre arc lengths where the placement may change: every segment
-    # boundary, and half a body length before and after it.
-    marks = np.unique(np.concatenate((bounds - half, bounds, bounds + half)))
+    half = robot.length_mm / 2.0
+    compressions = {}  # segment index -> module compressions there
 
-    def placement(s: np.ndarray) -> np.ndarray:
-        """Rows of ``s`` whose centre, front and rear lie in the segments of ``s[0]``'s."""
-        same = np.ones(len(s), dtype=bool)
-        for x in (s, *_body_ends(scenario, s)):
-            index = segment_at(network, x)
-            same &= index == index[0]
-        return same
+    def compression(end: float) -> np.ndarray:
+        index = segment_at(network, end)
+        if index not in compressions:  # a limit raises on the first use, as in ``step``
+            compressions[index] = spring_compression(
+                pose_at(network, end), robot, scenario.bend_extra_compression_mm)
+        return compressions[index]
 
     t_columns, s_columns, values, run_ends = [], [], [], []
 
@@ -321,21 +316,32 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
         record = step(scenario, t, s)
         ds = dt * sum(record.track_speeds) / 3.0
         values.append(record)
+        # The centre stays in this segment while low <= s < high; like
+        # ``segment_at``, segment 0 also holds arc lengths below 0.
+        index = record.segment_index
+        low, high = float(bounds[index - 1]) if index else -math.inf, float(bounds[index])
         stays = True
         while stays:
-            # Rows up to the next mark or the time budget; the margin covers
-            # rounding, and a short guess only extends the placement.  A robot
+            # Rows up to the segment end or the time budget; the margin covers
+            # rounding, and a short guess only extends the fill.  A robot
             # that does not advance (ds underflows to 0, or the solve leaves a
             # tiny negative mean speed) runs on the time budget alone.
-            mark = float(marks[np.searchsorted(marks, s, side="right")])
-            to_mark = (mark - s) / ds if ds > 0 else math.inf
-            count = int(min(to_mark, (limit - t) / dt, MAX_STEPS)) + 2
+            to_end = (high - s) / ds if ds > 0 else math.inf
+            count = int(min(to_end, (limit - t) / dt, MAX_STEPS)) + 2
             t_rows, s_rows = _accumulate(t, dt, count), _accumulate(s, ds, count)
-            # Row 0 is (t, s), already checked.  The run leaves this placement
-            # at the first row over budget, at the network end or elsewhere.
-            keep = (t_rows < limit) & (s_rows < total) & placement(s_rows)
+            # Row 0 is (t, s), already checked.  The run leaves this segment
+            # at the first row over budget or with the centre elsewhere.
+            keep = (t_rows < limit) & (s_rows < high) & (s_rows >= low)
             stays = bool(keep.all())
             k = count if stays else int(np.argmin(keep))
+            # Every kept row is checked, row ``count`` too when the fill extends.
+            for row in _crossings(network, s_rows[:count + 1 if stays else k], half):
+                s_row = float(s_rows[row])
+                if s_row < 0.0:  # a robot that slid back past the start
+                    pose_at(network, s_row)  # raises OutOfRange, as ``step`` does here
+                asymmetry_deg(*(compression(end) for end in _body_ends(scenario, s_row)), robot)
+                run_ends.append(rows + row)
+                values.append(replace(record, t=float(t_rows[row]), s=s_row))
             t_columns.append(t_rows[:k])
             s_columns.append(s_rows[:k])
             rows += k

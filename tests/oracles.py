@@ -4,8 +4,8 @@ These deliberately avoid the code paths under test: the side-gear solve
 uses chain substitution plus a projection off the circulation mode instead
 of the closed form, the load-balance references are plain bisection from
 the full bracket (no secant narrowing) and the closed forms for linear
-slip loads, the reference run solves every row instead of once per body
-placement and aggregates and writes its rows one at a time instead of
+slip loads, the reference run solves every row instead of once per
+centre segment and aggregates and writes its rows one at a time instead of
 from columns, and bend track speeds come from contact paths traced
 through sampled centerline frames instead of the path-radius formula.
 """
@@ -169,15 +169,17 @@ def stepwise_run(scenario):
     summary) with the records in a list, or raises what ``run`` raises,
     MaxTimeExceeded with the partial records and their summary."""
     records = []
+    total = scenario.network.total_length
     t = s = 0.0
     while True:
         if t >= scenario.max_time_s:
             raise MaxTimeExceeded(
-                "time budget spent",
+                f"robot did not finish within {scenario.max_time_s} s "
+                f"(reached {s:.1f} of {total:.1f} mm)",
                 records=records,
                 summary=stepwise_summary(records, scenario, t, s) if records else None,
             )
-        if s >= scenario.network.total_length:
+        if s >= total:
             return records, stepwise_summary(records, scenario, t, s)
         record = step(scenario, t, s)
         records.append(record)

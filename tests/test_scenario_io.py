@@ -12,6 +12,7 @@ from pipeclimber import (
     CompressionLimit,
     ConfigError,
     IoError,
+    MaxTimeExceeded,
     ParseError,
     SimulationError,
     ValidationError,
@@ -21,6 +22,7 @@ from pipeclimber import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    summary_to_dict,
 )
 from pipeclimber.scenario_io import SCHEMA
 from conftest import make_four_section_scenario
@@ -270,10 +272,18 @@ def test_every_document_runs_or_fails_typed_within_its_budget(segments, dt_s, ma
     except (ConfigError, SimulationError):
         return
     try:
-        records, _ = run(scenario)
+        records, summary = run(scenario)
     except SimulationError as exc:
         records = getattr(exc, "records", [])
+    else:
+        # A success writes a summary that strict JSON holds.
+        text = json.dumps(summary_to_dict(summary), allow_nan=False)
+        assert json.loads(text, parse_constant=_reject_constant)["final_s"] == summary.final_s
     assert len(records) <= math.ceil(scenario.max_time_s / scenario.dt_s) + 1
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
 
 
 def test_malformed_json_reports_the_line(tmp_path):
@@ -318,9 +328,12 @@ def test_save_then_parse_round_trips(tmp_path):
 # --- record emission -----------------------------------------------------------------
 
 def sample_records(n=3):
-    scenario = make_four_section_scenario()
-    records, _ = run(scenario)
-    return records[:n]
+    """The first ``n`` rows of the four-section run: a time budget of
+    ``n - 1/2`` steps of 0.01 s cuts it short there."""
+    with pytest.raises(MaxTimeExceeded) as err:
+        run(make_four_section_scenario(max_time_s=(n - 0.5) * 0.01))
+    assert len(err.value.records) == n
+    return err.value.records
 
 
 def emitted(tmp_path, records, fmt):
@@ -331,7 +344,7 @@ def emitted(tmp_path, records, fmt):
 
 
 def test_empty_record_stream_gives_header_only(tmp_path):
-    lines = emitted(tmp_path, [], "csv").splitlines()
+    lines = emitted(tmp_path, sample_records(0), "csv").splitlines()
     assert lines == [",".join(CSV_COLUMNS)]
 
 
@@ -383,9 +396,9 @@ def test_emit_to_path(tmp_path):
 
 def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        emit_records([], "xml", tmp_path / "records.xml")
+        emit_records(sample_records(0), "xml", tmp_path / "records.xml")
 
 
 def test_emit_wraps_os_errors(tmp_path):
     with pytest.raises(IoError):
-        emit_records([], "csv", tmp_path / "missing-dir" / "records.csv")
+        emit_records(sample_records(0), "csv", tmp_path / "missing-dir" / "records.csv")

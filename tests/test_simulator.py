@@ -15,7 +15,6 @@ from pipeclimber import (
     EmptySweep,
     MaxTimeExceeded,
     OutOfRange,
-    Records,
     SimRecord,
     SimulationError,
     Straight,
@@ -76,7 +75,7 @@ def test_zero_time_budget_fails_before_stepping(four_section_scenario):
     scenario = make_four_section_scenario(max_time_s=0.0)
     with pytest.raises(MaxTimeExceeded) as err:
         run(scenario)
-    assert err.value.records == []
+    assert list(err.value.records) == []
     assert err.value.summary is None
 
 
@@ -184,12 +183,12 @@ def test_run_propagates_asymmetry_limit():
         run(scenario)
 
 
-# --- one solve per body placement ---------------------------------------------------
+# --- one solve per centre segment ---------------------------------------------------
 
 @pytest.mark.parametrize("dt_s", [0.1, 0.01, 0.001])
-def test_run_solves_once_per_body_placement(monkeypatch, dt_s):
-    # Centre, front and rear of the 200 mm body cross four segments in ten
-    # placements, whatever the time grid.
+def test_run_solves_once_per_centre_segment(monkeypatch, dt_s):
+    # The centre crosses four segments, so four solves; with the front and
+    # rear of the 200 mm body they make ten placements, whatever the time grid.
     solve = simulator.solve_torque_balance
     calls = []
 
@@ -199,7 +198,8 @@ def test_run_solves_once_per_body_placement(monkeypatch, dt_s):
 
     monkeypatch.setattr(simulator, "solve_torque_balance", counted)
     records, _ = run(make_four_section_scenario(dt_s=dt_s))
-    assert len(calls) == 10
+    assert len(calls) == 4
+    assert len(records.values) == 10
     assert len(records) > 4000 * 0.01 / dt_s
 
 
@@ -227,8 +227,22 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
         seen.append((dict(calls), len(records)))
     (coarse, coarse_rows), (fine, fine_rows) = seen
     assert coarse == fine
-    assert coarse["step"] == coarse["SimRecord"] == 10
+    assert coarse["step"] == 4
+    assert coarse["SimRecord"] == 10
     assert fine_rows > 9 * coarse_rows
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 5])
+def test_fills_cut_short_give_the_same_table(monkeypatch, max_steps):
+    # A fill sized by MAX_STEPS stops short and extends, so rows where the
+    # body's front or rear crosses a boundary also fall where a fill extends.
+    scenario = make_four_section_scenario(dt_s=0.1)
+    records, summary = run(scenario)
+    monkeypatch.setattr(simulator, "MAX_STEPS", max_steps)
+    short, short_summary = run(scenario)
+    assert short == records and short_summary == summary
+    assert short.values == records.values  # each placement starts on the same row
+    assert short.run_ends.tolist() == records.run_ends.tolist()
 
 
 def test_records_table_reads_like_a_list_of_rows(four_section_scenario):
@@ -239,24 +253,19 @@ def test_records_table_reads_like_a_list_of_rows(four_section_scenario):
     assert all(type(row.t) is float and type(row.s) is float for row in rows[:3])
     for index in (0, 1, 1234, -1, -len(rows)):
         assert records[index] == rows[index]
-    for key in (slice(None), slice(10, 20), slice(None, None, 7), slice(-5, None),
-                slice(3000, 100, -13), slice(50, 50)):
-        assert isinstance(records[key], Records)
-        assert list(records[key]) == rows[key]
     for index in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
             records[index]
-    assert records == rows and records == tuple(rows)
-    assert records != rows[:-1] and records != rows[1:]
-    assert Records.from_rows(rows) == records
-    assert records[:0] == [] and not records[:0]
+    with pytest.raises(TypeError):
+        records[10:20]  # a table is not sliced
 
 
 def _outcome(run_fn, scenario):
+    """(records, summary, error type and message) of one run."""
     try:
-        return run_fn(scenario), None
+        return (*run_fn(scenario), None)
     except SimulationError as exc:
-        return (getattr(exc, "records", None), getattr(exc, "summary", None)), type(exc)
+        return getattr(exc, "records", None), getattr(exc, "summary", None), (type(exc), str(exc))
 
 
 segments = st.one_of(
@@ -294,18 +303,22 @@ def test_run_matches_stepping_every_row(
 
 
 def _check_against_stepping(scenario, folder):
-    """``run`` and ``stepwise_run`` give equal outcomes; returns the error type."""
-    ours, expected = _outcome(run, scenario), _outcome(stepwise_run, scenario)
-    assert ours == expected
+    """``run`` and ``stepwise_run`` give equal outcomes, down to the first
+    limit hit and its message; returns the error type."""
+    records, summary, error = _outcome(run, scenario)
+    rows, expected_summary, expected_error = _outcome(stepwise_run, scenario)
+    assert error == expected_error
+    assert summary == expected_summary
+    assert (records is None) == (rows is None)
     # The table writes the bytes a row-by-row writer gives for the same rows,
     # complete or cut short by the time budget.
-    (records, _), error = ours
     if records is not None:
+        assert list(records) == rows
         for fmt in ("csv", "json"):
             emit_records(records, fmt, folder / f"table.{fmt}")
-            write_rows(expected[0][0], fmt, folder / f"rows.{fmt}")
+            write_rows(rows, fmt, folder / f"rows.{fmt}")
             assert (folder / f"table.{fmt}").read_bytes() == (folder / f"rows.{fmt}").read_bytes()
-    return error
+    return error and error[0]
 
 
 @pytest.mark.parametrize("input_speed", [5e-324, 1e-322])
@@ -330,6 +343,17 @@ def test_a_robot_that_slides_back_spends_its_time_budget(monkeypatch):
     records = err.value.records
     assert len(records) == 50 and len(records.values) == 1
     assert records.s[0] == 0.0 and np.all(np.diff(records.s) < 0)
+
+
+def test_a_robot_that_slides_back_across_a_boundary_is_out_of_range(monkeypatch):
+    # The front of a 1000.02 mm body starts just past the first boundary
+    # (500 mm) and slides back over it two rows later, with the centre
+    # behind the start.  ``step`` rejects that centre, and so does the run.
+    real_step = simulator.step
+    monkeypatch.setattr(simulator, "step", lambda scenario, t, s: replace(
+        real_step(scenario, t, s), track_speeds=(-1.0,) * 3))
+    with pytest.raises(OutOfRange):
+        run(make_four_section_scenario(max_time_s=0.5, robot=make_robot(length_mm=1000.02)))
 
 
 # --- APE ---------------------------------------------------------------------------
