@@ -41,7 +41,6 @@ from .errors import (
     SimulationError,
     UnknownSize,
     ValidationError,
-    ZeroReference,
 )
 from .geometry import Bend, CenterlinePose, PipeNetwork, Straight, build_network, pose_at
 from .robot import (

@@ -59,6 +59,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
     thetas = [float(part) for part in args.theta.split(",") if part.strip()]
+    if not thetas:
+        raise ValidationError(f"must list at least one orientation, got {args.theta!r}",
+                              "--theta")
     try:
         entries = sweep_orientation(scenario, thetas)
     except ValidationError as exc:  # only the orientations are new to the scenario

@@ -164,12 +164,14 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
             raise NonMonotoneLoad(f"load {load!r} is not strictly increasing")
 
     target = config.overall_ratio * input_speed
+    inv0, inv1, inv2 = (load.inverse for load in loads)
 
     def residual(tau: float) -> float:
-        return sum(load.inverse(tau) for load in loads) / 3.0 - target
+        # ``sum`` as in plain bisection: from Python 3.12 it rounds unlike ``+``.
+        return sum((inv0(tau), inv1(tau), inv2(tau))) / 3.0 - target
 
-    lo = min(load.torque(target) for load in loads)
-    hi = max(load.torque(target) for load in loads)
+    torques = [load.torque(target) for load in loads]
+    lo, hi = min(torques), max(torques)
     f_lo = residual(lo)
     f_hi = residual(hi)
 
@@ -218,7 +220,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         # Adjacent endpoints remain; keep the one with the smaller residual.
         tau = lo if abs(residual(lo)) < abs(residual(hi)) else hi
 
-    speeds = tuple(load.inverse(tau) for load in loads)
+    speeds = (inv0(tau), inv1(tau), inv2(tau))
     mean_residual = sum(speeds) / 3.0 - target
     if abs(mean_residual) > SOLVE_TOL * max(1.0, abs(target)):
         raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")

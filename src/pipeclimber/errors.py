@@ -105,10 +105,6 @@ class OutOfRange(SimulationError):
     """Arc-length query outside the network."""
 
 
-class ZeroReference(SimulationError):
-    """Percentage error against a zero reference value is undefined."""
-
-
 class EmptySweep(SimulationError):
     """An orientation sweep needs at least one orientation."""
 

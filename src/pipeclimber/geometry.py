@@ -87,6 +87,8 @@ class PipeNetwork:
     placements: tuple = field(repr=False)
     # cumulative_lengths as a read-only float64 array, for segment_at's lookups
     segment_ends: np.ndarray = field(repr=False, compare=False)
+    # per segment: 0.0 on a straight, 1.0 / bend_radius on a bend (1/mm)
+    curvatures: tuple = field(repr=False, compare=False)
 
     @property
     def total_length(self) -> float:
@@ -170,6 +172,8 @@ def build_network(segments, inner_radius: float) -> PipeNetwork:
         cumulative_lengths=tuple(boundaries),
         placements=tuple(placements),
         segment_ends=ends,
+        curvatures=tuple(1.0 / seg.bend_radius if isinstance(seg, Bend) else 0.0
+                         for seg in segments),
     )
 
 
@@ -198,7 +202,7 @@ def pose_at(network: PipeNetwork, s: float) -> CenterlinePose:
             position=placement.entry_point + local * placement.entry_tangent,
             tangent=placement.entry_tangent,
             bend_outward=None,
-            curvature=0.0,
+            curvature=network.curvatures[index],
             segment_index=index,
         )
 
@@ -209,6 +213,6 @@ def pose_at(network: PipeNetwork, s: float) -> CenterlinePose:
         position=placement.center + seg.bend_radius * outward,
         tangent=placement.entry_tangent * cos_a - placement.outward * sin_a,
         bend_outward=outward,
-        curvature=1.0 / seg.bend_radius,
+        curvature=network.curvatures[index],
         segment_index=index,
     )

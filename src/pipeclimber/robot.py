@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetryLimit, CompressionLimit, DegenerateBend, require, require_positive
-from .geometry import CenterlinePose
 
 GRAVITY = 9.81  # m/s^2
 
@@ -103,17 +102,17 @@ def track_path_radius(bend_radius: float, contact_radius: float, module_angle_de
 
 
 def required_track_speeds(
-    pose: CenterlinePose, center_speed: float, params: RobotParams
+    curvature: float, center_speed: float, params: RobotParams
 ) -> np.ndarray:
     """Track surface speeds that follow the local geometry without slip.
 
-    All equal to the centerline speed on straights; scaled by each track's
-    path radius over the bend radius inside bends.  Their mean is the
-    centerline speed in both cases.
+    All equal to the centerline speed on straights (``curvature`` 0); scaled
+    by each track's path radius over the bend radius 1/``curvature`` inside
+    bends.  Their mean is the centerline speed in both cases.
     """
-    if pose.curvature == 0.0:
+    if curvature == 0.0:
         return np.full(3, center_speed)
-    bend_radius = 1.0 / pose.curvature
+    bend_radius = 1.0 / curvature
     radii = np.array(
         [
             track_path_radius(bend_radius, params.contact_radius_mm, angle)
@@ -124,16 +123,16 @@ def required_track_speeds(
 
 
 def spring_compression(
-    pose: CenterlinePose, params: RobotParams, bend_extra_mm: float = 1.5
+    curvature: float, params: RobotParams, bend_extra_mm: float = 1.5
 ) -> np.ndarray:
-    """Per-module spring compression (mm) at a pose.
+    """Per-module spring compression (mm) where the centerline has ``curvature``.
 
-    Straights sit at the preload.  In bends the modules nearest the bend
-    plane take extra compression, scaled by |cos| of the module angle so the
-    in-plane modules gain the full ``bend_extra_mm``.
+    Straights (``curvature`` 0) sit at the preload.  In bends the modules
+    nearest the bend plane take extra compression, scaled by |cos| of the
+    module angle so the in-plane modules gain the full ``bend_extra_mm``.
     """
     compressions = np.full(3, params.preload_mm)
-    if pose.curvature != 0.0:
+    if curvature != 0.0:
         scale = np.abs(np.cos(np.radians(params.module_angles_deg)))
         compressions = compressions + bend_extra_mm * scale
     worst = int(np.argmax(compressions))

@@ -9,12 +9,13 @@ centerline by the mean track speed.
 
 ``run`` owns the time grid: it advances the time ``t`` and the body-centre
 arc length ``s`` and decides when the run ends, while ``step`` only solves
-the equilibrium at a given ``t`` and ``s``.  The equilibrium depends only
-on the segment under the body's centre; the front and rear matter only to
-the compression and tilt checks.  So ``run`` makes one solve per centre
-segment; placements are run-ends where the body's front or rear crosses a
-boundary.  A cumulative sum fills each segment's ``t`` and ``s``, so the
-physics costs per segment and each row a few array elements.
+the equilibrium at a given ``t`` and ``s``.  Both read segment curvatures,
+not frames: the equilibrium depends only on the centre's, the compression
+and tilt limits only on whether the centre, front and rear are in bends.
+So ``run`` solves once per distinct centre curvature; placements are
+run-ends where the body's front or rear crosses a boundary.  A cumulative
+sum fills each segment's ``t`` and ``s``, so the physics costs per segment
+and each row a few array elements.
 
 Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and each
 placement's record once with the row where its run ends.  ``summarize`` and
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
-from .errors import BadSegment, EmptySweep, MaxTimeExceeded, SimulationError, ZeroReference
+from .errors import BadSegment, EmptySweep, MaxTimeExceeded, SimulationError
 from .errors import require, require_positive
 from .geometry import Bend, PipeNetwork, pose_at, segment_at
 from .robot import RobotParams, asymmetry_deg, required_track_speeds, spring_compression
@@ -84,12 +85,18 @@ class Scenario:
         speed = self.center_speed_mm_s
         require(0.0 < speed < math.inf, culprit, factors[culprit],
                 f"such that the centerline speed ({speed} mm/s) is > 0 and finite")
-        # A bend's outer track runs at speed * (R + h) / R; keep the product finite.
+        # A bend's tracks run at speed * (R + h cos q) / R: keep the fastest
+        # finite and the slowest, an APE reference, > 0.  ``run`` rejects R <= h.
         h = self.robot.contact_radius_mm
         for index, seg in enumerate(self.network.segments):
-            if isinstance(seg, Bend) and not speed * (seg.bend_radius + h) < math.inf:
+            if not isinstance(seg, Bend):
+                continue
+            if not speed * (seg.bend_radius + h) < math.inf:
                 raise BadSegment(f"must keep the track speeds finite at {speed} mm/s, got "
                                  f"{seg.bend_radius}", index, "bend_radius")
+            slowest = speed * (seg.bend_radius - h) / seg.bend_radius
+            require(seg.bend_radius <= h or slowest > 0.0, culprit, factors[culprit],
+                    f"such that every bend track speed (down to {slowest} mm/s) is > 0")
 
     @property
     def center_speed_mm_s(self) -> float:
@@ -200,25 +207,27 @@ class SweepEntry:
 
 
 def ape(measured: float, theoretical: float) -> float:
-    """Absolute percentage error of a measurement against a reference."""
-    if theoretical == 0.0:
-        raise ZeroReference("APE against a zero reference is undefined")
+    """Absolute percentage error of a measurement against a nonzero reference."""
     return 100.0 * abs(measured - theoretical) / abs(theoretical)
 
 
 def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     """The equilibrium at time ``t`` with the body centre at arc length ``s``.
 
-    Solves the torque balance against the slip loads built from the local
-    required speeds.  Advancing ``t`` and ``s`` is left to ``run``.
+    Solves the torque balance against the slip loads built from the
+    required speeds at the centre segment's curvature.  Advancing ``t`` and
+    ``s`` is left to ``run``.
     """
-    pose = pose_at(scenario.network, s)
-    robot = scenario.robot
+    network, robot = scenario.network, scenario.robot
+    if not 0.0 <= s <= network.total_length:
+        pose_at(network, s)  # raises OutOfRange
+    index = segment_at(network, s)
+    curvature = network.curvatures[index]
+    checks = _Checks(scenario)
 
-    center_speed = scenario.center_speed_mm_s
-    required = required_track_speeds(pose, center_speed, robot)
-    compressions = spring_compression(pose, robot, scenario.bend_extra_compression_mm)
-    _check_body_tilt(scenario, s)
+    required = required_track_speeds(curvature, scenario.center_speed_mm_s, robot)
+    compressions = checks.compression(curvature)
+    checks.tilt(*_end_segments(scenario, s))
 
     required = tuple(float(v) for v in required)
     loads = [LinearLoad(scenario.slip_stiffness, robot.sprocket_radius_mm, v) for v in required]
@@ -228,7 +237,7 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     return SimRecord(
         t=t,
         s=s,
-        segment_index=pose.segment_index,
+        segment_index=index,
         track_speeds=track_speeds,
         required_speeds=required,
         slip=tuple(v - r for v, r in zip(track_speeds, required)),
@@ -237,21 +246,38 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     )
 
 
-def _body_ends(scenario: Scenario, s: float) -> tuple[float, float]:
-    """Arc lengths of the body's front and rear, clamped to the network."""
+def _end_segments(scenario: Scenario, s: float) -> tuple[int, int]:
+    """Segments under the body's front and rear.  Clamping an end to the
+    network would not change its segment."""
     half = scenario.robot.length_mm / 2.0
-    return min(s + half, scenario.network.total_length), max(s - half, 0.0)
+    return segment_at(scenario.network, s + half), segment_at(scenario.network, s - half)
 
 
-def _check_body_tilt(scenario: Scenario, s: float) -> None:
-    # Compression difference between the body ends drives the tilt check.
-    front, rear = (
-        spring_compression(
-            pose_at(scenario.network, end), scenario.robot, scenario.bend_extra_compression_mm
-        )
-        for end in _body_ends(scenario, s)
-    )
-    asymmetry_deg(front, rear, scenario.robot)
+class _Checks:
+    """A scenario's compression and tilt limits, checked once per segment
+    kind (bend or straight) and once per pair of kinds under the body's
+    front and rear: they depend on nothing else, and raise on first check."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.compressions = {}  # is a bend -> module compressions there
+        self.tilts = set()  # (front, rear) is a bend, within the tilt limit
+
+    def compression(self, curvature: float) -> np.ndarray:
+        bend = curvature != 0.0
+        if bend not in self.compressions:
+            self.compressions[bend] = spring_compression(
+                curvature, self.scenario.robot, self.scenario.bend_extra_compression_mm)
+        return self.compressions[bend]
+
+    def tilt(self, front: int, rear: int) -> None:
+        """Check the tilt with the body's front and rear on these segments."""
+        curvatures = self.scenario.network.curvatures
+        kinds = (curvatures[front] != 0.0, curvatures[rear] != 0.0)
+        if kinds not in self.tilts:
+            asymmetry_deg(self.compression(curvatures[front]),
+                          self.compression(curvatures[rear]), self.scenario.robot)
+            self.tilts.add(kinds)
 
 
 def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
@@ -262,37 +288,37 @@ def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
     return np.cumsum(column, out=column)
 
 
-def _crossings(network: PipeNetwork, s: np.ndarray, half: float) -> list[int]:
-    """Rows of the centre column ``s``, past the first, where the segment under
-    the body's front or rear differs from the row before.  Clamping an end to
-    the network would not change its segment."""
+def _crossings(network: PipeNetwork, s: np.ndarray, half: float):
+    """(row, front segment, rear segment) for each row of the centre column
+    ``s``, past the first, where the segment under the body's front or rear
+    differs from the row before."""
     front, rear = segment_at(network, s + half), segment_at(network, s - half)
-    moved = (front[1:] != front[:-1]) | (rear[1:] != rear[:-1])
-    return (np.flatnonzero(moved) + 1).tolist()
+    rows = np.flatnonzero((front[1:] != front[:-1]) | (rear[1:] != rear[:-1])) + 1
+    return zip(rows.tolist(), front[rows].tolist(), rear[rows].tolist())
 
 
 def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     """Run until the network ends; MaxTimeExceeded carries partial results.
 
-    One solve per centre segment; placements are run-ends where the body's
-    front or rear crosses a boundary.  Such a row repeats ``step``'s
-    compression and tilt checks and reuses its solve.  Each row advances
-    ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed.  Where
-    the centre leaves its segment, the run checks the float range, then the
-    time budget, then the network end.
+    ``step`` solves the first centre segment of each curvature; a later
+    one reuses that record and repeats ``step``'s tilt check.  Placements
+    are run-ends where the body's front or rear crosses a boundary; such a
+    row also repeats the tilt check.  Each row advances ``t`` by ``dt_s``
+    and ``s`` by ``dt_s`` times the mean track speed.  Where the centre
+    leaves its segment, the run checks the float range, then the time
+    budget, then the network end.
     """
-    network, robot = scenario.network, scenario.robot
+    network = scenario.network
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
     bounds = network.segment_ends
-    half = robot.length_mm / 2.0
-    compressions = {}  # segment index -> module compressions there
+    half = scenario.robot.length_mm / 2.0
+    checks = _Checks(scenario)
+    solved = {}  # centre curvature -> the record ``step`` solved there
 
-    def compression(end: float) -> np.ndarray:
-        index = segment_at(network, end)
-        if index not in compressions:  # a limit raises on the first use, as in ``step``
-            compressions[index] = spring_compression(
-                pose_at(network, end), robot, scenario.bend_extra_compression_mm)
-        return compressions[index]
+    def check_body(s: float, front: int, rear: int) -> None:
+        if s < 0.0:  # a robot that slid back past the start
+            pose_at(network, s)  # raises OutOfRange, as ``step`` does here
+        checks.tilt(front, rear)
 
     t_columns, s_columns, values, run_ends = [], [], [], []
 
@@ -313,12 +339,17 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             )
         if s >= total:
             break
-        record = step(scenario, t, s)
+        index = segment_at(network, s)
+        curvature = network.curvatures[index]
+        if curvature in solved:
+            check_body(s, *_end_segments(scenario, s))
+            record = replace(solved[curvature], t=t, s=s, segment_index=index)
+        else:
+            record = solved[curvature] = step(scenario, t, s)
         ds = dt * sum(record.track_speeds) / 3.0
         values.append(record)
         # The centre stays in this segment while low <= s < high; like
         # ``segment_at``, segment 0 also holds arc lengths below 0.
-        index = record.segment_index
         low, high = float(bounds[index - 1]) if index else -math.inf, float(bounds[index])
         stays = True
         while stays:
@@ -335,11 +366,9 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             stays = bool(keep.all())
             k = count if stays else int(np.argmin(keep))
             # Every kept row is checked, row ``count`` too when the fill extends.
-            for row in _crossings(network, s_rows[:count + 1 if stays else k], half):
+            for row, front, rear in _crossings(network, s_rows[:count + 1 if stays else k], half):
                 s_row = float(s_rows[row])
-                if s_row < 0.0:  # a robot that slid back past the start
-                    pose_at(network, s_row)  # raises OutOfRange, as ``step`` does here
-                asymmetry_deg(*(compression(end) for end in _body_ends(scenario, s_row)), robot)
+                check_body(s_row, front, rear)
                 run_ends.append(rows + row)
                 values.append(replace(record, t=float(t_rows[row]), s=s_row))
             t_columns.append(t_rows[:k])

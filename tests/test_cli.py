@@ -169,6 +169,29 @@ def test_sweep_rejects_non_finite_orientations(theta, capsys):
     assert "error: --theta: must be finite, got" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", [",", " , ", ""])
+def test_sweep_without_orientations_exits_1(theta, capsys):
+    argv = ["sweep", str(SCENARIOS / "four_section.json"), f"--theta={theta}"]
+    assert main(argv) == 1
+    assert "error: --theta: must list at least one orientation" in capsys.readouterr().err
+
+
+def test_bend_track_speed_that_underflows_exits_1_at_parse(tmp_path, capsys):
+    # Module A rides the inside of the 100 mm bend, 50 mm from the axis, at
+    # 5e-324 * 50 / 100 mm/s, which rounds to 0: no reference for its APE.
+    doc = json.loads((SCENARIOS / "four_section.json").read_text())
+    doc["pipe"]["segments"] = [{"kind": "bend", "bend_radius_mm": 100, "sweep_deg": 90}]
+    doc["robot"].update(sprocket_radius_mm=1, orientation_deg=180)
+    doc["sim"].update(input_speed_rad_s=5e-324, max_time_s=1)
+    path = tmp_path / "crawl.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "error: sim.input_speed_rad_s: must be such that every bend track speed" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_dims_lookup(capsys):
     assert main(["dims", "6", "40"]) == 0
     assert "77.0" in capsys.readouterr().out

@@ -23,13 +23,13 @@ from pipeclimber import (
 from conftest import make_robot
 
 
-def straight_pose():
-    return pose_at(build_network([Straight(400.0)], 77.0), 200.0)
+def straight_curvature():
+    return pose_at(build_network([Straight(400.0)], 77.0), 200.0).curvature
 
 
-def bend_pose(radius=300.0, sweep=90.0):
+def bend_curvature(radius=300.0, sweep=90.0):
     net = build_network([Bend(radius, sweep)], 77.0)
-    return pose_at(net, net.total_length / 2.0)
+    return pose_at(net, net.total_length / 2.0).curvature
 
 
 # --- contact path radius --------------------------------------------------------
@@ -56,18 +56,18 @@ def test_degenerate_bend_rejected():
 # --- required track speeds -------------------------------------------------------
 
 def test_straight_needs_equal_speeds(robot_params):
-    speeds = required_track_speeds(straight_pose(), 60.0, robot_params)
+    speeds = required_track_speeds(straight_curvature(), 60.0, robot_params)
     assert np.allclose(speeds, 60.0)
 
 
 def test_bend_speeds_at_zero_orientation(robot_params):
-    speeds = required_track_speeds(bend_pose(), 60.0, robot_params)
+    speeds = required_track_speeds(bend_curvature(), 60.0, robot_params)
     assert speeds == pytest.approx([70.0, 55.0, 55.0])
 
 
 def test_bend_speeds_at_90_degrees():
     robot = make_robot(orientation_deg=90.0)
-    speeds = required_track_speeds(bend_pose(), 60.0, robot)
+    speeds = required_track_speeds(bend_curvature(), 60.0, robot)
     assert speeds == pytest.approx([60.0, 51.339746, 68.660254], abs=1e-5)
     assert speeds.mean() == pytest.approx(60.0, rel=1e-12)
 
@@ -80,16 +80,16 @@ def test_bend_speeds_at_90_degrees():
 @settings(max_examples=300)
 def test_mean_speed_is_the_center_speed(orientation, center_speed, contact_radius):
     robot = make_robot(orientation_deg=orientation, contact_radius_mm=contact_radius)
-    speeds = required_track_speeds(bend_pose(), center_speed, robot)
+    speeds = required_track_speeds(bend_curvature(), center_speed, robot)
     assert speeds.mean() == pytest.approx(center_speed, rel=1e-12)
 
 
 @given(orientation=st.floats(-360.0, 360.0))
 @settings(max_examples=200)
 def test_orientation_plus_120_permutes_the_tracks(orientation):
-    base = required_track_speeds(bend_pose(), 60.0, make_robot(orientation_deg=orientation))
+    base = required_track_speeds(bend_curvature(), 60.0, make_robot(orientation_deg=orientation))
     rolled = required_track_speeds(
-        bend_pose(), 60.0, make_robot(orientation_deg=orientation + 120.0)
+        bend_curvature(), 60.0, make_robot(orientation_deg=orientation + 120.0)
     )
     for j in range(3):
         assert rolled[j] == pytest.approx(base[(j + 1) % 3], rel=1e-12)
@@ -99,16 +99,16 @@ def test_orientation_plus_120_permutes_the_tracks(orientation):
 @settings(max_examples=100)
 def test_straight_speeds_ignore_orientation(orientation):
     speeds = required_track_speeds(
-        straight_pose(), 60.0, make_robot(orientation_deg=orientation)
+        straight_curvature(), 60.0, make_robot(orientation_deg=orientation)
     )
     assert np.all(speeds == 60.0)
 
 
 def test_outermost_track_is_fastest(robot_params):
-    pose = bend_pose()
+    curvature = bend_curvature()
     for theta in (0.0, 35.0, 77.0, 120.0, 301.0):
         robot = make_robot(orientation_deg=theta)
-        speeds = required_track_speeds(pose, 60.0, robot)
+        speeds = required_track_speeds(curvature, 60.0, robot)
         cosines = np.cos(np.radians(robot.module_angles_deg))
         assert np.argmax(speeds) == np.argmax(cosines)
 
@@ -116,18 +116,18 @@ def test_outermost_track_is_fastest(robot_params):
 # --- spring compression -----------------------------------------------------------
 
 def test_straight_sits_at_preload(robot_params):
-    assert np.allclose(spring_compression(straight_pose(), robot_params), 8.0)
+    assert np.allclose(spring_compression(straight_curvature(), robot_params), 8.0)
 
 
 def test_bend_adds_compression_on_the_bend_plane_module(robot_params):
-    comp = spring_compression(bend_pose(), robot_params, bend_extra_mm=1.5)
+    comp = spring_compression(bend_curvature(), robot_params, bend_extra_mm=1.5)
     assert comp == pytest.approx([9.5, 8.75, 8.75])
 
 
 def test_preload_beyond_budget_raises():
     robot = make_robot(preload_mm=17.0)
     with pytest.raises(CompressionLimit):
-        spring_compression(straight_pose(), robot)
+        spring_compression(straight_curvature(), robot)
     with pytest.raises(CompressionLimit):
         robot.validate()
 
@@ -135,13 +135,13 @@ def test_preload_beyond_budget_raises():
 def test_bend_compression_beyond_budget_raises():
     robot = make_robot(preload_mm=15.0)
     with pytest.raises(CompressionLimit):
-        spring_compression(bend_pose(), robot, bend_extra_mm=1.5)
+        spring_compression(bend_curvature(), robot, bend_extra_mm=1.5)
 
 
 def test_compression_never_exceeds_budget_when_returned():
     for preload in (0.0, 5.0, 14.5):
         robot = make_robot(preload_mm=preload)
-        comp = spring_compression(bend_pose(), robot, bend_extra_mm=1.5)
+        comp = spring_compression(bend_curvature(), robot, bend_extra_mm=1.5)
         assert np.all(comp <= robot.max_compression_mm)
 
 

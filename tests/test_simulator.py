@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from pipeclimber import (
     SimRecord,
     SimulationError,
     Straight,
-    ZeroReference,
+    ValidationError,
     ape,
     build_network,
     emit_records,
@@ -183,12 +184,13 @@ def test_run_propagates_asymmetry_limit():
         run(scenario)
 
 
-# --- one solve per centre segment ---------------------------------------------------
+# --- one solve per centre curvature -------------------------------------------------
 
 @pytest.mark.parametrize("dt_s", [0.1, 0.01, 0.001])
-def test_run_solves_once_per_centre_segment(monkeypatch, dt_s):
-    # The centre crosses four segments, so four solves; with the front and
-    # rear of the 200 mm body they make ten placements, whatever the time grid.
+def test_run_solves_once_per_centre_curvature(monkeypatch, dt_s):
+    # The centre crosses four segments of two curvatures (both bends have
+    # R = 300), so two solves; with the front and rear of the 200 mm body
+    # they make ten placements, whatever the time grid.
     solve = simulator.solve_torque_balance
     calls = []
 
@@ -198,14 +200,15 @@ def test_run_solves_once_per_centre_segment(monkeypatch, dt_s):
 
     monkeypatch.setattr(simulator, "solve_torque_balance", counted)
     records, _ = run(make_four_section_scenario(dt_s=dt_s))
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert len(records.values) == 10
     assert len(records) > 4000 * 0.01 / dt_s
 
 
 def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     # Counts, not timings: a run and its CSV records cost the same number of
-    # solves, segment lookups and record objects at any dt_s.
+    # solves, segment lookups, limit checks and record objects at any dt_s,
+    # and build no centerline frames.
     calls = Counter()
 
     def counted(name, fn):
@@ -218,6 +221,8 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     segment_at = counted("segment_at", geometry.segment_at)
     monkeypatch.setattr(geometry, "segment_at", segment_at)  # pose_at's lookups
     monkeypatch.setattr(simulator, "segment_at", segment_at)  # run's placement search
+    for name in ("pose_at", "spring_compression", "asymmetry_deg"):
+        monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
     monkeypatch.setattr(SimRecord, "__init__", counted("SimRecord", SimRecord.__init__))
     seen = []
     for dt_s in (0.01, 0.001):
@@ -227,8 +232,11 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
         seen.append((dict(calls), len(records)))
     (coarse, coarse_rows), (fine, fine_rows) = seen
     assert coarse == fine
-    assert coarse["step"] == 4
+    assert coarse["step"] == 2
     assert coarse["SimRecord"] == 10
+    assert "pose_at" not in coarse
+    assert coarse["spring_compression"] == 5
+    assert coarse["asymmetry_deg"] == 6
     assert fine_rows > 9 * coarse_rows
 
 
@@ -274,8 +282,19 @@ segments = st.one_of(
 )
 
 
-@given(
-    network=st.lists(segments, min_size=1, max_size=4),
+@st.composite
+def networks_with_repeated_radii(draw):
+    """Segments whose bends share two or three radii, so centre curvatures repeat."""
+    radii = draw(st.lists(st.floats(80.0, 400.0), min_size=2, max_size=3))
+    bends = st.builds(Bend, st.sampled_from(radii), st.floats(5.0, 180.0),
+                      st.floats(-180.0, 180.0))
+    return draw(st.lists(st.one_of(st.builds(Straight, st.floats(20.0, 400.0)), bends),
+                         min_size=2, max_size=5))
+
+
+# Short bodies and large bend compressions reach the tilt and compression
+# limits; a budget below 1 of the nominal traversal time ends the run early.
+scenario_draws = dict(
     dt_s=st.floats(0.01, 0.5),
     orientation=st.floats(0.0, 360.0),
     length_mm=st.one_of(st.floats(10.0, 60.0), st.floats(60.0, 800.0)),
@@ -283,11 +302,22 @@ segments = st.one_of(
     extra_mm=st.floats(0.0, 12.0),
     budget=st.floats(0.05, 2.5),
 )
+
+
+@given(network=st.lists(segments, min_size=1, max_size=4), **scenario_draws)
 @settings(max_examples=60, deadline=None)
-def test_run_matches_stepping_every_row(
-    tmp_path_factory, network, dt_s, orientation, length_mm, preload_mm, extra_mm, budget
-):
-    # Short bodies and large bend compressions reach the tilt and compression limits.
+def test_run_matches_stepping_every_row(tmp_path_factory, network, **draws):
+    _check_drawn_scenario(tmp_path_factory.getbasetemp(), network, **draws)
+
+
+@given(network=networks_with_repeated_radii(), **scenario_draws)
+@settings(max_examples=60, deadline=None)
+def test_run_reusing_solves_matches_stepping_every_row(tmp_path_factory, network, **draws):
+    _check_drawn_scenario(tmp_path_factory.getbasetemp(), network, **draws)
+
+
+def _check_drawn_scenario(folder, network, dt_s, orientation, length_mm, preload_mm, extra_mm,
+                          budget):
     robot = make_robot(orientation_deg=orientation, length_mm=length_mm, preload_mm=preload_mm)
     scenario = make_four_section_scenario(
         network=build_network(network, 77.0),
@@ -295,11 +325,10 @@ def test_run_matches_stepping_every_row(
         dt_s=dt_s,
         bend_extra_compression_mm=extra_mm,
     )
-    # A budget below 1 of the nominal traversal time ends the run early.
     finish = scenario.network.total_length / scenario.center_speed_mm_s
     scenario = replace(scenario, max_time_s=max(1.5 * dt_s, budget * finish))
     scenario.validate()
-    _check_against_stepping(scenario, tmp_path_factory.getbasetemp())
+    _check_against_stepping(scenario, folder)
 
 
 def _check_against_stepping(scenario, folder):
@@ -329,6 +358,27 @@ def test_run_matches_stepping_when_the_robot_barely_moves(tmp_path, input_speed)
     scenario = make_four_section_scenario(input_speed_rad_s=input_speed, max_time_s=0.5)
     scenario.validate()
     assert _check_against_stepping(scenario, tmp_path) is MaxTimeExceeded
+
+
+@pytest.mark.parametrize("segments, tilt_at_mm", [
+    # The centre enters the second straight, reusing the first one's solve, on
+    # the row where the front enters the bend.
+    ([Straight(100.0), Straight(10.0), Bend(300.0, 90.0)], 100.0),
+    # The front leaves the bend 10 mm before the centre does.
+    ([Bend(300.0, 30.0), Straight(400.0)], 300.0 * math.radians(30.0) - 10.0),
+])
+def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segments,
+                                                                 tilt_at_mm):
+    # A 20 mm body with one end 10 mm deeper into a bend tilts past its
+    # limit; the time budget runs out before the centre's next segment.
+    scenario = make_four_section_scenario(
+        network=build_network(segments, 77.0),
+        robot=make_robot(length_mm=20.0, preload_mm=2.0),
+        bend_extra_compression_mm=10.0,
+        max_time_s=tilt_at_mm / 50.0 + 0.1,
+    )
+    scenario.validate()
+    assert _check_against_stepping(scenario, tmp_path) is AsymmetryLimit
 
 
 def test_a_robot_that_slides_back_spends_its_time_budget(monkeypatch):
@@ -364,9 +414,21 @@ def test_ape_examples():
     assert ape(123.4, 123.4) == 0.0
 
 
-def test_ape_zero_reference():
-    with pytest.raises(ZeroReference):
-        ape(1.0, 0.0)
+def test_bend_track_speeds_that_underflow_are_rejected():
+    # At 5e-324 mm/s the track riding the inside of a 100 mm bend, h = 50 mm
+    # from the axis, would run at half an ulp: 0, a zero reference for its APE.
+    scenario = make_four_section_scenario(
+        network=build_network([Bend(100.0, 90.0)], 77.0),
+        robot=make_robot(sprocket_radius_mm=1.0),
+        input_speed_rad_s=5e-324,
+    )
+    assert scenario.center_speed_mm_s == 5e-324
+    with pytest.raises(ValidationError) as err:
+        scenario.validate()
+    assert err.value.path == "input_speed_rad_s"
+    assert "every bend track speed (down to 0.0 mm/s) is > 0" in str(err.value)
+    # In a 101 mm bend that track runs at 51/101 of an ulp, which rounds up to one.
+    replace(scenario, network=build_network([Bend(101.0, 90.0)], 77.0)).validate()
 
 
 def test_bend_ape_is_tiny(four_section_scenario):
