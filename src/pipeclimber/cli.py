@@ -58,7 +58,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
-    thetas = [float(part) for part in args.theta.split(",") if part.strip()]
+    try:
+        thetas = [float(part) for part in args.theta.split(",") if part.strip()]
+    except ValueError:
+        raise ValidationError(f"must be comma-separated numbers, got {args.theta!r}",
+                              "--theta") from None
     if not thetas:
         raise ValidationError(f"must list at least one orientation, got {args.theta!r}",
                               "--theta")

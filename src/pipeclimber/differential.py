@@ -89,7 +89,8 @@ class LinearLoad:
 
     ``wheel_radius`` converts shaft speed to surface speed, ``target_speed``
     is the surface speed at which the slip term vanishes.  Strictly monotone
-    increasing whenever stiffness * wheel_radius > 0, so the inverse is exact.
+    increasing whenever stiffness * wheel_radius > 0, so the inverse is exact;
+    ``solve_torque_balance`` rejects any other slope before it inverts.
     """
 
     stiffness: float
@@ -105,10 +106,6 @@ class LinearLoad:
         return self.stiffness * (speed * self.wheel_radius - self.target_speed) + self.offset
 
     def inverse(self, torque: float) -> float:
-        if self.slope <= 0.0:
-            raise NonMonotoneLoad(
-                f"load slope {self.slope} is not positive; inverse undefined"
-            )
         return ((torque - self.offset) / self.stiffness + self.target_speed) / self.wheel_radius
 
 

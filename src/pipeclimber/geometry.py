@@ -109,6 +109,8 @@ def _check_segment(index: int, seg, inner_radius: float) -> None:
             require(inner_radius < seg.bend_radius < math.inf, "bend_radius", seg.bend_radius,
                     f"finite and above the pipe inner radius {inner_radius}")
             require(0.0 < seg.sweep_angle <= 180.0, "sweep_angle", seg.sweep_angle, "in (0, 180]")
+            require(seg.arc_length > 0.0, "sweep_angle", seg.sweep_angle,
+                    f"such that the arc length at radius {seg.bend_radius} mm is > 0")
             require(math.isfinite(seg.bend_plane_roll), "bend_plane_roll", seg.bend_plane_roll,
                     "finite")
     except ValidationError as exc:

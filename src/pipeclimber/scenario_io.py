@@ -277,8 +277,8 @@ def emit_records(records: Records, fmt: str, path) -> None:
     """Write a ``Records`` table to ``path`` as CSV or JSON; OSError becomes
     IoError.
 
-    CSV formats each placement's constant fields once and streams the rows
-    to the file without the whole text ever in memory.
+    CSV formats the constant fields of each centre segment's run once and
+    streams the rows to the file without the whole text ever in memory.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")

@@ -12,15 +12,15 @@ arc length ``s`` and decides when the run ends, while ``step`` only solves
 the equilibrium at a given ``t`` and ``s``.  Both read segment curvatures,
 not frames: the equilibrium depends only on the centre's, the compression
 and tilt limits only on whether the centre, front and rear are in bends.
-So ``run`` solves once per distinct centre curvature; placements are
-run-ends where the body's front or rear crosses a boundary.  A cumulative
-sum fills each segment's ``t`` and ``s``, so the physics costs per segment
-and each row a few array elements.
+So ``run`` solves once per distinct centre curvature, and a row where the
+body's front or rear crosses a boundary only repeats the tilt check.  A
+cumulative sum fills each segment's ``t`` and ``s``, so the physics costs per
+segment and each row a few array elements.
 
-Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and each
-placement's record once with the row where its run ends.  ``summarize`` and
-the CSV writer read the columns; indexing and iteration give
-``SimRecord`` rows.
+Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and the
+record of each centre segment visited once, with the row where the centre
+leaves it.  ``summarize`` and the CSV writer read the columns; indexing and
+iteration give ``SimRecord`` rows.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -125,11 +125,12 @@ class SimRecord:
 class Records(Sequence):
     """A run's records as columns, after Apache Arrow's run-end encoding.
 
-    ``t`` and ``s`` are float64 columns with one value per row.  Rows of one
-    body placement share every other field, so ``values[j]`` holds the
-    record of placement ``j`` and ``run_ends[j]`` is the row where its run
-    ends.  Every run has at least one row.  Indexing by row number and
-    iteration give ``SimRecord`` rows; two tables are equal when their rows are.
+    ``t`` and ``s`` are float64 columns with one value per row.  Rows with
+    the centre in one segment share every other field, so ``values[j]``
+    holds the record of the ``j``-th centre segment visited and
+    ``run_ends[j]`` is the row where the centre leaves it.  Every run has at
+    least one row.  Indexing by row number and iteration give ``SimRecord``
+    rows; two tables are equal when their rows are.
     """
 
     def __init__(self, t, s, values, run_ends):
@@ -152,7 +153,7 @@ class Records(Sequence):
                 yield replace(value, t=t_row, s=s_row)
 
     def runs(self):
-        """(record, t column, s column) per placement, in row order."""
+        """(record, t column, s column) per centre segment visited, in row order."""
         start = 0
         for value, end in zip(self.values, self.run_ends.tolist()):
             yield value, self.t[start:end], self.s[start:end]
@@ -164,7 +165,7 @@ class Records(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"Records({len(self)} rows, {len(self.values)} placements)"
+        return f"Records({len(self)} rows, {len(self.values)} segments)"
 
 
 @dataclass(frozen=True)
@@ -289,24 +290,23 @@ def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
 
 
 def _crossings(network: PipeNetwork, s: np.ndarray, half: float):
-    """(row, front segment, rear segment) for each row of the centre column
-    ``s``, past the first, where the segment under the body's front or rear
-    differs from the row before."""
+    """(front segment, rear segment) for each row of the centre column ``s``,
+    past the first, where the segment under the body's front or rear differs
+    from the row before."""
     front, rear = segment_at(network, s + half), segment_at(network, s - half)
     rows = np.flatnonzero((front[1:] != front[:-1]) | (rear[1:] != rear[:-1])) + 1
-    return zip(rows.tolist(), front[rows].tolist(), rear[rows].tolist())
+    return zip(front[rows].tolist(), rear[rows].tolist())
 
 
 def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     """Run until the network ends; MaxTimeExceeded carries partial results.
 
     ``step`` solves the first centre segment of each curvature; a later
-    one reuses that record and repeats ``step``'s tilt check.  Placements
-    are run-ends where the body's front or rear crosses a boundary; such a
-    row also repeats the tilt check.  Each row advances ``t`` by ``dt_s``
-    and ``s`` by ``dt_s`` times the mean track speed.  Where the centre
-    leaves its segment, the run checks the float range, then the time
-    budget, then the network end.
+    one reuses that record and repeats ``step``'s tilt check, as does a row
+    where the body's front or rear crosses a boundary.  Each row advances
+    ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed.
+    Where the centre leaves its segment, the run checks the float range,
+    then the time budget, then the network end, then the network start.
     """
     network = scenario.network
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
@@ -314,12 +314,6 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     half = scenario.robot.length_mm / 2.0
     checks = _Checks(scenario)
     solved = {}  # centre curvature -> the record ``step`` solved there
-
-    def check_body(s: float, front: int, rear: int) -> None:
-        if s < 0.0:  # a robot that slid back past the start
-            pose_at(network, s)  # raises OutOfRange, as ``step`` does here
-        checks.tilt(front, rear)
-
     t_columns, s_columns, values, run_ends = [], [], [], []
 
     def table() -> Records:
@@ -339,18 +333,19 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             )
         if s >= total:
             break
+        if s < 0.0:  # a robot that slid back past the start
+            pose_at(network, s)  # raises OutOfRange, as ``step`` does here
         index = segment_at(network, s)
         curvature = network.curvatures[index]
         if curvature in solved:
-            check_body(s, *_end_segments(scenario, s))
+            checks.tilt(*_end_segments(scenario, s))
             record = replace(solved[curvature], t=t, s=s, segment_index=index)
         else:
             record = solved[curvature] = step(scenario, t, s)
         ds = dt * sum(record.track_speeds) / 3.0
         values.append(record)
-        # The centre stays in this segment while low <= s < high; like
-        # ``segment_at``, segment 0 also holds arc lengths below 0.
-        low, high = float(bounds[index - 1]) if index else -math.inf, float(bounds[index])
+        # The centre stays in this segment while low <= s < high.
+        low, high = float(bounds[index - 1]) if index else 0.0, float(bounds[index])
         stays = True
         while stays:
             # Rows up to the segment end or the time budget; the margin covers
@@ -366,11 +361,8 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             stays = bool(keep.all())
             k = count if stays else int(np.argmin(keep))
             # Every kept row is checked, row ``count`` too when the fill extends.
-            for row, front, rear in _crossings(network, s_rows[:count + 1 if stays else k], half):
-                s_row = float(s_rows[row])
-                check_body(s_row, front, rear)
-                run_ends.append(rows + row)
-                values.append(replace(record, t=float(t_rows[row]), s=s_row))
+            for front, rear in _crossings(network, s_rows[:count + 1 if stays else k], half):
+                checks.tilt(front, rear)
             t_columns.append(t_rows[:k])
             s_columns.append(s_rows[:k])
             rows += k
@@ -400,26 +392,16 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
               final_s: float) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics; the run
     ended at ``finish_time`` with the body centre at ``final_s``."""
-    # Arc length only grows, so each segment's rows are contiguous: one
-    # [segment, first row, end row] per run of placements in that segment.
-    groups = []
-    start = 0
-    for value, end in zip(records.values, records.run_ends.tolist()):
-        if groups and groups[-1][0] == value.segment_index:
-            groups[-1][2] = end
-        else:
-            groups.append([value.segment_index, start, end])
-        start = end
-    # One contiguous float64 column per track, so np.mean adds the same
-    # values in the same order as over a list of the rows.
-    counts = np.diff(records.run_ends, prepend=0)
-    speeds = [np.repeat([v.track_speeds[j] for v in records.values], counts) for j in range(3)]
-
     segment_stats = []
     per_track_ape = np.zeros(3)
-    for pos, (index, first, end) in enumerate(groups):
-        exit_time = float(records.t[end]) if pos + 1 < len(groups) else finish_time
-        mean_speeds = tuple(float(np.mean(column[first:end])) for column in speeds)
+    ends = records.run_ends.tolist()
+    for pos, (value, end) in enumerate(zip(records.values, ends)):
+        first = ends[pos - 1] if pos else 0
+        index = value.segment_index
+        exit_time = float(records.t[end]) if pos + 1 < len(ends) else finish_time
+        # A fresh float64 array of the run's rows, so np.mean adds the same
+        # values in the same order as over a list of the rows.
+        mean_speeds = tuple(float(np.mean(np.full(end - first, v))) for v in value.track_speeds)
         analytic = analytic_track_speeds(scenario, index)
         errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
         per_track_ape = np.maximum(per_track_ape, errors)
@@ -435,7 +417,7 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
             )
         )
 
-    # Maxima over placements are maxima over rows.
+    # Maxima over segments are maxima over rows.
     max_slip = max(max(abs(v) for v in r.slip) for r in records.values)
     max_comp = max(max(r.compressions) for r in records.values)
     return SimSummary(

@@ -169,6 +169,14 @@ def test_sweep_rejects_non_finite_orientations(theta, capsys):
     assert "error: --theta: must be finite, got" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["abc", "0,x"])
+def test_sweep_rejects_non_numeric_orientations(theta, capsys):
+    argv = ["sweep", str(SCENARIOS / "four_section.json"), f"--theta={theta}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: --theta: must be comma-separated numbers, got {theta!r}\n")
+
+
 @pytest.mark.parametrize("theta", [",", " , ", ""])
 def test_sweep_without_orientations_exits_1(theta, capsys):
     argv = ["sweep", str(SCENARIOS / "four_section.json"), f"--theta={theta}"]

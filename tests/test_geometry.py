@@ -61,6 +61,7 @@ def test_empty_network_rejected():
         Bend(50.0, 90.0),  # radius below the pipe bore
         Bend(300.0, 0.0),
         Bend(300.0, 181.0),
+        Bend(80.0, 5e-324),  # an arc length that rounds to 0
     ],
 )
 def test_bad_segments_rejected_with_index(segment):

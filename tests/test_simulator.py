@@ -28,6 +28,7 @@ from pipeclimber import (
     sweep_orientation,
 )
 from conftest import make_four_section_scenario, make_robot
+import oracles
 from oracles import contact_path_speeds, stepwise_run, write_rows
 
 
@@ -189,8 +190,7 @@ def test_run_propagates_asymmetry_limit():
 @pytest.mark.parametrize("dt_s", [0.1, 0.01, 0.001])
 def test_run_solves_once_per_centre_curvature(monkeypatch, dt_s):
     # The centre crosses four segments of two curvatures (both bends have
-    # R = 300), so two solves; with the front and rear of the 200 mm body
-    # they make ten placements, whatever the time grid.
+    # R = 300), so two solves and four records, whatever the time grid.
     solve = simulator.solve_torque_balance
     calls = []
 
@@ -201,7 +201,7 @@ def test_run_solves_once_per_centre_curvature(monkeypatch, dt_s):
     monkeypatch.setattr(simulator, "solve_torque_balance", counted)
     records, _ = run(make_four_section_scenario(dt_s=dt_s))
     assert len(calls) == 2
-    assert len(records.values) == 10
+    assert len(records.values) == 4
     assert len(records) > 4000 * 0.01 / dt_s
 
 
@@ -220,7 +220,7 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     monkeypatch.setattr(simulator, "step", counted("step", simulator.step))
     segment_at = counted("segment_at", geometry.segment_at)
     monkeypatch.setattr(geometry, "segment_at", segment_at)  # pose_at's lookups
-    monkeypatch.setattr(simulator, "segment_at", segment_at)  # run's placement search
+    monkeypatch.setattr(simulator, "segment_at", segment_at)  # run's segment search
     for name in ("pose_at", "spring_compression", "asymmetry_deg"):
         monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
     monkeypatch.setattr(SimRecord, "__init__", counted("SimRecord", SimRecord.__init__))
@@ -233,7 +233,7 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     (coarse, coarse_rows), (fine, fine_rows) = seen
     assert coarse == fine
     assert coarse["step"] == 2
-    assert coarse["SimRecord"] == 10
+    assert coarse["SimRecord"] == 4
     assert "pose_at" not in coarse
     assert coarse["spring_compression"] == 5
     assert coarse["asymmetry_deg"] == 6
@@ -249,7 +249,7 @@ def test_fills_cut_short_give_the_same_table(monkeypatch, max_steps):
     monkeypatch.setattr(simulator, "MAX_STEPS", max_steps)
     short, short_summary = run(scenario)
     assert short == records and short_summary == summary
-    assert short.values == records.values  # each placement starts on the same row
+    assert short.values == records.values  # each segment's run starts on the same row
     assert short.run_ends.tolist() == records.run_ends.tolist()
 
 
@@ -257,7 +257,7 @@ def test_records_table_reads_like_a_list_of_rows(four_section_scenario):
     records, _ = run(four_section_scenario)
     rows = list(records)
     assert len(records) == len(rows) == 4528
-    assert len(records.values) == 10
+    assert len(records.values) == 4
     assert all(type(row.t) is float and type(row.s) is float for row in rows[:3])
     for index in (0, 1, 1234, -1, -len(rows)):
         assert records[index] == rows[index]
@@ -343,6 +343,13 @@ def _check_against_stepping(scenario, folder):
     # complete or cut short by the time budget.
     if records is not None:
         assert list(records) == rows
+        # One record per centre segment visited, whose run ends where the
+        # centre's segment changes.
+        assert all(a.segment_index != b.segment_index
+                   for a, b in zip(records.values, records.values[1:]))
+        centre = geometry.segment_at(scenario.network, records.s)
+        changes = np.flatnonzero(centre[1:] != centre[:-1]) + 1
+        assert records.run_ends.tolist() == [*changes.tolist(), len(records)]
         for fmt in ("csv", "json"):
             emit_records(records, fmt, folder / f"table.{fmt}")
             write_rows(rows, fmt, folder / f"rows.{fmt}")
@@ -381,18 +388,19 @@ def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segme
     assert _check_against_stepping(scenario, tmp_path) is AsymmetryLimit
 
 
-def test_a_robot_that_slides_back_spends_its_time_budget(monkeypatch):
+def test_a_robot_that_slides_back_past_the_start_is_out_of_range(monkeypatch, tmp_path):
     # The solver's absolute residual admits a tiny negative mean speed at
-    # tiny input speeds.  The fill is then sized from the time budget alone,
-    # and the body stays in its first placement, below s = 0.
+    # tiny input speeds.  The centre then leaves the network behind its start
+    # on the second row, where stepping every row raises, and so does the run.
     real_step = simulator.step
-    monkeypatch.setattr(simulator, "step", lambda scenario, t, s: replace(
-        real_step(scenario, t, s), track_speeds=(-1e-9,) * 3))
-    with pytest.raises(MaxTimeExceeded) as err:
-        run(make_four_section_scenario(max_time_s=0.5))
-    records = err.value.records
-    assert len(records) == 50 and len(records.values) == 1
-    assert records.s[0] == 0.0 and np.all(np.diff(records.s) < 0)
+
+    def sliding_step(scenario, t, s):
+        return replace(real_step(scenario, t, s), track_speeds=(-1e-9,) * 3)
+
+    monkeypatch.setattr(simulator, "step", sliding_step)
+    monkeypatch.setattr(oracles, "step", sliding_step)
+    scenario = make_four_section_scenario(max_time_s=0.5)
+    assert _check_against_stepping(scenario, tmp_path) is OutOfRange
 
 
 def test_a_robot_that_slides_back_across_a_boundary_is_out_of_range(monkeypatch):
