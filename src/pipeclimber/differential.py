@@ -219,7 +219,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
 
     speeds = (inv0(tau), inv1(tau), inv2(tau))
     mean_residual = sum(speeds) / 3.0 - target
-    if abs(mean_residual) > SOLVE_TOL * max(1.0, abs(target)):
+    if not abs(mean_residual) <= SOLVE_TOL * max(1.0, abs(target)):  # NaN fails too
         raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")
     return TorqueBalance(output_speeds=speeds, common_torque=tau, iterations=iterations)
 
@@ -260,7 +260,7 @@ def internal_state(
         raise ValueError(f"expected 3 output speeds, got {len(speeds)}")
     target = config.overall_ratio * input_speed
     mean = sum(speeds) / 3.0
-    if abs(mean - target) > AVERAGING_TOL * max(1.0, abs(target)):
+    if not abs(mean - target) <= AVERAGING_TOL * max(1.0, abs(target)):  # NaN fails too
         raise InconsistentOutputs(f"mean output speed {mean} != {target} required by the "
                                   "averaging law")
 

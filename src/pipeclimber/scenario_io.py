@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from .differential import TransmissionConfig
 from .dimensions import pipe_inner_radius
@@ -295,5 +294,6 @@ def emit_records(records: Records, fmt: str, path) -> None:
 
 
 def summary_to_dict(summary) -> dict:
-    """Plain-dict view of a SimSummary for JSON output."""
-    return asdict(summary)
+    """Plain-dict view of a SimSummary for JSON output: ``dataclasses.asdict``'s
+    value, without its deep copy of every field."""
+    return dict(vars(summary), segments=tuple(dict(vars(seg)) for seg in summary.segments))

@@ -12,10 +12,10 @@ arc length ``s`` and decides when the run ends, while ``step`` only solves
 the equilibrium at a given ``t`` and ``s``.  Both read segment curvatures,
 not frames: the equilibrium depends only on the centre's, the compression
 and tilt limits only on whether the centre, front and rear are in bends.
-So ``run`` solves once per distinct centre curvature, and a row where the
-body's front or rear crosses a boundary only repeats the tilt check.  A
-cumulative sum fills each segment's ``t`` and ``s``, so the physics costs per
-segment and each row a few array elements.
+So ``run`` solves once per distinct centre curvature, and one pass over
+its rows, in order, checks the tilt where the segment under the body's
+front or rear changes.  A cumulative sum fills each segment's ``t`` and
+``s``, so the physics costs per segment and each row a few array elements.
 
 Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and the
 record of each centre segment visited once, with the row where the centre
@@ -225,10 +225,11 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     index = segment_at(network, s)
     curvature = network.curvatures[index]
     checks = _Checks(scenario)
+    half = robot.length_mm / 2.0
 
     required = required_track_speeds(curvature, scenario.center_speed_mm_s, robot)
     compressions = checks.compression(curvature)
-    checks.tilt(*_end_segments(scenario, s))
+    checks.tilt(segment_at(network, s + half), segment_at(network, s - half))
 
     required = tuple(float(v) for v in required)
     loads = [LinearLoad(scenario.slip_stiffness, robot.sprocket_radius_mm, v) for v in required]
@@ -247,22 +248,17 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     )
 
 
-def _end_segments(scenario: Scenario, s: float) -> tuple[int, int]:
-    """Segments under the body's front and rear.  Clamping an end to the
-    network would not change its segment."""
-    half = scenario.robot.length_mm / 2.0
-    return segment_at(scenario.network, s + half), segment_at(scenario.network, s - half)
-
-
 class _Checks:
     """A scenario's compression and tilt limits, checked once per segment
     kind (bend or straight) and once per pair of kinds under the body's
-    front and rear: they depend on nothing else, and raise on first check."""
+    front and rear: they depend on nothing else, and raise on first check.
+    ``rows`` is one ordered pass over a run's rows, carried across calls."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.compressions = {}  # is a bend -> module compressions there
         self.tilts = set()  # (front, rear) is a bend, within the tilt limit
+        self.ends = None  # (front, rear) segment of the last row ``rows`` saw
 
     def compression(self, curvature: float) -> np.ndarray:
         bend = curvature != 0.0
@@ -280,6 +276,19 @@ class _Checks:
                           self.compression(curvatures[rear]), self.scenario.robot)
             self.tilts.add(kinds)
 
+    def rows(self, s: np.ndarray) -> None:
+        """Check the tilt, in row order, on each row of the centre column
+        ``s`` whose front or rear segment differs from the row before; the
+        first row is compared with the last row of the previous call."""
+        network, half = self.scenario.network, self.scenario.robot.length_mm / 2.0
+        front, rear = segment_at(network, s + half), segment_at(network, s - half)
+        changes = np.flatnonzero((front[1:] != front[:-1]) | (rear[1:] != rear[:-1])) + 1
+        for ends in [(int(front[0]), int(rear[0])),
+                     *zip(front[changes].tolist(), rear[changes].tolist())]:
+            if ends != self.ends:
+                self.tilt(*ends)
+                self.ends = ends
+
 
 def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
     """``start`` and ``count`` repeated additions of ``increment``.  The sum
@@ -289,29 +298,19 @@ def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
     return np.cumsum(column, out=column)
 
 
-def _crossings(network: PipeNetwork, s: np.ndarray, half: float):
-    """(front segment, rear segment) for each row of the centre column ``s``,
-    past the first, where the segment under the body's front or rear differs
-    from the row before."""
-    front, rear = segment_at(network, s + half), segment_at(network, s - half)
-    rows = np.flatnonzero((front[1:] != front[:-1]) | (rear[1:] != rear[:-1])) + 1
-    return zip(front[rows].tolist(), rear[rows].tolist())
-
-
 def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     """Run until the network ends; MaxTimeExceeded carries partial results.
 
     ``step`` solves the first centre segment of each curvature; a later
-    one reuses that record and repeats ``step``'s tilt check, as does a row
-    where the body's front or rear crosses a boundary.  Each row advances
-    ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed.
+    one reuses that record.  One ordered pass over the rows checks the tilt
+    where the segment under the body's front or rear changes.  Each row
+    advances ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed.
     Where the centre leaves its segment, the run checks the float range,
     then the time budget, then the network end, then the network start.
     """
     network = scenario.network
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
     bounds = network.segment_ends
-    half = scenario.robot.length_mm / 2.0
     checks = _Checks(scenario)
     solved = {}  # centre curvature -> the record ``step`` solved there
     t_columns, s_columns, values, run_ends = [], [], [], []
@@ -338,7 +337,6 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
         index = segment_at(network, s)
         curvature = network.curvatures[index]
         if curvature in solved:
-            checks.tilt(*_end_segments(scenario, s))
             record = replace(solved[curvature], t=t, s=s, segment_index=index)
         else:
             record = solved[curvature] = step(scenario, t, s)
@@ -355,14 +353,12 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             to_end = (high - s) / ds if ds > 0 else math.inf
             count = int(min(to_end, (limit - t) / dt, MAX_STEPS)) + 2
             t_rows, s_rows = _accumulate(t, dt, count), _accumulate(s, ds, count)
-            # Row 0 is (t, s), already checked.  The run leaves this segment
-            # at the first row over budget or with the centre elsewhere.
+            # The run leaves this segment at the first row over budget or
+            # with the centre elsewhere; row 0, (t, s), is neither.
             keep = (t_rows < limit) & (s_rows < high) & (s_rows >= low)
             stays = bool(keep.all())
             k = count if stays else int(np.argmin(keep))
-            # Every kept row is checked, row ``count`` too when the fill extends.
-            for front, rear in _crossings(network, s_rows[:count + 1 if stays else k], half):
-                checks.tilt(front, rear)
+            checks.rows(s_rows[:k])
             t_columns.append(t_rows[:k])
             s_columns.append(s_rows[:k])
             rows += k

@@ -132,6 +132,20 @@ def test_run_whose_arc_length_overflows_exits_2(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_run_whose_solve_overflows_exits_2(tmp_path, capsys):
+    # Each factor of the slip loads is finite and passes validation, but
+    # their torques overflow, and the solve rejects its NaN residual.
+    doc = json.loads((SCENARIOS / "four_section.json").read_text())
+    doc["sim"]["slip_stiffness"] = 1e308
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: bisection stalled with mean-speed residual nan\n"
+    assert not (out / "summary.json").exists()
+
+
 def test_non_finite_summary_exits_2_without_writing(straight_scenario, tmp_path, monkeypatch,
                                                     capsys):
     monkeypatch.setattr(cli, "summary_to_dict", lambda summary: {"final_s": math.inf})

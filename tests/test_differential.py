@@ -140,9 +140,14 @@ class _BrokenLoad:
         return 1e12
 
 
-def test_unbracketable_root_raises():
+@pytest.mark.parametrize("input_speed, loads", [
+    (1.0, [_BrokenLoad()] * 3),
+    # The residual overflows to NaN, which no tolerance may accept.
+    (2.5, [LinearLoad(1e308, 20.0, v) for v in (58.0, 46.0, 46.0)]),
+])
+def test_unbracketable_root_raises(input_speed, loads):
     with pytest.raises(NoBracket):
-        solve_torque_balance(1.0, [_BrokenLoad()] * 3, UNIT)
+        solve_torque_balance(input_speed, loads, UNIT)
 
 
 def test_bad_arguments_rejected():
@@ -430,9 +435,13 @@ def test_internal_state_is_the_orthogonal_minimum_norm_solution():
         assert abs(np.dot(sides, CIRCULATION)) <= 1e-12 * scale
 
 
-def test_internal_state_rejects_inconsistent_outputs():
+@pytest.mark.parametrize("outputs, input_speed", [
+    ((12.0, 10.0, 9.0), 10.0),
+    ((math.nan,) * 3, 1.0),
+])
+def test_internal_state_rejects_inconsistent_outputs(outputs, input_speed):
     with pytest.raises(InconsistentOutputs):
-        internal_state((12.0, 10.0, 9.0), 10.0, UNIT)
+        internal_state(outputs, input_speed, UNIT)
 
 
 # --- power balance ---------------------------------------------------------------

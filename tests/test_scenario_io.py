@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -284,6 +285,16 @@ def test_every_document_runs_or_fails_typed_within_its_budget(segments, dt_s, ma
 
 def _reject_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("max_time_s", [60.0, 20.0])
+def test_summary_to_dict_equals_asdict(max_time_s):
+    # A complete run, and one the time budget cuts short in its third segment.
+    try:
+        _, summary = run(make_four_section_scenario(max_time_s=max_time_s))
+    except MaxTimeExceeded as exc:
+        summary = exc.summary
+    assert summary_to_dict(summary) == dataclasses.asdict(summary)
 
 
 def test_malformed_json_reports_the_line(tmp_path):

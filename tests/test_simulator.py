@@ -374,8 +374,11 @@ def test_run_matches_stepping_when_the_robot_barely_moves(tmp_path, input_speed)
     # The front leaves the bend 10 mm before the centre does.
     ([Bend(300.0, 30.0), Straight(400.0)], 300.0 * math.radians(30.0) - 10.0),
 ])
-def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segments,
-                                                                 tilt_at_mm):
+# Fills cut short by MAX_STEPS put the tilting row first in a fill at some size.
+@pytest.mark.parametrize("max_steps", [simulator.MAX_STEPS, *range(1, 9)])
+def test_a_tilt_met_between_solves_raises_within_the_time_budget(monkeypatch, tmp_path,
+                                                                 segments, tilt_at_mm,
+                                                                 max_steps):
     # A 20 mm body with one end 10 mm deeper into a bend tilts past its
     # limit; the time budget runs out before the centre's next segment.
     scenario = make_four_section_scenario(
@@ -385,6 +388,7 @@ def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segme
         max_time_s=tilt_at_mm / 50.0 + 0.1,
     )
     scenario.validate()
+    monkeypatch.setattr(simulator, "MAX_STEPS", max_steps)
     assert _check_against_stepping(scenario, tmp_path) is AsymmetryLimit
 
 
