@@ -17,9 +17,7 @@ from .differential import (
     balance_state,
     internal_state,
     power_balance,
-    solve_free,
     solve_torque_balance,
-    torque_distribution,
 )
 from .dimensions import pipe_dimensions, pipe_inner_diameter, pipe_inner_radius
 from .errors import (

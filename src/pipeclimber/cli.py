@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: run a scenario, sweep it over module orientations, validate a
-scenario file, look up pipe dimensions.  Exit codes: 0 success, 1 scenario
-parse/validation problem, 2 simulation limit or solver failure, 3 I/O
-failure.
+scenario file, look up pipe dimensions.  Exit codes: 0 success, 1 usage
+error or scenario parse/validation problem, 2 simulation limit or solver
+failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -113,6 +114,7 @@ def _cmd_dims(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one argparse tree per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pipeclimb",
@@ -145,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error, or the help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

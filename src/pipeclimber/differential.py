@@ -118,20 +118,6 @@ class TorqueBalance:
     iterations: int
 
 
-def solve_free(input_speed: float, config: TransmissionConfig) -> TransmissionState:
-    """State of the unloaded train: all outputs at the overall-ratio speed."""
-    ring = config.ring_ratio * input_speed
-    out = config.overall_ratio * input_speed
-    return TransmissionState(
-        input_speed=input_speed,
-        input_torque=0.0,
-        ring_speeds=(ring, ring, ring),
-        side_speeds=(ring,) * 6,
-        output_speeds=(out, out, out),
-        output_torques=(0.0, 0.0, 0.0),
-    )
-
-
 def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) -> TorqueBalance:
     """Equilibrium of the train against three monotone load curves.
 
@@ -222,17 +208,6 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     if not abs(mean_residual) <= SOLVE_TOL * max(1.0, abs(target)):  # NaN fails too
         raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")
     return TorqueBalance(output_speeds=speeds, common_torque=tau, iterations=iterations)
-
-
-def torque_distribution(input_torque: float, config: TransmissionConfig) -> tuple[float, float, float]:
-    """Equal three-way torque split seen at the outputs.
-
-    Each output carries efficiency * input_torque / (3 * ring_ratio *
-    output_ratio): torque transforms inversely to speed through both gear
-    stages, which is the unique split that conserves power at equal speeds.
-    """
-    tau = config.efficiency * input_torque / (3.0 * config.overall_ratio)
-    return (tau, tau, tau)
 
 
 def input_torque_for(common_torque: float, config: TransmissionConfig) -> float:

@@ -2,6 +2,8 @@
 
 A network is an ordered chain of straight runs and circular bends, each
 continuing tangentially from the previous one.  All lengths are in mm.
+A network keeps scalar facts only, each segment's end arc length and
+curvature; ``pose_at`` derives 3-D frames on demand.
 
 Every network enters at the origin pointing up (+z).  Bend convention: a
 persistent reference normal (unit vector perpendicular to the tangent) is
@@ -55,6 +57,7 @@ class CenterlinePose:
 
     ``bend_outward`` points from the bend center to the centerline and is
     None on straights; ``curvature`` is 0 there and 1/R inside bends (1/mm).
+    Each ``pose_at`` call builds fresh arrays, so a caller may modify them.
     """
 
     position: np.ndarray
@@ -64,27 +67,13 @@ class CenterlinePose:
     segment_index: int
 
 
-@dataclass(frozen=True)
-class _Placement:
-    """Precomputed entry frame of one segment along the chain."""
-
-    segment: Straight | Bend
-    s_start: float
-    s_end: float
-    entry_point: np.ndarray
-    entry_tangent: np.ndarray
-    outward: np.ndarray | None  # bend outward direction at entry
-    center: np.ndarray | None  # bend arc center
-
-
 @dataclass(frozen=True, eq=False)
 class PipeNetwork:
-    """Immutable pipe network with an arc-length parameterized centerline."""
+    """Immutable pipe network: segments and per-segment scalars, no frames."""
 
     segments: tuple
     inner_radius: float
     cumulative_lengths: tuple
-    placements: tuple = field(repr=False)
     # cumulative_lengths as a read-only float64 array, for segment_at's lookups
     segment_ends: np.ndarray = field(repr=False, compare=False)
     # per segment: 0.0 on a straight, 1.0 / bend_radius on a bend (1/mm)
@@ -120,51 +109,29 @@ def _check_segment(index: int, seg, inner_radius: float) -> None:
 def build_network(segments, inner_radius: float) -> PipeNetwork:
     """Chain segments tangentially into a network.
 
-    The entry sits at the origin pointing up (+z), a vertical first run,
-    with world-x as the first bend reference.  Raises EmptyNetwork /
-    BadSegment / ValidationError on bad input.
+    Raises EmptyNetwork / BadSegment / ValidationError on bad input, and
+    BadSegment where the arc length or the extent (straight lengths plus
+    bend diameters) leaves the float range.  Every frame ``pose_at`` derives
+    lies within the extent: a bend's centre is R, its exit at most 2R, from
+    its entry.
     """
     segments = tuple(segments)
     if not segments:
         raise EmptyNetwork("network needs at least one segment")
     require(0.0 < inner_radius < math.inf, "inner_radius", inner_radius, "> 0 and finite")
 
-    # Fresh arrays per network: pose_at hands placement arrays to callers.
-    point = np.zeros(3)
-    tangent = np.array([0.0, 0.0, 1.0])
-    reference = np.array([1.0, 0.0, 0.0])
-
-    placements = []
     boundaries = []
-    s = 0.0
-    with np.errstate(over="ignore"):  # a network past the float range fails below
-        for index, seg in enumerate(segments):
-            _check_segment(index, seg, inner_radius)
-            if isinstance(seg, Straight):
-                placements.append(
-                    _Placement(seg, s, s + seg.length, point, tangent, None, None)
-                )
-                point = point + seg.length * tangent
-                s += seg.length
-            else:
-                roll = math.radians(seg.bend_plane_roll)
-                binormal = np.cross(tangent, reference)
-                outward = math.cos(roll) * reference + math.sin(roll) * binormal
-                center = point - seg.bend_radius * outward
-                placements.append(
-                    _Placement(seg, s, s + seg.arc_length, point, tangent, outward, center)
-                )
-                sweep = math.radians(seg.sweep_angle)
-                exit_outward = outward * math.cos(sweep) + tangent * math.sin(sweep)
-                tangent = _unit(tangent * math.cos(sweep) - outward * math.sin(sweep))
-                point = center + seg.bend_radius * exit_outward
-                reference = exit_outward
-                s += seg.arc_length
-            if not (s < math.inf and np.isfinite(point).all()):
-                field = "length" if isinstance(seg, Straight) else "bend_radius"
-                raise BadSegment(f"must keep the network within the float range, got "
-                                 f"{getattr(seg, field)}", index, field)
-            boundaries.append(s)
+    s = extent = 0.0
+    for index, seg in enumerate(segments):
+        _check_segment(index, seg, inner_radius)
+        straight = isinstance(seg, Straight)
+        s += seg.length if straight else seg.arc_length
+        extent += seg.length if straight else 2.0 * seg.bend_radius
+        if not (s < math.inf and extent < math.inf):
+            field = "length" if straight else "bend_radius"
+            raise BadSegment(f"must keep the network within the float range, got "
+                             f"{getattr(seg, field)}", index, field)
+        boundaries.append(s)
 
     ends = np.array(boundaries, dtype=np.float64)
     ends.setflags(write=False)
@@ -172,7 +139,6 @@ def build_network(segments, inner_radius: float) -> PipeNetwork:
         segments=segments,
         inner_radius=inner_radius,
         cumulative_lengths=tuple(boundaries),
-        placements=tuple(placements),
         segment_ends=ends,
         curvatures=tuple(1.0 / seg.bend_radius if isinstance(seg, Bend) else 0.0
                          for seg in segments),
@@ -189,32 +155,44 @@ def segment_at(network: PipeNetwork, s):
     return np.minimum(index, last) if isinstance(s, np.ndarray) else min(int(index), last)
 
 
+def _bend_entry(bend: Bend, point: np.ndarray, tangent: np.ndarray,
+                reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A bend's outward direction at entry and its arc center."""
+    roll = math.radians(bend.bend_plane_roll)
+    binormal = np.cross(tangent, reference)
+    outward = math.cos(roll) * reference + math.sin(roll) * binormal
+    return outward, point - bend.bend_radius * outward
+
+
 def pose_at(network: PipeNetwork, s: float) -> CenterlinePose:
-    """Exact analytic centerline pose at arc length ``s`` (mm)."""
+    """Exact analytic centerline pose at arc length ``s`` (mm), chaining
+    the entry frames from the network entry to the segment holding ``s``."""
     total = network.total_length
     if not 0.0 <= s <= total:
         raise OutOfRange(f"arc length {s} outside [0, {total}]")
     index = segment_at(network, s)
-    placement = network.placements[index]
-    seg = placement.segment
-    local = s - placement.s_start
+    point = np.zeros(3)
+    tangent = np.array([0.0, 0.0, 1.0])
+    reference = np.array([1.0, 0.0, 0.0])
+    for seg in network.segments[:index]:
+        if isinstance(seg, Straight):
+            point = point + seg.length * tangent
+            continue
+        outward, center = _bend_entry(seg, point, tangent, reference)
+        sweep = math.radians(seg.sweep_angle)
+        reference = outward * math.cos(sweep) + tangent * math.sin(sweep)  # outward at exit
+        tangent = _unit(tangent * math.cos(sweep) - outward * math.sin(sweep))
+        point = center + seg.bend_radius * reference
 
+    seg = network.segments[index]
+    local = s - (network.cumulative_lengths[index - 1] if index else 0.0)
     if isinstance(seg, Straight):
-        return CenterlinePose(
-            position=placement.entry_point + local * placement.entry_tangent,
-            tangent=placement.entry_tangent,
-            bend_outward=None,
-            curvature=network.curvatures[index],
-            segment_index=index,
-        )
-
-    angle = local / seg.bend_radius
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
-    outward = placement.outward * cos_a + placement.entry_tangent * sin_a
-    return CenterlinePose(
-        position=placement.center + seg.bend_radius * outward,
-        tangent=placement.entry_tangent * cos_a - placement.outward * sin_a,
-        bend_outward=outward,
-        curvature=network.curvatures[index],
-        segment_index=index,
-    )
+        position, bend_outward = point + local * tangent, None
+    else:
+        outward, center = _bend_entry(seg, point, tangent, reference)
+        angle = local / seg.bend_radius
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        bend_outward = outward * cos_a + tangent * sin_a
+        position = center + seg.bend_radius * bend_outward
+        tangent = tangent * cos_a - outward * sin_a
+    return CenterlinePose(position, tangent, bend_outward, network.curvatures[index], index)

@@ -86,7 +86,8 @@ class Scenario:
         require(0.0 < speed < math.inf, culprit, factors[culprit],
                 f"such that the centerline speed ({speed} mm/s) is > 0 and finite")
         # A bend's tracks run at speed * (R + h cos q) / R: keep the fastest
-        # finite and the slowest, an APE reference, > 0.  ``run`` rejects R <= h.
+        # finite, the slowest, an APE reference, > 0 and the slip torque of the
+        # widest mismatch, speed * h / R, finite.  ``run`` rejects R <= h.
         h = self.robot.contact_radius_mm
         for index, seg in enumerate(self.network.segments):
             if not isinstance(seg, Bend):
@@ -97,6 +98,10 @@ class Scenario:
             slowest = speed * (seg.bend_radius - h) / seg.bend_radius
             require(seg.bend_radius <= h or slowest > 0.0, culprit, factors[culprit],
                     f"such that every bend track speed (down to {slowest} mm/s) is > 0")
+            mismatch = speed * h / seg.bend_radius
+            require(self.slip_stiffness * mismatch < math.inf, "slip_stiffness",
+                    self.slip_stiffness,
+                    f"such that the slip torque of a {mismatch} mm/s speed mismatch is finite")
 
     @property
     def center_speed_mm_s(self) -> float:

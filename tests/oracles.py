@@ -225,12 +225,13 @@ def contact_path_speeds(scenario, segment_index, samples=200):
     speed times its path length over the centerline's, both measured as
     polylines through the same frames.
     """
-    placement = scenario.network.placements[segment_index]
+    boundaries = (0.0, *scenario.network.cumulative_lengths)
+    s_start, s_end = boundaries[segment_index], boundaries[segment_index + 1]
     h = scenario.robot.contact_radius_mm
     angles = np.radians(scenario.robot.module_angles_deg)
     points = []
     # Stay inside the bend: its end arc length opens the next segment.
-    ends = (placement.s_start, np.nextafter(placement.s_end, placement.s_start))
+    ends = (s_start, np.nextafter(s_end, s_start))
     for s in np.linspace(*ends, samples + 1):
         pose = pose_at(scenario.network, float(s))
         side = np.cross(pose.tangent, pose.bend_outward)

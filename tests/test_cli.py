@@ -4,11 +4,14 @@ from pathlib import Path
 
 import pytest
 
+import golden_corpus
 from pipeclimber import cli
 from pipeclimber.cli import main
 from pipeclimber.scenario_io import CSV_COLUMNS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+GOLDEN = json.loads(golden_corpus.GOLDEN.read_text())
+CORPUS = golden_corpus.documents()
 
 
 @pytest.fixture
@@ -132,18 +135,19 @@ def test_run_whose_arc_length_overflows_exits_2(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-def test_run_whose_solve_overflows_exits_2(tmp_path, capsys):
-    # Each factor of the slip loads is finite and passes validation, but
-    # their torques overflow, and the solve rejects its NaN residual.
+def test_slip_torques_that_overflow_exit_1_at_parse(tmp_path, capsys):
+    # Each factor of the slip loads is finite, but 1e308 times the widest
+    # bend speed mismatch, 50 mm/s * 50 mm / 300 mm, overflows.
     doc = json.loads((SCENARIOS / "four_section.json").read_text())
     doc["sim"]["slip_stiffness"] = 1e308
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["validate", str(path)]) == 0
-    assert main(["run", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: bisection stalled with mean-speed residual nan\n"
-    assert not (out / "summary.json").exists()
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sim.slip_stiffness: must be such that the slip torque of a "
+        "8.333333333333334 mm/s speed mismatch is finite, got 1e+308\n")
+    assert not out.exists()
 
 
 def test_non_finite_summary_exits_2_without_writing(straight_scenario, tmp_path, monkeypatch,
@@ -214,6 +218,18 @@ def test_bend_track_speed_that_underflows_exits_1_at_parse(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["run", str(SCENARIOS / "four_section.json"), "--format", "xml"], 1),
+    (["simulate", str(SCENARIOS / "four_section.json")], 1),
+    (["sweep", str(SCENARIOS / "four_section.json")], 1),  # --theta is required
+    (["--help"], 0),
+])
+def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.err if code else captured.out).startswith("usage: pipeclimb")
+
+
 def test_dims_lookup(capsys):
     assert main(["dims", "6", "40"]) == 0
     assert "77.0" in capsys.readouterr().out
@@ -222,3 +238,8 @@ def test_dims_lookup(capsys):
 def test_dims_unknown_exits_1(capsys):
     assert main(["dims", "11", "40"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_outputs_match_their_recorded_digests(name, tmp_path):
+    assert golden_corpus.digests(CORPUS[name], name, tmp_path) == GOLDEN[name]

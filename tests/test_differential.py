@@ -14,9 +14,7 @@ from pipeclimber import (
     balance_state,
     internal_state,
     power_balance,
-    solve_free,
     solve_torque_balance,
-    torque_distribution,
 )
 from pipeclimber.differential import MAX_BISECTIONS, SOLVE_TOL
 from oracles import (
@@ -54,38 +52,6 @@ def triple_approx(actual, expected, tol=1e-9):
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         TransmissionConfig(**kwargs)
-
-
-# --- free (no-load) solve -----------------------------------------------------
-
-def test_free_unit_ratios():
-    state = solve_free(10.0, UNIT)
-    assert state.output_speeds == (10.0, 10.0, 10.0)
-    assert state.ring_speeds == (10.0, 10.0, 10.0)
-    assert state.side_speeds == (10.0,) * 6
-
-
-def test_free_zero_input():
-    state = solve_free(0.0, TransmissionConfig(ring_ratio=0.7, output_ratio=2.0))
-    assert state.output_speeds == (0.0, 0.0, 0.0)
-
-
-def test_free_compound_ratio():
-    state = solve_free(10.0, TransmissionConfig(ring_ratio=0.5, output_ratio=2.0))
-    triple_approx(state.output_speeds, (10.0, 10.0, 10.0))
-
-
-def test_free_state_satisfies_invariants():
-    config = TransmissionConfig(ring_ratio=1.4, output_ratio=0.6)
-    state = solve_free(5.0, config)
-    ring = 1.4 * 5.0
-    assert all(abs(r - ring) < 1e-12 for r in state.ring_speeds)
-    left = state.side_speeds[0::2]
-    right = state.side_speeds[1::2]
-    for i in range(3):
-        assert abs(left[i] + right[i] - 2.0 * ring) < 1e-12
-    mean = sum(state.output_speeds) / 3.0
-    assert abs(mean - config.overall_ratio * 5.0) < 1e-12
 
 
 # --- torque balance: frozen examples ------------------------------------------
@@ -348,38 +314,6 @@ def test_secant_step_leaves_few_bisections():
     assert np.mean(iterations) <= 12
 
 
-# --- torque distribution -------------------------------------------------------
-
-def test_torque_split_unit_ratios():
-    assert torque_distribution(3.0, UNIT) == (1.0, 1.0, 1.0)
-
-
-def test_torque_split_zero_input():
-    assert torque_distribution(0.0, TransmissionConfig(2.0, 3.0)) == (0.0, 0.0, 0.0)
-
-
-def test_torque_split_efficiency():
-    triple_approx(
-        torque_distribution(3.0, TransmissionConfig(efficiency=0.9)),
-        (0.9, 0.9, 0.9),
-        tol=1e-12,
-    )
-
-
-@given(
-    torque=st.floats(-50.0, 50.0),
-    speed=st.floats(-20.0, 20.0),
-    config=configs,
-)
-@settings(max_examples=200)
-def test_torque_split_conserves_power_at_equal_speeds(torque, speed, config):
-    outputs = torque_distribution(torque, config)
-    out_speed = config.overall_ratio * speed
-    p_out = sum(t * out_speed for t in outputs)
-    p_in = config.efficiency * torque * speed
-    assert abs(p_out - p_in) <= 1e-9 * max(1.0, abs(p_in))
-
-
 # --- internal side-gear state ---------------------------------------------------
 
 def test_internal_state_uniform():
@@ -446,18 +380,12 @@ def test_internal_state_rejects_inconsistent_outputs(outputs, input_speed):
 
 # --- power balance ---------------------------------------------------------------
 
-def test_power_balance_free_state_is_lossless():
-    state = solve_free(7.0, UNIT)
-    assert power_balance(state, UNIT) == 0.0
-
-
 @given(loads=load_triples(), input_speed=st.floats(-20.0, 20.0), config=configs)
 @settings(max_examples=200, deadline=None)
 def test_power_balances_at_equilibrium(loads, input_speed, config):
-    lossless = TransmissionConfig(config.ring_ratio, config.output_ratio, 1.0)
-    state = balance_state(input_speed, list(loads), lossless)
+    state = balance_state(input_speed, list(loads), config)
     p_in = state.input_speed * state.input_torque
-    assert abs(power_balance(state, lossless)) <= 1e-9 * max(1.0, abs(p_in))
+    assert abs(power_balance(state, config)) <= 1e-9 * max(1.0, abs(p_in))
 
 
 def test_balance_state_is_fully_consistent():

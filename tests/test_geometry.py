@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipeclimber import (
     BadSegment,
@@ -77,12 +79,42 @@ def test_bad_segments_rejected_with_index(segment):
         ([Straight(100.0), Straight(1e308), Bend(1e308, 180.0)], "bend_radius"),  # arc length inf
         # a short arc whose centre lies past the float range
         ([Straight(1e308), Bend(100.0, 90.0), Bend(1e308, 1e-10, 180.0)], "bend_radius"),
+        # short arcs whose diameters leave the float range
+        ([Straight(100.0), Straight(100.0), Bend(1e308, 1e-10)], "bend_radius"),
+        ([Straight(100.0), Bend(6e307, 1e-10), Bend(6e307, 1e-10)], "bend_radius"),
     ],
 )
 def test_networks_past_the_float_range_rejected(segments, field):
     with pytest.raises(BadSegment) as err:
         build_network(segments, inner_radius=77.0)
     assert (err.value.index, err.value.field) == (2, field)
+
+
+huge_segments = st.lists(
+    st.one_of(
+        st.builds(Straight, st.floats(1e-3, 1e308)),
+        st.builds(Bend, st.floats(78.0, 1e308), st.floats(1e-10, 180.0), st.floats(-360.0, 360.0)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(segments=huge_segments)
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_network_has_finite_frames(segments):
+    # Lengths and radii up to 1e308: a network whose extent stays finite
+    # keeps every frame finite, with no overflow warning on the way.
+    try:
+        net = build_network(segments, inner_radius=77.0)
+    except BadSegment:
+        return
+    for boundary in (0.0, *net.cumulative_lengths):
+        for s in (boundary, float(np.nextafter(boundary, 0.0))):
+            pose = pose_at(net, s)
+            frame = (pose.position, pose.tangent,
+                     np.zeros(3) if pose.bend_outward is None else pose.bend_outward)
+            assert np.isfinite(frame).all(), (s, pose)
 
 
 def test_pose_on_straight_midpoint():
