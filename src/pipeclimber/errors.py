@@ -31,11 +31,12 @@ class ValidationError(ConfigError, ValueError):
 
     ``path`` names the offending value: a dataclass field name when a
     validator raises, the document key path once the scenario parser has
-    re-raised it.
+    re-raised it; the empty path, the document itself, is left out of the
+    message.
     """
 
     def __init__(self, reason, path=None):
-        super().__init__(reason if path is None else f"{path}: {reason}")
+        super().__init__(f"{path}: {reason}" if path else reason)
         self.reason = reason
         self.path = path
 

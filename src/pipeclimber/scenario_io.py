@@ -191,6 +191,9 @@ def parse_scenario(path) -> Scenario:
             text = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read scenario {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"malformed scenario {path}: not UTF-8: {exc.reason} at byte "
+                         f"{exc.start}", line=exc.object.count(b"\n", 0, exc.start) + 1) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -12,10 +12,11 @@ arc length ``s`` and decides when the run ends, while ``step`` only solves
 the equilibrium at a given ``t`` and ``s``.  Both read segment curvatures,
 not frames: the equilibrium depends only on the centre's, the compression
 and tilt limits only on whether the centre, front and rear are in bends.
-So ``run`` solves once per distinct centre curvature, and one pass over
-its rows, in order, checks the tilt where the segment under the body's
-front or rear changes.  A cumulative sum fills each segment's ``t`` and
-``s``, so the physics costs per segment and each row a few array elements.
+So ``run`` solves once per distinct centre curvature and tries the limits
+once for each of the four (front, rear) pairs of kinds; only a pair that
+fails sends it to look up the body's ends on each row, and the first such
+row raises.  A cumulative sum fills each segment's ``t`` and ``s``, so the
+physics costs per segment and each row a few array elements.
 
 Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and the
 record of each centre segment visited once, with the row where the centre
@@ -38,7 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
-from .errors import BadSegment, EmptySweep, MaxTimeExceeded, SimulationError
+from .errors import AsymmetryLimit, BadSegment, CompressionLimit, EmptySweep, MaxTimeExceeded
+from .errors import SimulationError
 from .errors import require, require_positive
 from .geometry import Bend, PipeNetwork, pose_at, segment_at
 from .robot import RobotParams, asymmetry_deg, required_track_speeds, spring_compression
@@ -229,12 +231,12 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
         pose_at(network, s)  # raises OutOfRange
     index = segment_at(network, s)
     curvature = network.curvatures[index]
-    checks = _Checks(scenario)
     half = robot.length_mm / 2.0
 
     required = required_track_speeds(curvature, scenario.center_speed_mm_s, robot)
-    compressions = checks.compression(curvature)
-    checks.tilt(segment_at(network, s + half), segment_at(network, s - half))
+    compressions = spring_compression(curvature, robot, scenario.bend_extra_compression_mm)
+    _check_ends(scenario, network.curvatures[segment_at(network, s + half)],
+                network.curvatures[segment_at(network, s - half)])
 
     required = tuple(float(v) for v in required)
     loads = [LinearLoad(scenario.slip_stiffness, robot.sprocket_radius_mm, v) for v in required]
@@ -253,46 +255,13 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     )
 
 
-class _Checks:
-    """A scenario's compression and tilt limits, checked once per segment
-    kind (bend or straight) and once per pair of kinds under the body's
-    front and rear: they depend on nothing else, and raise on first check.
-    ``rows`` is one ordered pass over a run's rows, carried across calls."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.compressions = {}  # is a bend -> module compressions there
-        self.tilts = set()  # (front, rear) is a bend, within the tilt limit
-        self.ends = None  # (front, rear) segment of the last row ``rows`` saw
-
-    def compression(self, curvature: float) -> np.ndarray:
-        bend = curvature != 0.0
-        if bend not in self.compressions:
-            self.compressions[bend] = spring_compression(
-                curvature, self.scenario.robot, self.scenario.bend_extra_compression_mm)
-        return self.compressions[bend]
-
-    def tilt(self, front: int, rear: int) -> None:
-        """Check the tilt with the body's front and rear on these segments."""
-        curvatures = self.scenario.network.curvatures
-        kinds = (curvatures[front] != 0.0, curvatures[rear] != 0.0)
-        if kinds not in self.tilts:
-            asymmetry_deg(self.compression(curvatures[front]),
-                          self.compression(curvatures[rear]), self.scenario.robot)
-            self.tilts.add(kinds)
-
-    def rows(self, s: np.ndarray) -> None:
-        """Check the tilt, in row order, on each row of the centre column
-        ``s`` whose front or rear segment differs from the row before; the
-        first row is compared with the last row of the previous call."""
-        network, half = self.scenario.network, self.scenario.robot.length_mm / 2.0
-        front, rear = segment_at(network, s + half), segment_at(network, s - half)
-        changes = np.flatnonzero((front[1:] != front[:-1]) | (rear[1:] != rear[:-1])) + 1
-        for ends in [(int(front[0]), int(rear[0])),
-                     *zip(front[changes].tolist(), rear[changes].tolist())]:
-            if ends != self.ends:
-                self.tilt(*ends)
-                self.ends = ends
+def _check_ends(scenario: Scenario, front: float, rear: float) -> None:
+    """Check the compression under the body's front and rear, at curvatures
+    ``front`` and ``rear``, then the tilt between them.  Only whether each
+    is a bend matters."""
+    robot, extra = scenario.robot, scenario.bend_extra_compression_mm
+    asymmetry_deg(spring_compression(front, robot, extra),
+                  spring_compression(rear, robot, extra), robot)
 
 
 def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
@@ -306,17 +275,28 @@ def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
 def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     """Run until the network ends; MaxTimeExceeded carries partial results.
 
-    ``step`` solves the first centre segment of each curvature; a later
-    one reuses that record.  One ordered pass over the rows checks the tilt
-    where the segment under the body's front or rear changes.  Each row
-    advances ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed.
+    ``step`` solves, and checks the limits on, the first row of each
+    centre curvature; a later segment reuses that record.  So ``step`` sees
+    the first row with the centre in each kind of segment, and the centre's
+    compression needs no other check.  The run tries the front and rear
+    limits once per pair of kinds under them; only if a pair fails are the
+    rows' ends looked up, and the first row on such a pair raises.  Each
+    row advances ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean
+    track speed.
     Where the centre leaves its segment, the run checks the float range,
     then the time budget, then the network end, then the network start.
     """
     network = scenario.network
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
     bounds = network.segment_ends
-    checks = _Checks(scenario)
+    half = scenario.robot.length_mm / 2.0
+    is_bend = np.asarray(network.curvatures) != 0.0
+    fails = np.zeros((2, 2), dtype=bool)  # [front is a bend, rear is a bend]
+    for bends in np.ndindex(fails.shape):
+        try:  # only whether a curvature is 0 matters
+            _check_ends(scenario, *map(float, bends))
+        except (CompressionLimit, AsymmetryLimit):
+            fails[bends] = True
     solved = {}  # centre curvature -> the record ``step`` solved there
     t_columns, s_columns, values, run_ends = [], [], [], []
 
@@ -363,7 +343,13 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             keep = (t_rows < limit) & (s_rows < high) & (s_rows >= low)
             stays = bool(keep.all())
             k = count if stays else int(np.argmin(keep))
-            checks.rows(s_rows[:k])
+            if fails.any():
+                front = is_bend[segment_at(network, s_rows[:k] + half)].astype(np.intp)
+                rear = is_bend[segment_at(network, s_rows[:k] - half)].astype(np.intp)
+                failing = fails[front, rear]
+                if failing.any():  # raises on the first row with the ends on a failing pair
+                    row = int(np.argmax(failing))
+                    _check_ends(scenario, float(front[row]), float(rear[row]))
             t_columns.append(t_rows[:k])
             s_columns.append(s_rows[:k])
             rows += k

@@ -9,10 +9,13 @@ digests and ``test_cli.py`` checks them.
 
 The documents are the shipped scenarios, the benchmark's generated
 networks for seeds 0-9, each of those pushed into the tilt and compression
-limits, cut short by ``max_time_s`` and run at ``dt_s`` 0.05 and 0.005,
-and documents that probe the float range.  The digests hold for Python
-3.11: from 3.12 on ``sum``, which the solver's residual uses, rounds
-differently.
+limits, cut short by ``max_time_s``, run at ``dt_s`` 0.05 and 0.005 and
+given body lengths of 20, 700 and 1600 mm (also at the limits), and
+documents that probe the float range.  The digests hold for Python 3.11:
+from 3.12 on ``sum``, which the solver's residual uses, rounds
+differently.  ``golden.json`` records the Python and numpy versions that
+wrote it under ``VERSIONS``, which no document name takes: every name
+starts with a base name.
 
 Rewrite the digests only after an intended change of output::
 
@@ -27,12 +30,15 @@ import hashlib
 import importlib.util
 import io
 import json
+import platform
 import random
 import shutil
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from pipeclimber import cli
 
@@ -41,6 +47,7 @@ GOLDEN = Path(__file__).with_name("golden.json")
 SHIPPED = ("four_section", "straight_run")
 THETAS = "0,77,200"
 TOKEN = "<tmp>"
+VERSIONS = "#versions"
 
 
 def _workloads():
@@ -75,6 +82,14 @@ def documents() -> dict:
         docs[f"{name}+cut"] = _edit(doc, sim={"max_time_s": 0.15 * doc["sim"]["max_time_s"]})
         for dt in (0.05, 0.005):
             docs[f"{name}+dt{dt}"] = _edit(doc, sim={"dt_s": dt})
+        # The body length moves the rows where the front and rear cross into
+        # a bend.  A 1.5 mm compression difference tilts a 1600 mm body by
+        # 0.054 deg, under the 0.1 deg above, so these use 0.02 deg.
+        for length in (20, 700, 1600):
+            body = _edit(doc, robot={"robot_length_mm": length})
+            docs[f"{name}+body{length}"] = body
+            docs[f"{name}+body{length}+tilt"] = _edit(body, robot={"max_asym_deg": 0.02})
+            docs[f"{name}+body{length}+compression"] = _edit(body, robot={"max_compression_mm": 9})
 
     four, straight = bases["four_section"], bases["straight_run"]
     docs["four_section+slip_stiffness_1e308"] = _edit(four, sim={"slip_stiffness": 1e308})
@@ -139,13 +154,19 @@ def digests(doc: dict, name: str, workdir: Path) -> dict:
     return {command: digest(doc, command, workdir) for command in commands}
 
 
+def versions() -> dict:
+    """The Python and numpy versions running now."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
 def main(argv) -> int:
     if argv != ["--write"]:
         print(__doc__, file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: digests(doc, name, Path(tmp)) for name, doc in documents().items()}
-    GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps({VERSIONS: versions(), **table}, indent=1) + "\n",
+                      encoding="utf-8")
     print(f"{len(table)} documents -> {GOLDEN}")
     return 0
 

@@ -305,6 +305,23 @@ def test_malformed_json_reports_the_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_non_utf8_file_is_a_parse_error_naming_the_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{\x00}\x00')  # UTF-16 with a byte order mark
+    with pytest.raises(ParseError) as err:
+        parse_scenario(path)
+    assert str(err.value) == (f"malformed scenario {path}: not UTF-8: invalid start byte "
+                              "at byte 0 (line 1)")
+
+
+def test_a_document_that_is_not_an_object_names_no_key(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(path)
+    assert str(err.value) == "expected an object, got list"
+
+
 def test_missing_file_is_an_io_error(tmp_path):
     with pytest.raises(IoError):
         parse_scenario(tmp_path / "nope.json")

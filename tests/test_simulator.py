@@ -73,6 +73,17 @@ def test_straight_run_finishes_in_length_over_speed():
     assert summary.final_s == pytest.approx(500.0, abs=50.0 * scenario.dt_s + 1e-9)
 
 
+def test_straight_run_never_meets_the_bend_compression_limit():
+    # In a bend the in-plane module would need 8 + 1.5 mm, over the limit, but
+    # no bend is ever under the body.
+    scenario = straight_only_scenario(robot=make_robot(max_compression_mm=9.0))
+    with pytest.raises(CompressionLimit):
+        step(make_four_section_scenario(robot=scenario.robot), 0.0, 600.0)
+    records, summary = run(scenario)
+    assert summary.max_compression == 8.0
+    assert list(records) == stepwise_run(scenario)[0]
+
+
 def test_zero_time_budget_fails_before_stepping(four_section_scenario):
     scenario = make_four_section_scenario(max_time_s=0.0)
     with pytest.raises(MaxTimeExceeded) as err:
@@ -208,12 +219,15 @@ def test_run_solves_once_per_centre_curvature(monkeypatch, dt_s):
 def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     # Counts, not timings: a run and its CSV records cost the same number of
     # solves, segment lookups, limit checks and record objects at any dt_s,
-    # and build no centerline frames.
+    # and build no centerline frames.  No limit can fire, so no row's front
+    # or rear is looked up.
     calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "segment_at" and isinstance(args[1], np.ndarray):
+                calls["segment_at of an array"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -235,7 +249,8 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert coarse["step"] == 2
     assert coarse["SimRecord"] == 4
     assert "pose_at" not in coarse
-    assert coarse["spring_compression"] == 5
+    assert coarse["spring_compression"] == 14
+    assert "segment_at of an array" not in coarse
     assert coarse["asymmetry_deg"] == 6
     assert fine_rows > 9 * coarse_rows
 
