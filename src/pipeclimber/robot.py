@@ -122,9 +122,7 @@ def required_track_speeds(
     return center_speed * radii / bend_radius
 
 
-def spring_compression(
-    curvature: float, params: RobotParams, bend_extra_mm: float = 1.5
-) -> np.ndarray:
+def spring_compression(curvature: float, params: RobotParams, bend_extra_mm: float) -> np.ndarray:
     """Per-module spring compression (mm) where the centerline has ``curvature``.
 
     Straights (``curvature`` 0) sit at the preload.  In bends the modules

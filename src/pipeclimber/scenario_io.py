@@ -252,10 +252,6 @@ def _constants(record: SimRecord) -> list:
     ]
 
 
-def _row(record: SimRecord) -> list:
-    return [record.t, record.s, *_constants(record)]
-
-
 def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
@@ -279,7 +275,7 @@ def emit_records(records: Records, fmt: str, path) -> None:
     """Write a ``Records`` table to ``path`` as CSV or JSON; OSError becomes
     IoError.
 
-    CSV formats the constant fields of each centre segment's run once and
+    Both take the constant fields of each centre segment's run once; CSV
     streams the rows to the file without the whole text ever in memory.
     """
     if fmt not in ("csv", "json"):
@@ -289,7 +285,11 @@ def emit_records(records: Records, fmt: str, path) -> None:
             if fmt == "csv":
                 _write_csv(records, handle)
             else:
-                rows = [dict(zip(CSV_COLUMNS, _row(record))) for record in records]
+                rows = []
+                for record, t, s in records.runs():
+                    constants = _constants(record)
+                    rows += (dict(zip(CSV_COLUMNS, (t_row, s_row, *constants)))
+                             for t_row, s_row in zip(t.tolist(), s.tolist()))
                 json.dump(rows, handle, indent=1)
                 handle.write("\n")
     except OSError as exc:

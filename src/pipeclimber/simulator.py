@@ -8,15 +8,16 @@ output speed stays pinned to the input.  The body then advances along the
 centerline by the mean track speed.
 
 ``run`` owns the time grid: it advances the time ``t`` and the body-centre
-arc length ``s`` and decides when the run ends, while ``step`` only solves
-the equilibrium at a given ``t`` and ``s``.  Both read segment curvatures,
-not frames: the equilibrium depends only on the centre's, the compression
-and tilt limits only on whether the centre, front and rear are in bends.
-So ``run`` solves once per distinct centre curvature and tries the limits
-once for each of the four (front, rear) pairs of kinds; only a pair that
-fails sends it to look up the body's ends on each row, and the first such
-row raises.  A cumulative sum fills each segment's ``t`` and ``s``, so the
-physics costs per segment and each row a few array elements.
+arc length ``s``, decides when the run ends and alone checks the limits
+under the body's front and rear; ``step`` only solves the equilibrium at a
+given ``t`` and ``s`` and checks the centre's springs.  Both read segment
+curvatures, not frames: the equilibrium depends only on the centre's, the
+limits only on whether the centre, front and rear are in bends.  So ``run``
+solves once per centre curvature and tries the end limits once for each of
+the four (front, rear) pairs of kinds; only a pair that fails sends it to
+look up the body's ends on each row, and the first such row raises.  A
+cumulative sum fills each segment's ``t`` and ``s``, so the physics costs
+per segment and each row a few array elements.
 
 Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and the
 record of each centre segment visited once, with the row where the centre
@@ -223,20 +224,18 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     """The equilibrium at time ``t`` with the body centre at arc length ``s``.
 
     Solves the torque balance against the slip loads built from the
-    required speeds at the centre segment's curvature.  Advancing ``t`` and
-    ``s`` is left to ``run``.
+    required speeds at the centre segment's curvature, and checks the
+    centre's springs.  The body's front and rear, and advancing ``t`` and
+    ``s``, are left to ``run``.
     """
     network, robot = scenario.network, scenario.robot
     if not 0.0 <= s <= network.total_length:
         pose_at(network, s)  # raises OutOfRange
     index = segment_at(network, s)
     curvature = network.curvatures[index]
-    half = robot.length_mm / 2.0
 
     required = required_track_speeds(curvature, scenario.center_speed_mm_s, robot)
     compressions = spring_compression(curvature, robot, scenario.bend_extra_compression_mm)
-    _check_ends(scenario, network.curvatures[segment_at(network, s + half)],
-                network.curvatures[segment_at(network, s - half)])
 
     required = tuple(float(v) for v in required)
     loads = [LinearLoad(scenario.slip_stiffness, robot.sprocket_radius_mm, v) for v in required]
@@ -275,14 +274,14 @@ def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
 def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     """Run until the network ends; MaxTimeExceeded carries partial results.
 
-    ``step`` solves, and checks the limits on, the first row of each
-    centre curvature; a later segment reuses that record.  So ``step`` sees
-    the first row with the centre in each kind of segment, and the centre's
-    compression needs no other check.  The run tries the front and rear
-    limits once per pair of kinds under them; only if a pair fails are the
-    rows' ends looked up, and the first row on such a pair raises.  Each
-    row advances ``t`` by ``dt_s`` and ``s`` by ``dt_s`` times the mean
-    track speed.
+    ``step`` solves, and checks the centre's compression on, the first row
+    of each centre curvature; a later segment reuses that record.  So
+    ``step`` sees the first row with the centre in each kind of segment, and
+    the centre's compression needs no other check.  The front and rear
+    limits are checked here alone, once per pair of kinds under them; only
+    if a pair fails are the rows' ends looked up, and the first row on such
+    a pair raises, after its centre's solve.  Each row advances ``t`` by
+    ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed.
     Where the centre leaves its segment, the run checks the float range,
     then the time budget, then the network end, then the network start.
     """

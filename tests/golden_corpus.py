@@ -1,11 +1,11 @@
 """Identity corpus: scenario documents whose CLI outputs must not change.
 
 Each document runs in-process through ``pipeclimb validate``, ``run`` with
-CSV records and ``sweep --theta 0,77,200 --out``; the two shipped scenarios
-also through ``run --format json``.  One SHA-256 per document and command
-covers the exit code, stdout, stderr and every output file, with the
-temporary directory replaced by a fixed token.  ``golden.json`` holds the
-digests and ``test_cli.py`` checks them.
+CSV records and ``sweep --theta 0,77,200 --out``; the twelve base documents
+and their ``+cut`` partials also through ``run --format json``.  One SHA-256
+per document and command covers the exit code, stdout, stderr and every
+output file, with the temporary directory replaced by a fixed token.
+``golden.json`` holds the digests and ``test_cli.py`` checks them.
 
 The documents are the shipped scenarios, the benchmark's generated
 networks for seeds 0-9, each of those pushed into the tilt and compression
@@ -149,8 +149,10 @@ def digest(doc: dict, command: str, workdir: Path) -> str:
 
 
 def digests(doc: dict, name: str, workdir: Path) -> dict:
-    """Command -> digest; only the shipped scenarios write the costly JSON records."""
-    commands = ("validate", "run", "sweep") + (("run_json",) if name in SHIPPED else ())
+    """Command -> digest; only the base documents and their ``+cut`` partials
+    write the costly JSON records."""
+    json_records = name.partition("+")[2] in ("", "cut")  # every name starts with a base
+    commands = ("validate", "run", "sweep") + (("run_json",) if json_records else ())
     return {command: digest(doc, command, workdir) for command in commands}
 
 

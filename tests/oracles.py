@@ -5,8 +5,9 @@ uses chain substitution plus a projection off the circulation mode instead
 of the closed form, the load-balance references are plain bisection from
 the full bracket (no secant narrowing) and the closed forms for linear
 slip loads, the reference run solves every row instead of once per
-centre segment and aggregates and writes its rows one at a time instead of
-from columns, and bend track speeds come from contact paths traced
+centre segment, checks every row's front and rear itself instead of once
+per pair of segment kinds, and aggregates and writes its rows one at a time
+instead of from columns; bend track speeds come from contact paths traced
 through sampled centerline frames instead of the path-radius formula.
 """
 
@@ -21,6 +22,8 @@ import numpy as np
 
 from pipeclimber import Bend, MaxTimeExceeded, pose_at, step
 from pipeclimber.differential import MAX_BISECTIONS, SPAN_FACTOR, TorqueBalance
+from pipeclimber.geometry import segment_at
+from pipeclimber.robot import asymmetry_deg, spring_compression
 from pipeclimber.scenario_io import CSV_COLUMNS
 from pipeclimber.simulator import SegmentStats, SimSummary, analytic_track_speeds, ape
 
@@ -165,11 +168,15 @@ def stepwise_summary(records, scenario, finish_time, final_s):
 
 
 def stepwise_run(scenario):
-    """``run`` as a loop that calls ``step`` on every row: returns (records,
-    summary) with the records in a list, or raises what ``run`` raises,
-    MaxTimeExceeded with the partial records and their summary."""
+    """``run`` as a loop that calls ``step`` on every row and then checks the
+    springs under the body's front and rear and the tilt between them:
+    returns (records, summary) with the records in a list, or raises what
+    ``run`` raises, MaxTimeExceeded with the partial records and their
+    summary."""
     records = []
-    total = scenario.network.total_length
+    network, robot = scenario.network, scenario.robot
+    half, extra = robot.length_mm / 2.0, scenario.bend_extra_compression_mm
+    total = network.total_length
     t = s = 0.0
     while True:
         if t >= scenario.max_time_s:
@@ -182,6 +189,10 @@ def stepwise_run(scenario):
         if s >= total:
             return records, stepwise_summary(records, scenario, t, s)
         record = step(scenario, t, s)
+        front = network.curvatures[segment_at(network, s + half)]
+        rear = network.curvatures[segment_at(network, s - half)]
+        asymmetry_deg(spring_compression(front, robot, extra),
+                      spring_compression(rear, robot, extra), robot)
         records.append(record)
         t, s = t + scenario.dt_s, s + scenario.dt_s * sum(record.track_speeds) / 3.0
 

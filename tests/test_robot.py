@@ -116,7 +116,7 @@ def test_outermost_track_is_fastest(robot_params):
 # --- spring compression -----------------------------------------------------------
 
 def test_straight_sits_at_preload(robot_params):
-    assert np.allclose(spring_compression(straight_curvature(), robot_params), 8.0)
+    assert np.allclose(spring_compression(straight_curvature(), robot_params, 1.5), 8.0)
 
 
 def test_bend_adds_compression_on_the_bend_plane_module(robot_params):
@@ -127,7 +127,7 @@ def test_bend_adds_compression_on_the_bend_plane_module(robot_params):
 def test_preload_beyond_budget_raises():
     robot = make_robot(preload_mm=17.0)
     with pytest.raises(CompressionLimit):
-        spring_compression(straight_curvature(), robot)
+        spring_compression(straight_curvature(), robot, 1.5)
     with pytest.raises(CompressionLimit):
         robot.validate()
 

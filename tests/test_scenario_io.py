@@ -15,6 +15,7 @@ from pipeclimber import (
     IoError,
     MaxTimeExceeded,
     ParseError,
+    SimRecord,
     SimulationError,
     ValidationError,
     emit_records,
@@ -404,6 +405,23 @@ def test_json_mirrors_the_csv_fields(tmp_path):
     assert set(rows[0]) == set(CSV_COLUMNS)
     assert rows[0]["t_s"] == records[0].t
     assert rows[1]["vA_mm_s"] == records[1].track_speeds[0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitting_records_builds_no_row_objects(monkeypatch, tmp_path, fmt):
+    # Both writers read the table's columns, one centre segment's run at a
+    # time, rather than a ``SimRecord`` per row.
+    records = sample_records(3)
+    built = []
+    init = SimRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimRecord, "__init__", counted)
+    assert len(emitted(tmp_path, records, fmt).splitlines()) > 3
+    assert built == []
 
 
 def test_four_section_records_keep_their_digest(tmp_path):

@@ -196,6 +196,23 @@ def test_run_propagates_asymmetry_limit():
         run(scenario)
 
 
+@pytest.mark.parametrize("limit, error, message", [
+    ({"max_compression_mm": 9.0}, CompressionLimit, "9.500 mm"),
+    ({"max_asym_deg": 0.1}, AsymmetryLimit, "0.430 deg"),
+], ids=["compression", "tilt"])
+def test_step_leaves_the_body_ends_to_run(limit, error, message):
+    # The centre on the first straight, the front 50 mm into the elbow: the
+    # front's springs and the body's tilt are over their limits, the
+    # centre's springs are not.  ``step`` solves the centre's row; ``run``
+    # and the row-by-row reference raise for the front.
+    scenario = make_four_section_scenario(robot=make_robot(**limit))
+    scenario.validate()
+    assert step(scenario, 0.0, 450.0).compressions == (8.0, 8.0, 8.0)
+    for simulate in (run, stepwise_run):
+        with pytest.raises(error, match=message):
+            simulate(scenario)
+
+
 # --- one solve per centre curvature -------------------------------------------------
 
 @pytest.mark.parametrize("dt_s", [0.1, 0.01, 0.001])
@@ -249,9 +266,9 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert coarse["step"] == 2
     assert coarse["SimRecord"] == 4
     assert "pose_at" not in coarse
-    assert coarse["spring_compression"] == 14
+    assert coarse["spring_compression"] == 10  # 8 from the four probes, 1 per step
     assert "segment_at of an array" not in coarse
-    assert coarse["asymmetry_deg"] == 6
+    assert coarse["asymmetry_deg"] == 4  # the four probes
     assert fine_rows > 9 * coarse_rows
 
 
