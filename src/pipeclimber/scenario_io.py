@@ -7,8 +7,9 @@ key to the dataclass field it fills.  Range rules live in the dataclass
 validators.  Unknown keys are rejected and all validation errors, the
 validators' included, name the offending key path.
 
-Record output is CSV (fixed column order, 9 significant digits), written
-from the columns of a ``Records`` table, or JSON (same field names).
+Record output is CSV (fixed column order, 9 significant digits) or JSON
+(one object per row, as ``json.dump(rows, indent=1)`` lays it out), streamed
+by one writer from a ``Records`` table's columns, a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -252,46 +253,58 @@ def _constants(record: SimRecord) -> list:
     ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".9g")
+def _row_template(record: SimRecord, t, s, fmt: str, path) -> str:
+    """The %-template of each row of a centre segment's run: its constant
+    fields formatted, ``t`` and ``s`` two slots.  A non-finite value, which
+    JSON cannot hold, raises SimulationError in either format."""
+    constants = _constants(record)
+    names = ("t_s", "t_s", "s_mm", "s_mm", *CSV_COLUMNS[2:])
+    for name, value in zip(names, (t.min(), t.max(), s.min(), s.max(), *constants)):
+        if not math.isfinite(value):
+            raise SimulationError(f"cannot write records to {path}: {name} is not finite")
+    if fmt == "csv":
+        return "%.9g,%.9g" + "".join(
+            "," + (str(v) if isinstance(v, int) else format(v, ".9g")) for v in constants)
+    return ' {\n  "t_s": %r,\n  "s_mm": %r' + "".join(
+        f',\n  "{name}": {json.dumps(v)}' for name, v in zip(CSV_COLUMNS[2:], constants)) + "\n }"
 
 
-_CHUNK_ROWS = 4096  # rows whose t and s are Python floats at a time
-
-
-def _write_csv(records: Records, handle) -> None:
-    handle.write(",".join(CSV_COLUMNS) + "\n")
-    for record, t, s in records.runs():
-        tail = "".join("," + _fmt(v) for v in _constants(record)) + "\n"
-        for start in range(0, len(t), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            ts, ss = t[start:stop].tolist(), s[start:stop].tolist()
-            handle.writelines(f"{t_row:.9g},{s_row:.9g}{tail}" for t_row, s_row in zip(ts, ss))
+# fmt -> (head, separator between rows, end after the rows, end of an empty
+# table); a newline leads the first row.  JSON is ``json.dump(rows, indent=1)``.
+_LAYOUTS = {
+    "csv": (",".join(CSV_COLUMNS), "\n", "\n", "\n"),
+    "json": ("[", ",\n", "\n]\n", "]\n"),
+}
+_CHUNK_ROWS = 256  # rows formatted by one % call: about 110 kB of JSON text
 
 
 def emit_records(records: Records, fmt: str, path) -> None:
     """Write a ``Records`` table to ``path`` as CSV or JSON; OSError becomes
-    IoError.
+    IoError, and a non-finite value SimulationError before the file opens.
 
-    Both take the constant fields of each centre segment's run once; CSV
-    streams the rows to the file without the whole text ever in memory.
+    Each chunk of a run's rows is one ``%`` of the run's row template,
+    repeated, over the chunk's interleaved ``t`` and ``s``: the text never
+    holds more than a chunk.  ``%.9g`` is ``format(v, ".9g")`` and ``%r`` is
+    json's float encoder, so the bytes are those of a row-by-row writer.
     """
-    if fmt not in ("csv", "json"):
+    if fmt not in _LAYOUTS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    runs = [(_row_template(record, t, s, fmt, path), t, s) for record, t, s in records.runs()]
+    head, sep, end, empty_end = _LAYOUTS[fmt]
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            if fmt == "csv":
-                _write_csv(records, handle)
-            else:
-                rows = []
-                for record, t, s in records.runs():
-                    constants = _constants(record)
-                    rows += (dict(zip(CSV_COLUMNS, (t_row, s_row, *constants)))
-                             for t_row, s_row in zip(t.tolist(), s.tolist()))
-                json.dump(rows, handle, indent=1)
-                handle.write("\n")
+            handle.write(head)
+            lead = "\n"
+            for template, t, s in runs:
+                for start in range(0, len(t), _CHUNK_ROWS):
+                    stop = start + _CHUNK_ROWS
+                    ts, ss = t[start:stop].tolist(), s[start:stop].tolist()
+                    flat = ts + ss
+                    flat[::2], flat[1::2] = ts, ss
+                    handle.write((lead + template + (sep + template) * (len(ts) - 1))
+                                 % tuple(flat))
+                    lead = sep
+            handle.write(end if len(records) else empty_end)
     except OSError as exc:
         raise IoError(f"cannot write records to {path}: {exc}") from exc
 

@@ -1,11 +1,10 @@
 """Identity corpus: scenario documents whose CLI outputs must not change.
 
 Each document runs in-process through ``pipeclimb validate``, ``run`` with
-CSV records and ``sweep --theta 0,77,200 --out``; the twelve base documents
-and their ``+cut`` partials also through ``run --format json``.  One SHA-256
-per document and command covers the exit code, stdout, stderr and every
-output file, with the temporary directory replaced by a fixed token.
-``golden.json`` holds the digests and ``test_cli.py`` checks them.
+CSV records, ``run --format json`` and ``sweep --theta 0,77,200 --out``.
+One SHA-256 per document and command covers the exit code, stdout, stderr
+and every output file, with the temporary directory replaced by a fixed
+token.  ``golden.json`` holds the digests and ``test_cli.py`` checks them.
 
 The documents are the shipped scenarios, the benchmark's generated
 networks for seeds 0-9, each of those pushed into the tilt and compression
@@ -148,11 +147,9 @@ def digest(doc: dict, command: str, workdir: Path) -> str:
     return sha.hexdigest()
 
 
-def digests(doc: dict, name: str, workdir: Path) -> dict:
-    """Command -> digest; only the base documents and their ``+cut`` partials
-    write the costly JSON records."""
-    json_records = name.partition("+")[2] in ("", "cut")  # every name starts with a base
-    commands = ("validate", "run", "sweep") + (("run_json",) if json_records else ())
+def digests(doc: dict, workdir: Path) -> dict:
+    """Command -> digest."""
+    commands = ("validate", "run", "sweep", "run_json")
     return {command: digest(doc, command, workdir) for command in commands}
 
 
@@ -166,7 +163,7 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: digests(doc, name, Path(tmp)) for name, doc in documents().items()}
+        table = {name: digests(doc, Path(tmp)) for name, doc in documents().items()}
     GOLDEN.write_text(json.dumps({VERSIONS: versions(), **table}, indent=1) + "\n",
                       encoding="utf-8")
     print(f"{len(table)} documents -> {GOLDEN}")

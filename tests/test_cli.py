@@ -242,6 +242,6 @@ def test_dims_unknown_exits_1(capsys):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_outputs_match_their_recorded_digests(name, tmp_path):
-    assert golden_corpus.digests(CORPUS[name], name, tmp_path) == GOLDEN[name], (
+    assert golden_corpus.digests(CORPUS[name], tmp_path) == GOLDEN[name], (
         f"digests written under {GOLDEN[golden_corpus.VERSIONS]}, "
         f"running under {golden_corpus.versions()}")

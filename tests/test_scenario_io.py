@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from pipeclimber import (
     IoError,
     MaxTimeExceeded,
     ParseError,
+    Records,
     SimRecord,
     SimulationError,
     ValidationError,
@@ -26,8 +29,9 @@ from pipeclimber import (
     scenario_to_dict,
     summary_to_dict,
 )
-from pipeclimber.scenario_io import SCHEMA
+from pipeclimber.scenario_io import _CHUNK_ROWS, SCHEMA
 from conftest import make_four_section_scenario
+from oracles import write_rows
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -372,9 +376,11 @@ def emitted(tmp_path, records, fmt):
     return target.read_text(encoding="utf-8")
 
 
-def test_empty_record_stream_gives_header_only(tmp_path):
-    lines = emitted(tmp_path, sample_records(0), "csv").splitlines()
-    assert lines == [",".join(CSV_COLUMNS)]
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_empty_record_stream_gives_header_only(tmp_path, fmt):
+    # JSON's is the empty array that ``json.dump([])`` writes.
+    header = {"csv": ",".join(CSV_COLUMNS), "json": "[]"}[fmt]
+    assert emitted(tmp_path, sample_records(0), fmt) == header + "\n"
 
 
 def test_csv_has_one_row_per_record(tmp_path):
@@ -422,6 +428,74 @@ def test_emitting_records_builds_no_row_objects(monkeypatch, tmp_path, fmt):
     monkeypatch.setattr(SimRecord, "__init__", counted)
     assert len(emitted(tmp_path, records, fmt).splitlines()) > 3
     assert built == []
+
+
+def table(runs, t, s, segment_index=0, constants=(1.0,) * 13):
+    """A hand-built ``Records``: one centre-segment run per entry of ``runs``
+    (its row count), the ``t`` and ``s`` columns tiled from the values given
+    and the run's constant fields, the segment index counting up."""
+    rows = sum(runs)
+    values = [SimRecord(0.0, 0.0, segment_index + j, *(tuple(constants[i:i + 3])
+                                                       for i in range(0, 12, 3)), constants[12])
+              for j in range(len(runs))]
+    return Records(np.resize(np.array(t, dtype=float), rows),
+                   np.resize(np.array(s, dtype=float), rows), values,
+                   np.cumsum(runs))
+
+
+RUN_LENGTHS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS)
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1 / 3, 1e-7, 123456789.5)
+finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs=st.lists(st.sampled_from(RUN_LENGTHS), min_size=1, max_size=3),
+       t=st.lists(finite, min_size=1, max_size=5), s=st.lists(finite, min_size=1, max_size=5),
+       segment_index=st.integers(0, 10**6),
+       constants=st.lists(finite, min_size=13, max_size=13))
+def test_emitted_bytes_match_a_row_by_row_writer(tmp_path_factory, runs, t, s, segment_index,
+                                                 constants):
+    # Chunks end inside a run, at its end and one row past it; the floats
+    # take in signed zeros, subnormals and the ends of the float range.
+    records = table(runs, t, s, segment_index, constants)
+    folder = tmp_path_factory.mktemp("rows")
+    for fmt in ("csv", "json"):
+        emit_records(records, fmt, folder / f"table.{fmt}")
+        write_rows(records, fmt, folder / f"rows.{fmt}")
+        assert (folder / f"table.{fmt}").read_bytes() == (folder / f"rows.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("column", ["t", "s", "constant"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_records_raise_before_the_file_opens(tmp_path, fmt, column, bad):
+    # ``%r`` writes nan and inf where json writes NaN and Infinity, which
+    # standard JSON cannot hold either.
+    t, s, constants = [0.0, 1.0], [0.0, 2.0], [1.0] * 13
+    {"t": t, "s": s, "constant": constants}[column][-1] = bad
+    target = tmp_path / f"records.{fmt}"
+    with pytest.raises(SimulationError, match=str(target)):
+        emit_records(table([1, 2], t, s, constants=constants), fmt, target)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitting_holds_one_chunk_of_text_at_a_time(tmp_path, fmt):
+    # The writer's peak memory does not grow with the table: ten times the
+    # rows, the same few runs.  Where the last chunk of a run ends moves the
+    # file's 8 kB text buffer in and out of the peak, hence the margin; the
+    # whole text of 10,000 rows would be over ten times the peak.
+    def peak(rows):
+        records = table([rows // 4, rows // 2, rows // 4], [0.1, 1 / 3, 7e-5], [2.5, 1e3])
+        tracemalloc.start()
+        try:
+            emit_records(records, fmt, tmp_path / f"records.{fmt}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10_000) <= 1.5 * peak(1_000)
 
 
 def test_four_section_records_keep_their_digest(tmp_path):
