@@ -23,11 +23,13 @@ Under load the equilibrium is found by scalar root finding on the common
 torque level: invert each (strictly monotone) load curve at a trial torque
 and adjust the torque until the mean output speed meets the averaging
 constraint.  Bracketed bisection keeps this robust for any monotone curve;
-one secant step first narrows the bracket to a few ulps around the root.
+it starts from the secant step, which usually lands within a few ulps of
+the root, and a search outward from it that brackets the root tightly.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -111,7 +113,12 @@ class LinearLoad:
 
 @dataclass(frozen=True)
 class TorqueBalance:
-    """Result of a load-balance solve: output speeds and the shared torque."""
+    """Result of a load-balance solve: output speeds and the shared torque.
+
+    ``iterations`` counts the halvings of the final bisection only, not the
+    residual evaluations of the bracket, the secant seed or the search
+    around it.
+    """
 
     output_speeds: tuple[float, float, float]
     common_torque: float
@@ -127,10 +134,14 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         F(tau) = mean_j loads[j].inverse(tau) - overall_ratio * input_speed
 
     F is strictly increasing, so evaluating each load at the target mean
-    speed brackets the root immediately.  One secant step narrows the
-    bracket to a few ulps around the root; bisection then shrinks it to
-    float resolution (at most MAX_BISECTIONS halvings), which keeps the
-    result deterministic even when the equilibrium torque is tiny.
+    speed brackets the root immediately.  The secant step's seed becomes one
+    end of a sub-bracket; probes outward from it, 1, 2, 4 and 8 ulps of the
+    seed and then 4 eps of the bracket's magnitude doubling, find the other
+    end at the first sign change.  Bisection then shrinks the sub-bracket to
+    float resolution (at most MAX_BISECTIONS halvings) and keeps the end
+    with the smaller residual.  F's float values are monotone too, so any
+    sub-bracket ends on the same adjacent pair as the whole bracket: the
+    result is deterministic, even when the equilibrium torque is tiny.
     SOLVE_TOL (relative on the mean-speed residual) is the guaranteed
     accuracy; the solve is verified against it and far exceeds it in
     practice.
@@ -147,7 +158,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
             raise NonMonotoneLoad(f"load {load!r} is not strictly increasing")
 
     target = config.overall_ratio * input_speed
-    inv0, inv1, inv2 = (load.inverse for load in loads)
+    inv0, inv1, inv2 = loads[0].inverse, loads[1].inverse, loads[2].inverse
 
     def residual(tau: float) -> float:
         # ``sum`` as in plain bisection: from Python 3.12 it rounds unlike ``+``.
@@ -184,24 +195,44 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         tau = hi
     else:
         # Monotone curves have a monotone float residual, so bisection ends on the same adjacent
-        # pair from any sub-bracket with a sign change, such as one hugging a secant step.  A
-        # non-finite seed fails both tests and leaves the bracket whole.
+        # pair from any sub-bracket with a sign change.  The seed is one end of the sub-bracket;
+        # the unbounded search of Bentley & Yao (Inf. Process. Lett. 5, 1976) finds the other,
+        # and a probe on the seed's side is still a valid new end.  A non-finite seed fails the
+        # range test and leaves the bracket whole.
         seed = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
-        width = 4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi), abs(seed))
-        if lo < seed - width < hi and residual(seed - width) < 0.0:
-            lo = seed - width
-        if lo < seed + width < hi and residual(seed + width) >= 0.0:
-            hi = seed + width
+        if lo < seed < hi:
+            ulp = math.ulp(seed)
+            wide = 4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi))
+            f_seed = residual(seed)
+            up = f_seed < 0.0  # the root lies above the seed
+            if up:
+                lo, f_lo = seed, f_seed
+            else:
+                hi, f_hi = seed, f_seed
+            step = ulp
+            while True:
+                probe = seed + step if up else seed - step
+                if not lo < probe < hi:
+                    break
+                f_probe = residual(probe)
+                if f_probe < 0.0:
+                    lo, f_lo = probe, f_probe
+                else:
+                    hi, f_hi = probe, f_probe
+                if (f_probe < 0.0) != up:
+                    break
+                step = 2.0 * step if step < 8.0 * ulp else max(2.0 * step, wide)
         for iterations in range(1, MAX_BISECTIONS + 1):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:  # bracket at float resolution
                 break
-            if residual(mid) < 0.0:
-                lo = mid
+            f_mid = residual(mid)
+            if f_mid < 0.0:
+                lo, f_lo = mid, f_mid
             else:
-                hi = mid
+                hi, f_hi = mid, f_mid
         # Adjacent endpoints remain; keep the one with the smaller residual.
-        tau = lo if abs(residual(lo)) < abs(residual(hi)) else hi
+        tau = lo if abs(f_lo) < abs(f_hi) else hi
 
     speeds = (inv0(tau), inv1(tau), inv2(tau))
     mean_residual = sum(speeds) / 3.0 - target
@@ -230,17 +261,18 @@ def internal_state(
     constrained value by more than AVERAGING_TOL relative (no side-gear
     speeds can realise such outputs).
     """
-    speeds = tuple(float(w) for w in output_speeds)
-    if len(speeds) != 3:
-        raise ValueError(f"expected 3 output speeds, got {len(speeds)}")
+    if len(output_speeds) != 3:
+        raise ValueError(f"expected 3 output speeds, got {len(output_speeds)}")
+    w0, w1, w2 = output_speeds
     target = config.overall_ratio * input_speed
-    mean = sum(speeds) / 3.0
+    mean = (w0 + w1 + w2) / 3.0
     if not abs(mean - target) <= AVERAGING_TOL * max(1.0, abs(target)):  # NaN fails too
         raise InconsistentOutputs(f"mean output speed {mean} != {target} required by the "
                                   "averaging law")
 
     ring = config.ring_ratio * input_speed
-    c0, c1 = (2.0 * w / config.output_ratio - 2.0 * ring for w in speeds[:2])
+    c0 = 2.0 * w0 / config.output_ratio - 2.0 * ring
+    c1 = 2.0 * w1 / config.output_ratio - 2.0 * ring
     x0 = (2.0 * c0 + c1) / 3.0
     x1, x2 = x0 - c0, x0 - c0 - c1
     return (ring - x0, ring + x0, ring - x1, ring + x1, ring - x2, ring + x2)

@@ -10,10 +10,12 @@ from pipeclimber import (
     LinearLoad,
     NoBracket,
     NonMonotoneLoad,
+    RobotParams,
     TransmissionConfig,
     balance_state,
     internal_state,
     power_balance,
+    required_track_speeds,
     solve_torque_balance,
 )
 from pipeclimber.differential import MAX_BISECTIONS, SOLVE_TOL
@@ -305,13 +307,67 @@ def test_nonlinear_curves_meet_the_solve_tolerance():
         assert abs(mean - input_speed) <= SOLVE_TOL * max(1.0, abs(input_speed))
 
 
+class _CountingLoad(LinearLoad):
+    """A ``LinearLoad`` that counts its inversions in the class attribute ``calls``."""
+
+    calls = 0
+
+    def inverse(self, torque):
+        type(self).calls += 1
+        return super().inverse(torque)
+
+
 def test_secant_step_leaves_few_bisections():
-    # Plain bisection takes about 56 halvings per C1 case; the secant step
-    # leaves about 7.  No timing: the count is deterministic.
+    # The secant seed lands within a few ulps of the root, and the outward
+    # search around it brackets the root in one or two more residuals, so a
+    # C1 case takes about 6 residual evaluations and 2 halvings.  Each
+    # residual inverts all three loads; the output speeds invert them once
+    # more.  No timing: the counts are deterministic.
     rng = np.random.default_rng(42)
     cases = [random_case(rng) for _ in range(1000)]
-    iterations = [solve_torque_balance(w, loads, config).iterations for loads, config, w in cases]
+    counted = [
+        ([_CountingLoad(l.stiffness, l.wheel_radius, l.target_speed, l.offset) for l in loads],
+         config, w)
+        for loads, config, w in cases
+    ]
+    _CountingLoad.calls = 0
+    iterations = [solve_torque_balance(w, loads, config).iterations for loads, config, w in counted]
+    residuals_per_solve = _CountingLoad.calls / 3 / len(cases) - 1
     assert np.mean(iterations) <= 12
+    assert residuals_per_solve <= 7, residuals_per_solve
+
+
+@pytest.mark.parametrize("input_speed", [0.0, -0.0])
+@pytest.mark.parametrize("targets", [(1.0, -1.0, 0.0), (-1.0, 1.0, -0.0)])
+def test_exact_zero_root_takes_few_halvings(targets, input_speed):
+    # The secant seed is exactly +-0.0, where the residual is 0; the float
+    # residual stays >= 0 down to -5e-324, so the adjacent pair lies just
+    # below zero.  Plain bisection of the [-1, 1] bracket halves its way down
+    # through the subnormals to reach it.
+    loads = [LinearLoad(1.0, 1.0, t) for t in targets]
+    result = solve_torque_balance(input_speed, loads, UNIT)
+    reference = bisect_torque_balance(input_speed, loads, UNIT)
+    assert bits(result) == bits(reference)
+    assert reference.iterations > 1000
+    assert result.iterations <= 64
+
+
+@pytest.mark.parametrize("orientation", [0.0, 37.0, 90.0, 200.0])
+@pytest.mark.parametrize("bend_radius", [150.0, 300.0, 450.0, 600.0, 1000.0])
+def test_bend_solves_take_at_most_64_halvings(bend_radius, orientation):
+    # Equal slip stiffness puts a bend's equilibrium torque at rounding
+    # noise around 0, where floats are dense: the bracket must close in on
+    # the root before bisecting, or halving takes up to about 104 steps.  The
+    # seed is often orders of magnitude smaller than the root, so the search
+    # must not crawl out from it an ulp of the seed at a time either.
+    robot = RobotParams(50.0, 20.0, orientation, 1000.0, 8.0, 3.0, 0.4, 200.0)
+    required = required_track_speeds(1.0 / bend_radius, 50.0, robot)
+    loads = [_CountingLoad(1.0, 20.0, float(v)) for v in required]
+    _CountingLoad.calls = 0
+    result = solve_torque_balance(2.5, loads, UNIT)
+    assert _CountingLoad.calls / 3 - 1 <= 80
+    assert bits(result) == bits(bisect_torque_balance(2.5, loads, UNIT))
+    assert result.iterations <= 64
 
 
 # --- internal side-gear state ---------------------------------------------------
@@ -367,6 +423,12 @@ def test_internal_state_is_the_orthogonal_minimum_norm_solution():
         triple_approx(sides, tuple(expected), tol=1e-12)
         scale = max(1.0, max(abs(v) for v in expected))
         assert abs(np.dot(sides, CIRCULATION)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("outputs", [(10.0, 10.0), (10.0, 10.0, 10.0, 10.0)])
+def test_internal_state_rejects_other_than_three_outputs(outputs):
+    with pytest.raises(ValueError, match="expected 3 output speeds"):
+        internal_state(outputs, 10.0, UNIT)
 
 
 @pytest.mark.parametrize("outputs, input_speed", [
