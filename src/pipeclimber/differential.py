@@ -25,6 +25,10 @@ and adjust the torque until the mean output speed meets the averaging
 constraint.  Bracketed bisection keeps this robust for any monotone curve;
 it starts from the secant step, which usually lands within a few ulps of
 the root, and a search outward from it that brackets the root tightly.
+
+``TorqueBalance`` and ``TransmissionState`` are named tuples: immutable and
+hashable, but they compare equal to plain tuples of their fields, and a copy
+with other fields is ``result._replace(...)``, not ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistentOutputs, NoBracket, NonMonotoneLoad, require, require_positive
 
@@ -67,8 +72,7 @@ class TransmissionConfig:
         return self.ring_ratio * self.output_ratio
 
 
-@dataclass(frozen=True)
-class TransmissionState:
+class TransmissionState(NamedTuple):
     """Every gear speed and torque of the train at one instant.
 
     Speeds in rad/s, torques in N*m.  ``side_speeds`` is ordered
@@ -83,7 +87,7 @@ class TransmissionState:
     output_torques: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearLoad:
     """Resistive torque growing linearly with output speed (slip law).
 
@@ -111,8 +115,7 @@ class LinearLoad:
         return ((torque - self.offset) / self.stiffness + self.target_speed) / self.wheel_radius
 
 
-@dataclass(frozen=True)
-class TorqueBalance:
+class TorqueBalance(NamedTuple):
     """Result of a load-balance solve: output speeds and the shared torque.
 
     ``iterations`` counts the halvings of the final bisection only, not the
@@ -154,15 +157,16 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     if len(loads) != 3:
         raise ValueError(f"expected 3 load curves, got {len(loads)}")
     for load in loads:
-        if getattr(load, "slope", 1.0) <= 0.0:
+        if not getattr(load, "slope", 1.0) > 0.0:  # NaN fails too
             raise NonMonotoneLoad(f"load {load!r} is not strictly increasing")
 
     target = config.overall_ratio * input_speed
     inv0, inv1, inv2 = loads[0].inverse, loads[1].inverse, loads[2].inverse
 
     def residual(tau: float) -> float:
-        # ``sum`` as in plain bisection: from Python 3.12 it rounds unlike ``+``.
-        return sum((inv0(tau), inv1(tau), inv2(tau))) / 3.0 - target
+        # Adds from 0.0 in order, as Python 3.11's float ``sum`` does: from 3.12 on
+        # ``sum`` compensates its rounding, and the bits would follow the version.
+        return (0.0 + inv0(tau) + inv1(tau) + inv2(tau)) / 3.0 - target
 
     torques = [load.torque(target) for load in loads]
     lo, hi = min(torques), max(torques)
@@ -235,7 +239,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         tau = lo if abs(f_lo) < abs(f_hi) else hi
 
     speeds = (inv0(tau), inv1(tau), inv2(tau))
-    mean_residual = sum(speeds) / 3.0 - target
+    mean_residual = (0.0 + speeds[0] + speeds[1] + speeds[2]) / 3.0 - target
     if not abs(mean_residual) <= SOLVE_TOL * max(1.0, abs(target)):  # NaN fails too
         raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")
     return TorqueBalance(output_speeds=speeds, common_torque=tau, iterations=iterations)

@@ -324,7 +324,8 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             record = replace(solved[curvature], t=t, s=s, segment_index=index)
         else:
             record = solved[curvature] = step(scenario, t, s)
-        ds = dt * sum(record.track_speeds) / 3.0
+        w0, w1, w2 = record.track_speeds
+        ds = dt * (0.0 + w0 + w1 + w2) / 3.0
         values.append(record)
         # The centre stays in this segment while low <= s < high.
         low, high = float(bounds[index - 1]) if index else 0.0, float(bounds[index])

@@ -10,9 +10,10 @@ The documents are the shipped scenarios, the benchmark's generated
 networks for seeds 0-9, each of those pushed into the tilt and compression
 limits, cut short by ``max_time_s``, run at ``dt_s`` 0.05 and 0.005 and
 given body lengths of 20, 700 and 1600 mm (also at the limits), and
-documents that probe the float range.  The digests hold for Python 3.11:
-from 3.12 on ``sum``, which the solver's residual uses, rounds
-differently.  ``golden.json`` records the Python and numpy versions that
+documents that probe the float range.  Every mean on the bit path adds
+its three terms from 0.0 in order, never with ``sum``, whose rounding
+changed in Python 3.12, so the digests do not depend on the Python
+version.  ``golden.json`` records the Python and numpy versions that
 wrote it under ``VERSIONS``, which no document name takes: every name
 starts with a base name.
 

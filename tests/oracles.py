@@ -1,13 +1,14 @@
 """Independent reference solutions used to check the library's solvers.
 
 These deliberately avoid the code paths under test: the side-gear solve
-uses chain substitution plus a projection off the circulation mode instead
-of the closed form, the load-balance references are plain bisection from
-the full bracket (no secant narrowing) and the closed forms for linear
-slip loads, the reference run solves every row instead of once per
-centre segment, checks every row's front and rear itself instead of once
-per pair of segment kinds, and aggregates and writes its rows one at a time
-instead of from columns; bend track speeds come from contact paths traced
+uses chain substitution plus a projection off the circulation mode
+instead of the closed form, the load-balance references are plain
+bisection from the full bracket (no secant narrowing), the closed forms
+for linear slip loads and their exact root in ``Fraction``s, the
+reference run solves every row instead of once per centre segment,
+checks every row's front and rear itself instead of once per pair of
+segment kinds, and aggregates and writes its rows one at a time instead
+of from columns; bend track speeds come from contact paths traced
 through sampled centerline frames instead of the path-radius formula.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
 
@@ -65,7 +67,8 @@ def bisect_torque_balance(input_speed, loads, config):
     target = config.overall_ratio * input_speed
 
     def residual(tau):
-        return sum(load.inverse(tau) for load in loads) / 3.0 - target
+        w0, w1, w2 = (load.inverse(tau) for load in loads)
+        return (0.0 + w0 + w1 + w2) / 3.0 - target
 
     lo = min(load.torque(target) for load in loads)
     hi = max(load.torque(target) for load in loads)
@@ -113,6 +116,27 @@ def linear_root_torque(loads, input_speed, overall_ratio):
     shift = sum(w * load.offset for w, load in zip(weights, loads))
     speeds = sum(load.target_speed / load.wheel_radius for load in loads)
     return (3.0 * target + shift - speeds) / sum(weights)
+
+
+def exact_balance(input_speed, loads, config):
+    """Exact equilibrium of three ``LinearLoad``s at the solve's float target.
+
+    Each inverse is affine in the torque, w_j(tau) = tau / (k_j r_j) +
+    (v_j - offset_j / k_j) / r_j, so the mean inverse is a * tau + b with
+    a = mean_j 1/(k_j r_j) and b = mean_j (v_j - offset_j / k_j) / r_j, and
+    its root at the target is (target - b) / a.  Everything after the float
+    target ``overall_ratio * input_speed`` is computed in ``Fraction``s from
+    the loads' fields, so nothing is rounded.  Returns (torque, speeds, a).
+    """
+    target = Fraction(config.overall_ratio * input_speed)
+    weights, shifts = [], []
+    for load in loads:
+        k, r = Fraction(load.stiffness), Fraction(load.wheel_radius)
+        weights.append(1 / (k * r))
+        shifts.append((Fraction(load.target_speed) - Fraction(load.offset) / k) / r)
+    slope = sum(weights) / 3
+    tau = (target - sum(shifts) / 3) / slope
+    return tau, tuple(w * tau + b for w, b in zip(weights, shifts)), slope
 
 
 def equal_slip_solution(required_speeds, stiffness, wheel_radius, input_speed, overall_ratio):
@@ -194,7 +218,8 @@ def stepwise_run(scenario):
         asymmetry_deg(spring_compression(front, robot, extra),
                       spring_compression(rear, robot, extra), robot)
         records.append(record)
-        t, s = t + scenario.dt_s, s + scenario.dt_s * sum(record.track_speeds) / 3.0
+        w0, w1, w2 = record.track_speeds
+        t, s = t + scenario.dt_s, s + scenario.dt_s * (0.0 + w0 + w1 + w2) / 3.0
 
 
 def _row(record) -> list:

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from pipeclimber import (
     NoBracket,
     NonMonotoneLoad,
     RobotParams,
+    TorqueBalance,
     TransmissionConfig,
+    TransmissionState,
     balance_state,
     internal_state,
     power_balance,
@@ -23,6 +27,7 @@ from oracles import (
     CIRCULATION,
     bisect_torque_balance,
     equal_slip_solution,
+    exact_balance,
     linear_root_torque,
     side_speeds_min_norm,
 )
@@ -94,6 +99,9 @@ def test_non_monotone_load_rejected():
         solve_torque_balance(1.0, [bad, good, good], UNIT)
     with pytest.raises(NonMonotoneLoad):
         solve_torque_balance(1.0, [LinearLoad(stiffness=0.0), good, good], UNIT)
+    for nan_slope in (LinearLoad(stiffness=math.nan), LinearLoad(1.0, wheel_radius=math.nan)):
+        with pytest.raises(NonMonotoneLoad):
+            solve_torque_balance(1.0, [nan_slope, good, good], UNIT)
 
 
 class _BrokenLoad:
@@ -368,6 +376,92 @@ def test_bend_solves_take_at_most_64_halvings(bend_radius, orientation):
     assert _CountingLoad.calls / 3 - 1 <= 80
     assert bits(result) == bits(bisect_torque_balance(2.5, loads, UNIT))
     assert result.iterations <= 64
+    assert_near_exact_balance(result, 2.5, loads, UNIT)
+
+
+# --- torque balance: against the exact root -----------------------------------------
+
+EPS = Fraction(sys.float_info.epsilon)
+TINY = Fraction(2) ** -1074  # the spacing of subnormal floats
+SLACK = 1 + Fraction(1, 2**40)
+
+
+def assert_near_exact_balance(result, input_speed, loads, config):
+    """The solve's torque and speeds lie within a rounding-error bound of
+    ``oracles.exact_balance``.
+
+    Let S be the largest magnitude that enters the residual.  One inverse
+    ((tau - off)/k + v)/r rounds four times: the first two act on the
+    (tau - off)/k part, at most 2S after the /r, and the last two on values
+    of at most S, so it errs by at most (2 + 2 + 1 + 1) * eps/2 * S = 3 eps S.
+    The mean (0 + w0 + w1 + w2)/3 rounds two partial sums (at most 2S and
+    3S) and the quotient (at most S): 4/3 eps S more.  The final "- target"
+    keeps the sign.  So the float residual has the exact residual's sign
+    wherever that exceeds E = 13/3 eps S in size, and the solve ends on an
+    adjacent pair within E/a of the root.  The pair's gap is at most
+    eps |tau| <= eps S/a, as a |tau| is the mean of |tau|/(k_j r_j): 16/3
+    eps S/a in all.  A speed errs by its own inverse's 3 eps S plus the
+    torque error over k_j r_j.  A rounding in the subnormal range may err by
+    TINY/2 absolute instead; 16 TINY covers all of them and the gap there.
+    SLACK covers the O(eps**2) terms.
+    """
+    tau, speeds, slope = exact_balance(input_speed, loads, config)
+    got = Fraction(result.common_torque)
+    radii = [Fraction(load.wheel_radius) for load in loads]
+    stiffnesses = [Fraction(load.stiffness) for load in loads]
+    gains = [1 / (k * r) for k, r in zip(stiffnesses, radii)]  # d inverse / d torque
+    scale = max(
+        abs(Fraction(config.overall_ratio * input_speed)),
+        *(abs(w + g * (got - tau)) for w, g in zip(speeds, gains)),  # inverses at ``got``
+        *(abs(Fraction(load.offset) / k) / r for load, k, r in zip(loads, stiffnesses, radii)),
+        *(abs(got / k) / r for k, r in zip(stiffnesses, radii)),
+        *(abs(Fraction(load.target_speed) / r) for load, r in zip(loads, radii)),
+    )
+    torque_error = abs(got - tau)
+    bound = SLACK * (Fraction(16, 3) * EPS * scale + 16 * TINY) / slope
+    assert torque_error <= bound, (float(torque_error), float(bound))
+    for w, exact, gain in zip(result.output_speeds, speeds, gains):
+        error = abs(Fraction(w) - exact)
+        bound = SLACK * (3 * EPS * scale + 16 * TINY + torque_error * gain)
+        assert error <= bound, (float(error), float(bound))
+
+
+def test_solver_is_near_the_exact_root_on_c1_cases():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        loads, config, input_speed = random_case(rng)
+        result = solve_torque_balance(input_speed, loads, config)
+        assert_near_exact_balance(result, input_speed, loads, config)
+
+
+@given(loads=load_triples(), input_speed=st.floats(-20.0, 20.0), config=configs)
+@settings(max_examples=200, deadline=None)
+def test_solver_is_near_the_exact_root_under_any_load(loads, input_speed, config):
+    result = solve_torque_balance(input_speed, list(loads), config)
+    assert_near_exact_balance(result, input_speed, loads, config)
+
+
+# --- result types -------------------------------------------------------------------
+
+def test_results_are_immutable_hashable_named_tuples():
+    loads = [LinearLoad(2.0, 20.0, v) for v in (67.0, 52.0, 52.0)]
+    balance = solve_torque_balance(3.0, loads, UNIT)
+    state = balance_state(3.0, loads, UNIT)
+    assert TorqueBalance._fields == ("output_speeds", "common_torque", "iterations")
+    assert TransmissionState._fields == ("input_speed", "input_torque", "ring_speeds",
+                                         "side_speeds", "output_speeds", "output_torques")
+    for result in (balance, state):
+        for field in result._fields:
+            with pytest.raises(AttributeError):
+                setattr(result, field, 0.0)
+        assert hash(result) == hash(tuple(result))
+        assert type(result)(**result._asdict()) == result
+    assert balance._replace(iterations=0) == (balance.output_speeds, balance.common_torque, 0)
+    # A slotted LinearLoad has no instance dict, but a subclass still counts.
+    assert not hasattr(loads[0], "__dict__")
+    _CountingLoad.calls = 0
+    solve_torque_balance(3.0, [_CountingLoad(2.0, 20.0, v) for v in (67.0, 52.0, 52.0)], UNIT)
+    assert _CountingLoad.calls >= 6
 
 
 # --- internal side-gear state ---------------------------------------------------
