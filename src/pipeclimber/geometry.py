@@ -2,8 +2,8 @@
 
 A network is an ordered chain of straight runs and circular bends, each
 continuing tangentially from the previous one.  All lengths are in mm.
-A network keeps scalar facts only, each segment's end arc length and
-curvature; ``pose_at`` derives 3-D frames on demand.
+A network keeps scalar facts only, as tuples of floats: each segment's end
+arc length and curvature; ``pose_at`` derives 3-D frames on demand.
 
 Every network enters at the origin pointing up (+z).  Bend convention: a
 persistent reference normal (unit vector perpendicular to the tangent) is
@@ -24,6 +24,7 @@ Inside a bend at entry point p with entry tangent t and outward direction u
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,8 +75,6 @@ class PipeNetwork:
     segments: tuple
     inner_radius: float
     cumulative_lengths: tuple
-    # cumulative_lengths as a read-only float64 array, for segment_at's lookups
-    segment_ends: np.ndarray = field(repr=False, compare=False)
     # per segment: 0.0 on a straight, 1.0 / bend_radius on a bend (1/mm)
     curvatures: tuple = field(repr=False, compare=False)
 
@@ -133,13 +132,10 @@ def build_network(segments, inner_radius: float) -> PipeNetwork:
                              f"{getattr(seg, field)}", index, field)
         boundaries.append(s)
 
-    ends = np.array(boundaries, dtype=np.float64)
-    ends.setflags(write=False)
     return PipeNetwork(
         segments=segments,
         inner_radius=inner_radius,
         cumulative_lengths=tuple(boundaries),
-        segment_ends=ends,
         curvatures=tuple(1.0 / seg.bend_radius if isinstance(seg, Bend) else 0.0
                          for seg in segments),
     )
@@ -150,9 +146,10 @@ def segment_at(network: PipeNetwork, s):
 
     ``s`` is a number, giving an ``int``, or an array, giving an index array.
     """
-    index = np.searchsorted(network.segment_ends, s, side="right")
     last = len(network.segments) - 1
-    return np.minimum(index, last) if isinstance(s, np.ndarray) else min(int(index), last)
+    if isinstance(s, np.ndarray):
+        return np.minimum(np.searchsorted(network.cumulative_lengths, s, side="right"), last)
+    return min(bisect_right(network.cumulative_lengths, s), last)
 
 
 def _bend_entry(bend: Bend, point: np.ndarray, tangent: np.ndarray,

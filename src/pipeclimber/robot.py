@@ -5,8 +5,9 @@ pressed against the pipe wall by preloaded linear springs.  Module angles
 are measured from the bend's outward direction, so a module at angle 0 rides
 the outside of the bend.  Each bend uses its own outward direction, so a
 bend's ``bend_plane_roll`` moves the centerline in space but leaves every
-module angle, and hence every record and summary, unchanged.  Per-track quantities are ordered (A, B, C) for
-modules at orientation, orientation+120, orientation+240 degrees.
+module angle, and hence every record and summary, unchanged.  Per-track
+quantities are tuples of three floats, ordered (A, B, C) for modules at
+orientation, orientation+120, orientation+240 degrees.
 
 Inside a bend of centerline radius R, the contact path of the module at
 angle q turns about the bend axis at radius R + h*cos(q) (h = contact
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import AsymmetryLimit, CompressionLimit, DegenerateBend, require, require_positive
 
@@ -103,7 +102,7 @@ def track_path_radius(bend_radius: float, contact_radius: float, module_angle_de
 
 def required_track_speeds(
     curvature: float, center_speed: float, params: RobotParams
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Track surface speeds that follow the local geometry without slip.
 
     All equal to the centerline speed on straights (``curvature`` 0); scaled
@@ -111,29 +110,25 @@ def required_track_speeds(
     bends.  Their mean is the centerline speed in both cases.
     """
     if curvature == 0.0:
-        return np.full(3, center_speed)
-    bend_radius = 1.0 / curvature
-    radii = np.array(
-        [
-            track_path_radius(bend_radius, params.contact_radius_mm, angle)
-            for angle in params.module_angles_deg
-        ]
-    )
-    return center_speed * radii / bend_radius
+        return (float(center_speed),) * 3
+    bend_radius, h = 1.0 / curvature, params.contact_radius_mm
+    return tuple(center_speed * track_path_radius(bend_radius, h, angle) / bend_radius
+                 for angle in params.module_angles_deg)
 
 
-def spring_compression(curvature: float, params: RobotParams, bend_extra_mm: float) -> np.ndarray:
+def spring_compression(curvature: float, params: RobotParams,
+                       bend_extra_mm: float) -> tuple[float, float, float]:
     """Per-module spring compression (mm) where the centerline has ``curvature``.
 
     Straights (``curvature`` 0) sit at the preload.  In bends the modules
     nearest the bend plane take extra compression, scaled by |cos| of the
     module angle so the in-plane modules gain the full ``bend_extra_mm``.
     """
-    compressions = np.full(3, params.preload_mm)
+    compressions = (float(params.preload_mm),) * 3
     if curvature != 0.0:
-        scale = np.abs(np.cos(np.radians(params.module_angles_deg)))
-        compressions = compressions + bend_extra_mm * scale
-    worst = int(np.argmax(compressions))
+        compressions = tuple(params.preload_mm + bend_extra_mm * abs(math.cos(math.radians(q)))
+                             for q in params.module_angles_deg)
+    worst = max(range(3), key=compressions.__getitem__)  # the first largest
     if compressions[worst] > params.max_compression_mm:
         raise CompressionLimit(
             f"module {'ABC'[worst]} needs {compressions[worst]:.3f} mm, over the "
@@ -143,16 +138,16 @@ def spring_compression(curvature: float, params: RobotParams, bend_extra_mm: flo
 
 
 def asymmetry_deg(
-    front_compressions: np.ndarray, rear_compressions: np.ndarray, params: RobotParams
-) -> np.ndarray:
+    front_compressions: tuple, rear_compressions: tuple, params: RobotParams
+) -> tuple[float, float, float]:
     """Per-module tilt (degrees) from uneven front/rear compression.
 
     The tilt is the front-to-rear compression difference taken over the body
     length.  Raises AsymmetryLimit beyond the configured angle.
     """
-    delta = np.abs(np.asarray(front_compressions) - np.asarray(rear_compressions))
-    tilt = np.degrees(np.arctan2(delta, params.length_mm))
-    worst = int(np.argmax(tilt))
+    tilt = tuple(math.degrees(math.atan2(abs(front - rear), params.length_mm))
+                 for front, rear in zip(front_compressions, rear_compressions))
+    worst = max(range(3), key=tilt.__getitem__)
     if tilt[worst] > params.max_asym_deg:
         raise AsymmetryLimit(
             f"module {'ABC'[worst]} tilts {tilt[worst]:.3f} deg, over the "

@@ -164,6 +164,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError("give either inner_radius_mm or nps+schedule, not both", "pipe")
         inner_radius = _number(pipe["inner_radius_mm"], "pipe.inner_radius_mm")
     elif "nps" in pipe and "schedule" in pipe:
+        for key in ("nps", "schedule"):
+            if isinstance(pipe[key], bool) or not isinstance(pipe[key], (str, int, float)):
+                raise ValidationError(f"expected a string or a number, got "
+                                      f"{type(pipe[key]).__name__}", f"pipe.{key}")
         inner_radius = pipe_inner_radius(pipe["nps"], pipe["schedule"])
     else:
         raise ValidationError("needs inner_radius_mm or both nps and schedule", "pipe")

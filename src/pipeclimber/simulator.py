@@ -22,7 +22,8 @@ per segment and each row a few array elements.
 Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and the
 record of each centre segment visited once, with the row where the centre
 leaves it.  ``summarize`` and the CSV writer read the columns; indexing and
-iteration give ``SimRecord`` rows.
+iteration give ``SimRecord`` rows.  Only per-row data are numpy arrays, the
+columns and the masks and lookups that fill them; per-segment values are not.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -136,23 +138,23 @@ class Records(Sequence):
     ``t`` and ``s`` are float64 columns with one value per row.  Rows with
     the centre in one segment share every other field, so ``values[j]``
     holds the record of the ``j``-th centre segment visited and
-    ``run_ends[j]`` is the row where the centre leaves it.  Every run has at
-    least one row.  Indexing by row number and iteration give ``SimRecord``
-    rows; two tables are equal when their rows are.
+    ``run_ends[j]`` is the row where the centre leaves it; both are tuples.
+    Every run has at least one row.  Indexing by row number and iteration
+    give ``SimRecord`` rows; two tables are equal when their rows are.
     """
 
     def __init__(self, t, s, values, run_ends):
         self.t = t
         self.s = s
         self.values = tuple(values)
-        self.run_ends = np.asarray(run_ends, dtype=np.intp)
+        self.run_ends = tuple(map(operator.index, run_ends))
 
     def __len__(self) -> int:
         return len(self.t)
 
     def __getitem__(self, key):
         row = range(len(self))[operator.index(key)]  # IndexError past either end
-        value = self.values[np.searchsorted(self.run_ends, row, side="right")]
+        value = self.values[bisect_right(self.run_ends, row)]
         return replace(value, t=float(self.t[row]), s=float(self.s[row]))
 
     def __iter__(self):
@@ -163,7 +165,7 @@ class Records(Sequence):
     def runs(self):
         """(record, t column, s column) per centre segment visited, in row order."""
         start = 0
-        for value, end in zip(self.values, self.run_ends.tolist()):
+        for value, end in zip(self.values, self.run_ends):
             yield value, self.t[start:end], self.s[start:end]
             start = end
 
@@ -237,7 +239,6 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     required = required_track_speeds(curvature, scenario.center_speed_mm_s, robot)
     compressions = spring_compression(curvature, robot, scenario.bend_extra_compression_mm)
 
-    required = tuple(float(v) for v in required)
     loads = [LinearLoad(scenario.slip_stiffness, robot.sprocket_radius_mm, v) for v in required]
     balance = solve_torque_balance(scenario.input_speed_rad_s, loads, scenario.transmission)
     track_speeds = tuple(w * robot.sprocket_radius_mm for w in balance.output_speeds)
@@ -249,7 +250,7 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
         track_speeds=track_speeds,
         required_speeds=required,
         slip=tuple(v - r for v, r in zip(track_speeds, required)),
-        compressions=tuple(float(x) for x in compressions),
+        compressions=compressions,
         common_torque=balance.common_torque,
     )
 
@@ -287,7 +288,7 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     """
     network = scenario.network
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
-    bounds = network.segment_ends
+    bounds = network.cumulative_lengths
     half = scenario.robot.length_mm / 2.0
     is_bend = np.asarray(network.curvatures) != 0.0
     fails = np.zeros((2, 2), dtype=bool)  # [front is a bend, rear is a bend]
@@ -328,7 +329,7 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
         ds = dt * (0.0 + w0 + w1 + w2) / 3.0
         values.append(record)
         # The centre stays in this segment while low <= s < high.
-        low, high = float(bounds[index - 1]) if index else 0.0, float(bounds[index])
+        low, high = bounds[index - 1] if index else 0.0, bounds[index]
         stays = True
         while stays:
             # Rows up to the segment end or the time budget; the margin covers
@@ -380,8 +381,8 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
     """Aggregate records into per-segment and run-level statistics; the run
     ended at ``finish_time`` with the body centre at ``final_s``."""
     segment_stats = []
-    per_track_ape = np.zeros(3)
-    ends = records.run_ends.tolist()
+    per_track_ape = (0.0, 0.0, 0.0)
+    ends = records.run_ends
     for pos, (value, end) in enumerate(zip(records.values, ends)):
         first = ends[pos - 1] if pos else 0
         index = value.segment_index
@@ -391,7 +392,7 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
         mean_speeds = tuple(float(np.mean(np.full(end - first, v))) for v in value.track_speeds)
         analytic = analytic_track_speeds(scenario, index)
         errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
-        per_track_ape = np.maximum(per_track_ape, errors)
+        per_track_ape = tuple(map(max, per_track_ape, errors))
         segment_stats.append(
             SegmentStats(
                 index=index,
@@ -409,7 +410,7 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
     max_comp = max(max(r.compressions) for r in records.values)
     return SimSummary(
         segments=tuple(segment_stats),
-        per_track_ape_percent=tuple(float(e) for e in per_track_ape),
+        per_track_ape_percent=per_track_ape,
         max_abs_slip=max_slip,
         max_compression=max_comp,
         finish_time=finish_time,

@@ -1,21 +1,23 @@
 """Independent reference solutions used to check the library's solvers.
 
 These deliberately avoid the code paths under test: the side-gear solve
-uses chain substitution plus a projection off the circulation mode
-instead of the closed form, the load-balance references are plain
-bisection from the full bracket (no secant narrowing), the closed forms
-for linear slip loads and their exact root in ``Fraction``s, the
-reference run solves every row instead of once per centre segment,
-checks every row's front and rear itself instead of once per pair of
-segment kinds, and aggregates and writes its rows one at a time instead
-of from columns; bend track speeds come from contact paths traced
-through sampled centerline frames instead of the path-radius formula.
+uses chain substitution plus a projection off the circulation mode in
+``Fraction``s instead of the float closed form, the load-balance
+references are plain bisection from the full bracket (no secant
+narrowing), the closed form for equal slip loads and the exact root of
+linear ones in ``Fraction``s, the reference run solves every row instead
+of once per centre segment, checks every row's front and rear itself
+instead of once per pair of segment kinds, and aggregates and writes its
+rows one at a time instead of from columns; bend track speeds come from
+contact paths traced through sampled centerline frames instead of the
+path-radius formula.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
@@ -29,34 +31,9 @@ from pipeclimber.robot import asymmetry_deg, spring_compression
 from pipeclimber.scenario_io import CSV_COLUMNS
 from pipeclimber.simulator import SegmentStats, SimSummary, analytic_track_speeds, ape
 
-CIRCULATION = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])  # +t on every L, -t on every R
-
-
-def side_speeds_chain(outputs, input_speed, ring_ratio=1.0, output_ratio=1.0, free=0.0):
-    """Side speeds (L1, R1, L2, R2, L3, R3) with L1 pinned to ``free``.
-
-    Walks the averaging constraints around the gear loop:
-    R_i = 2*ring_ratio*wu - L_i and L_{i+1} = 2*w_i/output_ratio - R_i.
-    Returns (vector, closure) where closure is the loop mismatch back at L1
-    (zero exactly when the outputs satisfy the averaging law).
-    """
-    left = [0.0, 0.0, 0.0]
-    right = [0.0, 0.0, 0.0]
-    left[0] = free
-    for i in range(3):
-        right[i] = 2.0 * ring_ratio * input_speed - left[i]
-        left[(i + 1) % 3] = 2.0 * outputs[i] / output_ratio - right[i]
-    closure = left[0] - free
-    vec = np.array([left[0], right[0], left[1], right[1], left[2], right[2]])
-    return vec, closure
-
-
-def side_speeds_min_norm(outputs, input_speed, ring_ratio=1.0, output_ratio=1.0):
-    """Minimum-norm side speeds: the chain solution with L1 pinned to 0, less
-    its projection on the free internal circulation mode ``CIRCULATION``."""
-    vec, closure = side_speeds_chain(outputs, input_speed, ring_ratio, output_ratio)
-    assert abs(closure) < 1e-6, "outputs inconsistent with the averaging law"
-    return vec - (vec @ CIRCULATION) / (CIRCULATION @ CIRCULATION) * CIRCULATION
+EPS = Fraction(sys.float_info.epsilon)
+TINY = Fraction(2) ** -1074  # the spacing of subnormal floats
+SLACK = 1 + Fraction(1, 2**40)  # room for the O(EPS**2) terms of a rounding-error bound
 
 
 def bisect_torque_balance(input_speed, loads, config):
@@ -103,21 +80,6 @@ def bisect_torque_balance(input_speed, loads, config):
     return TorqueBalance(output_speeds=speeds, common_torque=tau, iterations=iterations)
 
 
-def linear_root_torque(loads, input_speed, overall_ratio):
-    """Common torque of three ``LinearLoad``s in closed form.
-
-    Each inverse is tau / (k r) - offset / (k r) + target_speed / r, so the
-    averaging law sum_j w_j = 3 * overall_ratio * input_speed gives
-
-        tau = (3 * target + sum offset/(k r) - sum target_speed/r) / sum 1/(k r)
-    """
-    target = overall_ratio * input_speed
-    weights = [1.0 / (load.stiffness * load.wheel_radius) for load in loads]
-    shift = sum(w * load.offset for w, load in zip(weights, loads))
-    speeds = sum(load.target_speed / load.wheel_radius for load in loads)
-    return (3.0 * target + shift - speeds) / sum(weights)
-
-
 def exact_balance(input_speed, loads, config):
     """Exact equilibrium of three ``LinearLoad``s at the solve's float target.
 
@@ -137,6 +99,55 @@ def exact_balance(input_speed, loads, config):
     slope = sum(weights) / 3
     tau = (target - sum(shifts) / 3) / slope
     return tau, tuple(w * tau + b for w, b in zip(weights, shifts)), slope
+
+
+def exact_side_speeds(outputs, input_speed, config):
+    """Exact minimum-norm side speeds (L1, R1, L2, R2, L3, R3) for the outputs.
+
+    Pins L1 to 0 and walks the averaging constraints around the gear loop,
+    R_i = 2 * ring_ratio * input_speed - L_i and L_{i+1} = 2 * w_i /
+    output_ratio - R_i, for i = 1, 2, 3 and outputs w_1, w_2; then removes
+    the projection on the free circulation mode (+1 on every L, -1 on every
+    R), which leaves the minimum-norm solution.  Everything is computed in
+    ``Fraction``s from the float arguments, so nothing is rounded.  The
+    constraint of the third output, R_3 + L_1 = 2 * w_3 / output_ratio,
+    holds only as far as the float outputs obey the averaging law;
+    ``internal_state`` leaves it out too.
+    """
+    ring_sum = 2 * Fraction(config.ring_ratio) * Fraction(input_speed)
+    left, right = [Fraction(0)], []
+    for w in outputs[:2]:
+        right.append(ring_sum - left[-1])
+        left.append(2 * Fraction(w) / Fraction(config.output_ratio) - right[-1])
+    right.append(ring_sum - left[-1])
+    circulation = (sum(left) - sum(right)) / 6
+    return tuple(v for left_i, right_i in zip(left, right)
+                 for v in (left_i - circulation, right_i + circulation))
+
+
+def assert_near_exact_sides(sides, outputs, input_speed, config):
+    """``internal_state``'s ``sides`` lie within a rounding-error bound of
+    ``exact_side_speeds``.
+
+    With u = eps/2 and S the largest magnitude among the exact ring speed
+    rho, the 2 w_j / output_ratio, c_j, x_i and sides, each rounding errs
+    by at most u S: rho and 2 w_j / output_ratio by u S (the doubling is
+    exact), c_j = 2 w_j / output_ratio - 2 rho by u S + 2 u S + u S = 4 u S,
+    2 c_0 + c_1 by 8 + 4 + 3 = 15 u S (it is 3 x_0), x_0 by 15/3 + 1 = 6 u S,
+    x_1 = x_0 - c_0 by 6 + 4 + 1 = 11 u S, x_2 = x_1 - c_1 by 16 u S, and a
+    side rho +/- x_i by 1 + 16 + 1 = 18 u S = 9 eps S at most.  A rounding
+    in the subnormal range may err by TINY/2 absolute instead, so the same
+    count gives 9 TINY.  SLACK covers the O(eps**2) terms.
+    """
+    exact = exact_side_speeds(outputs, input_speed, config)
+    ring = Fraction(config.ring_ratio) * Fraction(input_speed)
+    doubled = [2 * Fraction(w) / Fraction(config.output_ratio) for w in outputs[:2]]
+    shifts = [(right - left) / 2 for left, right in zip(exact[0::2], exact[1::2])]
+    scale = max(abs(v) for v in (ring, *doubled, *(d - 2 * ring for d in doubled),
+                                 *shifts, *exact))
+    bound = SLACK * (9 * EPS * scale + 9 * TINY)
+    for got, want in zip(sides, exact):
+        assert abs(Fraction(got) - want) <= bound, (got, float(want), float(bound))
 
 
 def equal_slip_solution(required_speeds, stiffness, wheel_radius, input_speed, overall_ratio):

@@ -26,7 +26,7 @@ from pipeclimber import (
     tractive_effort_and_torque,
 )
 from conftest import make_four_section_scenario, make_robot
-from oracles import equal_slip_solution, side_speeds_min_norm
+from oracles import assert_near_exact_sides, equal_slip_solution
 
 
 def report(name: str, detail: str = "") -> None:
@@ -123,9 +123,7 @@ def test_c4_internal_state_oracle():
     expected = (22 / 3, 38 / 3, 34 / 3, 26 / 3, 34 / 3, 26 / 3)
     for got, want in zip(sides, expected):
         assert abs(got - want) <= 1e-9
-    oracle = side_speeds_min_norm((12.0, 10.0, 8.0), 10.0)
-    for got, want in zip(sides, oracle):
-        assert abs(got - want) <= 1e-9
+    assert_near_exact_sides(sides, (12.0, 10.0, 8.0), 10.0, TransmissionConfig())
     report("internal side-gear state", f"(max dev {max(abs(g - w) for g, w in zip(sides, expected)):.2e})")
 
 

@@ -39,14 +39,6 @@ def test_four_section_cumulative_boundaries():
     assert len(net.segments) == 4
     for got, want in zip(net.cumulative_lengths, expected):
         assert got == pytest.approx(want, abs=1e-5)
-
-
-def test_segment_ends_are_a_read_only_copy_of_the_boundaries():
-    net = build_network(FOUR_SECTION, inner_radius=77.0)
-    assert net.segment_ends.dtype == np.float64
-    assert tuple(net.segment_ends.tolist()) == net.cumulative_lengths
-    assert not net.segment_ends.flags.writeable
-    assert "segment_ends" not in repr(net)
     assert net == net and net != build_network(FOUR_SECTION, inner_radius=77.0)  # by identity
 
 

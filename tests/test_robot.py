@@ -69,7 +69,7 @@ def test_bend_speeds_at_90_degrees():
     robot = make_robot(orientation_deg=90.0)
     speeds = required_track_speeds(bend_curvature(), 60.0, robot)
     assert speeds == pytest.approx([60.0, 51.339746, 68.660254], abs=1e-5)
-    assert speeds.mean() == pytest.approx(60.0, rel=1e-12)
+    assert np.asarray(speeds).mean() == pytest.approx(60.0, rel=1e-12)
 
 
 @given(
@@ -81,7 +81,7 @@ def test_bend_speeds_at_90_degrees():
 def test_mean_speed_is_the_center_speed(orientation, center_speed, contact_radius):
     robot = make_robot(orientation_deg=orientation, contact_radius_mm=contact_radius)
     speeds = required_track_speeds(bend_curvature(), center_speed, robot)
-    assert speeds.mean() == pytest.approx(center_speed, rel=1e-12)
+    assert np.asarray(speeds).mean() == pytest.approx(center_speed, rel=1e-12)
 
 
 @given(orientation=st.floats(-360.0, 360.0))
@@ -101,7 +101,7 @@ def test_straight_speeds_ignore_orientation(orientation):
     speeds = required_track_speeds(
         straight_curvature(), 60.0, make_robot(orientation_deg=orientation)
     )
-    assert np.all(speeds == 60.0)
+    assert speeds == (60.0, 60.0, 60.0)
 
 
 def test_outermost_track_is_fastest(robot_params):
@@ -142,7 +142,7 @@ def test_compression_never_exceeds_budget_when_returned():
     for preload in (0.0, 5.0, 14.5):
         robot = make_robot(preload_mm=preload)
         comp = spring_compression(bend_curvature(), robot, bend_extra_mm=1.5)
-        assert np.all(comp <= robot.max_compression_mm)
+        assert max(comp) <= robot.max_compression_mm
 
 
 # --- asymmetric compression tilt ----------------------------------------------------

@@ -87,6 +87,20 @@ def test_nps_lookup_sets_the_bore(tmp_path):
     doc["pipe"]["schedule"] = "40"
     scenario = parse_scenario(write_doc(tmp_path, doc))
     assert scenario.network.inner_radius == pytest.approx(77.03, abs=0.01)
+    doc["pipe"].update(nps=6, schedule=40.0)  # numbers name the same entry
+    numbered = parse_scenario(write_doc(tmp_path, doc))
+    assert numbered.network.inner_radius == scenario.network.inner_radius
+
+
+@pytest.mark.parametrize("key", ["nps", "schedule"])
+@pytest.mark.parametrize("value", [[6], {"A": 1}, True, False, None])
+def test_nps_and_schedule_of_another_type_name_the_key(tmp_path, key, value):
+    doc = minimal_doc()
+    del doc["pipe"]["inner_radius_mm"]
+    doc["pipe"].update(nps="6", schedule="40")
+    doc["pipe"][key] = value
+    with pytest.raises(ValidationError, match=rf"^pipe\.{key}: expected a string or a number"):
+        parse_scenario(write_doc(tmp_path, doc))
 
 
 def test_missing_friction_names_the_key(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -21,9 +22,12 @@ from pipeclimber import (
     Straight,
     ValidationError,
     ape,
+    asymmetry_deg,
     build_network,
     emit_records,
+    required_track_speeds,
     run,
+    spring_compression,
     step,
     sweep_orientation,
 )
@@ -282,7 +286,7 @@ def test_fills_cut_short_give_the_same_table(monkeypatch, max_steps):
     short, short_summary = run(scenario)
     assert short == records and short_summary == summary
     assert short.values == records.values  # each segment's run starts on the same row
-    assert short.run_ends.tolist() == records.run_ends.tolist()
+    assert short.run_ends == records.run_ends
 
 
 def test_records_table_reads_like_a_list_of_rows(four_section_scenario):
@@ -298,6 +302,23 @@ def test_records_table_reads_like_a_list_of_rows(four_section_scenario):
             records[index]
     with pytest.raises(TypeError):
         records[10:20]  # a table is not sliced
+
+
+def test_per_segment_values_are_plain_floats(four_section_scenario):
+    # numpy holds per-row columns only: the robot's formulas give tuples of
+    # floats on straights and in bends, from int arguments too, and the run
+    # ends are ints.
+    extra = four_section_scenario.bend_extra_compression_mm
+    robots = (four_section_scenario.robot, make_robot(preload_mm=8, length_mm=200))
+    for curvature, robot in itertools.product((0.0, 1.0 / 300.0), robots):
+        compressions = spring_compression(curvature, robot, extra)
+        tilt = asymmetry_deg(compressions, spring_compression(0.0, robot, extra), robot)
+        for values in (required_track_speeds(curvature, 60, robot), compressions, tilt):
+            assert type(values) is tuple and len(values) == 3, values
+            assert all(type(v) is float for v in values), values
+    records, _ = run(four_section_scenario)
+    assert type(records.run_ends) is tuple and len(records.run_ends) == 4
+    assert all(type(end) is int for end in records.run_ends), records.run_ends
 
 
 def _outcome(run_fn, scenario):
@@ -381,7 +402,7 @@ def _check_against_stepping(scenario, folder):
                    for a, b in zip(records.values, records.values[1:]))
         centre = geometry.segment_at(scenario.network, records.s)
         changes = np.flatnonzero(centre[1:] != centre[:-1]) + 1
-        assert records.run_ends.tolist() == [*changes.tolist(), len(records)]
+        assert records.run_ends == (*changes.tolist(), len(records))
         for fmt in ("csv", "json"):
             emit_records(records, fmt, folder / f"table.{fmt}")
             write_rows(rows, fmt, folder / f"rows.{fmt}")
