@@ -58,6 +58,8 @@ from .scenario_io import (
     scenario_from_dict,
     scenario_to_dict,
     summary_to_dict,
+    write_summary,
+    write_sweep,
 )
 from .simulator import (
     Records,

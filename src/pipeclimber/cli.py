@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .dimensions import pipe_dimensions, pipe_inner_radius
 from .errors import ConfigError, IoError, MaxTimeExceeded, SimulationError, ValidationError
-from .scenario_io import emit_records, parse_scenario, summary_to_dict, write_json
+from .scenario_io import emit_records, parse_scenario, write_summary, write_sweep
+from .scenario_io import summary_to_dict  # noqa: F401 (bench/tracing.py wraps cli.summary_to_dict)
 from .simulator import run as run_scenario
 from .simulator import sweep_orientation
 
@@ -51,7 +52,7 @@ def _cmd_run(args) -> int:
         emit_records(exc.records, args.format, records_path)
         raise
     emit_records(records, args.format, records_path)
-    write_json(summary_to_dict(summary), out_dir / "summary.json", indent=1)
+    write_summary(summary, out_dir / "summary.json")
     _print_summary(summary)
     print(f"records -> {records_path}")
     return EXIT_OK
@@ -83,16 +84,8 @@ def _cmd_sweep(args) -> int:
             print(f"{entry.orientation_deg:11.1f}   failed: {entry.error}")
     if args.out:
         out_path = Path(args.out)
-        payload = [
-            {
-                "orientation_deg": entry.orientation_deg,
-                "summary": summary_to_dict(entry.summary) if entry.ok else None,
-                "error": None if entry.ok else str(entry.error),
-            }
-            for entry in entries
-        ]
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        write_json(payload, out_path, indent=1)
+        write_sweep(entries, out_path)
         print(f"sweep -> {out_path}")
     return EXIT_SIMULATION if failed else EXIT_OK
 

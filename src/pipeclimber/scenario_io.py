@@ -10,10 +10,13 @@ validators' included, name the offending key path.
 Record output is CSV (fixed column order, 9 significant digits) or JSON
 (one object per row, as ``json.dump(rows, indent=1)`` lays it out), streamed
 by one writer from a ``Records`` table's columns, a chunk of rows at a time.
+Run and sweep summaries are JSON as ``json.dumps(payload, indent=1)`` lays
+it out, filled into templates.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -89,9 +92,18 @@ _PATHS = {"inner_radius": "pipe.inner_radius_mm"} | {
 _SEGMENT_KEYS = {field: key for kind in ("straight", "bend") for key, field, _ in SCHEMA[kind]}
 
 
+_JSON_TYPES = {type(None): "null", bool: "boolean", str: "string", list: "array", dict: "object",
+               int: "number", float: "number"}
+
+
+def _json_type(value) -> str:
+    """The JSON name of a parsed value's type, as a scenario's author wrote it."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def _mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValidationError(f"expected an object, got {type(obj).__name__}", path)
+        raise ValidationError(f"expected an object, got {_json_type(obj)}", path)
     return obj
 
 
@@ -108,7 +120,7 @@ def _check_keys(obj, path: str, known, required) -> dict:
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"expected a number, got {type(value).__name__}", path)
+        raise ValidationError(f"expected a number, got {_json_type(value)}", path)
     # The first test catches integer literals beyond the float range too.
     if abs(value) > sys.float_info.max or not math.isfinite(value):
         raise ValidationError("expected a finite number", path)
@@ -167,7 +179,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         for key in ("nps", "schedule"):
             if isinstance(pipe[key], bool) or not isinstance(pipe[key], (str, int, float)):
                 raise ValidationError(f"expected a string or a number, got "
-                                      f"{type(pipe[key]).__name__}", f"pipe.{key}")
+                                      f"{_json_type(pipe[key])}", f"pipe.{key}")
         inner_radius = pipe_inner_radius(pipe["nps"], pipe["schedule"])
     else:
         raise ValidationError("needs inner_radius_mm or both nps and schedule", "pipe")
@@ -224,14 +236,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def write_json(payload, path, indent: int) -> None:
-    """Write ``payload`` as indented JSON plus a newline; OSError becomes IoError.
+def _write_text(text_of, payload, path) -> None:
+    """Write ``text_of(payload)`` plus a newline; OSError becomes IoError.
 
     A non-finite number raises SimulationError before the file is opened:
     standard JSON cannot hold it, and only a run's results can carry one.
     """
     try:
-        text = json.dumps(payload, indent=indent, allow_nan=False)
+        text = text_of(payload)
     except ValueError as exc:
         raise SimulationError(f"cannot write {path}: {exc}") from None
     try:
@@ -241,8 +253,94 @@ def write_json(payload, path, indent: int) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def write_json(payload, path, indent: int) -> None:
+    """Write ``payload`` as ``json.dumps(payload, indent=indent)`` plus a
+    newline: the scenario files of ``save_scenario``.  Errors as in ``_write_text``."""
+    _write_text(functools.partial(json.dumps, indent=indent, allow_nan=False), payload, path)
+
+
 def save_scenario(scenario: Scenario, path) -> None:
     write_json(scenario_to_dict(scenario), path, indent=2)
+
+
+# summary.json and sweep.json are ``json.dumps(payload, indent=1)`` of
+# ``summary_to_dict`` payloads, written from %-templates: each SegmentStats and
+# each summary is an object template with a ``%s`` slot per scalar, and one
+# call of json's C encoder writes every scalar, "\n" between them.  JSON
+# escapes a newline inside a string, so the "\n"s split the scalars apart.
+# json's indenting encoder is pure Python: on a sweep it takes about twice
+# as long as this.
+
+def _container(items, depth: int, brackets: str) -> str:
+    """``json.dumps(..., indent=1)``'s layout of an array or object whose
+    items' texts are ``items``, its opening bracket at nesting ``depth``."""
+    if not items:
+        return brackets
+    inner = "\n" + " " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * depth + brackets[1]
+
+
+def _record(obj, depth: int, scalars: list) -> str:
+    """The template of a SimSummary or SegmentStats as its ``summary_to_dict``
+    dict is laid out at nesting ``depth``; its scalars go on ``scalars`` in
+    slot order.  A tuple field is an array of scalars, but a summary's
+    ``segments``, whose items are records."""
+    items = []
+    for name, value in vars(obj).items():
+        if name == "segments":
+            text = _container([_record(seg, depth + 2, scalars) for seg in value], depth + 1,
+                              "[]")
+        elif isinstance(value, (tuple, list)):
+            scalars.extend(value)
+            text = _container(["%s"] * len(value), depth + 1, "[]")
+        else:
+            scalars.append(value)
+            text = "%s"
+        items.append(f'"{name}": {text}')
+    return _container(items, depth, "{}")
+
+
+def _fill(template: str, scalars: list) -> str:
+    """``template`` with each slot filled by json's text of its scalar; a
+    non-finite one raises ValueError, as ``json.dumps(allow_nan=False)``."""
+    if not scalars:
+        return template
+    text = json.dumps(scalars, separators=("\n", ": "), allow_nan=False)
+    return template % tuple(text[1:-1].split("\n"))
+
+
+def _summary_text(summary) -> str:
+    scalars = []
+    return _fill(_record(summary, 0, scalars), scalars)
+
+
+def write_summary(summary, path) -> None:
+    """Write ``summary.json``: ``json.dumps(summary_to_dict(summary),
+    indent=1)`` plus a newline, byte for byte; errors as in ``_write_text``."""
+    _write_text(_summary_text, summary, path)
+
+
+def _sweep_text(entries) -> str:
+    scalars, items = [], []
+    for entry in entries:
+        scalars.append(entry.orientation_deg)
+        if entry.summary is None:
+            scalars.append(None)
+            summary = "%s"
+        else:
+            summary = _record(entry.summary, 2, scalars)
+        scalars.append(None if entry.error is None else str(entry.error))
+        items.append(_container(('"orientation_deg": %s', f'"summary": {summary}',
+                                 '"error": %s'), 1, "{}"))
+    return _fill(_container(items, 0, "[]"), scalars)
+
+
+def write_sweep(entries, path) -> None:
+    """Write ``sweep.json``: ``json.dumps`` with ``indent=1``, plus a newline,
+    of one object per ``SweepEntry`` with its orientation, its summary's
+    ``summary_to_dict`` and its error's ``str``, each None as null; errors as
+    in ``_write_text``."""
+    _write_text(_sweep_text, entries, path)
 
 
 def _constants(record: SimRecord) -> list:

@@ -376,6 +376,39 @@ def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float
     )
 
 
+def _copies_sum(v: float, n: int, memo: dict) -> float:
+    """numpy's pairwise sum of ``n`` copies of ``v`` (``pairwise_sum`` in
+    numpy/_core/src/umath/loops_utils.h.src): fewer than 8 in sequence from
+    0.0, up to 128 in eight accumulators and then the rest, more split at
+    ``n // 2`` rounded down to a multiple of 8.  ``memo`` holds the sum of
+    each size met, so the split costs O(log n) adds."""
+    total = memo.get(n)
+    if total is None:
+        if n < 8:
+            total = 0.0
+            for _ in range(n):
+                total += v
+        elif n <= 128:
+            block = v  # each accumulator: n // 8 copies, in sequence
+            for _ in range(n // 8 - 1):
+                block += v
+            pair = block + block  # the eight are equal, so each pair is too
+            total = (pair + pair) + (pair + pair)
+            for _ in range(n % 8):
+                total += v
+        else:
+            half = n // 2 - n // 2 % 8
+            total = _copies_sum(v, half, memo) + _copies_sum(v, n - half, memo)
+        memo[n] = total
+    return total
+
+
+def mean_of_copies(v: float, n: int) -> float:
+    """``float(np.mean(np.full(n, v)))`` bit for bit, sign of zero included,
+    without the array: numpy's reduction starts from +0.0, then divides by ``n``."""
+    return (0.0 + _copies_sum(v, n, {})) / n
+
+
 def summarize(records: Records, scenario: Scenario, finish_time: float,
               final_s: float) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics; the run
@@ -387,9 +420,9 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
         first = ends[pos - 1] if pos else 0
         index = value.segment_index
         exit_time = float(records.t[end]) if pos + 1 < len(ends) else finish_time
-        # A fresh float64 array of the run's rows, so np.mean adds the same
-        # values in the same order as over a list of the rows.
-        mean_speeds = tuple(float(np.mean(np.full(end - first, v))) for v in value.track_speeds)
+        # The mean over the run's rows of a value they all share, with the
+        # bits of np.mean over those rows.
+        mean_speeds = tuple(mean_of_copies(v, end - first) for v in value.track_speeds)
         analytic = analytic_track_speeds(scenario, index)
         errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
         per_track_ape = tuple(map(max, per_track_ape, errors))

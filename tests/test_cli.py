@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import math
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import golden_corpus
-from pipeclimber import cli
+from pipeclimber import cli, run
 from pipeclimber.cli import main
 from pipeclimber.scenario_io import CSV_COLUMNS
 
@@ -154,7 +155,12 @@ def test_slip_torques_that_overflow_exit_1_at_parse(tmp_path, capsys):
 
 def test_non_finite_summary_exits_2_without_writing(straight_scenario, tmp_path, monkeypatch,
                                                     capsys):
-    monkeypatch.setattr(cli, "summary_to_dict", lambda summary: {"final_s": math.inf})
+    # The summary writer reads the SimSummary that ``run`` returns.
+    def run_to_inf(scenario):
+        records, summary = run(scenario)
+        return records, dataclasses.replace(summary, final_s=math.inf)
+
+    monkeypatch.setattr(cli, "run_scenario", run_to_inf)
     out = tmp_path / "out"
     assert main(["run", str(straight_scenario), "--out", str(out)]) == 2
     assert "Out of range float values are not JSON compliant" in capsys.readouterr().err

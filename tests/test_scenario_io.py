@@ -18,8 +18,11 @@ from pipeclimber import (
     MaxTimeExceeded,
     ParseError,
     Records,
+    SegmentStats,
     SimRecord,
+    SimSummary,
     SimulationError,
+    SweepEntry,
     ValidationError,
     emit_records,
     parse_scenario,
@@ -28,6 +31,8 @@ from pipeclimber import (
     scenario_from_dict,
     scenario_to_dict,
     summary_to_dict,
+    write_summary,
+    write_sweep,
 )
 from pipeclimber.scenario_io import _CHUNK_ROWS, SCHEMA
 from conftest import make_four_section_scenario
@@ -338,7 +343,28 @@ def test_a_document_that_is_not_an_object_names_no_key(tmp_path):
     path.write_text("[1, 2]\n")
     with pytest.raises(ValidationError) as err:
         parse_scenario(path)
-    assert str(err.value) == "expected an object, got list"
+    assert str(err.value) == "expected an object, got array"
+
+
+# Each Python type ``json.loads`` gives, with its JSON name.
+JSON_TYPES = [(None, "null"), (True, "boolean"), (False, "boolean"), ("0.4", "string"),
+              ([0.4], "array"), ({"mu": 0.4}, "object"), (1, "number"), (0.4, "number")]
+
+
+@pytest.mark.parametrize("value, name", [case for case in JSON_TYPES if case[1] != "number"])
+def test_a_non_number_names_its_json_type(tmp_path, value, name):
+    doc = minimal_doc()
+    doc["robot"]["mu"] = value
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(write_doc(tmp_path, doc))
+    assert str(err.value) == f"robot.mu: expected a number, got {name}"
+
+
+@pytest.mark.parametrize("value, name", [case for case in JSON_TYPES if case[1] != "object"])
+def test_a_document_that_is_not_an_object_names_its_json_type(tmp_path, value, name):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(write_doc(tmp_path, value))
+    assert str(err.value) == f"expected an object, got {name}"
 
 
 def test_missing_file_is_an_io_error(tmp_path):
@@ -536,3 +562,84 @@ def test_emit_rejects_unknown_format(tmp_path):
 def test_emit_wraps_os_errors(tmp_path):
     with pytest.raises(IoError):
         emit_records(sample_records(0), "csv", tmp_path / "missing-dir" / "records.csv")
+
+
+# --- summary and sweep files -------------------------------------------------------
+
+# json writes a numpy.float64 as a float, where %r would write np.float64(1.0).
+numbers = st.one_of(finite, finite.map(np.float64))
+triples = st.tuples(numbers, numbers, numbers)
+summaries = st.builds(
+    SimSummary,
+    segments=st.lists(st.builds(SegmentStats, index=st.integers(0, 10**6),
+                                kind=st.sampled_from(["straight", "bend"]),
+                                entry_time=numbers, exit_time=numbers,
+                                mean_track_speeds=triples, analytic_speeds=triples,
+                                ape_percent=triples),
+                      max_size=4).map(tuple),
+    per_track_ape_percent=triples, max_abs_slip=numbers, max_compression=numbers,
+    finish_time=numbers, final_s=numbers, total_distance_mm=numbers,
+)
+messages = st.one_of(st.sampled_from(['no "bracket"', "C:\\out", "two\nlines", "Überlast ✗"]),
+                     st.text())
+orientations = st.one_of(numbers, st.integers(-720, 720))
+entries = st.lists(st.one_of(
+    st.builds(SweepEntry, orientation_deg=orientations, summary=summaries),
+    st.builds(SweepEntry, orientation_deg=orientations, summary=st.none(),
+              error=messages.map(SimulationError)),
+), max_size=4)
+
+
+def sweep_payload(entries):
+    """What ``write_sweep`` writes, as the plain data ``json.dumps`` takes."""
+    return [{"orientation_deg": entry.orientation_deg,
+             "summary": None if entry.summary is None else summary_to_dict(entry.summary),
+             "error": None if entry.error is None else str(entry.error)}
+            for entry in entries]
+
+
+@settings(max_examples=60, deadline=None)
+@given(summary=summaries, entries=entries)
+def test_summary_and_sweep_files_are_json_dumps_indent_1(tmp_path_factory, summary, entries):
+    folder = tmp_path_factory.mktemp("summaries")
+    write_summary(summary, folder / "summary.json")
+    write_sweep(entries, folder / "sweep.json")
+    assert (folder / "summary.json").read_bytes() == (
+        json.dumps(summary_to_dict(summary), indent=1) + "\n").encode()
+    assert (folder / "sweep.json").read_bytes() == (
+        json.dumps(sweep_payload(entries), indent=1) + "\n").encode()
+
+
+def _out_of_range() -> str:
+    """json's message for a non-finite float under ``allow_nan=False``."""
+    with pytest.raises(ValueError) as err:
+        json.dumps(math.inf, allow_nan=False)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+def test_non_finite_summaries_raise_before_the_file_opens(tmp_path, bad):
+    _, summary = run(make_four_section_scenario())
+    segment = dataclasses.replace(summary.segments[1], analytic_speeds=(1.0, bad, 2.0))
+    cases = [
+        (write_summary, dataclasses.replace(summary, final_s=bad), "summary.json"),
+        (write_summary, dataclasses.replace(summary, segments=(segment,)), "summary.json"),
+        (write_sweep, [SweepEntry(0.0, dataclasses.replace(summary, max_abs_slip=bad))],
+         "sweep.json"),
+        (write_sweep, [SweepEntry(0.0, summary), SweepEntry(bad, None, SimulationError("x"))],
+         "sweep.json"),
+    ]
+    for write, result, name in cases:
+        path = tmp_path / name
+        with pytest.raises(SimulationError) as err:
+            write(result, path)
+        assert str(err.value) == f"cannot write {path}: {_out_of_range()}"
+        assert not path.exists()
+
+
+def test_summary_writers_wrap_os_errors(tmp_path):
+    _, summary = run(make_four_section_scenario())
+    with pytest.raises(IoError):
+        write_summary(summary, tmp_path / "missing-dir" / "summary.json")
+    with pytest.raises(IoError):
+        write_sweep([SweepEntry(0.0, summary)], tmp_path / "missing-dir" / "sweep.json")

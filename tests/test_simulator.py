@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -520,6 +521,55 @@ def test_bend_track_speeds_follow_the_contact_paths(orientation, roll):
         assert speeds
         for track_speeds in speeds:
             assert track_speeds == pytest.approx(expected, rel=1e-9)
+
+
+# --- means -------------------------------------------------------------------------
+
+# Where numpy's pairwise sum changes shape: 8 copies start the eight
+# accumulators, past 128 the sum splits, at a multiple of 8.
+BLOCK_EDGES = [1, 7, 8, 9, 127, 128, 129, 135, 136, 255, 256, 257]
+MEAN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -4e-310, 1e308, -1e308,
+               0.1, 1 / 3, 50.0, -7.25, 61.803398874989484]
+
+
+def numpy_mean(v, n):
+    with np.errstate(over="ignore"):  # n copies of 1e308 add up to inf
+        return float(np.mean(np.full(n, v)))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_mean_of_copies_has_the_bits_of_numpys_mean_at_the_block_edges(n):
+    for v in MEAN_VALUES:
+        assert simulator.mean_of_copies(v, n).hex() == numpy_mean(v, n).hex(), v
+
+
+@given(v=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(MEAN_VALUES),
+       n=st.integers(1, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_mean_of_copies_has_the_bits_of_numpys_mean(v, n):
+    # .hex() tells -0.0 from 0.0.
+    assert simulator.mean_of_copies(v, n).hex() == numpy_mean(v, n).hex()
+
+
+def test_summarize_allocates_no_array_of_rows():
+    # Memory, not time: at 100 times the rows per segment the peak grows
+    # only by the O(log n) partial sums a mean keeps, about 1.5 kB here.  A
+    # float64 array of the shortest run's rows at the fine step is 112 kB.
+    def peak(dt_s):
+        scenario = make_four_section_scenario(dt_s=dt_s)
+        records, summary = run(scenario)
+        tracemalloc.start()
+        try:
+            again = simulator.summarize(records, scenario, summary.finish_time, summary.final_s)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == summary
+        return used, min(np.diff((0, *records.run_ends)))
+
+    (coarse, coarse_rows), (fine, fine_rows) = peak(0.05), peak(0.0005)
+    assert fine_rows >= 100 * coarse_rows
+    assert fine <= coarse + 4096
 
 
 # --- orientation sweep ----------------------------------------------------------------
