@@ -62,6 +62,7 @@ from .scenario_io import (
     write_sweep,
 )
 from .simulator import (
+    Piece,
     Records,
     Scenario,
     SimRecord,

@@ -26,7 +26,7 @@ from .dimensions import pipe_inner_radius
 from .errors import BadSegment, IoError, ParseError, SimulationError, ValidationError
 from .geometry import Bend, Straight, build_network
 from .robot import RobotParams
-from .simulator import Records, Scenario, SimRecord
+from .simulator import Records, Scenario, SimRecord, piece_rows
 
 CSV_COLUMNS = (
     "t_s",
@@ -355,14 +355,18 @@ def _constants(record: SimRecord) -> list:
     ]
 
 
-def _row_template(record: SimRecord, t, s, fmt: str, path) -> str:
+def _row_template(record: SimRecord, pieces, fmt: str, path) -> str:
     """The %-template of each row of a centre segment's run: its constant
     fields formatted, ``t`` and ``s`` two slots.  A non-finite value, which
     JSON cannot hold, raises SimulationError in either format."""
     constants = _constants(record)
-    names = ("t_s", "t_s", "s_mm", "s_mm", *CSV_COLUMNS[2:])
-    for name, value in zip(names, (t.min(), t.max(), s.min(), s.max(), *constants)):
-        if not math.isfinite(value):
+    t_finite = s_finite = True
+    for piece in pieces:
+        t_ok, s_ok = piece.finite()
+        t_finite, s_finite = t_finite and t_ok, s_finite and s_ok
+    for name, finite in (("t_s", t_finite), ("s_mm", s_finite),
+                         *zip(CSV_COLUMNS[2:], map(math.isfinite, constants))):
+        if not finite:
             raise SimulationError(f"cannot write records to {path}: {name} is not finite")
     if fmt == "csv":
         return "%.9g,%.9g" + "".join(
@@ -384,26 +388,26 @@ def emit_records(records: Records, fmt: str, path) -> None:
     """Write a ``Records`` table to ``path`` as CSV or JSON; OSError becomes
     IoError, and a non-finite value SimulationError before the file opens.
 
-    Each chunk of a run's rows is one ``%`` of the run's row template,
-    repeated, over the chunk's interleaved ``t`` and ``s``: the text never
-    holds more than a chunk.  ``%.9g`` is ``format(v, ".9g")`` and ``%r`` is
-    json's float encoder, so the bytes are those of a row-by-row writer.
+    The table's columns are never built: ``piece_rows`` makes the ``t`` and
+    ``s`` of one chunk of a run's rows at a time, with the columns' bits,
+    and each chunk is one ``%`` of the run's row template, repeated, over
+    its interleaved ``t`` and ``s``.  So neither the columns nor the text
+    ever hold more than a chunk.  ``%.9g`` is ``format(v, ".9g")`` and
+    ``%r`` is json's float encoder, so the bytes are those of a row-by-row
+    writer.
     """
     if fmt not in _LAYOUTS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    runs = [(_row_template(record, t, s, fmt, path), t, s) for record, t, s in records.runs()]
+    runs = [(_row_template(record, pieces, fmt, path), pieces)
+            for record, pieces in zip(records.values, records.pieces)]
     head, sep, end, empty_end = _LAYOUTS[fmt]
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(head)
             lead = "\n"
-            for template, t, s in runs:
-                for start in range(0, len(t), _CHUNK_ROWS):
-                    stop = start + _CHUNK_ROWS
-                    ts, ss = t[start:stop].tolist(), s[start:stop].tolist()
-                    flat = ts + ss
-                    flat[::2], flat[1::2] = ts, ss
-                    handle.write((lead + template + (sep + template) * (len(ts) - 1))
+            for template, pieces in runs:
+                for flat in piece_rows(pieces, _CHUNK_ROWS):
+                    handle.write((lead + template + (sep + template) * (len(flat) // 2 - 1))
                                  % tuple(flat))
                     lead = sep
             handle.write(end if len(records) else empty_end)

@@ -15,15 +15,21 @@ curvatures, not frames: the equilibrium depends only on the centre's, the
 limits only on whether the centre, front and rear are in bends.  So ``run``
 solves once per centre curvature and tries the end limits once for each of
 the four (front, rear) pairs of kinds; only a pair that fails sends it to
-look up the body's ends on each row, and the first such row raises.  A
-cumulative sum fills each segment's ``t`` and ``s``, so the physics costs
-per segment and each row a few array elements.
+look up the body's ends on each row, and the first such row raises.  Within
+a segment ``t`` and ``s`` advance by constant steps, so ``first_exit`` finds
+the row where the centre leaves it, and the ``(t, s)`` there, in closed form
+from the float arithmetic of repeated adds: a run costs per segment, not per
+row.
 
-Records are a ``Records`` table of columns: ``t`` and ``s`` per row, and the
-record of each centre segment visited once, with the row where the centre
-leaves it.  ``summarize`` and the CSV writer read the columns; indexing and
-iteration give ``SimRecord`` rows.  Only per-row data are numpy arrays, the
-columns and the masks and lookups that fill them; per-segment values are not.
+Records are a ``Records`` table: the record of each centre segment visited
+once, with its rows as ``Piece`` progressions of ``t`` and ``s`` and the row
+where the centre leaves it.  ``summarize`` reads the pieces' starts; the
+writers build one chunk of rows at a time; the ``t`` and ``s`` columns are
+built on first access, with the bits of ``np.cumsum``.  Indexing and
+iteration give ``SimRecord`` rows.  Only per-row data are numpy arrays: the
+built columns and chunks and, when a pair of kinds fails a limit, each
+segment's ``s`` rows and their front and rear lookups; per-segment values
+are not.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -33,19 +39,23 @@ control input.  That limit behaviour is what the acceptance suite pins.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
 from .errors import AsymmetryLimit, BadSegment, CompressionLimit, EmptySweep, MaxTimeExceeded
-from .errors import SimulationError
+from .errors import OutOfRange, SimulationError
 from .errors import require, require_positive
-from .geometry import Bend, PipeNetwork, pose_at, segment_at
+from .geometry import Bend, PipeNetwork, segment_at
+from .geometry import pose_at  # noqa: F401  no call left; the bench tracer wraps it by name
 from .robot import RobotParams, asymmetry_deg, required_track_speeds, spring_compression
 from .robot import track_path_radius
 
@@ -132,42 +142,104 @@ class SimRecord:
     common_torque: float  # N*m
 
 
-class Records(Sequence):
-    """A run's records as columns, after Apache Arrow's run-end encoding.
+class Piece(NamedTuple):
+    """``rows`` consecutive rows of one centre segment's run: the first at
+    ``(t, s)``, each later one adding ``dt`` to ``t`` and ``ds`` to ``s``
+    in sequence, as ``x = x + d``."""
 
-    ``t`` and ``s`` are float64 columns with one value per row.  Rows with
-    the centre in one segment share every other field, so ``values[j]``
-    holds the record of the ``j``-th centre segment visited and
-    ``run_ends[j]`` is the row where the centre leaves it; both are tuples.
-    Every run has at least one row.  Indexing by row number and iteration
-    give ``SimRecord`` rows; two tables are equal when their rows are.
+    t: float
+    dt: float
+    s: float
+    ds: float
+    rows: int
+
+    def finite(self) -> tuple[bool, bool]:
+        """Whether every ``t`` and every ``s`` is finite."""
+        n = self.rows - 1
+        return _finite(self.t, self.dt, n), _finite(self.s, self.ds, n)
+
+
+def _finite(x: float, d: float, n: int) -> bool:
+    """Whether ``x`` and its ``n`` adds of ``d`` are all finite.  An add that
+    moves ``x`` moves it by at most three times ``|d|``, so
+    ``|x_n| <= |x| + 3·n·|d|``; only a column whose bound passes 2**1023,
+    half the float range, which leaves room for the bound's own rounding,
+    needs ``first_exit`` to find its last row."""
+    return math.isfinite(x) and (abs(x) + 3.0 * n * abs(d) <= 2.0 ** 1023
+                                 or math.isfinite(first_exit(x, d, -math.inf, math.inf, n)[1]))
+
+
+def piece_rows(pieces, size: int):
+    """The rows of ``pieces``, in order, as flat lists of floats, ``t`` and
+    ``s`` interleaved, ``size`` rows to a list (the last may be shorter).
+    ``_accumulate`` gives each stretch of a piece and one more add the row
+    after it, so the values have the bits of the built columns."""
+    flat = []
+    for t, dt, s, ds, rows in pieces:
+        while rows:
+            n = min(rows, size - len(flat) // 2)
+            stretch = _accumulate((t, s), (dt, ds), n - 1).ravel().tolist()
+            if flat:
+                flat += stretch
+            else:
+                flat = stretch
+            t, s, rows = flat[-2] + dt, flat[-1] + ds, rows - n
+            if len(flat) == 2 * size:
+                yield flat
+                flat = []
+    if flat:
+        yield flat
+
+
+class Records(Sequence):
+    """A run's records, run-end encoded after Apache Arrow's layout.
+
+    Rows with the centre in one segment share every field but ``t`` and
+    ``s``, so ``values[j]`` holds the record of the ``j``-th centre segment
+    visited, ``pieces[j]`` its rows as ``Piece`` progressions in row order,
+    and ``run_ends[j]`` is the row where the centre leaves it; all three are
+    tuples, and every run has at least one row.  The float64 columns ``t``
+    and ``s``, one value per row, are built from the pieces on first access
+    and kept; a table from ``run`` holds no array until then.  Indexing by
+    row number and iteration give ``SimRecord`` rows, iteration without
+    building the columns; two tables are equal when their rows are.
     """
 
-    def __init__(self, t, s, values, run_ends):
-        self.t = t
-        self.s = s
+    def __init__(self, values, pieces):
         self.values = tuple(values)
-        self.run_ends = tuple(map(operator.index, run_ends))
+        self.pieces = tuple(map(tuple, pieces))
+        self.run_ends = tuple(accumulate(sum(p.rows for p in run) for run in self.pieces))
 
     def __len__(self) -> int:
-        return len(self.t)
+        return self.run_ends[-1] if self.run_ends else 0
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """``t`` and ``s`` of every row, a ``(len(self), 2)`` array."""
+        return np.concatenate([np.empty((0, 2)), *(
+            _accumulate((p.t, p.s), (p.dt, p.ds), p.rows - 1) for run in self.pieces for p in run)])
+
+    @property
+    def t(self) -> np.ndarray:
+        """Time (s) per row; the first read of ``t`` or ``s`` builds both."""
+        return self._rows[:, 0]
+
+    @property
+    def s(self) -> np.ndarray:
+        """Centre arc length (mm) per row."""
+        return self._rows[:, 1]
 
     def __getitem__(self, key):
         row = range(len(self))[operator.index(key)]  # IndexError past either end
         value = self.values[bisect_right(self.run_ends, row)]
-        return replace(value, t=float(self.t[row]), s=float(self.s[row]))
+        t, s = self._rows[row].tolist()
+        return replace(value, t=t, s=s)
 
     def __iter__(self):
-        for value, t, s in self.runs():
-            for t_row, s_row in zip(t.tolist(), s.tolist()):
-                yield replace(value, t=t_row, s=s_row)
-
-    def runs(self):
-        """(record, t column, s column) per centre segment visited, in row order."""
-        start = 0
-        for value, end in zip(self.values, self.run_ends):
-            yield value, self.t[start:end], self.s[start:end]
-            start = end
+        for value, pieces in zip(self.values, self.pieces):
+            for flat in piece_rows(pieces, 256):  # any size; this one bounds the lists
+                for t_row, s_row in zip(flat[::2], flat[1::2]):
+                    yield replace(value, t=t_row, s=s_row)
 
     def __eq__(self, other):
         if not isinstance(other, Records):
@@ -232,7 +304,7 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     """
     network, robot = scenario.network, scenario.robot
     if not 0.0 <= s <= network.total_length:
-        pose_at(network, s)  # raises OutOfRange
+        raise OutOfRange(f"arc length {s} outside [0, {network.total_length}]")
     index = segment_at(network, s)
     curvature = network.curvatures[index]
 
@@ -264,12 +336,68 @@ def _check_ends(scenario: Scenario, front: float, rear: float) -> None:
                   spring_compression(rear, robot, extra), robot)
 
 
-def _accumulate(start: float, increment: float, count: int) -> np.ndarray:
-    """``start`` and ``count`` repeated additions of ``increment``.  The sum
-    runs in sequence, so each value has the bits of ``x = x + increment``."""
-    column = np.full(count + 1, increment)
-    column[0] = start
-    return np.cumsum(column, out=column)
+def _accumulate(start, increment, count: int) -> np.ndarray:
+    """``start`` and ``count`` repeated additions of ``increment``, each a
+    ``(t, s)`` pair: a ``(count + 1, 2)`` array.  The sum (``np.cumsum``'s
+    ``add.accumulate``) runs in sequence down each column, so each value
+    has the bits of ``x = x + increment``."""
+    rows = np.empty((count + 1, 2), order="F")  # so each column is contiguous
+    rows[:] = increment
+    rows[0] = start
+    return np.add.accumulate(rows, axis=0, out=rows)
+
+
+_LAST_BINADE = 2.0 ** 1023  # from here on a sum may overflow
+
+
+def first_exit(x: float, d: float, low: float, high: float, count: int) -> tuple[int, float]:
+    """The first ``k`` in 1..``count`` with ``x_k`` outside ``[low, high)``,
+    and ``x_k``, where ``x_k`` is ``x`` with ``d`` added ``k`` times in
+    sequence (``x = x + d``, as ``_accumulate``); ``(count, x_count)`` if
+    there is none.
+
+    Inside one binade of spacing ``u`` each add is exact up to one rounding
+    to a multiple of ``u``, so while the exact sum stays below the binade's
+    top every step adds ``round(d/u)·u`` (Goldberg, "What every computer
+    scientist should know about floating-point arithmetic", 1991, §1.2).
+    The steps in a binade and the first row at or past ``high`` then follow
+    from integer arithmetic in units of ``u``.  A tie rounds to the even
+    multiple of ``u``, so it obeys the rule only from an even one.  Where
+    the rule proves nothing, the loop adds ``d`` once and tries again: ``d``
+    not positive (zero, negative or NaN), ``x`` below ``d`` (or negative),
+    ``x`` outside ``[low, high)``, a tie from an odd multiple, and the top
+    binade, where a sum may overflow.  Subnormals need no exception: their
+    spacing is one ``u`` throughout.  An add that leaves ``x`` as it was
+    (``d`` zero, or too small to move it) ends the search.
+    """
+    k = 0
+    while k < count:
+        if 0.0 < d <= x < _LAST_BINADE and low <= x < high:
+            u = math.ulp(x)
+            q = d / u  # exact: u is a power of 2 and q < 2**53
+            whole = math.floor(q)
+            units = int(x / u)
+            if q - whole != 0.5 or units % 2 == 0:
+                step = round(q)  # a tie goes to the even neighbour, and units stay even
+                # The spacing is u up to 2**53·u (2**-1021 for the subnormals),
+                # and the j-th add stays below that while units + (j-1)·step + q < 2**53.
+                room = 2**53 - units - whole - 1
+                if room >= 0:
+                    n = count - k if step == 0 else min(room // step + 1, count - k)
+                    if high <= (units + n * step) * u:
+                        j = -((units - math.ceil(high / u)) // step)
+                        return k + j, (units + j * step) * u
+                    k += n
+                    x = (units + n * step) * u
+                    if k == count:
+                        break  # else the next add leaves the binade
+        x = x + d
+        k += 1
+        if not low <= x < high:
+            return k, x
+        if x + d == x:  # then so is every later add: x stays put
+            return count, x
+    return k, x
 
 
 def run(scenario: Scenario) -> tuple[Records, SimSummary]:
@@ -280,11 +408,14 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     ``step`` sees the first row with the centre in each kind of segment, and
     the centre's compression needs no other check.  The front and rear
     limits are checked here alone, once per pair of kinds under them; only
-    if a pair fails are the rows' ends looked up, and the first row on such
-    a pair raises, after its centre's solve.  Each row advances ``t`` by
-    ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed.
-    Where the centre leaves its segment, the run checks the float range,
-    then the time budget, then the network end, then the network start.
+    if a pair fails are the rows' ends looked up, from that segment's built
+    ``s`` column, and the first row on such a pair raises, after its
+    centre's solve.  Each row advances ``t`` by ``dt_s`` and ``s`` by
+    ``dt_s`` times the mean track speed; ``first_exit`` finds the row where
+    the centre leaves its segment or the time budget runs out, and the
+    ``(t, s)`` on it, with no array of rows.  There the run checks the float
+    range, then the time budget, then the network end, then the network
+    start.
     """
     network = scenario.network
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
@@ -298,17 +429,12 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
         except (CompressionLimit, AsymmetryLimit):
             fails[bends] = True
     solved = {}  # centre curvature -> the record ``step`` solved there
-    t_columns, s_columns, values, run_ends = [], [], [], []
+    values, pieces = [], []  # per centre segment visited: its record, its rows' pieces
 
-    def table() -> Records:
-        return Records(np.concatenate([np.empty(0), *t_columns]),
-                       np.concatenate([np.empty(0), *s_columns]), values, run_ends)
-
-    rows = 0
     t = s = 0.0
     while True:
         if t >= limit:
-            records = table()
+            records = Records(values, pieces)
             raise MaxTimeExceeded(
                 f"robot did not finish within {limit} s "
                 f"(reached {s:.1f} of {total:.1f} mm)",
@@ -318,7 +444,7 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
         if s >= total:
             break
         if s < 0.0:  # a robot that slid back past the start
-            pose_at(network, s)  # raises OutOfRange, as ``step`` does here
+            raise OutOfRange(f"arc length {s} outside [0, {total}]")
         index = segment_at(network, s)
         curvature = network.curvatures[index]
         if curvature in solved:
@@ -327,39 +453,39 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             record = solved[curvature] = step(scenario, t, s)
         w0, w1, w2 = record.track_speeds
         ds = dt * (0.0 + w0 + w1 + w2) / 3.0
+        run_pieces = []
         values.append(record)
+        pieces.append(run_pieces)
         # The centre stays in this segment while low <= s < high.
         low, high = bounds[index - 1] if index else 0.0, bounds[index]
-        stays = True
-        while stays:
-            # Rows up to the segment end or the time budget; the margin covers
-            # rounding, and a short guess only extends the fill.  A robot
-            # that does not advance (ds underflows to 0, or the solve leaves a
-            # tiny negative mean speed) runs on the time budget alone.
-            to_end = (high - s) / ds if ds > 0 else math.inf
-            count = int(min(to_end, (limit - t) / dt, MAX_STEPS)) + 2
-            t_rows, s_rows = _accumulate(t, dt, count), _accumulate(s, ds, count)
+        while True:
+            # Rows up to the time budget; the margin covers rounding, and a
+            # short guess only adds a piece.  A robot that does not advance
+            # (ds underflows to 0, or the solve leaves a tiny negative mean
+            # speed) runs on the time budget alone.
+            count = int(min((limit - t) / dt, MAX_STEPS)) + 2
             # The run leaves this segment at the first row over budget or
             # with the centre elsewhere; row 0, (t, s), is neither.
-            keep = (t_rows < limit) & (s_rows < high) & (s_rows >= low)
-            stays = bool(keep.all())
-            k = count if stays else int(np.argmin(keep))
+            k, s_next = first_exit(s, ds, low, high, count)
+            k_t, t_next = first_exit(t, dt, -math.inf, limit, k)
+            if k_t < k:  # over budget first
+                k, s_next = k_t, first_exit(s, ds, low, high, k_t)[1]
             if fails.any():
-                front = is_bend[segment_at(network, s_rows[:k] + half)].astype(np.intp)
-                rear = is_bend[segment_at(network, s_rows[:k] - half)].astype(np.intp)
+                s_rows = _accumulate((t, s), (dt, ds), k - 1)[:, 1]
+                front = is_bend[segment_at(network, s_rows + half)].astype(np.intp)
+                rear = is_bend[segment_at(network, s_rows - half)].astype(np.intp)
                 failing = fails[front, rear]
                 if failing.any():  # raises on the first row with the ends on a failing pair
                     row = int(np.argmax(failing))
                     _check_ends(scenario, float(front[row]), float(rear[row]))
-            t_columns.append(t_rows[:k])
-            s_columns.append(s_rows[:k])
-            rows += k
-            t, s = float(t_rows[k]), float(s_rows[k])
-            if not math.isfinite(s):  # cumsum carries inf or NaN on to this row
+            run_pieces.append(Piece(t, dt, s, ds, k))
+            t, s = t_next, s_next
+            if not math.isfinite(s):  # the sum carries inf or NaN on to this row
                 raise SimulationError(f"arc length left the float range ({s} mm) at {t} s: "
                                       f"dt_s ({dt}) times the track speed is too large")
-        run_ends.append(rows)
-    records = table()
+            if not (t < limit and low <= s < high):
+                break
+    records = Records(values, pieces)
     return records, summarize(records, scenario, t, s)
 
 
@@ -416,10 +542,11 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
     segment_stats = []
     per_track_ape = (0.0, 0.0, 0.0)
     ends = records.run_ends
+    # Each run's first row starts a piece, and the next run's is its exit.
+    starts = [run[0].t for run in records.pieces] + [finish_time]
     for pos, (value, end) in enumerate(zip(records.values, ends)):
         first = ends[pos - 1] if pos else 0
         index = value.segment_index
-        exit_time = float(records.t[end]) if pos + 1 < len(ends) else finish_time
         # The mean over the run's rows of a value they all share, with the
         # bits of np.mean over those rows.
         mean_speeds = tuple(mean_of_copies(v, end - first) for v in value.track_speeds)
@@ -430,8 +557,8 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
             SegmentStats(
                 index=index,
                 kind="bend" if isinstance(scenario.network.segments[index], Bend) else "straight",
-                entry_time=float(records.t[first]),
-                exit_time=exit_time,
+                entry_time=starts[pos],
+                exit_time=starts[pos + 1],
                 mean_track_speeds=mean_speeds,
                 analytic_speeds=analytic,
                 ape_percent=errors,

@@ -17,6 +17,7 @@ from pipeclimber import (
     IoError,
     MaxTimeExceeded,
     ParseError,
+    Piece,
     Records,
     SegmentStats,
     SimRecord,
@@ -473,14 +474,17 @@ def test_emitting_records_builds_no_row_objects(monkeypatch, tmp_path, fmt):
 def table(runs, t, s, segment_index=0, constants=(1.0,) * 13):
     """A hand-built ``Records``: one centre-segment run per entry of ``runs``
     (its row count), the ``t`` and ``s`` columns tiled from the values given
-    and the run's constant fields, the segment index counting up."""
+    and the run's constant fields, the segment index counting up.  Each row
+    is a one-row ``Piece``, so the columns hold any values."""
     rows = sum(runs)
     values = [SimRecord(0.0, 0.0, segment_index + j, *(tuple(constants[i:i + 3])
                                                        for i in range(0, 12, 3)), constants[12])
               for j in range(len(runs))]
-    return Records(np.resize(np.array(t, dtype=float), rows),
-                   np.resize(np.array(s, dtype=float), rows), values,
-                   np.cumsum(runs))
+    pieces = [Piece(t_row, 0.0, s_row, 0.0, 1)
+              for t_row, s_row in zip(np.resize(np.array(t, dtype=float), rows).tolist(),
+                                      np.resize(np.array(s, dtype=float), rows).tolist())]
+    ends = np.cumsum(runs).tolist()
+    return Records(values, [pieces[end - n:end] for n, end in zip(runs, ends)])
 
 
 RUN_LENGTHS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS)
@@ -518,6 +522,24 @@ def test_non_finite_records_raise_before_the_file_opens(tmp_path, fmt, column, b
     with pytest.raises(SimulationError, match=str(target)):
         emit_records(table([1, 2], t, s, constants=constants), fmt, target)
     assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_progression_that_overflows_raises_before_the_file_opens(tmp_path, fmt):
+    # Only the 18th add of s reaches inf, at a third of the bound that spares
+    # the writer the walk to a piece's last row.  A column that ends just
+    # short of inf, past that bound, is written as a row-by-row writer
+    # writes it.
+    record = table([1], [0.0], [0.0]).values[0]
+    overflowing = Records([record], [[Piece(0.0, 0.01, 0.0, 1e307, 20)]])
+    target = tmp_path / f"records.{fmt}"
+    with pytest.raises(SimulationError, match=f"{target}: s_mm is not finite"):
+        emit_records(overflowing, fmt, target)
+    assert not target.exists()
+    near_the_top = Records([record], [[Piece(0.0, 0.01, 1e308, 4e306, 20)]])
+    emit_records(near_the_top, fmt, target)
+    write_rows(near_the_top, fmt, tmp_path / f"rows.{fmt}")
+    assert target.read_bytes() == (tmp_path / f"rows.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -572,6 +572,157 @@ def test_summarize_allocates_no_array_of_rows():
     assert fine <= coarse + 4096
 
 
+def test_run_allocates_no_array_of_rows(tmp_path):
+    # Memory, not time: from dt_s 0.05 to 0.0005 the rows grow 100-fold.
+    # ``run`` keeps a few pieces per segment and no column, so its peak
+    # stays put; the writers build one chunk of rows at a time, so theirs
+    # stay put too.  The t and s of the shortest run at the fine step, as
+    # float64, would take 224 kB.
+    def peaks(dt_s):
+        tracemalloc.start()
+        try:
+            records, _ = run(make_four_section_scenario(dt_s=dt_s))
+            ran = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        emitted = []
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                emit_records(records, fmt, tmp_path / f"records.{fmt}")
+                emitted.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        def arrays():
+            return sum(isinstance(value, np.ndarray) for value in vars(records).values())
+
+        assert arrays() == 0  # emitting built no column either
+        assert all(type(value) is float for run_pieces in records.pieces for piece in run_pieces
+                   for value in piece[:4])
+        assert records.t.shape == (len(records),)
+        assert arrays() == 1  # t and s, built on access and kept
+        return ran, emitted, min(np.diff((0, *records.run_ends)))
+
+    (coarse, coarse_emitted, coarse_rows), (fine, fine_emitted, fine_rows) = peaks(0.05), peaks(0.0005)
+    assert fine_rows >= 100 * coarse_rows
+    assert fine <= coarse + 4096
+    # The file's 8 kB text buffer moves in and out of a writer's peak.
+    for coarse_peak, fine_peak in zip(coarse_emitted, fine_emitted):
+        assert fine_peak <= coarse_peak + 8192
+
+
+# --- progressions ------------------------------------------------------------------
+
+def cumsum_exit(x, d, low, high, count):
+    """``first_exit`` from ``np.cumsum``'s column of ``x`` and ``count`` adds of ``d``."""
+    column = np.full(count + 1, d)
+    column[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = np.cumsum(column)
+        outside = ~((low <= column) & (column < high))
+    outside[0] = False
+    k = int(np.argmax(outside)) if outside.any() else count
+    return k, float(column[k])
+
+
+TINY = 5e-324
+ULP1 = 2.0 ** -52  # the spacing of the floats in [1, 2)
+PROGRESSION_EDGES = {
+    "+0.0 start": (0.0, 0.01, -math.inf, 30.0, 4000),
+    "-0.0 start": (-0.0, 0.5, 0.0, 500.0, 2000),
+    "-0.0 start, -0.0 step": (-0.0, -0.0, -1.0, 1.0, 10),
+    "-0.0 start, +0.0 step": (-0.0, 0.0, -1.0, 1.0, 10),
+    "subnormal step": (3e-310, TINY, 0.0, 3e-310 + 2000 * TINY, 3000),
+    "subnormal step into the normals": (2.2250738585072e-308, 7 * TINY, 0.0, 1.0, 3000),
+    "subnormal start and step": (TINY, TINY, 0.0, 1e-320, 3000),
+    "step under half a spacing": (1.0, 0.4 * ULP1, 0.0, 2.0, 100),
+    "tie from an even start": (1.0, 1.5 * ULP1, 0.0, 2.0, 3000),
+    "tie from an odd start": (1.0 + ULP1, 1.5 * ULP1, 0.0, 2.0, 3000),
+    "tie that rounds down": (1.0 + ULP1, 2.5 * ULP1, 0.0, 2.0, 3000),
+    "start below the step": (0.3, 1.7, 0.0, 1000.0, 3000),
+    "several binades": (1.0, 0.1, 0.0, 300.0, 5000),
+    "row on the bound": (0.0, 0.25, -math.inf, 100.0, 1000),
+    "budget before the bound": (7.0, 0.01, 0.0, 100.0, 500),
+    "negative step": (10.0, -0.3, 0.0, 20.0, 100),
+    "negative step through zero": (1.0, -0.1, -math.inf, 2.0, 30),
+    "zero step": (5.0, 0.0, 0.0, 6.0, 50),
+    "overflow to inf": (1e308, 1e307, -math.inf, math.inf, 30),
+    "top binade": (2.0 ** 1022, 0.7 * 2.0 ** 1021, 0.0, math.inf, 30),
+    "negative start": (-3.0, 0.7, -math.inf, 10.0, 50),
+    "start outside": (5.0, 0.1, 0.0, 5.0, 10),
+    "no rows": (5.0, 0.1, 0.0, 6.0, 0),
+}
+
+
+@pytest.mark.parametrize("case", PROGRESSION_EDGES)
+def test_first_exit_matches_cumsum_progression_edges(case):
+    x, d, low, high, count = PROGRESSION_EDGES[case]
+    k, value = simulator.first_exit(x, d, low, high, count)
+    expected_k, expected = cumsum_exit(x, d, low, high, count)
+    assert (k, value.hex()) == (expected_k, expected.hex())
+
+
+@st.composite
+def progressions(draw):
+    """(x, d, low, high, count): often a step under the start, so that the
+    rule applies, and a bound the sum reaches within the count."""
+    x = draw(st.floats(allow_nan=False) | st.floats(0.0, 1e4)
+             | st.sampled_from([0.0, -0.0, TINY, 1.0, 1.0 + ULP1, 1e308]))
+    d = draw(st.floats(allow_nan=False) | st.floats(-1.0, 10.0)
+             | st.floats(1e-17, 1.0).map(lambda ratio: abs(x) * ratio)
+             | st.sampled_from([0.0, -0.0, TINY, 1.5 * ULP1]))
+    count = draw(st.integers(0, 2000))
+    reach = x + d * draw(st.floats(0.5, 1.5 * count + 1.0))  # where the sum is some rows on
+    high = draw(st.sampled_from([reach, reach, reach, math.inf, x, None]))
+    low = draw(st.sampled_from([-math.inf, 0.0, x, x, None]))
+    anywhere = st.floats(allow_nan=False)
+    return (x, d, draw(anywhere) if low is None else low, draw(anywhere) if high is None else high,
+            count)
+
+
+@given(case=progressions())
+@settings(max_examples=500, deadline=None)
+def test_first_exit_matches_cumsum_progression(case):
+    # .hex() tells -0.0 from 0.0.
+    x, d, low, high, count = case
+    expected_k, expected = cumsum_exit(x, d, low, high, count)
+    k, value = simulator.first_exit(x, d, low, high, count)
+    assert (k, value.hex()) == (expected_k, expected.hex())
+
+
+def built_rows(piece):
+    """``piece``'s (t, s) rows from ``np.cumsum``, overflow allowed."""
+    t, s = ([x, *[d] * (piece.rows - 1)] for x, d in ((piece.t, piece.dt), (piece.s, piece.ds)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(t), np.cumsum(s)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+MAX = 1.7976931348623157e308  # the largest float
+
+
+@st.composite
+def pieces(draw):
+    """A ``Piece`` whose columns end near the top of the float range as often as not."""
+    rows = draw(st.integers(1, 2000))
+    starts = finite_floats | st.sampled_from([1e308, -1e308, 1.7e308, 0.0])
+    t, s = draw(starts), draw(starts)
+
+    def near(start):  # a step that takes the column some way past the largest float, or short of it
+        return st.floats(-3.0, 3.0).map(lambda f: f * (MAX - abs(start)) / rows)
+
+    return simulator.Piece(t, draw(finite_floats | near(t)), s, draw(finite_floats | near(s)), rows)
+
+
+@given(piece=pieces())
+@settings(max_examples=300, deadline=None)
+def test_piece_finite_tells_whether_its_progression_rows_are(piece):
+    # The writers check this before they open a file; the rows are never built there.
+    t, s = built_rows(piece)
+    assert piece.finite() == (bool(np.isfinite(t).all()), bool(np.isfinite(s).all()))
+
+
 # --- orientation sweep ----------------------------------------------------------------
 
 def test_empty_sweep_rejected(four_section_scenario):
