@@ -46,6 +46,7 @@ SOLVE_TOL = 1e-10  # guaranteed relative accuracy of a torque-balance mean speed
 MAX_BISECTIONS = 2200
 SPAN_FACTOR = 2.0  # growth of the bracket span per widening
 MAX_WIDENINGS = 80
+FOUR_EPS = 4.0 * sys.float_info.epsilon  # a wide probe step per unit of bracket magnitude
 AVERAGING_TOL = 1e-9  # relative mean-speed mismatch ``internal_state`` accepts
 
 
@@ -149,6 +150,13 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     accuracy; the solve is verified against it and far exceeds it in
     practice.
 
+    When all three loads are exactly ``LinearLoad`` (a subclass may
+    override ``inverse``), F, the bracket torques, the slope check and the
+    output speeds are computed from their twelve fields, read once, in the
+    order of ``LinearLoad.inverse``, ``torque`` and ``slope``: the same bits
+    as the method calls, without their cost.  Other loads are called
+    through their methods; both take the same search.
+
     Raises NonMonotoneLoad for a non-increasing curve and NoBracket if the
     bracket cannot be established within MAX_WIDENINGS widenings, each
     SPAN_FACTOR times the last (only possible for inconsistent
@@ -156,41 +164,62 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     """
     if len(loads) != 3:
         raise ValueError(f"expected 3 load curves, got {len(loads)}")
-    for load in loads:
-        if not getattr(load, "slope", 1.0) > 0.0:  # NaN fails too
-            raise NonMonotoneLoad(f"load {load!r} is not strictly increasing")
+    load0, load1, load2 = loads
+    linear = type(load0) is LinearLoad and type(load1) is LinearLoad and type(load2) is LinearLoad
+    if linear:
+        k0, r0, g0, o0 = load0.stiffness, load0.wheel_radius, load0.target_speed, load0.offset
+        k1, r1, g1, o1 = load1.stiffness, load1.wheel_radius, load1.target_speed, load1.offset
+        k2, r2, g2, o2 = load2.stiffness, load2.wheel_radius, load2.target_speed, load2.offset
+        monotone = k0 * r0 > 0.0 and k1 * r1 > 0.0 and k2 * r2 > 0.0
+    else:
+        monotone = all(getattr(load, "slope", 1.0) > 0.0 for load in loads)
+    if not monotone:  # NaN fails too
+        load = next(load for load in loads if not getattr(load, "slope", 1.0) > 0.0)
+        raise NonMonotoneLoad(f"load {load!r} is not strictly increasing")
 
+    # Each residual adds from 0.0 in order, as Python 3.11's float ``sum`` does: from 3.12 on
+    # ``sum`` compensates its rounding, and the bits would follow the version.  Its values are
+    # bound as defaults: they are read as fast locals, and no call makes a cell for them.
     target = config.overall_ratio * input_speed
-    inv0, inv1, inv2 = loads[0].inverse, loads[1].inverse, loads[2].inverse
+    if linear:
+        def residual(tau: float, k0=k0, r0=r0, g0=g0, o0=o0, k1=k1, r1=r1, g1=g1, o1=o1,
+                     k2=k2, r2=r2, g2=g2, o2=o2, target=target) -> float:
+            return (0.0 + ((tau - o0) / k0 + g0) / r0 + ((tau - o1) / k1 + g1) / r1
+                    + ((tau - o2) / k2 + g2) / r2) / 3.0 - target
 
-    def residual(tau: float) -> float:
-        # Adds from 0.0 in order, as Python 3.11's float ``sum`` does: from 3.12 on
-        # ``sum`` compensates its rounding, and the bits would follow the version.
-        return (0.0 + inv0(tau) + inv1(tau) + inv2(tau)) / 3.0 - target
+        t0 = k0 * (target * r0 - g0) + o0
+        t1 = k1 * (target * r1 - g1) + o1
+        t2 = k2 * (target * r2 - g2) + o2
+    else:
+        inv0, inv1, inv2 = load0.inverse, load1.inverse, load2.inverse
 
-    torques = [load.torque(target) for load in loads]
-    lo, hi = min(torques), max(torques)
+        def residual(tau: float, inv0=inv0, inv1=inv1, inv2=inv2, target=target) -> float:
+            return (0.0 + inv0(tau) + inv1(tau) + inv2(tau)) / 3.0 - target
+
+        t0, t1, t2 = load0.torque(target), load1.torque(target), load2.torque(target)
+    lo, hi = min(t0, t1, t2), max(t0, t1, t2)
     f_lo = residual(lo)
     f_hi = residual(hi)
 
     # The [min, max] torque bracket is valid for exact monotone curves; grow
     # it geometrically if a user-supplied curve disagrees with its inverse.
-    span = max(1.0, hi - lo, abs(lo), abs(hi))
-    widenings = 0
-    while f_lo > 0.0:
-        if widenings >= MAX_WIDENINGS:
-            raise NoBracket(f"no sign change below torque {lo}")
-        lo -= span
-        span *= SPAN_FACTOR
-        f_lo = residual(lo)
-        widenings += 1
-    while f_hi < 0.0:
-        if widenings >= MAX_WIDENINGS:
-            raise NoBracket(f"no sign change above torque {hi}")
-        hi += span
-        span *= SPAN_FACTOR
-        f_hi = residual(hi)
-        widenings += 1
+    if f_lo > 0.0 or f_hi < 0.0:
+        span = max(1.0, hi - lo, abs(lo), abs(hi))
+        widenings = 0
+        while f_lo > 0.0:
+            if widenings >= MAX_WIDENINGS:
+                raise NoBracket(f"no sign change below torque {lo}")
+            lo -= span
+            span *= SPAN_FACTOR
+            f_lo = residual(lo)
+            widenings += 1
+        while f_hi < 0.0:
+            if widenings >= MAX_WIDENINGS:
+                raise NoBracket(f"no sign change above torque {hi}")
+            hi += span
+            span *= SPAN_FACTOR
+            f_hi = residual(hi)
+            widenings += 1
 
     iterations = 0
     if lo == hi or f_lo == 0.0:
@@ -206,7 +235,8 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         seed = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
         if lo < seed < hi:
             ulp = math.ulp(seed)
-            wide = 4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi))
+            outer_lo, outer_hi = lo, hi  # the bracket whose magnitude sets the wide steps
+            wide = None
             f_seed = residual(seed)
             up = f_seed < 0.0  # the root lies above the seed
             if up:
@@ -225,7 +255,12 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
                     hi, f_hi = probe, f_probe
                 if (f_probe < 0.0) != up:
                     break
-                step = 2.0 * step if step < 8.0 * ulp else max(2.0 * step, wide)
+                if step < 8.0 * ulp:
+                    step = 2.0 * step
+                else:
+                    if wide is None:
+                        wide = FOUR_EPS * max(abs(outer_lo), abs(outer_hi))
+                    step = max(2.0 * step, wide)
         for iterations in range(1, MAX_BISECTIONS + 1):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:  # bracket at float resolution
@@ -238,11 +273,16 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         # Adjacent endpoints remain; keep the one with the smaller residual.
         tau = lo if abs(f_lo) < abs(f_hi) else hi
 
-    speeds = (inv0(tau), inv1(tau), inv2(tau))
-    mean_residual = (0.0 + speeds[0] + speeds[1] + speeds[2]) / 3.0 - target
+    if linear:
+        w0 = ((tau - o0) / k0 + g0) / r0
+        w1 = ((tau - o1) / k1 + g1) / r1
+        w2 = ((tau - o2) / k2 + g2) / r2
+    else:
+        w0, w1, w2 = inv0(tau), inv1(tau), inv2(tau)
+    mean_residual = (0.0 + w0 + w1 + w2) / 3.0 - target
     if not abs(mean_residual) <= SOLVE_TOL * max(1.0, abs(target)):  # NaN fails too
         raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")
-    return TorqueBalance(output_speeds=speeds, common_torque=tau, iterations=iterations)
+    return TorqueBalance((w0, w1, w2), tau, iterations)
 
 
 def input_torque_for(common_torque: float, config: TransmissionConfig) -> float:
@@ -284,18 +324,11 @@ def internal_state(
 
 def balance_state(input_speed: float, loads, config: TransmissionConfig) -> TransmissionState:
     """Full consistent train state at the load-balance equilibrium."""
-    balance = solve_torque_balance(input_speed, loads, config)
+    # Both calls go through the module globals, where a tracer may wrap them.
+    speeds, tau, _ = solve_torque_balance(input_speed, loads, config)
     ring = config.ring_ratio * input_speed
-    sides = internal_state(balance.output_speeds, input_speed, config)
-    tau = balance.common_torque
-    return TransmissionState(
-        input_speed=input_speed,
-        input_torque=input_torque_for(tau, config),
-        ring_speeds=(ring, ring, ring),
-        side_speeds=sides,
-        output_speeds=balance.output_speeds,
-        output_torques=(tau, tau, tau),
-    )
+    return TransmissionState(input_speed, input_torque_for(tau, config), (ring, ring, ring),
+                             internal_state(speeds, input_speed, config), speeds, (tau, tau, tau))
 
 
 def power_balance(state: TransmissionState, config: TransmissionConfig) -> float:

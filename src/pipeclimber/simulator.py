@@ -13,9 +13,10 @@ under the body's front and rear; ``step`` only solves the equilibrium at a
 given ``t`` and ``s`` and checks the centre's springs.  Both read segment
 curvatures, not frames: the equilibrium depends only on the centre's, the
 limits only on whether the centre, front and rear are in bends.  So ``run``
-solves once per centre curvature and tries the end limits once for each of
-the four (front, rear) pairs of kinds; only a pair that fails sends it to
-look up the body's ends on each row, and the first such row raises.  Within
+solves once per centre curvature and tries the end limits once for each
+(front, rear) pair of the kinds the network has; only a pair that fails
+sends it to look up the body's ends on each row, and the first such row
+raises.  Within
 a segment ``t`` and ``s`` advance by constant steps, so ``first_exit`` finds
 the row where the centre leaves it, and the ``(t, s)`` there, in closed form
 from the float arithmetic of repeated adds: a run costs per segment, not per
@@ -40,6 +41,7 @@ control input.  That limit behaviour is what the acceptance suite pins.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from bisect import bisect_right
@@ -407,11 +409,11 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     of each centre curvature; a later segment reuses that record.  So
     ``step`` sees the first row with the centre in each kind of segment, and
     the centre's compression needs no other check.  The front and rear
-    limits are checked here alone, once per pair of kinds under them; only
-    if a pair fails are the rows' ends looked up, from that segment's built
-    ``s`` column, and the first row on such a pair raises, after its
-    centre's solve.  Each row advances ``t`` by ``dt_s`` and ``s`` by
-    ``dt_s`` times the mean track speed; ``first_exit`` finds the row where
+    limits are checked here alone, once per pair of the kinds the network
+    has; only if such a pair fails are the rows' ends looked up, from that
+    segment's built ``s`` column, and the first row on such a pair raises,
+    after its centre's solve.  Each row advances ``t`` by ``dt_s`` and ``s``
+    by ``dt_s`` times the mean track speed; ``first_exit`` finds the row where
     the centre leaves its segment or the time budget runs out, and the
     ``(t, s)`` on it, with no array of rows.  There the run checks the float
     range, then the time budget, then the network end, then the network
@@ -423,7 +425,8 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     half = scenario.robot.length_mm / 2.0
     is_bend = np.asarray(network.curvatures) != 0.0
     fails = np.zeros((2, 2), dtype=bool)  # [front is a bend, rear is a bend]
-    for bends in np.ndindex(fails.shape):
+    kinds = {int(bend) for bend in is_bend.tolist()}  # no end is ever on another kind
+    for bends in itertools.product(kinds, repeat=2):
         try:  # only whether a curvature is 0 matters
             _check_ends(scenario, *map(float, bends))
         except (CompressionLimit, AsymmetryLimit):

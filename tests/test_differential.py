@@ -92,16 +92,21 @@ def test_offset_slip_loads_share_the_mean_shortfall():
     assert result.common_torque == pytest.approx(6.0, rel=1e-9)
 
 
-def test_non_monotone_load_rejected():
-    bad = LinearLoad(stiffness=-1.0)
-    good = LinearLoad(stiffness=1.0)
-    with pytest.raises(NonMonotoneLoad):
-        solve_torque_balance(1.0, [bad, good, good], UNIT)
-    with pytest.raises(NonMonotoneLoad):
-        solve_torque_balance(1.0, [LinearLoad(stiffness=0.0), good, good], UNIT)
-    for nan_slope in (LinearLoad(stiffness=math.nan), LinearLoad(1.0, wheel_radius=math.nan)):
-        with pytest.raises(NonMonotoneLoad):
-            solve_torque_balance(1.0, [nan_slope, good, good], UNIT)
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("bad", [
+    LinearLoad(stiffness=-1.0), LinearLoad(stiffness=0.0), LinearLoad(1.0, wheel_radius=-2.0),
+    LinearLoad(stiffness=math.nan), LinearLoad(1.0, wheel_radius=math.nan),
+])
+def test_non_monotone_load_rejected(bad, index):
+    # Three exact LinearLoads take the fast path, whose slope check reads the
+    # fields, and a subclass the method path; the error names the load that
+    # fails, wherever it is.
+    for good in (LinearLoad, _CountingLoad):
+        loads = [good(stiffness=1.0, target_speed=float(j)) for j in range(3)]
+        loads[index] = bad
+        with pytest.raises(NonMonotoneLoad) as err:
+            solve_torque_balance(1.0, loads, UNIT)
+        assert str(err.value) == f"load {bad!r} is not strictly increasing"
 
 
 class _BrokenLoad:
@@ -336,6 +341,32 @@ def test_secant_step_leaves_few_bisections():
     assert residuals_per_solve <= 7, residuals_per_solve
 
 
+class _CubeLoad(LinearLoad):
+    """A ``LinearLoad`` subclass on another monotone curve:
+    torque(w) = stiffness * (w * wheel_radius - target_speed)**3 + offset."""
+
+    def torque(self, speed):
+        return self.stiffness * (speed * self.wheel_radius - self.target_speed) ** 3 + self.offset
+
+    def inverse(self, torque):
+        return (math.cbrt((torque - self.offset) / self.stiffness) + self.target_speed) \
+            / self.wheel_radius
+
+
+@pytest.mark.parametrize("cubes", [(0, 1, 2), (1,), (2,)])
+def test_a_load_subclass_is_solved_on_its_own_curve(cubes):
+    # Only exact LinearLoads take the fast path: a subclass that overrides
+    # torque and inverse is solved through its methods, alone or mixed.
+    fields = [(2.0, 20.0, 67.0, 0.5), (1.5, 18.0, 52.0, -1.0), (3.0, 22.0, 49.0, 2.0)]
+    loads = [(_CubeLoad if j in cubes else LinearLoad)(*f) for j, f in enumerate(fields)]
+    result = solve_torque_balance(3.0, loads, UNIT)
+    assert result.output_speeds == tuple(load.inverse(result.common_torque) for load in loads)
+    assert abs(sum(result.output_speeds) / 3.0 - 3.0) <= SOLVE_TOL * 3.0
+    for j in cubes:  # the linear curve of the same fields gives another speed
+        assert abs(LinearLoad(*fields[j]).inverse(result.common_torque)
+                   - result.output_speeds[j]) > 1e-3
+
+
 @pytest.mark.parametrize("input_speed", [0.0, -0.0])
 @pytest.mark.parametrize("targets", [(1.0, -1.0, 0.0), (-1.0, 1.0, -0.0)])
 def test_exact_zero_root_takes_few_halvings(targets, input_speed):
@@ -368,6 +399,11 @@ def test_bend_solves_take_at_most_64_halvings(bend_radius, orientation):
     assert bits(result) == bits(bisect_torque_balance(2.5, loads, UNIT))
     assert result.iterations <= 64
     assert_near_exact_balance(result, 2.5, loads, UNIT)
+    # Plain LinearLoads take the fast path: the same bits and halvings.
+    plain = [LinearLoad(1.0, 20.0, float(v)) for v in required]
+    fast = solve_torque_balance(2.5, plain, UNIT)
+    assert bits(fast) == bits(bisect_torque_balance(2.5, plain, UNIT))
+    assert fast.iterations == result.iterations <= 64
 
 
 # --- torque balance: against the exact root -----------------------------------------

@@ -612,6 +612,33 @@ def test_run_allocates_no_array_of_rows(tmp_path):
         assert fine_peak <= coarse_peak + 8192
 
 
+def test_a_limit_only_an_absent_kind_meets_costs_no_row_lookup():
+    # The bend compression of 9.5 mm fails every (front, rear) pair with a
+    # bend end, but a straight-only network has no bend to put under the
+    # body.  ``run`` probes only the pairs of kinds the network has, so it
+    # looks up no row's ends: its records and peak are those of a limit that
+    # nothing meets.  The s column and lookups of the 20,000 rows would take
+    # about 960 kB.
+    def traced(max_compression_mm):
+        scenario = straight_only_scenario(robot=make_robot(max_compression_mm=max_compression_mm),
+                                          dt_s=0.0005)
+        tracemalloc.start()
+        try:
+            result = run(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    (records, summary), tight = traced(9.0)
+    (loose_records, loose_summary), loose = traced(16.0)
+    assert len(records) > 20_000
+    assert records.pieces == loose_records.pieces
+    assert list(records) == list(loose_records)
+    assert summary == loose_summary
+    assert tight <= loose + 4096
+
+
 # --- progressions ------------------------------------------------------------------
 
 def cumsum_exit(x, d, low, high, count):
