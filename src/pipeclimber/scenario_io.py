@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+import typing
 
 from .differential import TransmissionConfig
 from .dimensions import pipe_inner_radius
@@ -264,12 +265,12 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 # summary.json and sweep.json are ``json.dumps(payload, indent=1)`` of
-# ``summary_to_dict`` payloads, written from %-templates: each SegmentStats and
-# each summary is an object template with a ``%s`` slot per scalar, and one
-# call of json's C encoder writes every scalar, "\n" between them.  JSON
-# escapes a newline inside a string, so the "\n"s split the scalars apart.
-# json's indenting encoder is pure Python: on a sweep it takes about twice
-# as long as this.
+# ``summary_to_dict`` payloads, written from %-templates: a SimSummary is an
+# object template with a ``%s`` slot per scalar, built once per nesting depth
+# and count of segments, and one call of json's C encoder writes every
+# scalar, "\n" between them.  JSON escapes a newline inside a string, so the
+# "\n"s split the scalars apart.  json's indenting encoder is pure Python: on
+# a sweep it takes about twice as long as this.
 
 def _container(items, depth: int, brackets: str) -> str:
     """``json.dumps(..., indent=1)``'s layout of an array or object whose
@@ -280,24 +281,33 @@ def _container(items, depth: int, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * depth + brackets[1]
 
 
-def _record(obj, depth: int, scalars: list) -> str:
-    """The template of a SimSummary or SegmentStats as its ``summary_to_dict``
-    dict is laid out at nesting ``depth``; its scalars go on ``scalars`` in
-    slot order.  A tuple field is an array of scalars, but a summary's
-    ``segments``, whose items are records."""
+@functools.cache
+def _template(cls, depth: int, segments: int) -> str:
+    """The template of a ``cls`` record, SimSummary or SegmentStats, as its
+    ``summary_to_dict`` dict is laid out at nesting ``depth``, a SimSummary
+    with ``segments`` segments.  Each field follows its type hint: a
+    ``tuple[float, float, float]`` is an array of three slots, a
+    ``tuple[SegmentStats, ...]`` an array of records, anything else a slot."""
     items = []
-    for name, value in vars(obj).items():
-        if name == "segments":
-            text = _container([_record(seg, depth + 2, scalars) for seg in value], depth + 1,
-                              "[]")
-        elif isinstance(value, (tuple, list)):
-            scalars.extend(value)
-            text = _container(["%s"] * len(value), depth + 1, "[]")
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if args[-1:] == (Ellipsis,):
+            text = _container([_template(args[0], depth + 2, 0)] * segments, depth + 1, "[]")
+        elif args:
+            text = _container(["%s"] * len(args), depth + 1, "[]")
         else:
-            scalars.append(value)
             text = "%s"
         items.append(f'"{name}": {text}')
     return _container(items, depth, "{}")
+
+
+def _scalars(summary, scalars: list) -> None:
+    """Put ``summary``'s scalars on ``scalars`` in its template's slot order."""
+    for seg in summary.segments:
+        scalars += (seg.index, seg.kind, seg.entry_time, seg.exit_time, *seg.mean_track_speeds,
+                    *seg.analytic_speeds, *seg.ape_percent)
+    scalars += (*summary.per_track_ape_percent, summary.max_abs_slip, summary.max_compression,
+                summary.finish_time, summary.final_s, summary.total_distance_mm)
 
 
 def _fill(template: str, scalars: list) -> str:
@@ -311,7 +321,8 @@ def _fill(template: str, scalars: list) -> str:
 
 def _summary_text(summary) -> str:
     scalars = []
-    return _fill(_record(summary, 0, scalars), scalars)
+    _scalars(summary, scalars)
+    return _fill(_template(type(summary), 0, len(summary.segments)), scalars)
 
 
 def write_summary(summary, path) -> None:
@@ -320,18 +331,25 @@ def write_summary(summary, path) -> None:
     _write_text(_summary_text, summary, path)
 
 
+@functools.cache
+def _entry_template(summary_type, segments: int) -> str:
+    """The template of a sweep entry whose summary has ``segments``
+    segments, or is None if ``summary_type`` is."""
+    summary = "%s" if summary_type is None else _template(summary_type, 2, segments)
+    return _container(('"orientation_deg": %s', f'"summary": {summary}', '"error": %s'), 1, "{}")
+
+
 def _sweep_text(entries) -> str:
     scalars, items = [], []
     for entry in entries:
         scalars.append(entry.orientation_deg)
         if entry.summary is None:
             scalars.append(None)
-            summary = "%s"
+            items.append(_entry_template(None, 0))
         else:
-            summary = _record(entry.summary, 2, scalars)
+            _scalars(entry.summary, scalars)
+            items.append(_entry_template(type(entry.summary), len(entry.summary.segments)))
         scalars.append(None if entry.error is None else str(entry.error))
-        items.append(_container(('"orientation_deg": %s', f'"summary": {summary}',
-                                 '"error": %s'), 1, "{}"))
     return _fill(_container(items, 0, "[]"), scalars)
 
 

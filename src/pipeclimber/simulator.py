@@ -13,24 +13,25 @@ under the body's front and rear; ``step`` only solves the equilibrium at a
 given ``t`` and ``s`` and checks the centre's springs.  Both read segment
 curvatures, not frames: the equilibrium depends only on the centre's, the
 limits only on whether the centre, front and rear are in bends.  So ``run``
-solves once per centre curvature and tries the end limits once for each
-(front, rear) pair of the kinds the network has; only a pair that fails
+solves once per centre curvature, computes the springs' compression once
+for each kind of segment (bend or straight) the network has, and from those
+tries the tilt of each (front, rear) pair of kinds; only a pair that fails
 sends it to look up the body's ends on each row, and the first such row
-raises.  Within
-a segment ``t`` and ``s`` advance by constant steps, so ``first_exit`` finds
-the row where the centre leaves it, and the ``(t, s)`` there, in closed form
-from the float arithmetic of repeated adds: a run costs per segment, not per
-row.
+raises.  Within a segment ``t`` and ``s`` advance by constant steps, so
+``first_exit`` finds the row where the centre leaves it, and the ``(t, s)``
+there, in closed form from the float arithmetic of repeated adds: a run
+costs per segment, not per row.
 
 Records are a ``Records`` table: the record of each centre segment visited
 once, with its rows as ``Piece`` progressions of ``t`` and ``s`` and the row
-where the centre leaves it.  ``summarize`` reads the pieces' starts; the
-writers build one chunk of rows at a time; the ``t`` and ``s`` columns are
-built on first access, with the bits of ``np.cumsum``.  Indexing and
-iteration give ``SimRecord`` rows.  Only per-row data are numpy arrays: the
-built columns and chunks and, when a pair of kinds fails a limit, each
-segment's ``s`` rows and their front and rear lookups; per-segment values
-are not.
+where the centre leaves it.  ``summarize`` reads the pieces' starts and
+takes each segment's three mean track speeds from one pairwise sum of
+copies; the writers build one chunk of rows at a time; the ``t`` and ``s``
+columns are built on first access, with the bits of ``np.cumsum``.
+Indexing and iteration give ``SimRecord`` rows.  Only per-row data are
+numpy arrays: the built columns and chunks and, when a pair of kinds fails
+a limit, each segment's ``s`` rows and their front and rear lookups; a run
+with no failing pair uses no numpy.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -409,28 +410,40 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     of each centre curvature; a later segment reuses that record.  So
     ``step`` sees the first row with the centre in each kind of segment, and
     the centre's compression needs no other check.  The front and rear
-    limits are checked here alone, once per pair of the kinds the network
-    has; only if such a pair fails are the rows' ends looked up, from that
-    segment's built ``s`` column, and the first row on such a pair raises,
-    after its centre's solve.  Each row advances ``t`` by ``dt_s`` and ``s``
-    by ``dt_s`` times the mean track speed; ``first_exit`` finds the row where
-    the centre leaves its segment or the time budget runs out, and the
-    ``(t, s)`` on it, with no array of rows.  There the run checks the float
-    range, then the time budget, then the network end, then the network
-    start.
+    limits are checked here alone: the compression once per kind the
+    network has, and the tilt once per pair of those kinds; only if such a
+    pair fails are the rows' ends looked up, from that segment's built
+    ``s`` column, and the first row on such a pair raises through
+    ``_check_ends``, after its centre's solve.  Each row advances ``t`` by
+    ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed;
+    ``first_exit`` finds the row where the centre leaves its segment or the
+    time budget runs out, and the ``(t, s)`` on it, with no array of rows.
+    There the run checks the float range, then the time budget, then the
+    network end, then the network start.
     """
-    network = scenario.network
+    network, robot = scenario.network, scenario.robot
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
     bounds = network.cumulative_lengths
-    half = scenario.robot.length_mm / 2.0
-    is_bend = np.asarray(network.curvatures) != 0.0
-    fails = np.zeros((2, 2), dtype=bool)  # [front is a bend, rear is a bend]
-    kinds = {int(bend) for bend in is_bend.tolist()}  # no end is ever on another kind
-    for bends in itertools.product(kinds, repeat=2):
-        try:  # only whether a curvature is 0 matters
-            _check_ends(scenario, *map(float, bends))
-        except (CompressionLimit, AsymmetryLimit):
-            fails[bends] = True
+    half = robot.length_mm / 2.0
+    kinds = {int(c != 0.0) for c in network.curvatures}  # no end is ever on another kind
+    compressions = {}  # kind -> its springs' compression, if within the limit
+    for bend in kinds:  # only whether a curvature is 0 matters
+        try:
+            compressions[bend] = spring_compression(float(bend), robot,
+                                                    scenario.bend_extra_compression_mm)
+        except CompressionLimit:
+            pass
+    failing = []  # (front, rear) pairs of kinds over a limit
+    for front, rear in itertools.product(kinds, repeat=2):
+        try:  # a kind over the compression limit is missing: KeyError
+            asymmetry_deg(compressions[front], compressions[rear], robot)
+        except (KeyError, AsymmetryLimit):
+            failing.append((front, rear))
+    if failing:
+        is_bend = np.asarray(network.curvatures) != 0.0
+        fails = np.zeros((2, 2), dtype=bool)  # [front is a bend, rear is a bend]
+        for ends in failing:
+            fails[ends] = True
     solved = {}  # centre curvature -> the record ``step`` solved there
     values, pieces = [], []  # per centre segment visited: its record, its rows' pieces
 
@@ -450,10 +463,12 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             raise OutOfRange(f"arc length {s} outside [0, {total}]")
         index = segment_at(network, s)
         curvature = network.curvatures[index]
-        if curvature in solved:
-            record = replace(solved[curvature], t=t, s=s, segment_index=index)
-        else:
+        record = solved.get(curvature)
+        if record is None:
             record = solved[curvature] = step(scenario, t, s)
+        else:
+            record = SimRecord(t, s, index, record.track_speeds, record.required_speeds,
+                               record.slip, record.compressions, record.common_torque)
         w0, w1, w2 = record.track_speeds
         ds = dt * (0.0 + w0 + w1 + w2) / 3.0
         run_pieces = []
@@ -473,13 +488,13 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             k_t, t_next = first_exit(t, dt, -math.inf, limit, k)
             if k_t < k:  # over budget first
                 k, s_next = k_t, first_exit(s, ds, low, high, k_t)[1]
-            if fails.any():
+            if failing:
                 s_rows = _accumulate((t, s), (dt, ds), k - 1)[:, 1]
                 front = is_bend[segment_at(network, s_rows + half)].astype(np.intp)
                 rear = is_bend[segment_at(network, s_rows - half)].astype(np.intp)
-                failing = fails[front, rear]
-                if failing.any():  # raises on the first row with the ends on a failing pair
-                    row = int(np.argmax(failing))
+                on_failing = fails[front, rear]
+                if on_failing.any():  # raises on the first row with the ends on a failing pair
+                    row = int(np.argmax(on_failing))
                     _check_ends(scenario, float(front[row]), float(rear[row]))
             run_pieces.append(Piece(t, dt, s, ds, k))
             t, s = t_next, s_next
@@ -505,37 +520,49 @@ def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float
     )
 
 
-def _copies_sum(v: float, n: int, memo: dict) -> float:
-    """numpy's pairwise sum of ``n`` copies of ``v`` (``pairwise_sum`` in
-    numpy/_core/src/umath/loops_utils.h.src): fewer than 8 in sequence from
-    0.0, up to 128 in eight accumulators and then the rest, more split at
-    ``n // 2`` rounded down to a multiple of 8.  ``memo`` holds the sum of
-    each size met, so the split costs O(log n) adds."""
+def _copies_sums(v: tuple, n: int, memo: dict) -> tuple:
+    """numpy's pairwise sum of ``n`` copies of each of the three floats ``v``
+    (``pairwise_sum`` in numpy/_core/src/umath/loops_utils.h.src), each on
+    its own: fewer than 8 in sequence from 0.0, up to 128 in eight
+    accumulators and then the rest, more split at ``n // 2`` rounded down
+    to a multiple of 8.  The split depends on ``n`` alone, so the three
+    sums share it, and ``memo`` holds the sums of each size met: O(log n)
+    adds."""
     total = memo.get(n)
     if total is None:
+        a, b, c = v
         if n < 8:
-            total = 0.0
+            x = y = z = 0.0
             for _ in range(n):
-                total += v
+                x, y, z = x + a, y + b, z + c
         elif n <= 128:
-            block = v  # each accumulator: n // 8 copies, in sequence
+            x, y, z = v  # each accumulator: n // 8 copies, in sequence
             for _ in range(n // 8 - 1):
-                block += v
-            pair = block + block  # the eight are equal, so each pair is too
-            total = (pair + pair) + (pair + pair)
+                x, y, z = x + a, y + b, z + c
+            # The eight are equal, so their sum, (p + p) + (p + p) with p the
+            # sum of a pair, is 8 times one: each doubling is exact, or inf.
+            x, y, z = 8.0 * x, 8.0 * y, 8.0 * z
             for _ in range(n % 8):
-                total += v
+                x, y, z = x + a, y + b, z + c
         else:
             half = n // 2 - n // 2 % 8
-            total = _copies_sum(v, half, memo) + _copies_sum(v, n - half, memo)
-        memo[n] = total
+            (x, y, z), (p, q, r) = _copies_sums(v, half, memo), _copies_sums(v, n - half, memo)
+            x, y, z = x + p, y + q, z + r
+        total = memo[n] = (x, y, z)
     return total
 
 
+def means_of_copies(v: tuple, n: int) -> tuple:
+    """``float(np.mean(np.full(n, x)))`` for each of the three floats ``v``,
+    bit for bit, sign of zero included, without the arrays: numpy's
+    reduction starts from +0.0, then divides by ``n``."""
+    x, y, z = _copies_sums(v, n, {})
+    return (0.0 + x) / n, (0.0 + y) / n, (0.0 + z) / n
+
+
 def mean_of_copies(v: float, n: int) -> float:
-    """``float(np.mean(np.full(n, v)))`` bit for bit, sign of zero included,
-    without the array: numpy's reduction starts from +0.0, then divides by ``n``."""
-    return (0.0 + _copies_sum(v, n, {})) / n
+    """``float(np.mean(np.full(n, v)))``, as ``means_of_copies``."""
+    return means_of_copies((v, v, v), n)[0]
 
 
 def summarize(records: Records, scenario: Scenario, finish_time: float,
@@ -552,7 +579,7 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
         index = value.segment_index
         # The mean over the run's rows of a value they all share, with the
         # bits of np.mean over those rows.
-        mean_speeds = tuple(mean_of_copies(v, end - first) for v in value.track_speeds)
+        mean_speeds = means_of_copies(value.track_speeds, end - first)
         analytic = analytic_track_speeds(scenario, index)
         errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
         per_track_ape = tuple(map(max, per_track_ape, errors))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pipeclimber import (
     CSV_COLUMNS,
+    Bend,
     CompressionLimit,
     ConfigError,
     IoError,
@@ -23,8 +24,10 @@ from pipeclimber import (
     SimRecord,
     SimSummary,
     SimulationError,
+    Straight,
     SweepEntry,
     ValidationError,
+    build_network,
     emit_records,
     parse_scenario,
     run,
@@ -630,6 +633,28 @@ def test_summary_and_sweep_files_are_json_dumps_indent_1(tmp_path_factory, summa
         json.dumps(summary_to_dict(summary), indent=1) + "\n").encode()
     assert (folder / "sweep.json").read_bytes() == (
         json.dumps(sweep_payload(entries), indent=1) + "\n").encode()
+
+
+def test_each_count_of_segments_gets_its_own_template(tmp_path):
+    # Templates are built once per shape and kept for the process, so
+    # summaries of 1, 4 and 12 segments, written one after another, each as
+    # a file of its own and inside sweeps, must each get theirs.
+    four = [Straight(500.0), Bend(300.0, 90.0), Straight(350.0), Bend(300.0, 180.0)]
+    summaries = [run(make_four_section_scenario(network=build_network(segments, 77.0),
+                                                max_time_s=600.0))[1]
+                 for segments in ([Straight(300.0)], four, four * 3)]
+    assert [len(summary.segments) for summary in summaries] == [1, 4, 12]
+    path = tmp_path / "out.json"
+    for summary in [*summaries, *reversed(summaries)]:
+        write_summary(summary, path)
+        assert path.read_text(encoding="utf-8") == (
+            json.dumps(summary_to_dict(summary), indent=1) + "\n")
+    failed = SweepEntry(120.0, None, SimulationError('module A tilts "far"'))
+    for entries in ([SweepEntry(0.0, summary) for summary in summaries] + [failed],
+                    [SweepEntry(240.0, summaries[1])], [failed]):
+        write_sweep(entries, path)
+        assert path.read_text(encoding="utf-8") == (
+            json.dumps(sweep_payload(entries), indent=1) + "\n")
 
 
 def _out_of_range() -> str:

@@ -242,8 +242,12 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     # Counts, not timings: a run and its CSV records cost the same number of
     # solves, segment lookups, limit checks and record objects at any dt_s,
     # and build no centerline frames.  No limit can fire, so no row's front
-    # or rear is looked up.
+    # or rear is looked up, and the run itself touches no numpy.
     calls = Counter()
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"run used numpy.{name} with no pair of kinds failing")
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -263,7 +267,9 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     seen = []
     for dt_s in (0.01, 0.001):
         calls.clear()
-        records, _ = run(make_four_section_scenario(dt_s=dt_s))
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "np", NoNumpy())
+            records, _ = run(make_four_section_scenario(dt_s=dt_s))
         emit_records(records, "csv", tmp_path / "records.csv")
         seen.append((dict(calls), len(records)))
     (coarse, coarse_rows), (fine, fine_rows) = seen
@@ -271,7 +277,7 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert coarse["step"] == 2
     assert coarse["SimRecord"] == 4
     assert "pose_at" not in coarse
-    assert coarse["spring_compression"] == 10  # 8 from the four probes, 1 per step
+    assert coarse["spring_compression"] == 4  # 1 per kind of segment, 1 per step
     assert "segment_at of an array" not in coarse
     assert coarse["asymmetry_deg"] == 4  # the four probes
     assert fine_rows > 9 * coarse_rows
@@ -549,6 +555,32 @@ def test_mean_of_copies_has_the_bits_of_numpys_mean_at_the_block_edges(n):
 def test_mean_of_copies_has_the_bits_of_numpys_mean(v, n):
     # .hex() tells -0.0 from 0.0.
     assert simulator.mean_of_copies(v, n).hex() == numpy_mean(v, n).hex()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 1000])
+def test_the_three_track_sum_keeps_each_tracks_bits(n):
+    # One pairwise sum carries the three tracks; each must come out as its
+    # own mean, here with every value of MEAN_VALUES on every track.
+    for i in range(len(MEAN_VALUES)):
+        speeds = tuple(MEAN_VALUES[(i + j) % len(MEAN_VALUES)] for j in range(3))
+        means = simulator.means_of_copies(speeds, n)
+        assert [m.hex() for m in means] == [simulator.mean_of_copies(v, n).hex()
+                                            for v in speeds] == [numpy_mean(v, n).hex()
+                                                                 for v in speeds], speeds
+
+
+@pytest.mark.parametrize("speeds", [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0,) * 3,
+                                    (5e-324, 5e-324, -5e-324), (0.1, 0.1, 0.1 + 2**-56)])
+def test_equal_comparing_speeds_keep_each_tracks_bits(speeds):
+    # The speeds compare equal, or nearly, but their bits differ: each
+    # track's mean is numpy's mean of its own rows.
+    scenario = straight_only_scenario()
+    records, summary = run(scenario)
+    value = replace(records.values[0], track_speeds=speeds)
+    table = simulator.Records([value], records.pieces)
+    means = simulator.summarize(table, scenario, summary.finish_time,
+                                summary.final_s).segments[0].mean_track_speeds
+    assert [m.hex() for m in means] == [numpy_mean(v, len(records)).hex() for v in speeds]
 
 
 def test_summarize_allocates_no_array_of_rows():
