@@ -12,6 +12,11 @@ Record output is CSV (fixed column order, 9 significant digits) or JSON
 by one writer from a ``Records`` table's columns, a chunk of rows at a time.
 Run and sweep summaries are JSON as ``json.dumps(payload, indent=1)`` lays
 it out, filled into templates.
+
+Every output file is ASCII bytes, written in binary by ``_write`` alone, so
+its lines end in LF on every platform.  Rows fill bytes templates with PEP
+461's ``%``: ``b"%.9g" % x`` is ``format(x, ".9g").encode()`` and
+``b"%r" % x`` is ``repr(x).encode()``.
 """
 
 from __future__ import annotations
@@ -237,8 +242,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _write(path, chunks, what: str = "") -> None:
+    """Write ``chunks``, byte strings, to ``path``: the one place an output
+    file opens.  OSError becomes IoError, "cannot write {what}{path}: ..."."""
+    try:
+        with open(path, "wb") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise IoError(f"cannot write {what}{path}: {exc}") from exc
+
+
 def _write_text(text_of, payload, path) -> None:
-    """Write ``text_of(payload)`` plus a newline; OSError becomes IoError.
+    """Write ``text_of(payload)`` plus a newline, as bytes, through ``_write``.
 
     A non-finite number raises SimulationError before the file is opened:
     standard JSON cannot hold it, and only a run's results can carry one.
@@ -247,21 +262,13 @@ def _write_text(text_of, payload, path) -> None:
         text = text_of(payload)
     except ValueError as exc:
         raise SimulationError(f"cannot write {path}: {exc}") from None
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def write_json(payload, path, indent: int) -> None:
-    """Write ``payload`` as ``json.dumps(payload, indent=indent)`` plus a
-    newline: the scenario files of ``save_scenario``.  Errors as in ``_write_text``."""
-    _write_text(functools.partial(json.dumps, indent=indent, allow_nan=False), payload, path)
+    _write(path, (text.encode(), b"\n"))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    write_json(scenario_to_dict(scenario), path, indent=2)
+    """Write ``json.dumps(scenario_to_dict(scenario), indent=2)`` plus a newline."""
+    _write_text(functools.partial(json.dumps, indent=2, allow_nan=False),
+                scenario_to_dict(scenario), path)
 
 
 # summary.json and sweep.json are ``json.dumps(payload, indent=1)`` of
@@ -373,7 +380,7 @@ def _constants(record: SimRecord) -> list:
     ]
 
 
-def _row_template(record: SimRecord, pieces, fmt: str, path) -> str:
+def _row_template(record: SimRecord, pieces, fmt: str, path) -> bytes:
     """The %-template of each row of a centre segment's run: its constant
     fields formatted, ``t`` and ``s`` two slots.  A non-finite value, which
     JSON cannot hold, raises SimulationError in either format."""
@@ -387,17 +394,18 @@ def _row_template(record: SimRecord, pieces, fmt: str, path) -> str:
         if not finite:
             raise SimulationError(f"cannot write records to {path}: {name} is not finite")
     if fmt == "csv":
-        return "%.9g,%.9g" + "".join(
-            "," + (str(v) if isinstance(v, int) else format(v, ".9g")) for v in constants)
-    return ' {\n  "t_s": %r,\n  "s_mm": %r' + "".join(
-        f',\n  "{name}": {json.dumps(v)}' for name, v in zip(CSV_COLUMNS[2:], constants)) + "\n }"
+        return ("%.9g,%.9g" + "".join(
+            "," + (str(v) if isinstance(v, int) else format(v, ".9g")) for v in constants)).encode()
+    return (' {\n  "t_s": %r,\n  "s_mm": %r' + "".join(
+        f',\n  "{name}": {json.dumps(v)}' for name, v in zip(CSV_COLUMNS[2:], constants))
+        + "\n }").encode()
 
 
 # fmt -> (head, separator between rows, end after the rows, end of an empty
 # table); a newline leads the first row.  JSON is ``json.dump(rows, indent=1)``.
 _LAYOUTS = {
-    "csv": (",".join(CSV_COLUMNS), "\n", "\n", "\n"),
-    "json": ("[", ",\n", "\n]\n", "]\n"),
+    "csv": (",".join(CSV_COLUMNS).encode(), b"\n", b"\n", b"\n"),
+    "json": (b"[", b",\n", b"\n]\n", b"]\n"),
 }
 _CHUNK_ROWS = 256  # rows formatted by one % call: about 110 kB of JSON text
 
@@ -408,29 +416,28 @@ def emit_records(records: Records, fmt: str, path) -> None:
 
     The table's columns are never built: ``piece_rows`` makes the ``t`` and
     ``s`` of one chunk of a run's rows at a time, with the columns' bits,
-    and each chunk is one ``%`` of the run's row template, repeated, over
-    its interleaved ``t`` and ``s``.  So neither the columns nor the text
-    ever hold more than a chunk.  ``%.9g`` is ``format(v, ".9g")`` and
-    ``%r`` is json's float encoder, so the bytes are those of a row-by-row
-    writer.
+    and each chunk is one ``bytes %`` of the run's row template, repeated,
+    over its interleaved ``t`` and ``s``.  So neither the columns nor the
+    text ever hold more than a chunk.  ``b"%.9g" % x`` is
+    ``format(x, ".9g").encode()`` and ``b"%r" % x`` is ``repr(x).encode()``,
+    json's float text, so the bytes are those of a row-by-row writer.
     """
     if fmt not in _LAYOUTS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     runs = [(_row_template(record, pieces, fmt, path), pieces)
             for record, pieces in zip(records.values, records.pieces)]
     head, sep, end, empty_end = _LAYOUTS[fmt]
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(head)
-            lead = "\n"
-            for template, pieces in runs:
-                for flat in piece_rows(pieces, _CHUNK_ROWS):
-                    handle.write((lead + template + (sep + template) * (len(flat) // 2 - 1))
-                                 % tuple(flat))
-                    lead = sep
-            handle.write(end if len(records) else empty_end)
-    except OSError as exc:
-        raise IoError(f"cannot write records to {path}: {exc}") from exc
+
+    def chunks():
+        yield head
+        lead = b"\n"
+        for template, pieces in runs:
+            for flat in piece_rows(pieces, _CHUNK_ROWS):
+                yield (lead + template + (sep + template) * (len(flat) // 2 - 1)) % tuple(flat)
+                lead = sep
+        yield end if len(records) else empty_end
+
+    _write(path, chunks(), "records to ")
 
 
 def summary_to_dict(summary) -> dict:

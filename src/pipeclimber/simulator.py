@@ -194,6 +194,11 @@ def piece_rows(pieces, size: int):
         yield flat
 
 
+# The fields after ``t`` and ``s``, which every row of a run shares.
+_shared = operator.attrgetter("segment_index", "track_speeds", "required_speeds", "slip",
+                              "compressions", "common_torque")
+
+
 class Records(Sequence):
     """A run's records, run-end encoded after Apache Arrow's layout.
 
@@ -236,13 +241,14 @@ class Records(Sequence):
         row = range(len(self))[operator.index(key)]  # IndexError past either end
         value = self.values[bisect_right(self.run_ends, row)]
         t, s = self._rows[row].tolist()
-        return replace(value, t=t, s=s)
+        return SimRecord(t, s, *_shared(value))
 
     def __iter__(self):
         for value, pieces in zip(self.values, self.pieces):
+            shared = _shared(value)
             for flat in piece_rows(pieces, 256):  # any size; this one bounds the lists
                 for t_row, s_row in zip(flat[::2], flat[1::2]):
-                    yield replace(value, t=t_row, s=s_row)
+                    yield SimRecord(t_row, s_row, *shared)
 
     def __eq__(self, other):
         if not isinstance(other, Records):
@@ -467,8 +473,7 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
         if record is None:
             record = solved[curvature] = step(scenario, t, s)
         else:
-            record = SimRecord(t, s, index, record.track_speeds, record.required_speeds,
-                               record.slip, record.compressions, record.common_torque)
+            record = SimRecord(t, s, index, *_shared(record)[1:])
         w0, w1, w2 = record.track_speeds
         ds = dt * (0.0 + w0 + w1 + w2) / 3.0
         run_pieces = []

@@ -1,7 +1,10 @@
+import _pyio
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -38,6 +41,7 @@ from pipeclimber import (
     write_summary,
     write_sweep,
 )
+import pipeclimber.scenario_io as scenario_io
 from pipeclimber.scenario_io import _CHUNK_ROWS, SCHEMA
 from conftest import make_four_section_scenario
 from oracles import write_rows
@@ -690,3 +694,73 @@ def test_summary_writers_wrap_os_errors(tmp_path):
         write_summary(summary, tmp_path / "missing-dir" / "summary.json")
     with pytest.raises(IoError):
         write_sweep([SweepEntry(0.0, summary)], tmp_path / "missing-dir" / "sweep.json")
+
+
+# --- every output file -----------------------------------------------------------
+
+def write_every_file(folder):
+    """Each of the four writers' files for the four-section run, the sweep
+    with a failed entry whose message is not ASCII, in ``folder``: name ->
+    path."""
+    scenario = make_four_section_scenario()
+    records, summary = run(scenario)
+    entries = [SweepEntry(0.0, summary), SweepEntry(90.0, None, SimulationError("Überlast ✗"))]
+    paths = {name: folder / name for name in
+             ("records.csv", "records.json", "summary.json", "sweep.json", "scenario.json")}
+    emit_records(records, "csv", paths["records.csv"])
+    emit_records(records, "json", paths["records.json"])
+    write_summary(summary, paths["summary.json"])
+    write_sweep(entries, paths["sweep.json"])
+    save_scenario(scenario, paths["scenario.json"])
+    return paths
+
+
+def test_no_output_file_ends_its_lines_in_crlf(monkeypatch, tmp_path):
+    # A Windows text layer, emulated: CPython's C ``open`` fixes its newline
+    # when it is built, but ``_pyio`` reads ``os.linesep`` when a file opens.
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(scenario_io, "open", _pyio.open, raising=False)
+    with scenario_io.open(tmp_path / "probe.txt", "w") as handle:
+        handle.write("a\n")
+    assert (tmp_path / "probe.txt").read_bytes() == b"a\r\n"  # the emulation holds
+    paths = write_every_file(tmp_path)
+    assert [name for name, path in paths.items() if b"\r" in path.read_bytes()] == []
+
+
+def test_every_output_file_is_ascii(tmp_path):
+    for path in write_every_file(tmp_path).values():
+        path.read_bytes().decode("ascii")  # raises on any other byte
+
+
+def test_saved_scenarios_are_json_dumps_indent_2(tmp_path):
+    scenario = make_four_section_scenario()
+    save_scenario(scenario, tmp_path / "scenario.json")
+    assert (tmp_path / "scenario.json").read_bytes() == (
+        json.dumps(scenario_to_dict(scenario), indent=2).encode() + b"\n")
+
+
+def test_a_non_ascii_output_path_gets_the_same_bytes(tmp_path):
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "réseau").mkdir()
+    plain = write_every_file(tmp_path / "plain")
+    for name, path in write_every_file(tmp_path / "réseau").items():
+        assert path.read_bytes() == plain[name].read_bytes(), name
+
+
+def test_a_missing_directory_keeps_each_writers_message(tmp_path):
+    scenario = make_four_section_scenario()
+    records, summary = run(scenario)
+    missing = tmp_path / "missing-dir"
+    for write, payload, name, what in (
+        (functools.partial(emit_records, fmt="csv"), records, "records.csv", "records to "),
+        (functools.partial(emit_records, fmt="json"), records, "records.json", "records to "),
+        (write_summary, summary, "summary.json", ""),
+        (write_sweep, [SweepEntry(0.0, summary)], "sweep.json", ""),
+        (save_scenario, scenario, "scenario.json", ""),
+    ):
+        path = missing / name
+        with pytest.raises(IoError) as err:
+            write(payload, path=path)
+        assert str(err.value) == (
+            f"cannot write {what}{path}: [Errno 2] No such file or directory: {str(path)!r}")
+        assert isinstance(err.value.__cause__, FileNotFoundError)
