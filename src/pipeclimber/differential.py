@@ -22,9 +22,13 @@ minimum-norm selection, which has a closed form.
 Under load the equilibrium is found by scalar root finding on the common
 torque level: invert each (strictly monotone) load curve at a trial torque
 and adjust the torque until the mean output speed meets the averaging
-constraint.  Bracketed bisection keeps this robust for any monotone curve;
-it starts from the secant step, which usually lands within a few ulps of
-the root, and a search outward from it that brackets the root tightly.
+constraint.  For ``LinearLoad``s the mean inverse is affine, so the search
+starts at its closed-form root and walks to the adjacent pair of floats
+that straddles the float root, stepping past flat runs to the next float
+at which a term can change.  Any other curve, or a walk that fails its
+checks, falls back to bracketed bisection, which keeps the solve robust for
+any monotone curve; it starts from the secant step and a search outward
+from it that brackets the root tightly.
 
 ``TorqueBalance`` and ``TransmissionState`` are named tuples: immutable and
 hashable, but they compare equal to plain tuples of their fields, and a copy
@@ -36,6 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from math import inf, nextafter
 from typing import NamedTuple
 
 from .errors import InconsistentOutputs, NoBracket, NonMonotoneLoad, require, require_positive
@@ -47,6 +52,8 @@ MAX_BISECTIONS = 2200
 SPAN_FACTOR = 2.0  # growth of the bracket span per widening
 MAX_WIDENINGS = 80
 FOUR_EPS = 4.0 * sys.float_info.epsilon  # a wide probe step per unit of bracket magnitude
+WALK_STEPS = 12  # probes of the seeded walk before it falls back to the bracketed search
+ULP_STEPS = 3  # probes one ulp apart before the walk steps to the next term change
 AVERAGING_TOL = 1e-9  # relative mean-speed mismatch ``internal_state`` accepts
 
 
@@ -119,8 +126,9 @@ class LinearLoad:
 class TorqueBalance(NamedTuple):
     """Result of a load-balance solve: output speeds and the shared torque.
 
-    ``iterations`` counts the halvings of the final bisection only, not the
-    residual evaluations of the bracket, the secant seed or the search
+    ``iterations`` counts the halvings of the bracketed search's bisection
+    only: 0 when the seeded walk ends the solve, and never the residual
+    evaluations of the walk, the bracket, the secant seed or the search
     around it.
     """
 
@@ -138,24 +146,48 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         F(tau) = mean_j loads[j].inverse(tau) - overall_ratio * input_speed
 
     F is strictly increasing, so evaluating each load at the target mean
-    speed brackets the root immediately.  The secant step's seed becomes one
-    end of a sub-bracket; probes outward from it, 1, 2, 4 and 8 ulps of the
-    seed and then 4 eps of the bracket's magnitude doubling, find the other
-    end at the first sign change.  Bisection then shrinks the sub-bracket to
-    float resolution (at most MAX_BISECTIONS halvings) and keeps the end
-    with the smaller residual.  F's float values are monotone too, so any
-    sub-bracket ends on the same adjacent pair as the whole bracket: the
-    result is deterministic, even when the equilibrium torque is tiny.
+    speed brackets the root: [lo, hi] = [min_j, max_j] of the torques.  F's
+    float values are monotone too, so every search below ends on the same
+    adjacent pair (p, p+) with F(p) < 0 <= F(p+), and the result is
+    deterministic, even when the equilibrium torque is tiny.
+
+    When all three loads are ``LinearLoad``s, subclasses included, F is
+    affine and the search starts at its closed-form root
+
+        tau0 = (3 * target - sum_j (g_j - o_j / k_j) / r_j) / sum_j 1 / (k_j r_j)
+
+    (stiffness k, wheel_radius r, target_speed g, offset o), clamped to
+    [lo, hi].  It walks from there to the pair: ULP_STEPS probes one ulp
+    apart, then straight to the next float at which some track's
+    (tau - o) / k + g rounds to another value, since F cannot change before
+    one does.  That float is computed from the fields, and moved on one ulp
+    where the term has not changed yet; it is only a candidate, and every
+    probe stays in [lo, hi] and strictly between the nearest probes on
+    either side of the root.  The pair it finds is the one the bracketed
+    search ends on, which keeps the end with the smaller residual; at a
+    zero run (F(p+) == 0) that is p+ only when F(hi) > 0, so that one
+    residual is evaluated too, and F(lo) < 0 follows from lo <= p.  The
+    walk runs only where hi - lo and every midpoint sum of the bracket are
+    finite and sum_j 1 / (k_j r_j) is not 0, and hands over to the
+    bracketed search after WALK_STEPS probes, at a bracket end or at a NaN.
+
+    The bracketed search, for other curves and for a walk that did not end,
+    widens the bracket if a curve's torque and inverse disagree, takes the
+    secant step's seed as one end of a sub-bracket, and probes outward from
+    it, 1, 2, 4 and 8 ulps of the seed and then 4 eps of the bracket's
+    magnitude doubling, to find the other end at the first sign change.
+    Bisection then shrinks the sub-bracket to float resolution (at most
+    MAX_BISECTIONS halvings) and keeps the end with the smaller residual.
     SOLVE_TOL (relative on the mean-speed residual) is the guaranteed
     accuracy; the solve is verified against it and far exceeds it in
     practice.
 
     When all three loads are exactly ``LinearLoad`` (a subclass may
-    override ``inverse``), F, the bracket torques, the slope check and the
-    output speeds are computed from their twelve fields, read once, in the
-    order of ``LinearLoad.inverse``, ``torque`` and ``slope``: the same bits
-    as the method calls, without their cost.  Other loads are called
-    through their methods; both take the same search.
+    override ``inverse``), the walk's F, the bracket torques, the slope
+    check and the output speeds are computed from their twelve fields, read
+    once, in the order of ``LinearLoad.inverse``, ``torque`` and ``slope``:
+    the same bits as the method calls, without their cost.  Other loads are
+    called through their methods; both take the same search.
 
     Raises NonMonotoneLoad for a non-increasing curve and NoBracket if the
     bracket cannot be established within MAX_WIDENINGS widenings, each
@@ -166,10 +198,13 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         raise ValueError(f"expected 3 load curves, got {len(loads)}")
     load0, load1, load2 = loads
     linear = type(load0) is LinearLoad and type(load1) is LinearLoad and type(load2) is LinearLoad
-    if linear:
+    seeded = linear or (isinstance(load0, LinearLoad) and isinstance(load1, LinearLoad)
+                        and isinstance(load2, LinearLoad))
+    if seeded:
         k0, r0, g0, o0 = load0.stiffness, load0.wheel_radius, load0.target_speed, load0.offset
         k1, r1, g1, o1 = load1.stiffness, load1.wheel_radius, load1.target_speed, load1.offset
         k2, r2, g2, o2 = load2.stiffness, load2.wheel_radius, load2.target_speed, load2.offset
+    if linear:
         monotone = k0 * r0 > 0.0 and k1 * r1 > 0.0 and k2 * r2 > 0.0
     else:
         monotone = all(getattr(load, "slope", 1.0) > 0.0 for load in loads)
@@ -178,26 +213,123 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         raise NonMonotoneLoad(f"load {load!r} is not strictly increasing")
 
     # Each residual adds from 0.0 in order, as Python 3.11's float ``sum`` does: from 3.12 on
-    # ``sum`` compensates its rounding, and the bits would follow the version.  Its values are
-    # bound as defaults: they are read as fast locals, and no call makes a cell for them.
+    # ``sum`` compensates its rounding, and the bits would follow the version.
     target = config.overall_ratio * input_speed
     if linear:
-        def residual(tau: float, k0=k0, r0=r0, g0=g0, o0=o0, k1=k1, r1=r1, g1=g1, o1=o1,
-                     k2=k2, r2=r2, g2=g2, o2=o2, target=target) -> float:
-            return (0.0 + ((tau - o0) / k0 + g0) / r0 + ((tau - o1) / k1 + g1) / r1
-                    + ((tau - o2) / k2 + g2) / r2) / 3.0 - target
-
         t0 = k0 * (target * r0 - g0) + o0
         t1 = k1 * (target * r1 - g1) + o1
         t2 = k2 * (target * r2 - g2) + o2
     else:
-        inv0, inv1, inv2 = load0.inverse, load1.inverse, load2.inverse
-
-        def residual(tau: float, inv0=inv0, inv1=inv1, inv2=inv2, target=target) -> float:
-            return (0.0 + inv0(tau) + inv1(tau) + inv2(tau)) / 3.0 - target
-
+        residual = _mean_inverse(loads, target)
         t0, t1, t2 = load0.torque(target), load1.torque(target), load2.torque(target)
-    lo, hi = min(t0, t1, t2), max(t0, t1, t2)
+    # min() and max() of the three, as those builtins pick them (NaN included), without
+    # their call.
+    lo = t1 if t1 < t0 else t0
+    lo = t2 if t2 < lo else lo
+    hi = t1 if t1 > t0 else t0
+    hi = t2 if t2 > hi else hi
+
+    tau = None
+    # A subclass was checked through its ``slope``, which it may override: check k * r too.
+    if seeded and lo < hi and -inf < lo + lo and hi + hi < inf and (
+            linear or (k0 * r0 > 0.0 and k1 * r1 > 0.0 and k2 * r2 > 0.0)):
+        gain = 1.0 / (k0 * r0) + 1.0 / (k1 * r1) + 1.0 / (k2 * r2)
+        if gain != 0.0:
+            x = (3.0 * target - ((g0 - o0 / k0) / r0 + (g1 - o1 / k1) / r1
+                                 + (g2 - o2 / k2) / r2)) / gain
+            if not lo <= x <= hi:  # NaN starts at hi
+                x = lo if x < lo else hi
+            p = q = None  # the nearest probes with F < 0 and with F >= 0
+            for step in range(WALK_STEPS):
+                f = ((0.0 + ((x - o0) / k0 + g0) / r0 + ((x - o1) / k1 + g1) / r1
+                      + ((x - o2) / k2 + g2) / r2) / 3.0 - target) if linear else residual(x)
+                if f < 0.0:
+                    p, f_p, d = x, f, inf
+                    end = hi if q is None else nextafter(q, -inf)  # the last float left to probe
+                elif f >= 0.0:
+                    q, f_q, d = x, f, -inf
+                    end = lo if p is None else nextafter(p, inf)
+                else:
+                    break
+                if x == end:
+                    if p is None or q is None:
+                        break
+                    if f_q > 0.0:
+                        tau = p if abs(f_p) < abs(f_q) else q
+                    elif q != hi and ((
+                            (0.0 + ((hi - o0) / k0 + g0) / r0 + ((hi - o1) / k1 + g1) / r1
+                             + ((hi - o2) / k2 + g2) / r2) / 3.0 - target)
+                            if linear else residual(hi)) > 0.0:
+                        tau = q
+                    if tau == 0.0:  # the bracketed search gives -0.0 only as a bracket end
+                        tau = lo if lo == 0.0 else hi if hi == 0.0 else 0.0
+                    break
+                y = nextafter(x, d)
+                if step >= ULP_STEPS:
+                    # Track j's term changes where (tau - o) / k + g passes the midpoint c'
+                    # between its value c and the next float in its direction, the sign of
+                    # d * k: near tau = ((c - g) + (c' - c) / 2) * k + o, one ulp later at a
+                    # tie that rounds back to c.
+                    c = (x - o0) / k0 + g0
+                    n0 = ((c - g0) + (nextafter(c, d if k0 > 0.0 else -d) - c) * 0.5) * k0 + o0
+                    if (n0 - o0) / k0 + g0 == c:
+                        n0 = nextafter(n0, d)
+                    c = (x - o1) / k1 + g1
+                    n1 = ((c - g1) + (nextafter(c, d if k1 > 0.0 else -d) - c) * 0.5) * k1 + o1
+                    if (n1 - o1) / k1 + g1 == c:
+                        n1 = nextafter(n1, d)
+                    c = (x - o2) / k2 + g2
+                    n2 = ((c - g2) + (nextafter(c, d if k2 > 0.0 else -d) - c) * 0.5) * k2 + o2
+                    if (n2 - o2) / k2 + g2 == c:
+                        n2 = nextafter(n2, d)
+                    if d > 0.0:  # the nearest change beyond y, up to the end; NaN keeps y
+                        n = n0 if n0 < n1 else n1
+                        n = n if n < n2 else n2
+                        if n > y:
+                            y = n if n < end else end
+                    else:
+                        n = n0 if n0 > n1 else n1
+                        n = n if n > n2 else n2
+                        if n < y:
+                            y = n if n > end else end
+                x = y
+
+    iterations = 0
+    if tau is None:
+        if linear:
+            residual = _mean_inverse(loads, target)
+        tau, iterations = _bracketed_root(residual, lo, hi)
+
+    if linear:
+        w0 = ((tau - o0) / k0 + g0) / r0
+        w1 = ((tau - o1) / k1 + g1) / r1
+        w2 = ((tau - o2) / k2 + g2) / r2
+    else:
+        w0, w1, w2 = load0.inverse(tau), load1.inverse(tau), load2.inverse(tau)
+    mean_residual = (0.0 + w0 + w1 + w2) / 3.0 - target
+    scale = abs(target) if abs(target) > 1.0 else 1.0  # max(1.0, |target|), without the call
+    if not abs(mean_residual) <= SOLVE_TOL * scale:  # NaN fails too
+        raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")
+    # The named tuple's own __new__ is a Python-level call around this one.
+    return tuple.__new__(TorqueBalance, ((w0, w1, w2), tau, iterations))
+
+
+def _mean_inverse(loads, target: float):
+    """F(tau) = mean of the loads' inverses at tau, minus ``target``, through their methods.
+
+    The inverses are bound as defaults: they are read as fast locals, and no
+    call makes a cell for them."""
+    load0, load1, load2 = loads
+
+    def residual(tau: float, inv0=load0.inverse, inv1=load1.inverse, inv2=load2.inverse,
+                 target=target) -> float:
+        return (0.0 + inv0(tau) + inv1(tau) + inv2(tau)) / 3.0 - target
+
+    return residual
+
+
+def _bracketed_root(residual, lo: float, hi: float) -> tuple[float, int]:
+    """The torque ``solve_torque_balance`` keeps and the halvings it took, from [lo, hi]."""
     f_lo = residual(lo)
     f_hi = residual(hi)
 
@@ -221,68 +353,55 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
             f_hi = residual(hi)
             widenings += 1
 
-    iterations = 0
     if lo == hi or f_lo == 0.0:
-        tau = lo
-    elif f_hi == 0.0:
-        tau = hi
-    else:
-        # Monotone curves have a monotone float residual, so bisection ends on the same adjacent
-        # pair from any sub-bracket with a sign change.  The seed is one end of the sub-bracket;
-        # the unbounded search of Bentley & Yao (Inf. Process. Lett. 5, 1976) finds the other,
-        # and a probe on the seed's side is still a valid new end.  A non-finite seed fails the
-        # range test and leaves the bracket whole.
-        seed = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
-        if lo < seed < hi:
-            ulp = math.ulp(seed)
-            outer_lo, outer_hi = lo, hi  # the bracket whose magnitude sets the wide steps
-            wide = None
-            f_seed = residual(seed)
-            up = f_seed < 0.0  # the root lies above the seed
-            if up:
-                lo, f_lo = seed, f_seed
-            else:
-                hi, f_hi = seed, f_seed
-            step = ulp
-            while True:
-                probe = seed + step if up else seed - step
-                if not lo < probe < hi:
-                    break
-                f_probe = residual(probe)
-                if f_probe < 0.0:
-                    lo, f_lo = probe, f_probe
-                else:
-                    hi, f_hi = probe, f_probe
-                if (f_probe < 0.0) != up:
-                    break
-                if step < 8.0 * ulp:
-                    step = 2.0 * step
-                else:
-                    if wide is None:
-                        wide = FOUR_EPS * max(abs(outer_lo), abs(outer_hi))
-                    step = max(2.0 * step, wide)
-        for iterations in range(1, MAX_BISECTIONS + 1):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # bracket at float resolution
+        return lo, 0
+    if f_hi == 0.0:
+        return hi, 0
+    # Monotone curves have a monotone float residual, so bisection ends on the same adjacent
+    # pair from any sub-bracket with a sign change.  The seed is one end of the sub-bracket;
+    # the unbounded search of Bentley & Yao (Inf. Process. Lett. 5, 1976) finds the other,
+    # and a probe on the seed's side is still a valid new end.  A non-finite seed fails the
+    # range test and leaves the bracket whole.
+    seed = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
+    if lo < seed < hi:
+        ulp = math.ulp(seed)
+        outer_lo, outer_hi = lo, hi  # the bracket whose magnitude sets the wide steps
+        wide = None
+        f_seed = residual(seed)
+        up = f_seed < 0.0  # the root lies above the seed
+        if up:
+            lo, f_lo = seed, f_seed
+        else:
+            hi, f_hi = seed, f_seed
+        step = ulp
+        while True:
+            probe = seed + step if up else seed - step
+            if not lo < probe < hi:
                 break
-            f_mid = residual(mid)
-            if f_mid < 0.0:
-                lo, f_lo = mid, f_mid
+            f_probe = residual(probe)
+            if f_probe < 0.0:
+                lo, f_lo = probe, f_probe
             else:
-                hi, f_hi = mid, f_mid
-        # Adjacent endpoints remain; keep the one with the smaller residual.
-        tau = lo if abs(f_lo) < abs(f_hi) else hi
-
-    if linear:
-        w0 = ((tau - o0) / k0 + g0) / r0
-        w1 = ((tau - o1) / k1 + g1) / r1
-        w2 = ((tau - o2) / k2 + g2) / r2
-    else:
-        w0, w1, w2 = inv0(tau), inv1(tau), inv2(tau)
-    mean_residual = (0.0 + w0 + w1 + w2) / 3.0 - target
-    if not abs(mean_residual) <= SOLVE_TOL * max(1.0, abs(target)):  # NaN fails too
-        raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")
-    return TorqueBalance((w0, w1, w2), tau, iterations)
+                hi, f_hi = probe, f_probe
+            if (f_probe < 0.0) != up:
+                break
+            if step < 8.0 * ulp:
+                step = 2.0 * step
+            else:
+                if wide is None:
+                    wide = FOUR_EPS * max(abs(outer_lo), abs(outer_hi))
+                step = max(2.0 * step, wide)
+    for iterations in range(1, MAX_BISECTIONS + 1):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # bracket at float resolution
+            break
+        f_mid = residual(mid)
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    # Adjacent endpoints remain; keep the one with the smaller residual.
+    return (lo if abs(f_lo) < abs(f_hi) else hi), iterations
 
 
 def input_torque_for(common_torque: float, config: TransmissionConfig) -> float:

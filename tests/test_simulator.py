@@ -239,6 +239,24 @@ def test_run_solves_once_per_centre_curvature(monkeypatch, dt_s):
     assert len(records) > 4000 * 0.01 / dt_s
 
 
+def test_four_section_solves_take_few_halvings(monkeypatch):
+    # The straight's bracket is one point.  The bends (both R = 300) share a
+    # root in a flat run of the float residual, where plain halving takes 53
+    # steps and the walk from the closed-form root takes none.  0 measured.
+    solve = simulator.solve_torque_balance
+    halvings = []
+
+    def counted(*args):
+        result = solve(*args)
+        halvings.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(simulator, "solve_torque_balance", counted)
+    run(make_four_section_scenario())
+    assert len(halvings) == 2
+    assert sum(halvings) <= 2
+
+
 def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     # Counts, not timings: a run and its CSV records cost the same number of
     # solves, segment lookups, limit checks and record objects at any dt_s,
