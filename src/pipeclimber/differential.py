@@ -25,10 +25,11 @@ and adjust the torque until the mean output speed meets the averaging
 constraint.  For ``LinearLoad``s the mean inverse is affine, so the search
 starts at its closed-form root and walks to the adjacent pair of floats
 that straddles the float root, stepping past flat runs to the next float
-at which a term can change.  Any other curve, or a walk that fails its
-checks, falls back to bracketed bisection, which keeps the solve robust for
-any monotone curve; it starts from the secant step and a search outward
-from it that brackets the root tightly.
+at which a term can change; for exact ``LinearLoad``s the output speeds
+are the terms the walk computed at the end it keeps.  Any other curve, or a
+walk that fails its checks, falls back to bracketed bisection, which keeps
+the solve robust for any monotone curve; it starts from the secant step and
+a search outward from it that brackets the root tightly.
 
 ``TorqueBalance`` and ``TransmissionState`` are named tuples: immutable and
 hashable, but they compare equal to plain tuples of their fields, and a copy
@@ -53,7 +54,7 @@ SPAN_FACTOR = 2.0  # growth of the bracket span per widening
 MAX_WIDENINGS = 80
 FOUR_EPS = 4.0 * sys.float_info.epsilon  # a wide probe step per unit of bracket magnitude
 WALK_STEPS = 12  # probes of the seeded walk before it falls back to the bracketed search
-ULP_STEPS = 3  # probes one ulp apart before the walk steps to the next term change
+ULP_STEPS = 3  # at most this many one-ulp probes before the walk steps to the next term change
 AVERAGING_TOL = 1e-9  # relative mean-speed mismatch ``internal_state`` accepts
 
 
@@ -64,6 +65,11 @@ class TransmissionConfig:
     ring_ratio:   input shaft -> stage-1 ring gears (speed multiplier).
     output_ratio: stage-2 carrier -> output shaft (speed multiplier).
     efficiency:   input->output power efficiency, in (0, 1].
+
+    ``overall_ratio``, ring_ratio * output_ratio, is the speed multiplier from
+    the input shaft to the mean of the outputs.  It is set at construction as
+    a plain attribute, not a field, so ``repr``, ``==``, ``hash``,
+    ``dataclasses.fields`` and ``replace`` see the three fields only.
     """
 
     ring_ratio: float = 1.0
@@ -73,11 +79,7 @@ class TransmissionConfig:
     def __post_init__(self):
         require_positive(self, "ring_ratio", "output_ratio")
         require(0.0 < self.efficiency <= 1.0, "efficiency", self.efficiency, "in (0, 1]")
-
-    @property
-    def overall_ratio(self) -> float:
-        """Speed multiplier from the input shaft to the mean of the outputs."""
-        return self.ring_ratio * self.output_ratio
+        object.__setattr__(self, "overall_ratio", self.ring_ratio * self.output_ratio)
 
 
 class TransmissionState(NamedTuple):
@@ -158,18 +160,19 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
 
     (stiffness k, wheel_radius r, target_speed g, offset o), clamped to
     [lo, hi].  It walks from there to the pair: ULP_STEPS probes one ulp
-    apart, then straight to the next float at which some track's
-    (tau - o) / k + g rounds to another value, since F cannot change before
-    one does.  That float is computed from the fields, and moved on one ulp
-    where the term has not changed yet; it is only a candidate, and every
-    probe stays in [lo, hi] and strictly between the nearest probes on
-    either side of the root.  The pair it finds is the one the bracketed
-    search ends on, which keeps the end with the smaller residual; at a
-    zero run (F(p+) == 0) that is p+ only when F(hi) > 0, so that one
-    residual is evaluated too, and F(lo) < 0 follows from lo <= p.  The
-    walk runs only where hi - lo and every midpoint sum of the bracket are
-    finite and sum_j 1 / (k_j r_j) is not 0, and hands over to the
-    bracketed search after WALK_STEPS probes, at a bracket end or at a NaN.
+    apart, or fewer if a one-ulp step leaves every track's (tau - o) / k + g
+    as it was, then straight to the next float at which some track's term
+    rounds to another value, since F cannot change before one does.  That
+    float is computed from the fields, and moved on one ulp where the term
+    has not changed yet; it is only a candidate, and every probe stays in
+    [lo, hi] and strictly between the nearest probes on either side of the
+    root.  The pair it finds is the one the bracketed search ends on, which
+    keeps the end with the smaller residual; at a zero run (F(p+) == 0)
+    that is p+ only when F(hi) > 0, so that one residual is evaluated too,
+    and F(lo) < 0 follows from lo <= p.  The walk runs only where hi - lo
+    and every midpoint sum of the bracket are finite and sum_j 1 / (k_j r_j)
+    is not 0, and hands over to the bracketed search after WALK_STEPS
+    probes, at a bracket end or at a NaN.
 
     The bracketed search, for other curves and for a walk that did not end,
     widens the bracket if a curve's torque and inverse disagree, takes the
@@ -186,8 +189,13 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     override ``inverse``), the walk's F, the bracket torques, the slope
     check and the output speeds are computed from their twelve fields, read
     once, in the order of ``LinearLoad.inverse``, ``torque`` and ``slope``:
-    the same bits as the method calls, without their cost.  Other loads are
-    called through their methods; both take the same search.
+    the same bits as the method calls, without their cost.  Each probe's
+    three inverses are its output speeds, and F is their mean minus the
+    target, so when the walk ends the solve the speeds and the residual
+    checked against SOLVE_TOL are those of the probe it keeps, computed
+    once.  Where the walk keeps a zero of the other sign, or the bracketed
+    search ends the solve, they are computed at the torque kept.  Other
+    loads are called through their methods; both take the same search.
 
     Raises NonMonotoneLoad for a non-increasing curve and NoBracket if the
     bracket cannot be established within MAX_WIDENINGS widenings, each
@@ -229,7 +237,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     hi = t1 if t1 > t0 else t0
     hi = t2 if t2 > hi else hi
 
-    tau = None
+    tau = speeds = None
     # A subclass was checked through its ``slope``, which it may override: check k * r too.
     if seeded and lo < hi and -inf < lo + lo and hi + hi < inf and (
             linear or (k0 * r0 > 0.0 and k1 * r1 > 0.0 and k2 * r2 > 0.0)):
@@ -239,15 +247,27 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
                                  + (g2 - o2 / k2) / r2)) / gain
             if not lo <= x <= hi:  # NaN starts at hi
                 x = lo if x < lo else hi
+            if not linear:
+                inv0, inv1, inv2 = load0.inverse, load1.inverse, load2.inverse
             p = q = None  # the nearest probes with F < 0 and with F >= 0
+            c0 = c1 = c2 = math.nan  # each track's (tau - o) / k + g at the last probe
             for step in range(WALK_STEPS):
-                f = ((0.0 + ((x - o0) / k0 + g0) / r0 + ((x - o1) / k1 + g1) / r1
-                      + ((x - o2) / k2 + g2) / r2) / 3.0 - target) if linear else residual(x)
+                prev0, prev1, prev2 = c0, c1, c2
+                c0 = (x - o0) / k0 + g0
+                c1 = (x - o1) / k1 + g1
+                c2 = (x - o2) / k2 + g2
+                if linear:  # the probe's output speeds, and F from them as residual() sums
+                    w0, w1, w2 = c0 / r0, c1 / r1, c2 / r2
+                else:
+                    w0, w1, w2 = inv0(x), inv1(x), inv2(x)
+                f = (0.0 + w0 + w1 + w2) / 3.0 - target
                 if f < 0.0:
                     p, f_p, d = x, f, inf
+                    p0, p1, p2 = w0, w1, w2
                     end = hi if q is None else nextafter(q, -inf)  # the last float left to probe
                 elif f >= 0.0:
                     q, f_q, d = x, f, -inf
+                    q0, q1, q2 = w0, w1, w2
                     end = lo if p is None else nextafter(p, inf)
                 else:
                     break
@@ -263,24 +283,28 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
                         tau = q
                     if tau == 0.0:  # the bracketed search gives -0.0 only as a bracket end
                         tau = lo if lo == 0.0 else hi if hi == 0.0 else 0.0
+                    elif linear and tau is not None:  # that probe's speeds and F are the result's
+                        if tau == p:
+                            speeds, mean_residual = (p0, p1, p2), f_p
+                        else:
+                            speeds, mean_residual = (q0, q1, q2), f_q
                     break
                 y = nextafter(x, d)
-                if step >= ULP_STEPS:
+                # Past the one-ulp probes, or once a one-ulp step left every term as it was,
+                # step to the next float at which a term can change.
+                if step >= ULP_STEPS or (c0 == prev0 and c1 == prev1 and c2 == prev2):
                     # Track j's term changes where (tau - o) / k + g passes the midpoint c'
                     # between its value c and the next float in its direction, the sign of
                     # d * k: near tau = ((c - g) + (c' - c) / 2) * k + o, one ulp later at a
                     # tie that rounds back to c.
-                    c = (x - o0) / k0 + g0
-                    n0 = ((c - g0) + (nextafter(c, d if k0 > 0.0 else -d) - c) * 0.5) * k0 + o0
-                    if (n0 - o0) / k0 + g0 == c:
+                    n0 = ((c0 - g0) + (nextafter(c0, d if k0 > 0.0 else -d) - c0) * 0.5) * k0 + o0
+                    if (n0 - o0) / k0 + g0 == c0:
                         n0 = nextafter(n0, d)
-                    c = (x - o1) / k1 + g1
-                    n1 = ((c - g1) + (nextafter(c, d if k1 > 0.0 else -d) - c) * 0.5) * k1 + o1
-                    if (n1 - o1) / k1 + g1 == c:
+                    n1 = ((c1 - g1) + (nextafter(c1, d if k1 > 0.0 else -d) - c1) * 0.5) * k1 + o1
+                    if (n1 - o1) / k1 + g1 == c1:
                         n1 = nextafter(n1, d)
-                    c = (x - o2) / k2 + g2
-                    n2 = ((c - g2) + (nextafter(c, d if k2 > 0.0 else -d) - c) * 0.5) * k2 + o2
-                    if (n2 - o2) / k2 + g2 == c:
+                    n2 = ((c2 - g2) + (nextafter(c2, d if k2 > 0.0 else -d) - c2) * 0.5) * k2 + o2
+                    if (n2 - o2) / k2 + g2 == c2:
                         n2 = nextafter(n2, d)
                     if d > 0.0:  # the nearest change beyond y, up to the end; NaN keeps y
                         n = n0 if n0 < n1 else n1
@@ -299,19 +323,20 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         if linear:
             residual = _mean_inverse(loads, target)
         tau, iterations = _bracketed_root(residual, lo, hi)
-
-    if linear:
-        w0 = ((tau - o0) / k0 + g0) / r0
-        w1 = ((tau - o1) / k1 + g1) / r1
-        w2 = ((tau - o2) / k2 + g2) / r2
-    else:
-        w0, w1, w2 = load0.inverse(tau), load1.inverse(tau), load2.inverse(tau)
-    mean_residual = (0.0 + w0 + w1 + w2) / 3.0 - target
+    if speeds is None:
+        if linear:
+            w0 = ((tau - o0) / k0 + g0) / r0
+            w1 = ((tau - o1) / k1 + g1) / r1
+            w2 = ((tau - o2) / k2 + g2) / r2
+        else:
+            w0, w1, w2 = load0.inverse(tau), load1.inverse(tau), load2.inverse(tau)
+        speeds = (w0, w1, w2)
+        mean_residual = (0.0 + w0 + w1 + w2) / 3.0 - target
     scale = abs(target) if abs(target) > 1.0 else 1.0  # max(1.0, |target|), without the call
     if not abs(mean_residual) <= SOLVE_TOL * scale:  # NaN fails too
         raise NoBracket(f"bisection stalled with mean-speed residual {mean_residual}")
     # The named tuple's own __new__ is a Python-level call around this one.
-    return tuple.__new__(TorqueBalance, ((w0, w1, w2), tau, iterations))
+    return tuple.__new__(TorqueBalance, (speeds, tau, iterations))
 
 
 def _mean_inverse(loads, target: float):
@@ -331,7 +356,7 @@ def _mean_inverse(loads, target: float):
 def _bracketed_root(residual, lo: float, hi: float) -> tuple[float, int]:
     """The torque ``solve_torque_balance`` keeps and the halvings it took, from [lo, hi]."""
     f_lo = residual(lo)
-    f_hi = residual(hi)
+    f_hi = f_lo if hi == lo else residual(hi)  # a point bracket costs one residual
 
     # The [min, max] torque bracket is valid for exact monotone curves; grow
     # it geometrically if a user-supplied curve disagrees with its inverse.
@@ -429,13 +454,15 @@ def internal_state(
     w0, w1, w2 = output_speeds
     target = config.overall_ratio * input_speed
     mean = (w0 + w1 + w2) / 3.0
-    if not abs(mean - target) <= AVERAGING_TOL * max(1.0, abs(target)):  # NaN fails too
+    scale = abs(target) if abs(target) > 1.0 else 1.0  # max(1.0, |target|), without the call
+    if not abs(mean - target) <= AVERAGING_TOL * scale:  # NaN fails too
         raise InconsistentOutputs(f"mean output speed {mean} != {target} required by the "
                                   "averaging law")
 
     ring = config.ring_ratio * input_speed
-    c0 = 2.0 * w0 / config.output_ratio - 2.0 * ring
-    c1 = 2.0 * w1 / config.output_ratio - 2.0 * ring
+    output_ratio = config.output_ratio
+    c0 = 2.0 * w0 / output_ratio - 2.0 * ring
+    c1 = 2.0 * w1 / output_ratio - 2.0 * ring
     x0 = (2.0 * c0 + c1) / 3.0
     x1, x2 = x0 - c0, x0 - c0 - c1
     return (ring - x0, ring + x0, ring - x1, ring + x1, ring - x2, ring + x2)
@@ -446,8 +473,10 @@ def balance_state(input_speed: float, loads, config: TransmissionConfig) -> Tran
     # Both calls go through the module globals, where a tracer may wrap them.
     speeds, tau, _ = solve_torque_balance(input_speed, loads, config)
     ring = config.ring_ratio * input_speed
-    return TransmissionState(input_speed, input_torque_for(tau, config), (ring, ring, ring),
-                             internal_state(speeds, input_speed, config), speeds, (tau, tau, tau))
+    # The named tuple's own __new__ is a Python-level call around this one.
+    return tuple.__new__(TransmissionState, (
+        input_speed, input_torque_for(tau, config), (ring, ring, ring),
+        internal_state(speeds, input_speed, config), speeds, (tau, tau, tau)))
 
 
 def power_balance(state: TransmissionState, config: TransmissionConfig) -> float:

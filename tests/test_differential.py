@@ -1,5 +1,6 @@
+import itertools
 import math
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from pipeclimber import (
     required_track_speeds,
     solve_torque_balance,
 )
-from pipeclimber.differential import MAX_BISECTIONS, SOLVE_TOL
+from pipeclimber.differential import MAX_BISECTIONS, SOLVE_TOL, input_torque_for
 from oracles import (
     EPS,
     SLACK,
@@ -60,6 +61,23 @@ def triple_approx(actual, expected, tol=1e-9):
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         TransmissionConfig(**kwargs)
+
+
+@pytest.mark.parametrize("ring_ratio, output_ratio", [(1.0, 1.0), (0.3, 2.9), (1.7, 0.1 + 0.2)])
+def test_overall_ratio_is_set_at_construction(ring_ratio, output_ratio):
+    config = TransmissionConfig(ring_ratio, output_ratio, 0.9)
+    assert config.overall_ratio.hex() == (ring_ratio * output_ratio).hex()
+    changed = replace(config, output_ratio=2.5)
+    assert changed.overall_ratio.hex() == (ring_ratio * 2.5).hex()
+    # A plain attribute, not a field: the dataclass sees the three fields only.
+    assert [field.name for field in fields(config)] == ["ring_ratio", "output_ratio", "efficiency"]
+    assert astuple(config) == (ring_ratio, output_ratio, 0.9)
+    assert repr(config) == (f"TransmissionConfig(ring_ratio={ring_ratio!r}, "
+                            f"output_ratio={output_ratio!r}, efficiency=0.9)")
+    assert config == TransmissionConfig(ring_ratio, output_ratio, 0.9) != changed
+    assert hash(config) == hash((ring_ratio, output_ratio, 0.9))
+    with pytest.raises(FrozenInstanceError):
+        config.overall_ratio = 1.0
 
 
 # --- torque balance: frozen examples ------------------------------------------
@@ -346,6 +364,16 @@ def test_secant_step_leaves_few_bisections():
     assert residuals_per_solve <= 4, residuals_per_solve  # 3.40 measured
 
 
+@pytest.mark.parametrize("target_speed", [50.0, 48.0])
+def test_a_point_bracket_costs_one_residual(target_speed):
+    # lo == hi: F at that one point decides the solve, and the output speeds invert the
+    # loads once more.
+    loads = [_CountingLoad(2.0, 20.0, target_speed)] * 3
+    _CountingLoad.calls = 0
+    solve_torque_balance(2.5, loads, UNIT)
+    assert _CountingLoad.calls == 3 + 3
+
+
 class _CubeLoad(LinearLoad):
     """A ``LinearLoad`` subclass on another monotone curve:
     torque(w) = stiffness * (w * wheel_radius - target_speed)**3 + offset."""
@@ -400,7 +428,7 @@ def test_bend_solves_take_at_most_64_halvings(bend_radius, orientation):
     loads = [_CountingLoad(1.0, 20.0, float(v)) for v in required]
     _CountingLoad.calls = 0
     result = solve_torque_balance(2.5, loads, UNIT)
-    assert _CountingLoad.calls / 3 - 1 <= 12  # at most 9 measured
+    assert _CountingLoad.calls / 3 - 1 <= 8  # at most 7 measured
     assert bits(result) == bits(bisect_torque_balance(2.5, loads, UNIT))
     assert result.iterations <= 64
     assert_near_exact_balance(result, 2.5, loads, UNIT)
@@ -660,6 +688,59 @@ def test_power_balances_at_equilibrium(loads, input_speed, config):
     state = balance_state(input_speed, list(loads), config)
     p_in = state.input_speed * state.input_torque
     assert abs(power_balance(state, config)) <= 1e-9 * max(1.0, abs(p_in))
+
+
+def composed_state(input_speed, loads, config):
+    """``balance_state`` composed from the public pieces, with the output
+    speeds inverted from the solve's torque through the loads' methods."""
+    tau = solve_torque_balance(input_speed, loads, config).common_torque
+    speeds = tuple(load.inverse(tau) for load in loads)
+    ring = config.ring_ratio * input_speed
+    return TransmissionState(input_speed, input_torque_for(tau, config), (ring,) * 3,
+                             internal_state(speeds, input_speed, config), speeds, (tau,) * 3)
+
+
+def state_bits(state):
+    """Every float of a state, in field order, as exact bit patterns."""
+    return [float(v).hex() for field in state for v in (field if isinstance(field, tuple)
+                                                         else (field,))]
+
+
+def test_balance_state_is_its_composition_from_the_public_pieces():
+    rng = np.random.default_rng(2026)
+    cases = [random_case(rng) for _ in range(2000)]
+    # Targets and offsets of +-0.0 and +-1 put the root at or next to a signed zero.
+    signs = (0.0, -0.0, 1.0, -1.0)
+    cases += [([LinearLoad(1.0, 1.0, t, o) for t, o in zip(targets, offsets)], UNIT, input_speed)
+              for targets in itertools.product(signs, repeat=3)
+              for offsets in itertools.product(signs, repeat=3)
+              for input_speed in (0.0, -0.0)]
+    for loads, config, input_speed in cases:
+        state = balance_state(input_speed, loads, config)
+        assert state_bits(state) == state_bits(composed_state(input_speed, loads, config)), (
+            loads, config, input_speed)
+    assert type(state) is TransmissionState
+    assert state.output_torques == state[5] and state.side_speeds is state[3]
+    assert state == tuple(state) and tuple(state) == state
+    assert state._replace(input_torque=0.0) == (state[0], 0.0, *state[2:])
+
+
+@pytest.mark.parametrize("input_speed", [0.0, -0.0])
+def test_a_zero_torque_kept_by_the_walk_gets_its_own_speeds(input_speed):
+    # The walk probes -5e-324 (F < 0), then -0.0 (F > 0), and keeps -0.0: |F| ties at
+    # 5e-324, and a tie keeps the upper end.  The bracketed search returns +0.0 there
+    # (hi), so the walk's zero fix replaces the torque.  The last two loads (target_speed
+    # -0.0, offset 0.0) invert -0.0 to -0.0 and +0.0 to +0.0: the speeds the probe
+    # computed at -0.0 would be the wrong bits.
+    loads = [LinearLoad(1.0, 1.0, 2e-323), LinearLoad(1.0, 1.0, -0.0),
+             LinearLoad(0.25, 1.0, -0.0, 0.0)]
+    assert [load.inverse(-0.0).hex() for load in loads[1:]] == ["-0x0.0p+0"] * 2
+    result = solve_torque_balance(input_speed, loads, UNIT)
+    assert bits(result) == bits(bisect_torque_balance(input_speed, loads, UNIT))
+    assert bits(result) == ["0x0.0p+0", (2e-323).hex(), "0x0.0p+0", "0x0.0p+0"]
+    assert result.iterations == 0
+    state = balance_state(input_speed, loads, UNIT)
+    assert state_bits(state) == state_bits(composed_state(input_speed, loads, UNIT))
 
 
 def test_balance_state_is_fully_consistent():
