@@ -95,7 +95,14 @@ _PATHS = {"inner_radius": "pipe.inner_radius_mm"} | {
     field: f"{section}.{key}" for section in ("robot", "transmission", "sim")
     for key, field, _ in SCHEMA[section]
 }
-_SEGMENT_KEYS = {field: key for kind in ("straight", "bend") for key, field, _ in SCHEMA[kind]}
+_SEGMENT_KINDS = ("straight", "bend")
+_SEGMENT_KEYS = {field: key for kind in _SEGMENT_KINDS for key, field, _ in SCHEMA[kind]}
+# Per section, its known keys (a segment's "kind" too) and its required keys.
+_KEYS = {
+    section: ({key for key, _, _ in rows} | ({"kind"} if section in _SEGMENT_KINDS else set()),
+              tuple(key for key, _, required in rows if required))
+    for section, rows in SCHEMA.items()
+}
 
 
 _JSON_TYPES = {type(None): "null", bool: "boolean", str: "string", list: "array", dict: "object",
@@ -133,12 +140,11 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _fields(obj, path: str, section: str, extra=()) -> dict:
-    """Check keys against a SCHEMA section (``extra`` keys pass) and read its numbers."""
-    rows = SCHEMA[section]
-    known = {key for key, _, _ in rows} | set(extra)
-    obj = _check_keys(obj, path, known, [key for key, _, required in rows if required])
-    return {field: _number(obj[key], f"{path}.{key}") for key, field, _ in rows if key in obj}
+def _fields(obj, path: str, section: str) -> dict:
+    """Check keys against a SCHEMA section and read its numbers."""
+    obj = _check_keys(obj, path, *_KEYS[section])
+    return {field: _number(obj[key], f"{path}.{key}") for key, field, _ in SCHEMA[section]
+            if key in obj}
 
 
 def _segments_from(items, contact_radius: float) -> list:
@@ -148,11 +154,11 @@ def _segments_from(items, contact_radius: float) -> list:
     for i, item in enumerate(items):
         path = f"pipe.segments[{i}]"
         kind = _mapping(item, path).get("kind")
-        if kind not in ("straight", "bend"):
+        if kind not in _SEGMENT_KINDS:
             raise ValidationError(
                 f"kind must be 'straight' or 'bend', got {kind!r}", f"{path}.kind"
             )
-        fields = _fields(item, path, kind, extra={"kind"})
+        fields = _fields(item, path, kind)
         if kind == "bend" and fields["bend_radius"] <= contact_radius:
             raise ValidationError(
                 f"degenerate bend: radius {fields['bend_radius']} mm does not exceed the "
@@ -221,6 +227,8 @@ def parse_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed scenario {path}: {exc.msg}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+        raise ParseError(f"malformed scenario {path}: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -309,7 +309,8 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     Solves the torque balance against the slip loads built from the
     required speeds at the centre segment's curvature, and checks the
     centre's springs.  The body's front and rear, and advancing ``t`` and
-    ``s``, are left to ``run``.
+    ``s``, are left to ``run``.  It calls the robot and the solve through
+    this module's names, which ``bench/tracing.py`` wraps.
     """
     network, robot = scenario.network, scenario.robot
     if not 0.0 <= s <= network.total_length:
@@ -317,23 +318,16 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     index = segment_at(network, s)
     curvature = network.curvatures[index]
 
-    required = required_track_speeds(curvature, scenario.center_speed_mm_s, robot)
+    required = ra, rb, rc = required_track_speeds(curvature, scenario.center_speed_mm_s, robot)
     compressions = spring_compression(curvature, robot, scenario.bend_extra_compression_mm)
 
-    loads = [LinearLoad(scenario.slip_stiffness, robot.sprocket_radius_mm, v) for v in required]
-    balance = solve_torque_balance(scenario.input_speed_rad_s, loads, scenario.transmission)
-    track_speeds = tuple(w * robot.sprocket_radius_mm for w in balance.output_speeds)
-
-    return SimRecord(
-        t=t,
-        s=s,
-        segment_index=index,
-        track_speeds=track_speeds,
-        required_speeds=required,
-        slip=tuple(v - r for v, r in zip(track_speeds, required)),
-        compressions=compressions,
-        common_torque=balance.common_torque,
-    )
+    k, r = scenario.slip_stiffness, robot.sprocket_radius_mm
+    loads = LinearLoad(k, r, ra), LinearLoad(k, r, rb), LinearLoad(k, r, rc)
+    (wa, wb, wc), torque, _ = solve_torque_balance(scenario.input_speed_rad_s, loads,
+                                                  scenario.transmission)
+    va, vb, vc = wa * r, wb * r, wc * r
+    return SimRecord(t, s, index, (va, vb, vc), required, (va - ra, vb - rb, vc - rc),
+                     compressions, torque)
 
 
 def _check_ends(scenario: Scenario, front: float, rear: float) -> None:
@@ -518,11 +512,11 @@ def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float
     seg = scenario.network.segments[segment_index]
     if not isinstance(seg, Bend):
         return (center, center, center)
-    h = scenario.robot.contact_radius_mm
-    return tuple(
-        center * track_path_radius(seg.bend_radius, h, angle) / seg.bend_radius
-        for angle in scenario.robot.module_angles_deg
-    )
+    h, radius = scenario.robot.contact_radius_mm, seg.bend_radius
+    qa, qb, qc = scenario.robot.module_angles_deg
+    return (center * track_path_radius(radius, h, qa) / radius,
+            center * track_path_radius(radius, h, qb) / radius,
+            center * track_path_radius(radius, h, qc) / radius)
 
 
 def _copies_sums(v: tuple, n: int, memo: dict) -> tuple:
@@ -573,45 +567,33 @@ def mean_of_copies(v: float, n: int) -> float:
 def summarize(records: Records, scenario: Scenario, finish_time: float,
               final_s: float) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics; the run
-    ended at ``finish_time`` with the body centre at ``final_s``."""
+    ended at ``finish_time`` with the body centre at ``final_s``.  Each
+    segment's run gives its three means, reference speeds and APEs, and
+    each track's worst APE is ``max`` over them in run order."""
+    segments, values = scenario.network.segments, records.values
     segment_stats = []
-    per_track_ape = (0.0, 0.0, 0.0)
-    ends = records.run_ends
+    worst_a = worst_b = worst_c = 0.0
     # Each run's first row starts a piece, and the next run's is its exit.
     starts = [run[0].t for run in records.pieces] + [finish_time]
-    for pos, (value, end) in enumerate(zip(records.values, ends)):
-        first = ends[pos - 1] if pos else 0
+    first = 0
+    for pos, (value, end) in enumerate(zip(values, records.run_ends)):
         index = value.segment_index
         # The mean over the run's rows of a value they all share, with the
         # bits of np.mean over those rows.
-        mean_speeds = means_of_copies(value.track_speeds, end - first)
-        analytic = analytic_track_speeds(scenario, index)
-        errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
-        per_track_ape = tuple(map(max, per_track_ape, errors))
-        segment_stats.append(
-            SegmentStats(
-                index=index,
-                kind="bend" if isinstance(scenario.network.segments[index], Bend) else "straight",
-                entry_time=starts[pos],
-                exit_time=starts[pos + 1],
-                mean_track_speeds=mean_speeds,
-                analytic_speeds=analytic,
-                ape_percent=errors,
-            )
-        )
+        means = ma, mb, mc = means_of_copies(value.track_speeds, end - first)
+        analytic = aa, ab, ac = analytic_track_speeds(scenario, index)
+        errors = ea, eb, ec = ape(ma, aa), ape(mb, ab), ape(mc, ac)
+        worst_a, worst_b, worst_c = max(worst_a, ea), max(worst_b, eb), max(worst_c, ec)
+        kind = "bend" if isinstance(segments[index], Bend) else "straight"
+        segment_stats.append(SegmentStats(index, kind, starts[pos], starts[pos + 1], means,
+                                          analytic, errors))
+        first = end
 
     # Maxima over segments are maxima over rows.
-    max_slip = max(max(abs(v) for v in r.slip) for r in records.values)
-    max_comp = max(max(r.compressions) for r in records.values)
-    return SimSummary(
-        segments=tuple(segment_stats),
-        per_track_ape_percent=per_track_ape,
-        max_abs_slip=max_slip,
-        max_compression=max_comp,
-        finish_time=finish_time,
-        final_s=final_s,
-        total_distance_mm=max(0.0, final_s - scenario.robot.length_mm),
-    )
+    return SimSummary(tuple(segment_stats), (worst_a, worst_b, worst_c),
+                      max([max(map(abs, r.slip)) for r in values]),
+                      max([max(r.compressions) for r in values]), finish_time, final_s,
+                      max(0.0, final_s - scenario.robot.length_mm))
 
 
 def sweep_orientation(scenario: Scenario, orientations_deg) -> list[SweepEntry]:

@@ -45,13 +45,17 @@ def test_validate_accepts_the_shipped_scenario():
     (b"\xff\xfe{\x00}\x00", "not UTF-8"),
     (b"[1, 2]\n", "expected an object, got array"),
     (edited('"nps": "6"', '"nps": [6]').encode(), "pipe.nps"),
-], ids=["unknown key", "UTF-16", "array", "nps array"])
+    (b"[" * 200_000, "error: malformed scenario"),
+    (b'{"pipe": ' + b"1" * 5_000 + b"}\n", "error: malformed scenario"),
+], ids=["unknown key", "UTF-16", "array", "nps array", "nested past the recursion limit",
+        "5,000-digit integer"])
 def test_a_bad_document_exits_1(tmp_path, document, stderr):
     path = tmp_path / "scenario.json"
     path.write_bytes(document)
     result = pipeclimb("validate", path)
     assert result.returncode == 1
     assert stderr in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_an_unknown_record_format_exits_1(tmp_path):

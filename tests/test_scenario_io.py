@@ -337,6 +337,19 @@ def test_malformed_json_reports_the_line(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 200_000, "maximum recursion depth exceeded"),
+    ('{"pipe": ' + "1" * 5_000 + "}\n", "Exceeds the limit (4300 digits)"),
+], ids=["nested past the recursion limit", "5,000-digit integer"])
+def test_json_the_decoder_refuses_is_a_parse_error_naming_the_file(tmp_path, text, reason):
+    # Neither is a JSONDecodeError, so neither carries a line number.
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_scenario(path)
+    assert str(err.value).startswith(f"malformed scenario {path}: {reason}")
+
+
 def test_non_utf8_file_is_a_parse_error_naming_the_file(tmp_path):
     path = tmp_path / "utf16.json"
     path.write_bytes(b'\xff\xfe{\x00}\x00')  # UTF-16 with a byte order mark

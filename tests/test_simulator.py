@@ -259,7 +259,8 @@ def test_four_section_solves_take_few_halvings(monkeypatch):
 
 def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     # Counts, not timings: a run and its CSV records cost the same number of
-    # solves, segment lookups, limit checks and record objects at any dt_s,
+    # solves, segment lookups, limit checks, record objects and segment
+    # statistics at any dt_s, each per-segment value computed once,
     # and build no centerline frames.  No limit can fire, so no row's front
     # or rear is looked up, and the run itself touches no numpy.
     calls = Counter()
@@ -280,9 +281,12 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     segment_at = counted("segment_at", geometry.segment_at)
     monkeypatch.setattr(geometry, "segment_at", segment_at)  # pose_at's lookups
     monkeypatch.setattr(simulator, "segment_at", segment_at)  # run's segment search
-    for name in ("pose_at", "spring_compression", "asymmetry_deg"):
+    for name in ("pose_at", "spring_compression", "asymmetry_deg", "required_track_speeds",
+                 "solve_torque_balance", "summarize"):
         monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
     monkeypatch.setattr(SimRecord, "__init__", counted("SimRecord", SimRecord.__init__))
+    monkeypatch.setattr(simulator.SegmentStats, "__init__",
+                        counted("SegmentStats", simulator.SegmentStats.__init__))
     seen = []
     for dt_s in (0.01, 0.001):
         calls.clear()
@@ -299,6 +303,9 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert coarse["spring_compression"] == 4  # 1 per kind of segment, 1 per step
     assert "segment_at of an array" not in coarse
     assert coarse["asymmetry_deg"] == 4  # the four probes
+    assert coarse["required_track_speeds"] == coarse["solve_torque_balance"] == 2  # 1 per step
+    assert coarse["summarize"] == 1
+    assert coarse["SegmentStats"] == 4  # 1 per centre segment visited
     assert fine_rows > 9 * coarse_rows
 
 
