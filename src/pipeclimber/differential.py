@@ -27,9 +27,9 @@ starts at its closed-form root and walks to the adjacent pair of floats
 that straddles the float root, stepping past flat runs to the next float
 at which a term can change; for exact ``LinearLoad``s the output speeds
 are the terms the walk computed at the end it keeps.  Any other curve, or a
-walk that fails its checks, falls back to bracketed bisection, which keeps
-the solve robust for any monotone curve; it starts from the secant step and
-a search outward from it that brackets the root tightly.
+walk that fails its checks, falls back to plain bisection of the whole
+bracket, which keeps the solve robust for any monotone curve and takes at
+most MAX_BISECTIONS halvings.
 
 ``TorqueBalance`` and ``TransmissionState`` are named tuples: immutable and
 hashable, but they compare equal to plain tuples of their fields, and a copy
@@ -39,7 +39,7 @@ with other fields is ``result._replace(...)``, not ``dataclasses.replace``.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from dataclasses import dataclass
 from math import inf, nextafter
 from typing import NamedTuple
@@ -47,12 +47,10 @@ from typing import NamedTuple
 from .errors import InconsistentOutputs, NoBracket, NonMonotoneLoad, require, require_positive
 
 SOLVE_TOL = 1e-10  # guaranteed relative accuracy of a torque-balance mean speed
-# A bracket that spans the double range needs up to 1025 + 1074 + 1 halvings
-# to reach adjacent floats: from 2**1024 down to the subnormal spacing.
-MAX_BISECTIONS = 2200
+FLOAT_HALVINGS = 64  # halvings at float midpoints before the bisection halves ordered keys
+MAX_BISECTIONS = FLOAT_HALVINGS + 64  # 64 key halvings reach adjacent floats from any bracket
 SPAN_FACTOR = 2.0  # growth of the bracket span per widening
 MAX_WIDENINGS = 80
-FOUR_EPS = 4.0 * sys.float_info.epsilon  # a wide probe step per unit of bracket magnitude
 WALK_STEPS = 12  # probes of the seeded walk before it falls back to the bracketed search
 ULP_STEPS = 3  # at most this many one-ulp probes before the walk steps to the next term change
 AVERAGING_TOL = 1e-9  # relative mean-speed mismatch ``internal_state`` accepts
@@ -130,8 +128,7 @@ class TorqueBalance(NamedTuple):
 
     ``iterations`` counts the halvings of the bracketed search's bisection
     only: 0 when the seeded walk ends the solve, and never the residual
-    evaluations of the walk, the bracket, the secant seed or the search
-    around it.
+    evaluations of the walk or the bracket.
     """
 
     output_speeds: tuple[float, float, float]
@@ -175,15 +172,12 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     probes, at a bracket end or at a NaN.
 
     The bracketed search, for other curves and for a walk that did not end,
-    widens the bracket if a curve's torque and inverse disagree, takes the
-    secant step's seed as one end of a sub-bracket, and probes outward from
-    it, 1, 2, 4 and 8 ulps of the seed and then 4 eps of the bracket's
-    magnitude doubling, to find the other end at the first sign change.
-    Bisection then shrinks the sub-bracket to float resolution (at most
-    MAX_BISECTIONS halvings) and keeps the end with the smaller residual.
-    SOLVE_TOL (relative on the mean-speed residual) is the guaranteed
-    accuracy; the solve is verified against it and far exceeds it in
-    practice.
+    widens the bracket if a curve's torque and inverse disagree, then
+    bisects the whole bracket to adjacent floats (at most MAX_BISECTIONS
+    halvings: at float midpoints, then at midpoints of the doubles' order)
+    and keeps the end with the smaller residual.  SOLVE_TOL (relative on
+    the mean-speed residual) is the guaranteed accuracy; the solve is
+    verified against it and far exceeds it in practice.
 
     When all three loads are exactly ``LinearLoad`` (a subclass may
     override ``inverse``), the walk's F, the bracket torques, the slope
@@ -353,8 +347,33 @@ def _mean_inverse(loads, target: float):
     return residual
 
 
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _key(x: float) -> int:
+    """The place of ``x`` in the order of the doubles, from -(2**63 - 2**52) at -inf to
+    2**63 - 2**52 at +inf, one per double: -0.0 and +0.0 share key 0."""
+    bits = _INT64.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _double(key: int) -> float:
+    """The double at ``key``, the inverse of ``_key``: key 0 is +0.0."""
+    x = _DOUBLE.unpack(_INT64.pack(abs(key)))[0]
+    return -x if key < 0 else x
+
+
 def _bracketed_root(residual, lo: float, hi: float) -> tuple[float, int]:
-    """The torque ``solve_torque_balance`` keeps and the halvings it took, from [lo, hi]."""
+    """The torque ``solve_torque_balance`` keeps and the halvings it took, from [lo, hi].
+
+    After the widening, bisection halves the whole bracket at the float midpoint for
+    FLOAT_HALVINGS halvings, and after that, or where the float midpoint is not finite,
+    at the floor of the mean of the ends' keys.  No halving adds keys to the bracket,
+    and a key halving leaves at most ceil(n / 2) of n steps between the ends' keys.
+    Any bracket spans fewer than 2**64 steps, so the 64 key halvings among the
+    MAX_BISECTIONS leave adjacent floats.  F's float values are monotone, so every
+    midpoint rule ends on the same adjacent pair.
+    """
     f_lo = residual(lo)
     f_hi = f_lo if hi == lo else residual(hi)  # a point bracket costs one residual
 
@@ -382,42 +401,10 @@ def _bracketed_root(residual, lo: float, hi: float) -> tuple[float, int]:
         return lo, 0
     if f_hi == 0.0:
         return hi, 0
-    # Monotone curves have a monotone float residual, so bisection ends on the same adjacent
-    # pair from any sub-bracket with a sign change.  The seed is one end of the sub-bracket;
-    # the unbounded search of Bentley & Yao (Inf. Process. Lett. 5, 1976) finds the other,
-    # and a probe on the seed's side is still a valid new end.  A non-finite seed fails the
-    # range test and leaves the bracket whole.
-    seed = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
-    if lo < seed < hi:
-        ulp = math.ulp(seed)
-        outer_lo, outer_hi = lo, hi  # the bracket whose magnitude sets the wide steps
-        wide = None
-        f_seed = residual(seed)
-        up = f_seed < 0.0  # the root lies above the seed
-        if up:
-            lo, f_lo = seed, f_seed
-        else:
-            hi, f_hi = seed, f_seed
-        step = ulp
-        while True:
-            probe = seed + step if up else seed - step
-            if not lo < probe < hi:
-                break
-            f_probe = residual(probe)
-            if f_probe < 0.0:
-                lo, f_lo = probe, f_probe
-            else:
-                hi, f_hi = probe, f_probe
-            if (f_probe < 0.0) != up:
-                break
-            if step < 8.0 * ulp:
-                step = 2.0 * step
-            else:
-                if wide is None:
-                    wide = FOUR_EPS * max(abs(outer_lo), abs(outer_hi))
-                step = max(2.0 * step, wide)
     for iterations in range(1, MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
+        if iterations > FLOAT_HALVINGS or not -inf < mid < inf:
+            mid = _double((_key(lo) + _key(hi)) // 2)  # the floor: toward lo
         if mid == lo or mid == hi:  # bracket at float resolution
             break
         f_mid = residual(mid)

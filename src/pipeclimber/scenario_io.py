@@ -224,12 +224,22 @@ def parse_scenario(path) -> Scenario:
         raise ParseError(f"malformed scenario {path}: not UTF-8: {exc.reason} at byte "
                          f"{exc.start}", line=exc.object.count(b"\n", 0, exc.start) + 1) from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed scenario {path}: {exc.msg}", line=exc.lineno) from exc
-    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+    except (ValueError, RecursionError) as exc:  # a duplicate key, too many digits, too deep
         raise ParseError(f"malformed scenario {path}: {exc}") from exc
     return scenario_from_dict(data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, or ValueError for a key it gives twice (``json`` keeps the last)."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        duplicate = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"duplicate key {duplicate!r}")
+    return data
 
 
 def _section_doc(obj, section: str) -> dict:

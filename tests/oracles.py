@@ -3,14 +3,14 @@
 These deliberately avoid the code paths under test: the side-gear solve
 uses chain substitution plus a projection off the circulation mode in
 ``Fraction``s instead of the float closed form, the load-balance
-references are plain bisection from the full bracket (no secant
-narrowing), the closed form for equal slip loads and the exact root of
-linear ones in ``Fraction``s, the reference run solves every row instead
-of once per centre segment, checks every row's front and rear itself
-instead of once per pair of segment kinds, and aggregates and writes its
-rows one at a time instead of from columns; bend track speeds come from
-contact paths traced through sampled centerline frames instead of the
-path-radius formula.
+references are plain bisection from the full bracket at float midpoints
+only (no walk, no halving of ordered keys), the closed form for equal slip
+loads and the exact root of linear ones in ``Fraction``s, the reference run
+solves every row instead of once per centre segment, checks every row's
+front and rear itself instead of once per pair of segment kinds, and
+aggregates and writes its rows one at a time instead of from columns; bend
+track speeds come from contact paths traced through sampled centerline
+frames instead of the path-radius formula.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from pipeclimber import Bend, MaxTimeExceeded, pose_at, step
-from pipeclimber.differential import MAX_BISECTIONS, SPAN_FACTOR, TorqueBalance
+from pipeclimber.differential import SPAN_FACTOR, TorqueBalance
 from pipeclimber.geometry import segment_at
 from pipeclimber.robot import asymmetry_deg, spring_compression
 from pipeclimber.scenario_io import CSV_COLUMNS
@@ -34,13 +34,16 @@ from pipeclimber.simulator import SegmentStats, SimSummary, analytic_track_speed
 EPS = Fraction(sys.float_info.epsilon)
 TINY = Fraction(2) ** -1074  # the spacing of subnormal floats
 SLACK = 1 + Fraction(1, 2**40)  # room for the O(EPS**2) terms of a rounding-error bound
+# A bracket that spans the double range needs up to 1025 + 1074 + 1 float halvings
+# to reach adjacent floats: from 2**1024 down to the subnormal spacing.
+MAX_BISECTIONS = 2200
 
 
 def bisect_torque_balance(input_speed, loads, config):
-    """``solve_torque_balance`` without the secant narrowing: bracket, widen,
-    then halve the full bracket down to adjacent floats.  Returns a
-    ``TorqueBalance``; the library solve must match its torque and speeds
-    bit for bit."""
+    """``solve_torque_balance`` without the walk or the halving of ordered keys:
+    bracket, widen, then halve the full bracket at float midpoints down to
+    adjacent floats.  Returns a ``TorqueBalance``; the library solve must
+    match its torque and speeds bit for bit."""
     target = config.overall_ratio * input_speed
 
     def residual(tau):

@@ -47,8 +47,9 @@ def test_validate_accepts_the_shipped_scenario():
     (edited('"nps": "6"', '"nps": [6]').encode(), "pipe.nps"),
     (b"[" * 200_000, "error: malformed scenario"),
     (b'{"pipe": ' + b"1" * 5_000 + b"}\n", "error: malformed scenario"),
+    (edited('"dt_s": 0.01', '"dt_s": 0.01, "dt_s": 0.02').encode(), "duplicate key 'dt_s'"),
 ], ids=["unknown key", "UTF-16", "array", "nps array", "nested past the recursion limit",
-        "5,000-digit integer"])
+        "5,000-digit integer", "duplicate key"])
 def test_a_bad_document_exits_1(tmp_path, document, stderr):
     path = tmp_path / "scenario.json"
     path.write_bytes(document)

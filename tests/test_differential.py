@@ -142,12 +142,20 @@ class _BrokenLoad:
 
 @pytest.mark.parametrize("input_speed, loads", [
     (1.0, [_BrokenLoad()] * 3),
-    # The residual overflows to NaN, which no tolerance may accept.
-    (2.5, [LinearLoad(1e308, 20.0, v) for v in (58.0, 46.0, 46.0)]),
 ])
 def test_unbracketable_root_raises(input_speed, loads):
     with pytest.raises(NoBracket):
         solve_torque_balance(input_speed, loads, UNIT)
+
+
+def test_a_bracket_end_at_infinity_is_bisected_at_ordered_keys():
+    # The torques at the target overflow to -inf and +inf, so every float midpoint is
+    # NaN; the midpoints of the ends' ordered keys are finite and find the finite root.
+    loads = [LinearLoad(1e308, 20.0, v) for v in (58.0, 46.0, 46.0)]
+    assert sorted(load.torque(2.5) for load in loads) == [-math.inf, math.inf, math.inf]
+    result = solve_torque_balance(2.5, loads, UNIT)
+    assert result.iterations <= MAX_BISECTIONS
+    assert_near_exact_balance(result, 2.5, loads, UNIT)
 
 
 def test_bad_arguments_rejected():
@@ -257,7 +265,7 @@ def test_solver_matches_equal_slip_closed_form(required, stiffness, input_speed)
     )
 
 
-# --- torque balance: the secant-narrowed bisection ---------------------------------
+# --- torque balance: the walk and the bracketed bisection ---------------------------
 
 def bits(balance):
     """The torque and speeds of a solve as exact bit patterns (-0.0 != 0.0)."""
@@ -284,19 +292,50 @@ def test_solver_bits_match_plain_bisection_under_any_load(loads, input_speed, co
     assert bits(result) == bits(bisect_torque_balance(input_speed, loads, config))
 
 
+class _MethodLoad:
+    """A ``LinearLoad``'s curve behind its methods only: not a ``LinearLoad``, so the
+    solve skips the walk and calls them through the bracketed search."""
+
+    def __init__(self, *fields):
+        load = LinearLoad(*fields)
+        self.torque, self.inverse = load.torque, load.inverse
+
+
 @pytest.mark.parametrize("offset, input_speed", [(1.5e308, 1.0), (1e308, 0.0)])
 def test_overflowing_bracket_is_bisected_whole(offset, input_speed):
     # The torques at the target are about -offset and +offset, so hi - lo
-    # overflows, the secant step is not finite and the bisection runs on the
-    # full bracket, exactly as without the step.  Halving a bracket over the
-    # double range down to adjacent floats takes up to 2,099 steps, within the cap.
-    loads = [LinearLoad(1.0, offset=offset), LinearLoad(1.0, offset=-offset), LinearLoad(1.0)]
+    # overflows, the walk does not start and the bisection runs on the full
+    # bracket.  Float midpoints would take 1,077 and 2,099 halvings down to
+    # adjacent floats; past the 64th the ordered keys' midpoints take at most 64 more.
+    fields = [(1.0, 1.0, 0.0, offset), (1.0, 1.0, 0.0, -offset), (1.0,)]
+    loads = [LinearLoad(*f) for f in fields]
     torques = [load.torque(input_speed) for load in loads]
     assert max(torques) - min(torques) == math.inf
-    result = solve_torque_balance(input_speed, loads, UNIT)
     reference = bisect_torque_balance(input_speed, loads, UNIT)
+    assert reference.iterations > 1000
+    for solved in (loads, [_MethodLoad(*f) for f in fields]):
+        result = solve_torque_balance(input_speed, solved, UNIT)
+        assert bits(result) == bits(reference)
+        assert result.iterations <= 128
+
+
+@pytest.mark.parametrize("fields", [
+    # The walk does not start (lo + lo overflows).  64 float halvings of [-1e308, 7e307]
+    # leave ends of both signs more than 2**63 keys apart, so all 64 key halvings run,
+    # and stopping one short keeps a torque one ulp above 5.0.
+    [(1e308, 1.0, 1.0), (7e307, 1.0, -1.0), (1.0, 1.0, 0.0, 5.0)],
+    # F(0) == 0 > F(-5e-324), and no float midpoint of [-1, 2] is 0: the key halvings
+    # reach key 0, which is +0.0, the zero that plain bisection and the walk keep.
+    [(1.0, 1.0, 0.0, -1.0), (2.0, 1.0, 0.0, 2.0), (1 / 3,)],
+], ids=["wide", "zero"])
+def test_key_halvings_end_on_the_plain_bisection_pair(fields):
+    loads = [LinearLoad(*f) for f in fields]
+    reference = bisect_torque_balance(0.0, loads, UNIT)
+    assert reference.iterations > 1000
+    assert bits(solve_torque_balance(0.0, loads, UNIT)) == bits(reference)
+    result = solve_torque_balance(0.0, [_MethodLoad(*f) for f in fields], UNIT)
     assert bits(result) == bits(reference)
-    assert 1000 < result.iterations == reference.iterations < MAX_BISECTIONS
+    assert result.iterations == MAX_BISECTIONS == 128
 
 
 @pytest.mark.parametrize("target_speed", [50.0, 48.0])
@@ -344,12 +383,13 @@ class _CountingLoad(LinearLoad):
         return super().inverse(torque)
 
 
-def test_secant_step_leaves_few_bisections():
+def test_the_walk_leaves_few_bisections():
     # The closed-form root lands next to the adjacent pair in most cases, and
     # the walk from it reaches the pair in a few more residuals, so a C1 case
-    # takes about 3.4 residual evaluations and 0.05 halvings (the walks that
-    # fall back).  Each residual inverts all three loads; the output speeds
-    # invert them once more.  No timing: the counts are deterministic.
+    # takes about 3.5 residual evaluations and 0.25 halvings (the few walks that
+    # fall back bisect the whole bracket).  Each residual inverts all three
+    # loads; the output speeds invert them once more.  No timing: the counts
+    # are deterministic.
     rng = np.random.default_rng(42)
     cases = [random_case(rng) for _ in range(1000)]
     counted = [
@@ -361,7 +401,7 @@ def test_secant_step_leaves_few_bisections():
     iterations = [solve_torque_balance(w, loads, config).iterations for loads, config, w in counted]
     residuals_per_solve = _CountingLoad.calls / 3 / len(cases) - 1
     assert np.mean(iterations) <= 0.5
-    assert residuals_per_solve <= 4, residuals_per_solve  # 3.40 measured
+    assert residuals_per_solve <= 4, residuals_per_solve  # 3.54 measured
 
 
 @pytest.mark.parametrize("target_speed", [50.0, 48.0])
@@ -403,10 +443,11 @@ def test_a_load_subclass_is_solved_on_its_own_curve(cubes):
 @pytest.mark.parametrize("input_speed", [0.0, -0.0])
 @pytest.mark.parametrize("targets", [(1.0, -1.0, 0.0), (-1.0, 1.0, -0.0)])
 def test_exact_zero_root_takes_few_halvings(targets, input_speed):
-    # The secant seed is exactly +-0.0, where the residual is 0; the float
-    # residual stays >= 0 down to -5e-324, so the adjacent pair lies just
-    # below zero.  Plain bisection of the [-1, 1] bracket halves its way down
-    # through the subnormals to reach it.
+    # The closed-form root is exactly +-0.0, where the residual is 0; the
+    # float residual stays >= 0 down to -5e-324, so the adjacent pair lies
+    # just below zero.  Plain bisection of the [-1, 1] bracket at float
+    # midpoints halves its way down through the subnormals to reach it; the
+    # walk steps there from the root.
     loads = [LinearLoad(1.0, 1.0, t) for t in targets]
     result = solve_torque_balance(input_speed, loads, UNIT)
     reference = bisect_torque_balance(input_speed, loads, UNIT)

@@ -340,9 +340,12 @@ def test_malformed_json_reports_the_line(tmp_path):
 @pytest.mark.parametrize("text, reason", [
     ("[" * 200_000, "maximum recursion depth exceeded"),
     ('{"pipe": ' + "1" * 5_000 + "}\n", "Exceeds the limit (4300 digits)"),
-], ids=["nested past the recursion limit", "5,000-digit integer"])
+    ((SCENARIOS / "four_section.json").read_text()
+     .replace('"dt_s": 0.01', '"dt_s": 0.01, "dt_s": 0.02'), "duplicate key 'dt_s'"),
+], ids=["nested past the recursion limit", "5,000-digit integer", "duplicate key"])
 def test_json_the_decoder_refuses_is_a_parse_error_naming_the_file(tmp_path, text, reason):
-    # Neither is a JSONDecodeError, so neither carries a line number.
+    # None is a JSONDecodeError, so none carries a line number.  The decoder itself
+    # keeps the later of two equal keys; the scenario parser refuses them.
     path = tmp_path / "huge.json"
     path.write_text(text)
     with pytest.raises(ParseError) as err:
