@@ -126,9 +126,9 @@ class LinearLoad:
 class TorqueBalance(NamedTuple):
     """Result of a load-balance solve: output speeds and the shared torque.
 
-    ``iterations`` counts the halvings of the bracketed search's bisection
-    only: 0 when the seeded walk ends the solve, and never the residual
-    evaluations of the walk or the bracket.
+    ``iterations`` counts the midpoints that the bracketed search's bisection
+    evaluates: 0 when the seeded walk ends the solve, never the residuals of
+    the walk or the bracket.
     """
 
     output_speeds: tuple[float, float, float]
@@ -364,7 +364,7 @@ def _double(key: int) -> float:
 
 
 def _bracketed_root(residual, lo: float, hi: float) -> tuple[float, int]:
-    """The torque ``solve_torque_balance`` keeps and the halvings it took, from [lo, hi].
+    """The torque ``solve_torque_balance`` keeps and the midpoints it evaluated, from [lo, hi].
 
     After the widening, bisection halves the whole bracket at the float midpoint for
     FLOAT_HALVINGS halvings, and after that, or where the float midpoint is not finite,
@@ -401,12 +401,14 @@ def _bracketed_root(residual, lo: float, hi: float) -> tuple[float, int]:
         return lo, 0
     if f_hi == 0.0:
         return hi, 0
-    for iterations in range(1, MAX_BISECTIONS + 1):
+    iterations = 0  # midpoints evaluated
+    while iterations < MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
-        if iterations > FLOAT_HALVINGS or not -inf < mid < inf:
+        if iterations >= FLOAT_HALVINGS or not -inf < mid < inf:
             mid = _double((_key(lo) + _key(hi)) // 2)  # the floor: toward lo
         if mid == lo or mid == hi:  # bracket at float resolution
             break
+        iterations += 1
         f_mid = residual(mid)
         if f_mid < 0.0:
             lo, f_lo = mid, f_mid

@@ -3,7 +3,8 @@
 A network is an ordered chain of straight runs and circular bends, each
 continuing tangentially from the previous one.  All lengths are in mm.
 A network keeps scalar facts only, as tuples of floats: each segment's end
-arc length and curvature; ``pose_at`` derives 3-D frames on demand.
+arc length and curvature; ``pose_at`` derives 3-D frames on demand, each
+vector a tuple of three floats.
 
 Every network enters at the origin pointing up (+z).  Bend convention: a
 persistent reference normal (unit vector perpendicular to the tangent) is
@@ -26,8 +27,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import BadSegment, EmptyNetwork, OutOfRange, ValidationError, require
 
@@ -58,12 +57,12 @@ class CenterlinePose:
 
     ``bend_outward`` points from the bend center to the centerline and is
     None on straights; ``curvature`` is 0 there and 1/R inside bends (1/mm).
-    Each ``pose_at`` call builds fresh arrays, so a caller may modify them.
+    Each vector is a tuple of three floats (x, y, z).
     """
 
-    position: np.ndarray
-    tangent: np.ndarray
-    bend_outward: np.ndarray | None
+    position: tuple[float, float, float]
+    tangent: tuple[float, float, float]
+    bend_outward: tuple[float, float, float] | None
     curvature: float
     segment_index: int
 
@@ -81,10 +80,6 @@ class PipeNetwork:
     @property
     def total_length(self) -> float:
         return self.cumulative_lengths[-1]
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
 
 
 def _check_segment(index: int, seg, inner_radius: float) -> None:
@@ -141,24 +136,23 @@ def build_network(segments, inner_radius: float) -> PipeNetwork:
     )
 
 
-def segment_at(network: PipeNetwork, s):
-    """Index of the segment holding arc length ``s``; a boundary opens the next one.
-
-    ``s`` is a number, giving an ``int``, or an array, giving an index array.
-    """
-    last = len(network.segments) - 1
-    if isinstance(s, np.ndarray):
-        return np.minimum(np.searchsorted(network.cumulative_lengths, s, side="right"), last)
-    return min(bisect_right(network.cumulative_lengths, s), last)
+def segment_at(network: PipeNetwork, s: float) -> int:
+    """Index of the segment holding arc length ``s``; a boundary opens the next one."""
+    return min(bisect_right(network.cumulative_lengths, s), len(network.segments) - 1)
 
 
-def _bend_entry(bend: Bend, point: np.ndarray, tangent: np.ndarray,
-                reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _combine(a: float, u: tuple, b: float, v: tuple) -> tuple:
+    """The vector ``a * u + b * v``."""
+    return a * u[0] + b * v[0], a * u[1] + b * v[1], a * u[2] + b * v[2]
+
+
+def _bend_entry(bend: Bend, point: tuple, tangent: tuple, reference: tuple) -> tuple:
     """A bend's outward direction at entry and its arc center."""
     roll = math.radians(bend.bend_plane_roll)
-    binormal = np.cross(tangent, reference)
-    outward = math.cos(roll) * reference + math.sin(roll) * binormal
-    return outward, point - bend.bend_radius * outward
+    (tx, ty, tz), (rx, ry, rz) = tangent, reference
+    binormal = ty * rz - tz * ry, tz * rx - tx * rz, tx * ry - ty * rx  # tangent x reference
+    outward = _combine(math.cos(roll), reference, math.sin(roll), binormal)
+    return outward, _combine(1.0, point, -bend.bend_radius, outward)
 
 
 def pose_at(network: PipeNetwork, s: float) -> CenterlinePose:
@@ -168,28 +162,28 @@ def pose_at(network: PipeNetwork, s: float) -> CenterlinePose:
     if not 0.0 <= s <= total:
         raise OutOfRange(f"arc length {s} outside [0, {total}]")
     index = segment_at(network, s)
-    point = np.zeros(3)
-    tangent = np.array([0.0, 0.0, 1.0])
-    reference = np.array([1.0, 0.0, 0.0])
+    point, tangent, reference = (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
     for seg in network.segments[:index]:
         if isinstance(seg, Straight):
-            point = point + seg.length * tangent
+            point = _combine(1.0, point, seg.length, tangent)
             continue
         outward, center = _bend_entry(seg, point, tangent, reference)
         sweep = math.radians(seg.sweep_angle)
-        reference = outward * math.cos(sweep) + tangent * math.sin(sweep)  # outward at exit
-        tangent = _unit(tangent * math.cos(sweep) - outward * math.sin(sweep))
-        point = center + seg.bend_radius * reference
+        reference = _combine(math.cos(sweep), outward, math.sin(sweep), tangent)  # outward at exit
+        tangent = _combine(math.cos(sweep), tangent, -math.sin(sweep), outward)
+        norm = math.hypot(*tangent)
+        tangent = tangent[0] / norm, tangent[1] / norm, tangent[2] / norm
+        point = _combine(1.0, center, seg.bend_radius, reference)
 
     seg = network.segments[index]
     local = s - (network.cumulative_lengths[index - 1] if index else 0.0)
     if isinstance(seg, Straight):
-        position, bend_outward = point + local * tangent, None
+        position, bend_outward = _combine(1.0, point, local, tangent), None
     else:
         outward, center = _bend_entry(seg, point, tangent, reference)
         angle = local / seg.bend_radius
         cos_a, sin_a = math.cos(angle), math.sin(angle)
-        bend_outward = outward * cos_a + tangent * sin_a
-        position = center + seg.bend_radius * bend_outward
-        tangent = tangent * cos_a - outward * sin_a
+        bend_outward = _combine(cos_a, outward, sin_a, tangent)
+        position = _combine(1.0, center, seg.bend_radius, bend_outward)
+        tangent = _combine(cos_a, tangent, -sin_a, outward)
     return CenterlinePose(position, tangent, bend_outward, network.curvatures[index], index)

@@ -16,9 +16,10 @@ limits only on whether the centre, front and rear are in bends.  So ``run``
 solves once per centre curvature, computes the springs' compression once
 for each kind of segment (bend or straight) the network has, and from those
 tries the tilt of each (front, rear) pair of kinds; only a pair that fails
-sends it to look up the body's ends on each row, and the first such row
-raises.  Within a segment ``t`` and ``s`` advance by constant steps, so
-``first_exit`` finds the row where the centre leaves it, and the ``(t, s)``
+sends it to find the rows where the body's front or rear crosses a
+boundary, and the first row on such a pair raises.  Within a segment ``t``
+and ``s`` advance by constant steps, so ``first_exit`` finds the row where
+the centre, the front or the rear leaves its segment, and the ``(t, s)``
 there, in closed form from the float arithmetic of repeated adds: a run
 costs per segment, not per row.
 
@@ -26,12 +27,7 @@ Records are a ``Records`` table: the record of each centre segment visited
 once, with its rows as ``Piece`` progressions of ``t`` and ``s`` and the row
 where the centre leaves it.  ``summarize`` reads the pieces' starts and
 takes each segment's three mean track speeds from one pairwise sum of
-copies; the writers build one chunk of rows at a time; the ``t`` and ``s``
-columns are built on first access, with the bits of ``np.cumsum``.
-Indexing and iteration give ``SimRecord`` rows.  Only per-row data are
-numpy arrays: the built columns and chunks and, when a pair of kinds fails
-a limit, each segment's ``s`` rows and their front and rear lookups; a run
-with no failing pair uses no numpy.
+copies; the writers build one chunk of rows at a time.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -45,13 +41,12 @@ import functools
 import itertools
 import math
 import operator
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
-
-import numpy as np
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
 from .errors import AsymmetryLimit, BadSegment, CompressionLimit, EmptySweep, MaxTimeExceeded
@@ -174,18 +169,16 @@ def _finite(x: float, d: float, n: int) -> bool:
 
 def piece_rows(pieces, size: int):
     """The rows of ``pieces``, in order, as flat lists of floats, ``t`` and
-    ``s`` interleaved, ``size`` rows to a list (the last may be shorter).
-    ``_accumulate`` gives each stretch of a piece and one more add the row
-    after it, so the values have the bits of the built columns."""
+    ``s`` interleaved, ``size`` rows to a list (the last may be shorter),
+    with the bits of the columns: one more add starts the next stretch."""
     flat = []
     for t, dt, s, ds, rows in pieces:
         while rows:
             n = min(rows, size - len(flat) // 2)
-            stretch = _accumulate((t, s), (dt, ds), n - 1).ravel().tolist()
-            if flat:
-                flat += stretch
-            else:
-                flat = stretch
+            start = len(flat)
+            flat += repeat(0.0, 2 * n)
+            flat[start::2] = accumulate(repeat(dt, n - 1), initial=t)  # adds in sequence
+            flat[start + 1::2] = accumulate(repeat(ds, n - 1), initial=s)
             t, s, rows = flat[-2] + dt, flat[-1] + ds, rows - n
             if len(flat) == 2 * size:
                 yield flat
@@ -206,11 +199,10 @@ class Records(Sequence):
     ``s``, so ``values[j]`` holds the record of the ``j``-th centre segment
     visited, ``pieces[j]`` its rows as ``Piece`` progressions in row order,
     and ``run_ends[j]`` is the row where the centre leaves it; all three are
-    tuples, and every run has at least one row.  The float64 columns ``t``
-    and ``s``, one value per row, are built from the pieces on first access
-    and kept; a table from ``run`` holds no array until then.  Indexing by
-    row number and iteration give ``SimRecord`` rows, iteration without
-    building the columns; two tables are equal when their rows are.
+    tuples, and every run has at least one row.  The columns ``t`` and
+    ``s`` are each an ``array('d')``, built on its first read and kept.
+    Indexing by row number and iteration give ``SimRecord`` rows, iteration
+    without building the columns; two tables are equal when their rows are.
     """
 
     def __init__(self, values, pieces):
@@ -222,26 +214,21 @@ class Records(Sequence):
         return self.run_ends[-1] if self.run_ends else 0
 
     @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        """``t`` and ``s`` of every row, a ``(len(self), 2)`` array."""
-        return np.concatenate([np.empty((0, 2)), *(
-            _accumulate((p.t, p.s), (p.dt, p.ds), p.rows - 1) for run in self.pieces for p in run)])
+    def t(self) -> array:
+        """Time (s) per row."""
+        return array("d", itertools.chain.from_iterable(
+            accumulate(repeat(p.dt, p.rows - 1), initial=p.t) for run in self.pieces for p in run))
 
-    @property
-    def t(self) -> np.ndarray:
-        """Time (s) per row; the first read of ``t`` or ``s`` builds both."""
-        return self._rows[:, 0]
-
-    @property
-    def s(self) -> np.ndarray:
+    @functools.cached_property
+    def s(self) -> array:
         """Centre arc length (mm) per row."""
-        return self._rows[:, 1]
+        return array("d", itertools.chain.from_iterable(
+            accumulate(repeat(p.ds, p.rows - 1), initial=p.s) for run in self.pieces for p in run))
 
     def __getitem__(self, key):
         row = range(len(self))[operator.index(key)]  # IndexError past either end
         value = self.values[bisect_right(self.run_ends, row)]
-        t, s = self._rows[row].tolist()
-        return SimRecord(t, s, *_shared(value))
+        return SimRecord(self.t[row], self.s[row], *_shared(value))
 
     def __iter__(self):
         for value, pieces in zip(self.values, self.pieces):
@@ -339,15 +326,42 @@ def _check_ends(scenario: Scenario, front: float, rear: float) -> None:
                   spring_compression(rear, robot, extra), robot)
 
 
-def _accumulate(start, increment, count: int) -> np.ndarray:
-    """``start`` and ``count`` repeated additions of ``increment``, each a
-    ``(t, s)`` pair: a ``(count + 1, 2)`` array.  The sum (``np.cumsum``'s
-    ``add.accumulate``) runs in sequence down each column, so each value
-    has the bits of ``x = x + increment``."""
-    rows = np.empty((count + 1, 2), order="F")  # so each column is contiguous
-    rows[:] = increment
-    rows[0] = start
-    return np.add.accumulate(rows, axis=0, out=rows)
+def _reach(bounds: tuple, i: int, h: float) -> float:
+    """The least float ``c`` with ``c + h >= b``, ``b = bounds[i]``: -inf for ``i``
+    < 0, inf for the last, which ends no segment for ``segment_at``.  ``c + h``
+    rounds to ``b`` or up from the midpoint of ``b`` and the float below it, so
+    ``c`` is the float nearest that midpoint less ``h`` (``fsum`` of quarters,
+    so no sum overflows) or a neighbour of it."""
+    if not 0 <= i < len(bounds) - 1:
+        return math.inf if i >= 0 else -math.inf
+    b = bounds[i]
+    c = 2.0 * math.fsum((math.nextafter(b, -math.inf) / 4.0, -h / 2.0, b / 4.0))
+    while c + h < b:
+        c = math.nextafter(c, math.inf)
+    while math.nextafter(c, -math.inf) + h >= b:
+        c = math.nextafter(c, -math.inf)
+    return c
+
+
+def _check_rows(scenario: Scenario, failing: set, s: float, ds: float, rows: int) -> None:
+    """Raise through ``_check_ends`` on the first of ``rows`` rows, ``s`` and
+    then ``ds`` added in sequence, with the body's front and rear on a pair of
+    kinds in ``failing``.  ``s + L/2`` rounds monotonically in ``s``, so the
+    front keeps its segment while ``s`` stays between two ``_reach`` values,
+    and so does the rear: ``first_exit`` finds each row where either moves."""
+    network, half = scenario.network, scenario.robot.length_mm / 2.0
+    bounds, curvatures = network.cumulative_lengths, network.curvatures
+    row = 0
+    while True:
+        front, rear = segment_at(network, s + half), segment_at(network, s - half)
+        if (curvatures[front] != 0.0, curvatures[rear] != 0.0) in failing:
+            _check_ends(scenario, curvatures[front], curvatures[rear])
+        low = max(_reach(bounds, front - 1, half), _reach(bounds, rear - 1, -half))
+        high = min(_reach(bounds, front, half), _reach(bounds, rear, -half))
+        n, s = first_exit(s, ds, low, high, rows - 1 - row)
+        if low <= s < high:  # no later row has another front or rear
+            return
+        row += n
 
 
 _LAST_BINADE = 2.0 ** 1023  # from here on a sum may overflow
@@ -356,7 +370,7 @@ _LAST_BINADE = 2.0 ** 1023  # from here on a sum may overflow
 def first_exit(x: float, d: float, low: float, high: float, count: int) -> tuple[int, float]:
     """The first ``k`` in 1..``count`` with ``x_k`` outside ``[low, high)``,
     and ``x_k``, where ``x_k`` is ``x`` with ``d`` added ``k`` times in
-    sequence (``x = x + d``, as ``_accumulate``); ``(count, x_count)`` if
+    sequence (``x = x + d``, as ``accumulate``); ``(count, x_count)`` if
     there is none.
 
     Inside one binade of spacing ``u`` each add is exact up to one rounding
@@ -412,19 +426,16 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     the centre's compression needs no other check.  The front and rear
     limits are checked here alone: the compression once per kind the
     network has, and the tilt once per pair of those kinds; only if such a
-    pair fails are the rows' ends looked up, from that segment's built
-    ``s`` column, and the first row on such a pair raises through
-    ``_check_ends``, after its centre's solve.  Each row advances ``t`` by
-    ``dt_s`` and ``s`` by ``dt_s`` times the mean track speed;
-    ``first_exit`` finds the row where the centre leaves its segment or the
-    time budget runs out, and the ``(t, s)`` on it, with no array of rows.
-    There the run checks the float range, then the time budget, then the
-    network end, then the network start.
+    pair fails does ``_check_rows`` follow the body's ends, after the
+    centre's solve.  Each row advances ``t`` by ``dt_s`` and ``s`` by
+    ``dt_s`` times the mean track speed; ``first_exit`` finds the row where
+    the centre leaves its segment or the time budget runs out, and its
+    ``(t, s)``.  There the run checks the float range, then the time
+    budget, then the network end, then the network start.
     """
     network, robot = scenario.network, scenario.robot
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
     bounds = network.cumulative_lengths
-    half = robot.length_mm / 2.0
     kinds = {int(c != 0.0) for c in network.curvatures}  # no end is ever on another kind
     compressions = {}  # kind -> its springs' compression, if within the limit
     for bend in kinds:  # only whether a curvature is 0 matters
@@ -433,17 +444,12 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
                                                     scenario.bend_extra_compression_mm)
         except CompressionLimit:
             pass
-    failing = []  # (front, rear) pairs of kinds over a limit
+    failing = set()  # (front, rear) pairs of kinds over a limit
     for front, rear in itertools.product(kinds, repeat=2):
         try:  # a kind over the compression limit is missing: KeyError
             asymmetry_deg(compressions[front], compressions[rear], robot)
         except (KeyError, AsymmetryLimit):
-            failing.append((front, rear))
-    if failing:
-        is_bend = np.asarray(network.curvatures) != 0.0
-        fails = np.zeros((2, 2), dtype=bool)  # [front is a bend, rear is a bend]
-        for ends in failing:
-            fails[ends] = True
+            failing.add((front, rear))
     solved = {}  # centre curvature -> the record ``step`` solved there
     values, pieces = [], []  # per centre segment visited: its record, its rows' pieces
 
@@ -488,13 +494,7 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             if k_t < k:  # over budget first
                 k, s_next = k_t, first_exit(s, ds, low, high, k_t)[1]
             if failing:
-                s_rows = _accumulate((t, s), (dt, ds), k - 1)[:, 1]
-                front = is_bend[segment_at(network, s_rows + half)].astype(np.intp)
-                rear = is_bend[segment_at(network, s_rows - half)].astype(np.intp)
-                on_failing = fails[front, rear]
-                if on_failing.any():  # raises on the first row with the ends on a failing pair
-                    row = int(np.argmax(on_failing))
-                    _check_ends(scenario, float(front[row]), float(rear[row]))
+                _check_rows(scenario, failing, s, ds, k)
             run_pieces.append(Piece(t, dt, s, ds, k))
             t, s = t_next, s_next
             if not math.isfinite(s):  # the sum carries inf or NaN on to this row

@@ -70,10 +70,11 @@ def bisect_torque_balance(input_speed, loads, config):
     elif f_hi == 0.0:
         tau = hi
     else:
-        for iterations in range(1, MAX_BISECTIONS + 1):
+        while iterations < MAX_BISECTIONS:  # iterations: midpoints evaluated
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
+            iterations += 1
             if residual(mid) < 0.0:
                 lo = mid
             else:
@@ -284,9 +285,10 @@ def contact_path_speeds(scenario, segment_index, samples=200):
     ends = (s_start, np.nextafter(s_end, s_start))
     for s in np.linspace(*ends, samples + 1):
         pose = pose_at(scenario.network, float(s))
-        side = np.cross(pose.tangent, pose.bend_outward)
-        radials = [math.cos(q) * pose.bend_outward + math.sin(q) * side for q in angles]
-        points.append([pose.position, *(pose.position + h * r for r in radials)])
+        position, outward = np.asarray(pose.position), np.asarray(pose.bend_outward)
+        side = np.cross(pose.tangent, outward)
+        radials = [math.cos(q) * outward + math.sin(q) * side for q in angles]
+        points.append([position, *(position + h * r for r in radials)])
     paths = np.array(points)  # sample, centerline then tracks A-C, xyz
     lengths = np.linalg.norm(np.diff(paths, axis=0), axis=2).sum(axis=0)
     return scenario.center_speed_mm_s * lengths[1:] / lengths[0]

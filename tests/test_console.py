@@ -1,6 +1,6 @@
 """The console script's contract, each check in a fresh ``python -m
 pipeclimber.cli`` process: exit codes, the key path on stderr, and the
-layout of the files it writes.  ``-W error::RuntimeWarning`` makes a numpy
+layout of the files it writes.  ``-W error::RuntimeWarning`` makes a
 RuntimeWarning fail the process, as pytest's filterwarnings does in-process.
 """
 
@@ -113,9 +113,33 @@ def test_summary_files_are_laid_out_as_json_dumps_indent_1(outputs, name):
     assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
 
-@pytest.mark.xfail(strict=True, reason="src imports numpy (D11)")
-def test_a_run_needs_nothing_from_site_packages(tmp_path):
+@pytest.mark.parametrize("args", [
+    ("run", FOUR_SECTION, "--out", "{tmp}"),
+    ("run", FOUR_SECTION, "--format", "json", "--out", "{tmp}"),
+    ("sweep", FOUR_SECTION, "--theta", "0,120,240", "--out", "{tmp}/sweep.json"),
+    ("validate", FOUR_SECTION),
+    ("dims", 6, 40),
+], ids=["run", "run json", "sweep", "validate", "dims"])
+def test_a_run_needs_nothing_from_site_packages(tmp_path, args):
     # -S leaves site-packages off the path, so only the stdlib and src import.
-    result = pipeclimb("run", "scenarios/four_section.json", "--out", tmp_path,
-                       python_flags=("-S",))
+    result = pipeclimb(*(str(arg).format(tmp=tmp_path) for arg in args), python_flags=("-S",))
+    assert result.returncode == 0, result.stderr
+
+
+def test_no_command_imports_numpy(tmp_path):
+    # In one process: importing the package and running each command through
+    # ``main`` leaves numpy out of sys.modules, imported lazily on no path.
+    script = """if True:
+        import sys
+        import pipeclimber, pipeclimber.cli
+        scenario, out = sys.argv[1:]
+        for argv in (["run", scenario, "--out", out + "/run"],
+                     ["run", scenario, "--format", "json", "--out", out + "/json"],
+                     ["sweep", scenario, "--theta", "0,120,240", "--out", out + "/sweep.json"]):
+            assert pipeclimber.cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, [name for name in sys.modules if "numpy" in name]
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script, str(FOUR_SECTION), str(tmp_path)],
+                            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert result.returncode == 0, result.stderr

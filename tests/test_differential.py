@@ -319,23 +319,30 @@ def test_overflowing_bracket_is_bisected_whole(offset, input_speed):
         assert result.iterations <= 128
 
 
-@pytest.mark.parametrize("fields", [
+@pytest.mark.parametrize("fields, midpoints", [
     # The walk does not start (lo + lo overflows).  64 float halvings of [-1e308, 7e307]
     # leave ends of both signs more than 2**63 keys apart, so all 64 key halvings run,
     # and stopping one short keeps a torque one ulp above 5.0.
-    [(1e308, 1.0, 1.0), (7e307, 1.0, -1.0), (1.0, 1.0, 0.0, 5.0)],
+    ([(1e308, 1.0, 1.0), (7e307, 1.0, -1.0), (1.0, 1.0, 0.0, 5.0)], 128),
     # F(0) == 0 > F(-5e-324), and no float midpoint of [-1, 2] is 0: the key halvings
     # reach key 0, which is +0.0, the zero that plain bisection and the walk keep.
-    [(1.0, 1.0, 0.0, -1.0), (2.0, 1.0, 0.0, 2.0), (1 / 3,)],
+    # The 128th pass finds the ends adjacent and evaluates no midpoint.
+    ([(1.0, 1.0, 0.0, -1.0), (2.0, 1.0, 0.0, 2.0), (1 / 3,)], 127),
 ], ids=["wide", "zero"])
-def test_key_halvings_end_on_the_plain_bisection_pair(fields):
+def test_key_halvings_end_on_the_plain_bisection_pair(fields, midpoints):
     loads = [LinearLoad(*f) for f in fields]
     reference = bisect_torque_balance(0.0, loads, UNIT)
     assert reference.iterations > 1000
     assert bits(solve_torque_balance(0.0, loads, UNIT)) == bits(reference)
-    result = solve_torque_balance(0.0, [_MethodLoad(*f) for f in fields], UNIT)
+    # A load that counts its calls sees the bracket's two ends, each
+    # midpoint evaluated and the final speeds.
+    taus = []
+    counting = _MethodLoad(*fields[0])
+    inverse = counting.inverse
+    counting.inverse = lambda tau: taus.append(tau) or inverse(tau)
+    result = solve_torque_balance(0.0, [counting, *(_MethodLoad(*f) for f in fields[1:])], UNIT)
     assert bits(result) == bits(reference)
-    assert result.iterations == MAX_BISECTIONS == 128
+    assert result.iterations == len(taus) - 3 == midpoints <= MAX_BISECTIONS == 128
 
 
 @pytest.mark.parametrize("target_speed", [50.0, 48.0])

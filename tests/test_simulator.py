@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
@@ -262,18 +263,12 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     # solves, segment lookups, limit checks, record objects and segment
     # statistics at any dt_s, each per-segment value computed once,
     # and build no centerline frames.  No limit can fire, so no row's front
-    # or rear is looked up, and the run itself touches no numpy.
+    # or rear is looked up, and neither the run nor the writer builds a column.
     calls = Counter()
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"run used numpy.{name} with no pair of kinds failing")
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "segment_at" and isinstance(args[1], np.ndarray):
-                calls["segment_at of an array"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -282,7 +277,7 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     monkeypatch.setattr(geometry, "segment_at", segment_at)  # pose_at's lookups
     monkeypatch.setattr(simulator, "segment_at", segment_at)  # run's segment search
     for name in ("pose_at", "spring_compression", "asymmetry_deg", "required_track_speeds",
-                 "solve_torque_balance", "summarize"):
+                 "solve_torque_balance", "summarize", "_check_rows"):
         monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
     monkeypatch.setattr(SimRecord, "__init__", counted("SimRecord", SimRecord.__init__))
     monkeypatch.setattr(simulator.SegmentStats, "__init__",
@@ -290,10 +285,9 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     seen = []
     for dt_s in (0.01, 0.001):
         calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(simulator, "np", NoNumpy())
-            records, _ = run(make_four_section_scenario(dt_s=dt_s))
+        records, _ = run(make_four_section_scenario(dt_s=dt_s))
         emit_records(records, "csv", tmp_path / "records.csv")
+        assert not any(isinstance(value, array) for value in vars(records).values())
         seen.append((dict(calls), len(records)))
     (coarse, coarse_rows), (fine, fine_rows) = seen
     assert coarse == fine
@@ -301,7 +295,7 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert coarse["SimRecord"] == 4
     assert "pose_at" not in coarse
     assert coarse["spring_compression"] == 4  # 1 per kind of segment, 1 per step
-    assert "segment_at of an array" not in coarse
+    assert "_check_rows" not in coarse
     assert coarse["asymmetry_deg"] == 4  # the four probes
     assert coarse["required_track_speeds"] == coarse["solve_torque_balance"] == 2  # 1 per step
     assert coarse["summarize"] == 1
@@ -355,7 +349,7 @@ def test_table_rows_are_built_from_their_fields(monkeypatch, four_section_scenar
 
 
 def test_per_segment_values_are_plain_floats(four_section_scenario):
-    # numpy holds per-row columns only: the robot's formulas give tuples of
+    # Only per-row columns are arrays: the robot's formulas give tuples of
     # floats on straights and in bends, from int arguments too, and the run
     # ends are ints.
     extra = four_section_scenario.bend_extra_compression_mm
@@ -450,9 +444,9 @@ def _check_against_stepping(scenario, folder):
         # centre's segment changes.
         assert all(a.segment_index != b.segment_index
                    for a, b in zip(records.values, records.values[1:]))
-        centre = geometry.segment_at(scenario.network, records.s)
-        changes = np.flatnonzero(centre[1:] != centre[:-1]) + 1
-        assert records.run_ends == (*changes.tolist(), len(records))
+        centre = [geometry.segment_at(scenario.network, s) for s in records.s]
+        changes = [row for row in range(1, len(centre)) if centre[row] != centre[row - 1]]
+        assert records.run_ends == (*changes, len(records))
         for fmt in ("csv", "json"):
             emit_records(records, fmt, folder / f"table.{fmt}")
             write_rows(rows, fmt, folder / f"rows.{fmt}")
@@ -670,13 +664,13 @@ def test_run_allocates_no_array_of_rows(tmp_path):
                 tracemalloc.stop()
 
         def arrays():
-            return sum(isinstance(value, np.ndarray) for value in vars(records).values())
+            return sum(isinstance(value, array) for value in vars(records).values())
 
         assert arrays() == 0  # emitting built no column either
         assert all(type(value) is float for run_pieces in records.pieces for piece in run_pieces
                    for value in piece[:4])
-        assert records.t.shape == (len(records),)
-        assert arrays() == 1  # t and s, built on access and kept
+        assert len(records.t) == len(records)
+        assert arrays() == 1  # t, built on its first read and kept
         return ran, emitted, min(np.diff((0, *records.run_ends)))
 
     (coarse, coarse_emitted, coarse_rows), (fine, fine_emitted, fine_rows) = peaks(0.05), peaks(0.0005)
@@ -712,6 +706,55 @@ def test_a_limit_only_an_absent_kind_meets_costs_no_row_lookup():
     assert list(records) == list(loose_records)
     assert summary == loose_summary
     assert tight <= loose + 4096
+
+
+def test_a_failing_pair_costs_per_boundary_and_fails_on_the_stepping_row(monkeypatch):
+    # A 0.1 deg tilt limit fails every pair of a bend and a straight.  The
+    # run follows the body's ends from boundary to boundary, so at 100 times
+    # the rows it calls first_exit as often and its peak stays put (the s of
+    # the 80,000 rows before the failing one would take 640 kB); and the
+    # first failing row is stepping's: the first where one end is in a bend
+    # and the other is not.
+    tilt = make_robot(max_asym_deg=0.1)
+    calls = Counter()
+
+    def counted(*args):
+        calls["first_exit"] += 1
+        return first_exit(*args)
+
+    first_exit = simulator.first_exit
+    monkeypatch.setattr(simulator, "first_exit", counted)
+    seen = []
+    for dt_s in (0.01, 0.0001):
+        calls.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(AsymmetryLimit):
+                run(make_four_section_scenario(robot=tilt, dt_s=dt_s, max_time_s=60.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen.append((calls["first_exit"], peak))
+    (coarse_calls, coarse_peak), (fine_calls, fine_peak) = seen
+    assert coarse_calls == fine_calls
+    assert fine_peak <= coarse_peak + 4096
+
+    network = make_four_section_scenario().network
+    half = tilt.length_mm / 2.0
+    rows, _ = stepwise_run(make_four_section_scenario())
+    failing = next(row for row, record in enumerate(rows)
+                   if (network.curvatures[geometry.segment_at(network, record.s + half)] != 0.0)
+                   != (network.curvatures[geometry.segment_at(network, record.s - half)] != 0.0))
+    # A budget that ends on that row stops one row short of it; one a row
+    # later meets the limit there.
+    before = make_four_section_scenario(robot=tilt, max_time_s=rows[failing].t)
+    after = replace(before, max_time_s=rows[failing + 1].t)
+    for run_fn in (run, stepwise_run):
+        records, _, error = _outcome(run_fn, before)
+        assert error[0] is MaxTimeExceeded
+        assert list(records) == rows[:failing]
+        assert _outcome(run_fn, after)[2] == (AsymmetryLimit, "module A tilts 0.430 deg, over the "
+                                                             "0.1 deg limit")
 
 
 # --- progressions ------------------------------------------------------------------
@@ -823,6 +866,21 @@ def test_piece_finite_tells_whether_its_progression_rows_are(piece):
     # The writers check this before they open a file; the rows are never built there.
     t, s = built_rows(piece)
     assert piece.finite() == (bool(np.isfinite(t).all()), bool(np.isfinite(s).all()))
+
+
+@given(b=st.floats(5e-324, MAX), h=st.floats(-MAX / 2, MAX / 2),
+       near=st.floats(0.0, 1e-9), sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=300, deadline=None)
+def test_reach_is_the_least_float_whose_sum_reaches_the_bound(b, h, near, sign):
+    # Where the run follows a body end: the least c with c + h >= b in float
+    # arithmetic, h often within a relative 1e-9 of b, where c is far finer
+    # than the spacing at b.
+    for h in (h, sign * b * (1.0 - near)):
+        c = simulator._reach((b, math.inf), 0, h)
+        assert c + h >= b
+        assert math.nextafter(c, -math.inf) + h < b
+    assert simulator._reach((b, math.inf), -1, h) == -math.inf
+    assert simulator._reach((b, math.inf), 1, h) == math.inf
 
 
 # --- orientation sweep ----------------------------------------------------------------
