@@ -180,16 +180,17 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     verified against it and far exceeds it in practice.
 
     When all three loads are exactly ``LinearLoad`` (a subclass may
-    override ``inverse``), the walk's F, the bracket torques, the slope
-    check and the output speeds are computed from their twelve fields, read
-    once, in the order of ``LinearLoad.inverse``, ``torque`` and ``slope``:
-    the same bits as the method calls, without their cost.  Each probe's
-    three inverses are its output speeds, and F is their mean minus the
-    target, so when the walk ends the solve the speeds and the residual
-    checked against SOLVE_TOL are those of the probe it keeps, computed
-    once.  Where the walk keeps a zero of the other sign, or the bracketed
-    search ends the solve, they are computed at the torque kept.  Other
-    loads are called through their methods; both take the same search.
+    override ``inverse``), the walk's F, the bracket torques and the slope
+    check are computed from their twelve fields, read once, in the order
+    of ``LinearLoad.inverse``, ``torque`` and ``slope``: the same bits as
+    the method calls, without their cost.  Each probe's three inverses are
+    its output speeds, and F is their mean minus the target, so when the
+    walk ends the solve the speeds and the residual checked against
+    SOLVE_TOL are those of the probe it keeps, computed once.  Where the
+    walk keeps a zero of the other sign, or the bracketed search ends the
+    solve, the loads' ``inverse`` methods give them at the torque kept, for
+    every load type.  Other loads are called through their methods; both
+    take the same search.
 
     Raises NonMonotoneLoad for a non-increasing curve and NoBracket if the
     bracket cannot be established within MAX_WIDENINGS widenings, each
@@ -318,12 +319,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
             residual = _mean_inverse(loads, target)
         tau, iterations = _bracketed_root(residual, lo, hi)
     if speeds is None:
-        if linear:
-            w0 = ((tau - o0) / k0 + g0) / r0
-            w1 = ((tau - o1) / k1 + g1) / r1
-            w2 = ((tau - o2) / k2 + g2) / r2
-        else:
-            w0, w1, w2 = load0.inverse(tau), load1.inverse(tau), load2.inverse(tau)
+        w0, w1, w2 = load0.inverse(tau), load1.inverse(tau), load2.inverse(tau)
         speeds = (w0, w1, w2)
         mean_residual = (0.0 + w0 + w1 + w2) / 3.0 - target
     scale = abs(target) if abs(target) > 1.0 else 1.0  # max(1.0, |target|), without the call

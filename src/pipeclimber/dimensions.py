@@ -9,7 +9,6 @@ network.  Designators accept a few spellings: "6", "NPS 6", 6, "1-1/2",
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 
 from .errors import UnknownSize
 
@@ -46,6 +45,10 @@ def _normalize_schedule(schedule) -> str:
 
 @lru_cache(maxsize=1)
 def _load_table() -> dict:
+    # Imported here: it pulls in zipfile, tempfile and shutil, which a run
+    # that gives inner_radius_mm never needs.
+    from importlib import resources
+
     table = {}
     text = resources.files(__package__).joinpath("data", _TABLE_RESOURCE).read_text()
     for line in text.splitlines():

@@ -398,15 +398,12 @@ def _constants(record: SimRecord) -> list:
     ]
 
 
-def _row_template(record: SimRecord, pieces, fmt: str, path) -> bytes:
-    """The %-template of each row of a centre segment's run: its constant
-    fields formatted, ``t`` and ``s`` two slots.  A non-finite value, which
-    JSON cannot hold, raises SimulationError in either format."""
+def _row_template(record: SimRecord, piece, fmt: str, path) -> bytes:
+    """The %-template of each row of a centre segment's run, ``piece``: its
+    constant fields formatted, ``t`` and ``s`` two slots.  A non-finite
+    value, which JSON cannot hold, raises SimulationError in either format."""
     constants = _constants(record)
-    t_finite = s_finite = True
-    for piece in pieces:
-        t_ok, s_ok = piece.finite()
-        t_finite, s_finite = t_finite and t_ok, s_finite and s_ok
+    t_finite, s_finite = piece.finite()
     for name, finite in (("t_s", t_finite), ("s_mm", s_finite),
                          *zip(CSV_COLUMNS[2:], map(math.isfinite, constants))):
         if not finite:
@@ -442,15 +439,15 @@ def emit_records(records: Records, fmt: str, path) -> None:
     """
     if fmt not in _LAYOUTS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    runs = [(_row_template(record, pieces, fmt, path), pieces)
-            for record, pieces in zip(records.values, records.pieces)]
+    runs = [(_row_template(record, piece, fmt, path), piece)
+            for record, piece in zip(records.values, records.pieces)]
     head, sep, end, empty_end = _LAYOUTS[fmt]
 
     def chunks():
         yield head
         lead = b"\n"
-        for template, pieces in runs:
-            for flat in piece_rows(pieces, _CHUNK_ROWS):
+        for template, piece in runs:
+            for flat in piece_rows(piece, _CHUNK_ROWS):
                 yield (lead + template + (sep + template) * (len(flat) // 2 - 1)) % tuple(flat)
                 lead = sep
         yield end if len(records) else empty_end

@@ -24,8 +24,8 @@ there, in closed form from the float arithmetic of repeated adds: a run
 costs per segment, not per row.
 
 Records are a ``Records`` table: the record of each centre segment visited
-once, with its rows as ``Piece`` progressions of ``t`` and ``s`` and the row
-where the centre leaves it.  ``summarize`` reads the pieces' starts and
+once, with its rows as one ``Piece`` progression of ``t`` and ``s`` and the
+row where the centre leaves it.  ``summarize`` reads the pieces' starts and
 takes each segment's three mean track speeds from one pairwise sum of
 copies; the writers build one chunk of rows at a time.
 
@@ -167,24 +167,18 @@ def _finite(x: float, d: float, n: int) -> bool:
                                  or math.isfinite(first_exit(x, d, -math.inf, math.inf, n)[1]))
 
 
-def piece_rows(pieces, size: int):
-    """The rows of ``pieces``, in order, as flat lists of floats, ``t`` and
+def piece_rows(piece: Piece, size: int):
+    """The rows of ``piece``, in order, as flat lists of floats, ``t`` and
     ``s`` interleaved, ``size`` rows to a list (the last may be shorter),
-    with the bits of the columns: one more add starts the next stretch."""
-    flat = []
-    for t, dt, s, ds, rows in pieces:
-        while rows:
-            n = min(rows, size - len(flat) // 2)
-            start = len(flat)
-            flat += repeat(0.0, 2 * n)
-            flat[start::2] = accumulate(repeat(dt, n - 1), initial=t)  # adds in sequence
-            flat[start + 1::2] = accumulate(repeat(ds, n - 1), initial=s)
-            t, s, rows = flat[-2] + dt, flat[-1] + ds, rows - n
-            if len(flat) == 2 * size:
-                yield flat
-                flat = []
-    if flat:
+    with the bits of the columns: one more add starts the next list."""
+    t, dt, s, ds, rows = piece
+    while rows:
+        n = min(rows, size)
+        flat = [0.0] * (2 * n)
+        flat[::2] = accumulate(repeat(dt, n - 1), initial=t)  # adds in sequence
+        flat[1::2] = accumulate(repeat(ds, n - 1), initial=s)
         yield flat
+        t, s, rows = flat[-2] + dt, flat[-1] + ds, rows - n
 
 
 # The fields after ``t`` and ``s``, which every row of a run shares.
@@ -197,8 +191,8 @@ class Records(Sequence):
 
     Rows with the centre in one segment share every field but ``t`` and
     ``s``, so ``values[j]`` holds the record of the ``j``-th centre segment
-    visited, ``pieces[j]`` its rows as ``Piece`` progressions in row order,
-    and ``run_ends[j]`` is the row where the centre leaves it; all three are
+    visited, ``pieces[j]`` its rows as one ``Piece`` progression, and
+    ``run_ends[j]`` is the row where the centre leaves it; all three are
     tuples, and every run has at least one row.  The columns ``t`` and
     ``s`` are each an ``array('d')``, built on its first read and kept.
     Indexing by row number and iteration give ``SimRecord`` rows, iteration
@@ -207,8 +201,8 @@ class Records(Sequence):
 
     def __init__(self, values, pieces):
         self.values = tuple(values)
-        self.pieces = tuple(map(tuple, pieces))
-        self.run_ends = tuple(accumulate(sum(p.rows for p in run) for run in self.pieces))
+        self.pieces = tuple(pieces)
+        self.run_ends = tuple(accumulate(p.rows for p in self.pieces))
 
     def __len__(self) -> int:
         return self.run_ends[-1] if self.run_ends else 0
@@ -217,13 +211,13 @@ class Records(Sequence):
     def t(self) -> array:
         """Time (s) per row."""
         return array("d", itertools.chain.from_iterable(
-            accumulate(repeat(p.dt, p.rows - 1), initial=p.t) for run in self.pieces for p in run))
+            accumulate(repeat(p.dt, p.rows - 1), initial=p.t) for p in self.pieces))
 
     @functools.cached_property
     def s(self) -> array:
         """Centre arc length (mm) per row."""
         return array("d", itertools.chain.from_iterable(
-            accumulate(repeat(p.ds, p.rows - 1), initial=p.s) for run in self.pieces for p in run))
+            accumulate(repeat(p.ds, p.rows - 1), initial=p.s) for p in self.pieces))
 
     def __getitem__(self, key):
         row = range(len(self))[operator.index(key)]  # IndexError past either end
@@ -231,9 +225,9 @@ class Records(Sequence):
         return SimRecord(self.t[row], self.s[row], *_shared(value))
 
     def __iter__(self):
-        for value, pieces in zip(self.values, self.pieces):
+        for value, piece in zip(self.values, self.pieces):
             shared = _shared(value)
-            for flat in piece_rows(pieces, 256):  # any size; this one bounds the lists
+            for flat in piece_rows(piece, 256):  # any size; this one bounds the lists
                 for t_row, s_row in zip(flat[::2], flat[1::2]):
                     yield SimRecord(t_row, s_row, *shared)
 
@@ -432,6 +426,17 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     the centre leaves its segment or the time budget runs out, and its
     ``(t, s)``.  There the run checks the float range, then the time
     budget, then the network end, then the network start.
+
+    Each centre segment visited is one ``Piece``, sized by one
+    ``first_exit`` call over ``count = int((limit - t) / dt) + 2`` rows,
+    which always reach the time budget ``limit``.  ``run`` expects a
+    validated scenario, as ``parse_scenario`` and ``sweep_orientation``'s
+    caller give it, so ``limit / dt`` is within ``Scenario.validate``'s cap
+    on the rows of a run.  Each add of ``dt`` to ``t`` errs by at most half
+    an ulp of a value below ``limit + 2·dt`` (Goldberg 1991, §1.2), and
+    subnormal adds are exact, so ``count`` adds fall short of
+    ``t + count·dt`` by less than about 1e-4·``dt``: the time column
+    reaches ``limit`` within ``count`` rows.
     """
     network, robot = scenario.network, scenario.robot
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
@@ -451,7 +456,7 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
         except (KeyError, AsymmetryLimit):
             failing.add((front, rear))
     solved = {}  # centre curvature -> the record ``step`` solved there
-    values, pieces = [], []  # per centre segment visited: its record, its rows' pieces
+    values, pieces = [], []  # per centre segment visited: its record, its rows' piece
 
     t = s = 0.0
     while True:
@@ -476,32 +481,26 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             record = SimRecord(t, s, index, *_shared(record)[1:])
         w0, w1, w2 = record.track_speeds
         ds = dt * (0.0 + w0 + w1 + w2) / 3.0
-        run_pieces = []
-        values.append(record)
-        pieces.append(run_pieces)
-        # The centre stays in this segment while low <= s < high.
+        # The centre stays in this segment while low <= s < high.  The rows
+        # run to the time budget; the margin covers rounding.  A robot that
+        # does not advance (ds underflows to 0, or the solve leaves a tiny
+        # negative mean speed) runs on the time budget alone.
         low, high = bounds[index - 1] if index else 0.0, bounds[index]
-        while True:
-            # Rows up to the time budget; the margin covers rounding, and a
-            # short guess only adds a piece.  A robot that does not advance
-            # (ds underflows to 0, or the solve leaves a tiny negative mean
-            # speed) runs on the time budget alone.
-            count = int(min((limit - t) / dt, MAX_STEPS)) + 2
-            # The run leaves this segment at the first row over budget or
-            # with the centre elsewhere; row 0, (t, s), is neither.
-            k, s_next = first_exit(s, ds, low, high, count)
-            k_t, t_next = first_exit(t, dt, -math.inf, limit, k)
-            if k_t < k:  # over budget first
-                k, s_next = k_t, first_exit(s, ds, low, high, k_t)[1]
-            if failing:
-                _check_rows(scenario, failing, s, ds, k)
-            run_pieces.append(Piece(t, dt, s, ds, k))
-            t, s = t_next, s_next
-            if not math.isfinite(s):  # the sum carries inf or NaN on to this row
-                raise SimulationError(f"arc length left the float range ({s} mm) at {t} s: "
-                                      f"dt_s ({dt}) times the track speed is too large")
-            if not (t < limit and low <= s < high):
-                break
+        count = int((limit - t) / dt) + 2
+        # The run leaves this segment at the first row over budget or with
+        # the centre elsewhere; row 0, (t, s), is neither.
+        k, s_next = first_exit(s, ds, low, high, count)
+        k_t, t_next = first_exit(t, dt, -math.inf, limit, k)
+        if k_t < k:  # over budget first
+            k, s_next = k_t, first_exit(s, ds, low, high, k_t)[1]
+        if failing:
+            _check_rows(scenario, failing, s, ds, k)
+        values.append(record)
+        pieces.append(Piece(t, dt, s, ds, k))
+        t, s = t_next, s_next
+        if not math.isfinite(s):  # the sum carries inf or NaN on to this row
+            raise SimulationError(f"arc length left the float range ({s} mm) at {t} s: "
+                                  f"dt_s ({dt}) times the track speed is too large")
     records = Records(values, pieces)
     return records, summarize(records, scenario, t, s)
 
@@ -559,11 +558,6 @@ def means_of_copies(v: tuple, n: int) -> tuple:
     return (0.0 + x) / n, (0.0 + y) / n, (0.0 + z) / n
 
 
-def mean_of_copies(v: float, n: int) -> float:
-    """``float(np.mean(np.full(n, v)))``, as ``means_of_copies``."""
-    return means_of_copies((v, v, v), n)[0]
-
-
 def summarize(records: Records, scenario: Scenario, finish_time: float,
               final_s: float) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics; the run
@@ -573,8 +567,8 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
     segments, values = scenario.network.segments, records.values
     segment_stats = []
     worst_a = worst_b = worst_c = 0.0
-    # Each run's first row starts a piece, and the next run's is its exit.
-    starts = [run[0].t for run in records.pieces] + [finish_time]
+    # Each run's first row starts its piece, and the next run's is its exit.
+    starts = [piece.t for piece in records.pieces] + [finish_time]
     first = 0
     for pos, (value, end) in enumerate(zip(values, records.run_ends)):
         index = value.segment_index

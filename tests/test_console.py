@@ -143,3 +143,26 @@ def test_no_command_imports_numpy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script, str(FOUR_SECTION), str(tmp_path)],
                             capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_only_a_pipe_size_lookup_imports_importlib_resources(tmp_path):
+    # Under -S no site hook imports it first.  A run that gives
+    # inner_radius_mm never reads the bundled NPS table, so it leaves
+    # importlib.resources (and the zipfile, tempfile and shutil it pulls in)
+    # unimported; a run by nps and schedule, and ``dims``, still find the table.
+    script = """if True:
+        import sys
+        import pipeclimber.cli
+        straight, four_section, out = sys.argv[1:]
+        assert pipeclimber.cli.main(["run", straight, "--out", out + "/straight"]) == 0
+        assert "importlib.resources" not in sys.modules
+        assert pipeclimber.cli.main(["run", four_section, "--out", out + "/four"]) == 0
+        assert pipeclimber.cli.main(["dims", "6", "40"]) == 0
+        assert "importlib.resources" in sys.modules
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-S", "-c", script,
+                             str(ROOT / "scenarios" / "straight_run.json"), str(FOUR_SECTION),
+                             str(tmp_path)],
+                            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert result.returncode == 0, result.stderr

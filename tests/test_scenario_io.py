@@ -44,7 +44,7 @@ from pipeclimber import (
 import pipeclimber.scenario_io as scenario_io
 from pipeclimber.scenario_io import _CHUNK_ROWS, SCHEMA
 from conftest import make_four_section_scenario
-from oracles import write_rows
+from oracles import built_rows, write_rows
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -494,43 +494,58 @@ def test_emitting_records_builds_no_row_objects(monkeypatch, tmp_path, fmt):
     assert built == []
 
 
-def table(runs, t, s, segment_index=0, constants=(1.0,) * 13):
-    """A hand-built ``Records``: one centre-segment run per entry of ``runs``
-    (its row count), the ``t`` and ``s`` columns tiled from the values given
-    and the run's constant fields, the segment index counting up.  Each row
-    is a one-row ``Piece``, so the columns hold any values."""
-    rows = sum(runs)
+def table(visits, segment_index=0, constants=(1.0,) * 13):
+    """A hand-built ``Records``: one centre-segment visit per ``Piece`` of
+    ``visits``, each with the run's constant fields and the segment index
+    counting up."""
     values = [SimRecord(0.0, 0.0, segment_index + j, *(tuple(constants[i:i + 3])
                                                        for i in range(0, 12, 3)), constants[12])
-              for j in range(len(runs))]
-    pieces = [Piece(t_row, 0.0, s_row, 0.0, 1)
-              for t_row, s_row in zip(np.resize(np.array(t, dtype=float), rows).tolist(),
-                                      np.resize(np.array(s, dtype=float), rows).tolist())]
-    ends = np.cumsum(runs).tolist()
-    return Records(values, [pieces[end - n:end] for n, end in zip(runs, ends)])
+              for j in range(len(visits))]
+    return Records(values, visits)
+
+
+def cumsum_rows(records):
+    """``records``' rows, their ``t`` and ``s`` from ``built_rows``'
+    ``np.cumsum``, not from the table's own iteration."""
+    rows = []
+    for value, piece in zip(records.values, records.pieces):
+        ts, ss = built_rows(piece)
+        rows += [dataclasses.replace(value, t=t_row, s=s_row)
+                 for t_row, s_row in zip(ts.tolist(), ss.tolist())]
+    return rows
 
 
 RUN_LENGTHS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS)
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                1.7976931348623157e308, 1 / 3, 1e-7, 123456789.5)
 finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+edges = st.sampled_from(EDGE_FLOATS)
+# A one-row visit holds any values; a longer one is a progression whose
+# rows end inside a chunk, at its end and one row past it.
+visits = st.one_of(st.builds(Piece, finite, finite, finite, finite, st.just(1)),
+                   st.builds(Piece, edges, edges, edges, edges, st.sampled_from(RUN_LENGTHS)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(runs=st.lists(st.sampled_from(RUN_LENGTHS), min_size=1, max_size=3),
-       t=st.lists(finite, min_size=1, max_size=5), s=st.lists(finite, min_size=1, max_size=5),
-       segment_index=st.integers(0, 10**6),
+@settings(max_examples=60, deadline=None)
+@given(visits=st.lists(visits, min_size=1, max_size=4), segment_index=st.integers(0, 10**6),
        constants=st.lists(finite, min_size=13, max_size=13))
-def test_emitted_bytes_match_a_row_by_row_writer(tmp_path_factory, runs, t, s, segment_index,
+def test_emitted_bytes_match_a_row_by_row_writer(tmp_path_factory, visits, segment_index,
                                                  constants):
-    # Chunks end inside a run, at its end and one row past it; the floats
-    # take in signed zeros, subnormals and the ends of the float range.
-    records = table(runs, t, s, segment_index, constants)
+    # The floats take in signed zeros, subnormals and the ends of the float
+    # range; a progression that leaves it raises before the file opens.
+    records = table(visits, segment_index, constants)
+    rows = cumsum_rows(records)
     folder = tmp_path_factory.mktemp("rows")
     for fmt in ("csv", "json"):
-        emit_records(records, fmt, folder / f"table.{fmt}")
-        write_rows(records, fmt, folder / f"rows.{fmt}")
-        assert (folder / f"table.{fmt}").read_bytes() == (folder / f"rows.{fmt}").read_bytes()
+        target = folder / f"table.{fmt}"
+        if not all(math.isfinite(row.t) and math.isfinite(row.s) for row in rows):
+            with pytest.raises(SimulationError, match="is not finite"):
+                emit_records(records, fmt, target)
+            assert not target.exists()
+            continue
+        emit_records(records, fmt, target)
+        write_rows(rows, fmt, folder / f"rows.{fmt}")
+        assert target.read_bytes() == (folder / f"rows.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -538,12 +553,14 @@ def test_emitted_bytes_match_a_row_by_row_writer(tmp_path_factory, runs, t, s, s
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_records_raise_before_the_file_opens(tmp_path, fmt, column, bad):
     # ``%r`` writes nan and inf where json writes NaN and Infinity, which
-    # standard JSON cannot hold either.
+    # standard JSON cannot hold either.  The bad value starts the second
+    # visit's column, or is the constant the visits share.
     t, s, constants = [0.0, 1.0], [0.0, 2.0], [1.0] * 13
     {"t": t, "s": s, "constant": constants}[column][-1] = bad
+    visits = [Piece(t[0], 0.5, s[0], 0.5, 1), Piece(t[1], 0.5, s[1], 0.5, 2)]
     target = tmp_path / f"records.{fmt}"
     with pytest.raises(SimulationError, match=str(target)):
-        emit_records(table([1, 2], t, s, constants=constants), fmt, target)
+        emit_records(table(visits, constants=constants), fmt, target)
     assert not target.exists()
 
 
@@ -553,15 +570,14 @@ def test_a_progression_that_overflows_raises_before_the_file_opens(tmp_path, fmt
     # the writer the walk to a piece's last row.  A column that ends just
     # short of inf, past that bound, is written as a row-by-row writer
     # writes it.
-    record = table([1], [0.0], [0.0]).values[0]
-    overflowing = Records([record], [[Piece(0.0, 0.01, 0.0, 1e307, 20)]])
+    overflowing = table([Piece(0.0, 0.01, 0.0, 1e307, 20)])
     target = tmp_path / f"records.{fmt}"
     with pytest.raises(SimulationError, match=f"{target}: s_mm is not finite"):
         emit_records(overflowing, fmt, target)
     assert not target.exists()
-    near_the_top = Records([record], [[Piece(0.0, 0.01, 1e308, 4e306, 20)]])
+    near_the_top = table([Piece(0.0, 0.01, 1e308, 4e306, 20)])
     emit_records(near_the_top, fmt, target)
-    write_rows(near_the_top, fmt, tmp_path / f"rows.{fmt}")
+    write_rows(cumsum_rows(near_the_top), fmt, tmp_path / f"rows.{fmt}")
     assert target.read_bytes() == (tmp_path / f"rows.{fmt}").read_bytes()
 
 
@@ -572,7 +588,9 @@ def test_emitting_holds_one_chunk_of_text_at_a_time(tmp_path, fmt):
     # file's 8 kB text buffer in and out of the peak, hence the margin; the
     # whole text of 10,000 rows would be over ten times the peak.
     def peak(rows):
-        records = table([rows // 4, rows // 2, rows // 4], [0.1, 1 / 3, 7e-5], [2.5, 1e3])
+        records = table([Piece(0.1, 1 / 3, 2.5, 1e3, rows // 4),
+                         Piece(1 / 3, 7e-5, 1e3, 2.5, rows // 2),
+                         Piece(7e-5, 0.1, 2.5, 1e3, rows // 4)])
         tracemalloc.start()
         try:
             emit_records(records, fmt, tmp_path / f"records.{fmt}")

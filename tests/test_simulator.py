@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pipeclimber.geometry as geometry
@@ -36,7 +36,7 @@ from pipeclimber import (
 )
 from conftest import make_four_section_scenario, make_robot
 import oracles
-from oracles import contact_path_speeds, stepwise_run, write_rows
+from oracles import built_rows, contact_path_speeds, stepwise_run, write_rows
 
 
 def straight_only_scenario(length=500.0, **overrides):
@@ -303,24 +303,12 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert fine_rows > 9 * coarse_rows
 
 
-@pytest.mark.parametrize("max_steps", [1, 2, 5])
-def test_fills_cut_short_give_the_same_table(monkeypatch, max_steps):
-    # A fill sized by MAX_STEPS stops short and extends, so rows where the
-    # body's front or rear crosses a boundary also fall where a fill extends.
-    scenario = make_four_section_scenario(dt_s=0.1)
-    records, summary = run(scenario)
-    monkeypatch.setattr(simulator, "MAX_STEPS", max_steps)
-    short, short_summary = run(scenario)
-    assert short == records and short_summary == summary
-    assert short.values == records.values  # each segment's run starts on the same row
-    assert short.run_ends == records.run_ends
-
-
 def test_records_table_reads_like_a_list_of_rows(four_section_scenario):
     records, _ = run(four_section_scenario)
     rows = list(records)
     assert len(records) == len(rows) == 4528
-    assert len(records.values) == 4
+    assert len(records.values) == len(records.pieces) == 4  # one piece per centre segment visited
+    assert all(type(piece) is simulator.Piece for piece in records.pieces)
     assert all(type(row.t) is float and type(row.s) is float for row in rows[:3])
     for index in (0, 1, 1234, -1, -len(rows)):
         assert records[index] == rows[index]
@@ -440,8 +428,9 @@ def _check_against_stepping(scenario, folder):
     # complete or cut short by the time budget.
     if records is not None:
         assert list(records) == rows
-        # One record per centre segment visited, whose run ends where the
-        # centre's segment changes.
+        # One record and one piece per centre segment visited, whose run
+        # ends where the centre's segment changes.
+        assert len(records.pieces) == len(records.values)
         assert all(a.segment_index != b.segment_index
                    for a, b in zip(records.values, records.values[1:]))
         centre = [geometry.segment_at(scenario.network, s) for s in records.s]
@@ -471,13 +460,12 @@ def test_run_matches_stepping_when_the_robot_barely_moves(tmp_path, input_speed)
     # The front leaves the bend 10 mm before the centre does.
     ([Bend(300.0, 30.0), Straight(400.0)], 300.0 * math.radians(30.0) - 10.0),
 ])
-# Fills cut short by MAX_STEPS put the tilting row first in a fill at some size.
-@pytest.mark.parametrize("max_steps", [simulator.MAX_STEPS, *range(1, 9)])
-def test_a_tilt_met_between_solves_raises_within_the_time_budget(monkeypatch, tmp_path,
-                                                                 segments, tilt_at_mm,
-                                                                 max_steps):
+def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segments,
+                                                                 tilt_at_mm):
     # A 20 mm body with one end 10 mm deeper into a bend tilts past its
-    # limit; the time budget runs out before the centre's next segment.
+    # limit; the time budget runs out before the centre's next segment.  The
+    # failing row is the first of a visit in the first network and inside
+    # one in the second.
     scenario = make_four_section_scenario(
         network=build_network(segments, 77.0),
         robot=make_robot(length_mm=20.0, preload_mm=2.0),
@@ -485,7 +473,6 @@ def test_a_tilt_met_between_solves_raises_within_the_time_budget(monkeypatch, tm
         max_time_s=tilt_at_mm / 50.0 + 0.1,
     )
     scenario.validate()
-    monkeypatch.setattr(simulator, "MAX_STEPS", max_steps)
     assert _check_against_stepping(scenario, tmp_path) is AsymmetryLimit
 
 
@@ -580,18 +567,23 @@ def numpy_mean(v, n):
         return float(np.mean(np.full(n, v)))
 
 
+def means_of_one(v, n):
+    """``means_of_copies`` with ``v`` on every track, each lane's bits as hex."""
+    return [m.hex() for m in simulator.means_of_copies((v, v, v), n)]
+
+
 @pytest.mark.parametrize("n", BLOCK_EDGES)
-def test_mean_of_copies_has_the_bits_of_numpys_mean_at_the_block_edges(n):
+def test_means_of_copies_have_the_bits_of_numpys_mean_at_the_block_edges(n):
     for v in MEAN_VALUES:
-        assert simulator.mean_of_copies(v, n).hex() == numpy_mean(v, n).hex(), v
+        assert means_of_one(v, n) == [numpy_mean(v, n).hex()] * 3, v
 
 
 @given(v=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(MEAN_VALUES),
        n=st.integers(1, 10**6))
 @settings(max_examples=200, deadline=None)
-def test_mean_of_copies_has_the_bits_of_numpys_mean(v, n):
+def test_means_of_copies_have_the_bits_of_numpys_mean(v, n):
     # .hex() tells -0.0 from 0.0.
-    assert simulator.mean_of_copies(v, n).hex() == numpy_mean(v, n).hex()
+    assert means_of_one(v, n) == [numpy_mean(v, n).hex()] * 3
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 1000])
@@ -601,9 +593,8 @@ def test_the_three_track_sum_keeps_each_tracks_bits(n):
     for i in range(len(MEAN_VALUES)):
         speeds = tuple(MEAN_VALUES[(i + j) % len(MEAN_VALUES)] for j in range(3))
         means = simulator.means_of_copies(speeds, n)
-        assert [m.hex() for m in means] == [simulator.mean_of_copies(v, n).hex()
-                                            for v in speeds] == [numpy_mean(v, n).hex()
-                                                                 for v in speeds], speeds
+        assert [m.hex() for m in means] == [means_of_one(v, n)[0] for v in speeds] == [
+            numpy_mean(v, n).hex() for v in speeds], speeds
 
 
 @pytest.mark.parametrize("speeds", [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0,) * 3,
@@ -643,7 +634,7 @@ def test_summarize_allocates_no_array_of_rows():
 
 def test_run_allocates_no_array_of_rows(tmp_path):
     # Memory, not time: from dt_s 0.05 to 0.0005 the rows grow 100-fold.
-    # ``run`` keeps a few pieces per segment and no column, so its peak
+    # ``run`` keeps one piece per segment visited and no column, so its peak
     # stays put; the writers build one chunk of rows at a time, so theirs
     # stay put too.  The t and s of the shortest run at the fine step, as
     # float64, would take 224 kB.
@@ -667,8 +658,8 @@ def test_run_allocates_no_array_of_rows(tmp_path):
             return sum(isinstance(value, array) for value in vars(records).values())
 
         assert arrays() == 0  # emitting built no column either
-        assert all(type(value) is float for run_pieces in records.pieces for piece in run_pieces
-                   for value in piece[:4])
+        assert len(records.pieces) == len(records.values)
+        assert all(type(value) is float for piece in records.pieces for value in piece[:4])
         assert len(records.t) == len(records)
         assert arrays() == 1  # t, built on its first read and kept
         return ran, emitted, min(np.diff((0, *records.run_ends)))
@@ -836,11 +827,30 @@ def test_first_exit_matches_cumsum_progression(case):
     assert (k, value.hex()) == (expected_k, expected.hex())
 
 
-def built_rows(piece):
-    """``piece``'s (t, s) rows from ``np.cumsum``, overflow allowed."""
-    t, s = ([x, *[d] * (piece.rows - 1)] for x, d in ((piece.t, piece.dt), (piece.s, piece.ds)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumsum(t), np.cumsum(s)
+@st.composite
+def time_budgets(draw):
+    """(t, dt, limit) of a validated scenario's time grid: ``limit`` from
+    the subnormals at 2**-1070 up to 2**1020, ``dt`` below it with
+    ``limit / dt`` up to MAX_STEPS, and ``t`` anywhere in ``[0, limit)``."""
+    limit = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(-1070, 1020)))
+    most = simulator.MAX_STEPS
+    dt = limit / draw(st.floats(1.0, most) | st.sampled_from([most, 1.5, 2.0]))
+    assume(0.0 < dt < limit and limit / dt <= most)
+    t = draw(st.sampled_from([0.0, math.nextafter(limit, 0.0)])
+             | st.floats(0.0, 1.0, exclude_max=True).map(lambda f: f * limit))
+    assume(t < limit)
+    return t, dt, limit
+
+
+@given(grid=time_budgets())
+@example(grid=(0.0, 1.25e-06, 1.25))  # a million adds fall short of 1.25: one spare row
+@settings(max_examples=300, deadline=None)
+def test_a_visits_row_count_always_reaches_the_time_budget(grid):
+    # ``run`` sizes each centre segment's visit, one piece, with this count.
+    t, dt, limit = grid
+    count = int((limit - t) / dt) + 2
+    k, t_end = simulator.first_exit(t, dt, -math.inf, limit, count)
+    assert t_end >= limit, (k, count)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
