@@ -548,6 +548,20 @@ def test_emitted_bytes_match_a_row_by_row_writer(tmp_path_factory, visits, segme
         assert target.read_bytes() == (folder / f"rows.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 2, 5])
+def test_chunks_cut_short_give_the_same_table(monkeypatch, tmp_path, chunk_rows):
+    # Chunks of a few rows end inside every visit of a run, so each visit's
+    # last row falls on, or just past, a chunk's end; each chunk goes on
+    # from the last row of the one before.
+    records, _ = run(make_four_section_scenario(dt_s=0.1))
+    monkeypatch.setattr(scenario_io, "_CHUNK_ROWS", chunk_rows)
+    rows = cumsum_rows(records)
+    for fmt in ("csv", "json"):
+        emit_records(records, fmt, tmp_path / f"table.{fmt}")
+        write_rows(rows, fmt, tmp_path / f"rows.{fmt}")
+        assert (tmp_path / f"table.{fmt}").read_bytes() == (tmp_path / f"rows.{fmt}").read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("column", ["t", "s", "constant"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

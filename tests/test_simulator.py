@@ -460,8 +460,11 @@ def test_run_matches_stepping_when_the_robot_barely_moves(tmp_path, input_speed)
     # The front leaves the bend 10 mm before the centre does.
     ([Bend(300.0, 30.0), Straight(400.0)], 300.0 * math.radians(30.0) - 10.0),
 ])
+# The budget ends on a row a few before or after the failing one, or (None)
+# 0.1 s after it: a budget ending on or before that row runs out first.
+@pytest.mark.parametrize("budget_row", [None, -3, -2, -1, 0, 1, 2, 3])
 def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segments,
-                                                                 tilt_at_mm):
+                                                                 tilt_at_mm, budget_row):
     # A 20 mm body with one end 10 mm deeper into a bend tilts past its
     # limit; the time budget runs out before the centre's next segment.  The
     # failing row is the first of a visit in the first network and inside
@@ -473,7 +476,21 @@ def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segme
         max_time_s=tilt_at_mm / 50.0 + 0.1,
     )
     scenario.validate()
-    assert _check_against_stepping(scenario, tmp_path) is AsymmetryLimit
+    # The same run with no tilt limit passes the failing row: the first
+    # with one end in a bend and the other not.
+    untilted = replace(scenario, robot=replace(scenario.robot, max_asym_deg=math.inf))
+    records, _, error = _outcome(run, untilted)
+    assert error[0] is MaxTimeExceeded
+    network, half = scenario.network, scenario.robot.length_mm / 2.0
+    failing = next(row for row, record in enumerate(records)
+                   if (network.curvatures[geometry.segment_at(network, record.s + half)] != 0.0)
+                   != (network.curvatures[geometry.segment_at(network, record.s - half)] != 0.0))
+    assert (failing in (0, *records.run_ends)) == (len(segments) == 3)
+    expected = AsymmetryLimit
+    if budget_row is not None:
+        scenario = replace(scenario, max_time_s=records[failing + budget_row].t)
+        expected = MaxTimeExceeded if budget_row <= 0 else AsymmetryLimit
+    assert _check_against_stepping(scenario, tmp_path) is expected
 
 
 def test_a_robot_that_slides_back_past_the_start_is_out_of_range(monkeypatch, tmp_path):
