@@ -166,6 +166,5 @@ def tractive_effort_and_torque(
     params: RobotParams, compression_mm: float | None = None
 ) -> tuple[float, float]:
     """(tractive effort N, sprocket torque N*m) for vertical climbing."""
-    x = (params.preload_mm if compression_mm is None else compression_mm) / 1000.0
-    effort = params.mass_kg * GRAVITY - params.springs * params.friction * params.spring_n_per_m * x
+    effort = params.mass_kg * GRAVITY - traction_force(params, compression_mm)
     return effort, effort * (params.sprocket_radius_mm / 1000.0)

@@ -386,23 +386,12 @@ def write_sweep(entries, path) -> None:
     _write_text(_sweep_text, entries, path)
 
 
-def _constants(record: SimRecord) -> list:
-    """Every field but ``t`` and ``s``, in column order."""
-    return [
-        record.segment_index,
-        *record.track_speeds,
-        *record.required_speeds,
-        *record.slip,
-        *record.compressions,
-        record.common_torque,
-    ]
-
-
 def _row_template(record: SimRecord, piece, fmt: str, path) -> bytes:
     """The %-template of each row of a centre segment's run, ``piece``: its
     constant fields formatted, ``t`` and ``s`` two slots.  A non-finite
     value, which JSON cannot hold, raises SimulationError in either format."""
-    constants = _constants(record)
+    constants = [record.segment_index, *record.track_speeds, *record.required_speeds,
+                 *record.slip, *record.compressions, record.common_torque]  # column order
     t_finite, s_finite = piece.finite()
     for name, finite in (("t_s", t_finite), ("s_mm", s_finite),
                          *zip(CSV_COLUMNS[2:], map(math.isfinite, constants))):
@@ -456,6 +445,7 @@ def emit_records(records: Records, fmt: str, path) -> None:
 
 
 def summary_to_dict(summary) -> dict:
-    """Plain-dict view of a SimSummary for JSON output: ``dataclasses.asdict``'s
-    value, without its deep copy of every field."""
+    """Plain-dict view of a SimSummary: ``dataclasses.asdict``'s value, without
+    its deep copy.  No writer calls it; the tests check that ``summary.json``
+    and ``sweep.json`` hold its ``json.dumps(..., indent=1)`` byte for byte."""
     return dict(vars(summary), segments=tuple(dict(vars(seg)) for seg in summary.segments))

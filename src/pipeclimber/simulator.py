@@ -25,9 +25,9 @@ costs per segment, not per row.
 
 Records are a ``Records`` table: the record of each centre segment visited
 once, with its rows as one ``Piece`` progression of ``t`` and ``s`` and the
-row where the centre leaves it.  ``summarize`` reads the pieces' starts and
-takes each segment's three mean track speeds from one pairwise sum of
-copies; the writers build one chunk of rows at a time.
+row where the centre leaves it.  ``summarize`` reads each visit's piece for
+its entry time and row count, and takes its three mean track speeds from one
+pairwise sum of copies; the writers build one chunk of rows at a time.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -168,9 +168,9 @@ def _finite(x: float, d: float, n: int) -> bool:
 
 
 def piece_rows(piece: Piece, size: int):
-    """The rows of ``piece``, in order, as flat lists of floats, ``t`` and
-    ``s`` interleaved, ``size`` rows to a list (the last may be shorter),
-    with the bits of the columns: one more add starts the next list."""
+    """The rows of ``piece`` in the writers' chunks: flat lists of floats,
+    ``t`` and ``s`` interleaved, ``size`` rows to a list (the last may be
+    shorter), with the bits of the columns; one more add starts the next."""
     t, dt, s, ds, rows = piece
     while rows:
         n = min(rows, size)
@@ -195,8 +195,9 @@ class Records(Sequence):
     ``run_ends[j]`` is the row where the centre leaves it; all three are
     tuples, and every run has at least one row.  The columns ``t`` and
     ``s`` are each an ``array('d')``, built on its first read and kept.
-    Indexing by row number and iteration give ``SimRecord`` rows, iteration
-    without building the columns; two tables are equal when their rows are.
+    Indexing by row number reads the columns; iteration makes each piece's
+    rows by the same adds and builds no column.  Both give ``SimRecord``
+    rows, and two tables are equal when their rows are.
     """
 
     def __init__(self, values, pieces):
@@ -225,11 +226,11 @@ class Records(Sequence):
         return SimRecord(self.t[row], self.s[row], *_shared(value))
 
     def __iter__(self):
-        for value, piece in zip(self.values, self.pieces):
+        for value, (t, dt, s, ds, rows) in zip(self.values, self.pieces):
             shared = _shared(value)
-            for flat in piece_rows(piece, 256):  # any size; this one bounds the lists
-                for t_row, s_row in zip(flat[::2], flat[1::2]):
-                    yield SimRecord(t_row, s_row, *shared)
+            for t_row, s_row in zip(accumulate(repeat(dt, rows - 1), initial=t),
+                                    accumulate(repeat(ds, rows - 1), initial=s)):
+                yield SimRecord(t_row, s_row, *shared)
 
     def __eq__(self, other):
         if not isinstance(other, Records):
@@ -311,15 +312,6 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
                      compressions, torque)
 
 
-def _check_ends(scenario: Scenario, front: float, rear: float) -> None:
-    """Check the compression under the body's front and rear, at curvatures
-    ``front`` and ``rear``, then the tilt between them.  Only whether each
-    is a bend matters."""
-    robot, extra = scenario.robot, scenario.bend_extra_compression_mm
-    asymmetry_deg(spring_compression(front, robot, extra),
-                  spring_compression(rear, robot, extra), robot)
-
-
 def _reach(bounds: tuple, i: int, h: float) -> float:
     """The least float ``c`` with ``c + h >= b``, ``b = bounds[i]``: -inf for ``i``
     < 0, inf for the last, which ends no segment for ``segment_at``.  ``c + h``
@@ -338,18 +330,21 @@ def _reach(bounds: tuple, i: int, h: float) -> float:
 
 
 def _check_rows(scenario: Scenario, failing: set, s: float, ds: float, rows: int) -> None:
-    """Raise through ``_check_ends`` on the first of ``rows`` rows, ``s`` and
-    then ``ds`` added in sequence, with the body's front and rear on a pair of
-    kinds in ``failing``.  ``s + L/2`` rounds monotonically in ``s``, so the
-    front keeps its segment while ``s`` stays between two ``_reach`` values,
-    and so does the rear: ``first_exit`` finds each row where either moves."""
-    network, half = scenario.network, scenario.robot.length_mm / 2.0
+    """Raise on the first of ``rows`` rows, ``s`` and then ``ds`` added in
+    sequence, with the body's front and rear on a pair of kinds in ``failing``:
+    the springs under each end, then the tilt between them.  ``s + L/2`` rounds
+    monotonically in ``s``, so the front keeps its segment while ``s`` stays
+    between two ``_reach`` values, and so does the rear: ``first_exit`` finds
+    each row where either moves."""
+    network, robot = scenario.network, scenario.robot
     bounds, curvatures = network.cumulative_lengths, network.curvatures
+    half, extra = robot.length_mm / 2.0, scenario.bend_extra_compression_mm
     row = 0
     while True:
         front, rear = segment_at(network, s + half), segment_at(network, s - half)
         if (curvatures[front] != 0.0, curvatures[rear] != 0.0) in failing:
-            _check_ends(scenario, curvatures[front], curvatures[rear])
+            asymmetry_deg(spring_compression(curvatures[front], robot, extra),
+                          spring_compression(curvatures[rear], robot, extra), robot)
         low = max(_reach(bounds, front - 1, half), _reach(bounds, rear - 1, -half))
         high = min(_reach(bounds, front, half), _reach(bounds, rear, -half))
         n, s = first_exit(s, ds, low, high, rows - 1 - row)
@@ -561,27 +556,24 @@ def means_of_copies(v: tuple, n: int) -> tuple:
 def summarize(records: Records, scenario: Scenario, finish_time: float,
               final_s: float) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics; the run
-    ended at ``finish_time`` with the body centre at ``final_s``.  Each
-    segment's run gives its three means, reference speeds and APEs, and
-    each track's worst APE is ``max`` over them in run order."""
-    segments, values = scenario.network.segments, records.values
+    ended at ``finish_time`` with the body centre at ``final_s``.  Each visit
+    runs from its piece's ``t`` to the next's (the last to ``finish_time``)
+    and gives means over its piece's rows, reference speeds and APEs; each
+    track's worst APE is ``max`` over them in run order."""
+    segments, values, pieces = scenario.network.segments, records.values, records.pieces
     segment_stats = []
     worst_a = worst_b = worst_c = 0.0
-    # Each run's first row starts its piece, and the next run's is its exit.
-    starts = [piece.t for piece in records.pieces] + [finish_time]
-    first = 0
-    for pos, (value, end) in enumerate(zip(values, records.run_ends)):
+    exits = itertools.chain((piece.t for piece in pieces[1:]), (finish_time,))
+    for value, piece, exit_time in zip(values, pieces, exits):
         index = value.segment_index
         # The mean over the run's rows of a value they all share, with the
         # bits of np.mean over those rows.
-        means = ma, mb, mc = means_of_copies(value.track_speeds, end - first)
+        means = ma, mb, mc = means_of_copies(value.track_speeds, piece.rows)
         analytic = aa, ab, ac = analytic_track_speeds(scenario, index)
         errors = ea, eb, ec = ape(ma, aa), ape(mb, ab), ape(mc, ac)
         worst_a, worst_b, worst_c = max(worst_a, ea), max(worst_b, eb), max(worst_c, ec)
         kind = "bend" if isinstance(segments[index], Bend) else "straight"
-        segment_stats.append(SegmentStats(index, kind, starts[pos], starts[pos + 1], means,
-                                          analytic, errors))
-        first = end
+        segment_stats.append(SegmentStats(index, kind, piece.t, exit_time, means, analytic, errors))
 
     # Maxima over segments are maxima over rows.
     return SimSummary(tuple(segment_stats), (worst_a, worst_b, worst_c),

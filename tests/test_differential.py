@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipeclimber import (
@@ -148,6 +148,17 @@ def test_unbracketable_root_raises(input_speed, loads):
         solve_torque_balance(input_speed, loads, UNIT)
 
 
+def test_a_non_finite_solve_raises_and_never_returns():
+    # offset / stiffness overflows on every track, so the closed-form root is
+    # inf / inf, NaN, and starts at the bracket's top.  Plain bisection ends
+    # on the speeds (inf, -inf, -inf), whose mean-speed residual is NaN.
+    loads = [LinearLoad(1e-320, 1.0, 0.0, offset) for offset in (1.0, 2.0, 3.0)]
+    assert bisect_torque_balance(0.0, loads, UNIT).output_speeds == (math.inf, -math.inf,
+                                                                     -math.inf)
+    with pytest.raises(NoBracket, match=r"^bisection stalled with mean-speed residual nan$"):
+        solve_torque_balance(0.0, loads, UNIT)
+
+
 def test_a_bracket_end_at_infinity_is_bisected_at_ordered_keys():
     # The torques at the target overflow to -inf and +inf, so every float midpoint is
     # NaN; the midpoints of the ends' ordered keys are finite and find the finite root.
@@ -286,6 +297,13 @@ def test_solver_bits_match_plain_bisection_on_c1_cases():
 
 
 @given(loads=load_triples(), input_speed=st.floats(-20.0, 20.0), config=configs)
+# Two closed-form roots outside the bracket, which the solve clamps into it.
+# The second rounds to one ulp below the bracket's bottom, 1e61 * -1e-117,
+# where every speed is still zero: unclamped, the walk keeps that torque.
+@example(loads=(LinearLoad(1.7e308, 1e300, -0.5, 0.5), LinearLoad(1e-320, 0.5, -0.5, 0.0),
+                LinearLoad(1e10, 0.5, -1.0, 0.0)), input_speed=0.0, config=UNIT)
+@example(loads=(LinearLoad(1e61, 1.0, 1e-117, 0.0), LinearLoad(1e305, 1.0, 0.0, 0.0),
+                LinearLoad(1e68, 1e205, 0.0, 0.0)), input_speed=0.0, config=UNIT)
 @settings(max_examples=200, deadline=None)
 def test_solver_bits_match_plain_bisection_under_any_load(loads, input_speed, config):
     result = solve_torque_balance(input_speed, list(loads), config)

@@ -64,6 +64,13 @@ def test_bad_segments_rejected_with_index(segment):
     assert err.value.index == 1
 
 
+def test_an_unknown_segment_type_is_rejected_with_its_index():
+    with pytest.raises(BadSegment) as err:
+        build_network([object()], inner_radius=77.0)
+    assert (err.value.index, err.value.field) == (0, None)
+    assert str(err.value) == "segment 0: unknown segment kind object"
+
+
 @pytest.mark.parametrize(
     "segments, field",
     [

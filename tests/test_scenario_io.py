@@ -258,6 +258,48 @@ def test_every_schema_key_rejects_bad_values_at_its_path(section, key, path, val
     assert err.value.path == path
 
 
+# Documents whose fault no single key's value shows: each case's edits to
+# the fault document, as (keys to the object, key, value or MISSING), and
+# the path and reason of the error.
+SHAPE_FAULTS = {
+    "empty segment array": ([(["pipe"], "segments", [])],
+                            "pipe.segments", "expected a non-empty array of segments"),
+    "segment object": ([(["pipe"], "segments", {})],
+                       "pipe.segments", "expected a non-empty array of segments"),
+    "unknown kind": ([(["pipe", "segments", 1], "kind", "elbow")],
+                     "pipe.segments[1].kind", "kind must be 'straight' or 'bend', got 'elbow'"),
+    "no kind": ([(["pipe", "segments", 1], "kind", MISSING)],
+                "pipe.segments[1].kind", "kind must be 'straight' or 'bend', got None"),
+    "nps alone": ([(["pipe"], "inner_radius_mm", MISSING), (["pipe"], "nps", "6")],
+                  "pipe", "needs inner_radius_mm or both nps and schedule"),
+    "no bore": ([(["pipe"], "inner_radius_mm", MISSING)],
+                "pipe", "needs inner_radius_mm or both nps and schedule"),
+    # 1e306 rad/s on the 20 mm sprocket is a finite centre speed, but not
+    # the outer track's in a bend whose extent is finite.
+    "bend track speed overflows": (
+        [(["sim"], "input_speed_rad_s", 1e306), (["pipe", "segments", 1], "bend_radius_mm", 1e10)],
+        "pipe.segments[1].bend_radius_mm",
+        "must keep the track speeds finite at 2e+307 mm/s, got 10000000000.0"),
+}
+
+
+@pytest.mark.parametrize("edits, path, reason", SHAPE_FAULTS.values(), ids=SHAPE_FAULTS)
+def test_document_shape_faults_name_their_path(edits, path, reason):
+    doc = fault_doc()
+    for steps, key, value in edits:
+        obj = doc
+        for step in steps:
+            obj = obj[step]
+        if value is MISSING:
+            del obj[key]
+        else:
+            obj[key] = value
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert (type(err.value), err.value.path, err.value.reason) == (ValidationError, path, reason)
+    assert str(err.value) == f"{path}: {reason}"
+
+
 wild = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-10**6, 10**6),

@@ -897,6 +897,8 @@ def test_piece_finite_tells_whether_its_progression_rows_are(piece):
 
 @given(b=st.floats(5e-324, MAX), h=st.floats(-MAX / 2, MAX / 2),
        near=st.floats(0.0, 1e-9), sign=st.sampled_from([1.0, -1.0]))
+# A subnormal bound where the fsum start overshoots, so the downward step runs.
+@example(b=2e-323, h=5e-324, near=0.0, sign=1.0)
 @settings(max_examples=300, deadline=None)
 def test_reach_is_the_least_float_whose_sum_reaches_the_bound(b, h, near, sign):
     # Where the run follows a body end: the least c with c + h >= b in float
