@@ -7,27 +7,33 @@ the differential settles where all three torques are equal while the mean
 output speed stays pinned to the input.  The body then advances along the
 centerline by the mean track speed.
 
-``run`` owns the time grid: it advances the time ``t`` and the body-centre
-arc length ``s``, decides when the run ends and alone checks the limits
-under the body's front and rear; ``step`` only solves the equilibrium at a
-given ``t`` and ``s`` and checks the centre's springs.  Both read segment
-curvatures, not frames: the equilibrium depends only on the centre's, the
-limits only on whether the centre, front and rear are in bends.  So ``run``
-solves once per centre curvature, computes the springs' compression once
-for each kind of segment (bend or straight) the network has, and from those
-tries the tilt of each (front, rear) pair of kinds; only a pair that fails
-sends it to find the rows where the body's front or rear crosses a
-boundary, and the first row on such a pair raises.  Within a segment ``t``
-and ``s`` advance by constant steps, so ``first_exit`` finds the row where
-the centre, the front or the rear leaves its segment, and the ``(t, s)``
-there, in closed form from the float arithmetic of repeated adds: a run
-costs per segment, not per row.
+``run`` owns the time grid: it numbers the rows, places the body centre,
+decides when the run ends and alone checks the limits under the body's front
+and rear; ``step`` only solves the equilibrium at a given ``t`` and ``s``
+and checks the centre's springs.  Both read segment curvatures, not frames:
+the equilibrium depends only on the centre's, the limits only on whether the
+centre, front and rear are in bends.  So ``run`` solves once per centre
+curvature, computes the springs' compression once for each kind of segment
+(bend or straight) the network has, and from those tries the tilt of each
+(front, rear) pair of kinds; only a pair that fails sends it to find the
+rows where the body's front or rear crosses a boundary, and the first row
+on such a pair raises.
+
+The transmission sets each track's speed from the forces on it, with no
+control loop, so within one segment the body moves at a constant speed.
+Each row is therefore computed with one product, not by repeated adds,
+whose error grows with the row count: row ``n`` of a run is at time
+``n·dt_s``, and row ``k`` of a visit to a segment entered at ``s0`` has the
+centre at ``s0 + k·ds``.  Both are monotone in the row number, so a
+bisection finds the row where the centre, the front or the rear leaves its
+segment, or where the time budget runs out: a run costs per segment, not
+per row.
 
 Records are a ``Records`` table: the record of each centre segment visited
-once, with its rows as one ``Piece`` progression of ``t`` and ``s`` and the
-row where the centre leaves it.  ``summarize`` reads each visit's piece for
-its entry time and row count, and takes its three mean track speeds from one
-pairwise sum of copies; the writers build one chunk of rows at a time.
+once, with its rows as one ``Piece`` of that grid and the row where the
+centre leaves it.  ``summarize`` reads each visit's piece for its entry
+time; its mean track speeds are the speeds its rows share.  The writers
+build one chunk of rows at a time with ``piece_rows``.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -42,10 +48,10 @@ import itertools
 import math
 import operator
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import NamedTuple
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
@@ -141,44 +147,48 @@ class SimRecord:
 
 
 class Piece(NamedTuple):
-    """``rows`` consecutive rows of one centre segment's run: the first at
-    ``(t, s)``, each later one adding ``dt`` to ``t`` and ``ds`` to ``s``
-    in sequence, as ``x = x + d``."""
+    """``rows`` consecutive rows of one centre segment's visit: row ``k``
+    (from 0) is row ``n + k`` of the run, at ``t = (n + k)·dt``, with the
+    centre at ``s + k·ds``: one product and one add, so a row's error does
+    not grow with the rows before it."""
 
-    t: float
+    n: int
     dt: float
     s: float
     ds: float
     rows: int
 
+    @property
+    def t(self) -> float:
+        """The time of the first row."""
+        return self.n * self.dt
+
     def finite(self) -> tuple[bool, bool]:
-        """Whether every ``t`` and every ``s`` is finite."""
-        n = self.rows - 1
-        return _finite(self.t, self.dt, n), _finite(self.s, self.ds, n)
+        """Whether every ``t`` and every ``s`` is finite.  Each is monotone
+        in the row number, so the first and last rows tell."""
+        n, dt, s, ds, rows = self
+        ends = 0, rows - 1
+        return (all(math.isfinite((n + k) * dt) for k in ends),
+                all(math.isfinite(s + k * ds) for k in ends))
 
 
-def _finite(x: float, d: float, n: int) -> bool:
-    """Whether ``x`` and its ``n`` adds of ``d`` are all finite.  An add that
-    moves ``x`` moves it by at most three times ``|d|``, so
-    ``|x_n| <= |x| + 3·n·|d|``; only a column whose bound passes 2**1023,
-    half the float range, which leaves room for the bound's own rounding,
-    needs ``first_exit`` to find its last row."""
-    return math.isfinite(x) and (abs(x) + 3.0 * n * abs(d) <= 2.0 ** 1023
-                                 or math.isfinite(first_exit(x, d, -math.inf, math.inf, n)[1]))
+_STEPS = tuple(map(float, range(256)))  # row offsets within a chunk, as floats
 
 
-def piece_rows(piece: Piece, size: int):
-    """The rows of ``piece`` in the writers' chunks: flat lists of floats,
-    ``t`` and ``s`` interleaved, ``size`` rows to a list (the last may be
-    shorter), with the bits of the columns; one more add starts the next."""
-    t, dt, s, ds, rows = piece
-    while rows:
-        n = min(rows, size)
-        flat = [0.0] * (2 * n)
-        flat[::2] = accumulate(repeat(dt, n - 1), initial=t)  # adds in sequence
-        flat[1::2] = accumulate(repeat(ds, n - 1), initial=s)
+def piece_rows(piece: Piece, size: int = len(_STEPS)):
+    """The rows of ``piece`` in chunks: flat lists of floats, ``t`` and
+    ``s`` interleaved, ``size`` rows to a list, at most 256 (the last may
+    be shorter).  Row numbers go in as floats, exact below 2**53, so each
+    product is the interpreter's float fast path."""
+    n, dt, s, ds, rows = piece
+    size = min(size, len(_STEPS))
+    for start in range(0, rows, size):
+        ks = _STEPS[:min(size, rows - start)]
+        first, offset = float(n + start), float(start)
+        flat = [0.0] * (2 * len(ks))
+        flat[::2] = [(first + k) * dt for k in ks]
+        flat[1::2] = [s + (offset + k) * ds for k in ks]
         yield flat
-        t, s, rows = flat[-2] + dt, flat[-1] + ds, rows - n
 
 
 # The fields after ``t`` and ``s``, which every row of a run shares.
@@ -191,13 +201,14 @@ class Records(Sequence):
 
     Rows with the centre in one segment share every field but ``t`` and
     ``s``, so ``values[j]`` holds the record of the ``j``-th centre segment
-    visited, ``pieces[j]`` its rows as one ``Piece`` progression, and
+    visited, ``pieces[j]`` its rows as one ``Piece``, and
     ``run_ends[j]`` is the row where the centre leaves it; all three are
     tuples, and every run has at least one row.  The columns ``t`` and
     ``s`` are each an ``array('d')``, built on its first read and kept.
     Indexing by row number reads the columns; iteration makes each piece's
-    rows by the same adds and builds no column.  Both give ``SimRecord``
-    rows, and two tables are equal when their rows are.
+    rows a chunk at a time and builds no column.  All three take the rows
+    from ``piece_rows``.  Both give ``SimRecord`` rows, and two tables are
+    equal when their rows are.
     """
 
     def __init__(self, values, pieces):
@@ -212,13 +223,13 @@ class Records(Sequence):
     def t(self) -> array:
         """Time (s) per row."""
         return array("d", itertools.chain.from_iterable(
-            accumulate(repeat(p.dt, p.rows - 1), initial=p.t) for p in self.pieces))
+            flat[::2] for piece in self.pieces for flat in piece_rows(piece)))
 
     @functools.cached_property
     def s(self) -> array:
         """Centre arc length (mm) per row."""
         return array("d", itertools.chain.from_iterable(
-            accumulate(repeat(p.ds, p.rows - 1), initial=p.s) for p in self.pieces))
+            flat[1::2] for piece in self.pieces for flat in piece_rows(piece)))
 
     def __getitem__(self, key):
         row = range(len(self))[operator.index(key)]  # IndexError past either end
@@ -226,11 +237,12 @@ class Records(Sequence):
         return SimRecord(self.t[row], self.s[row], *_shared(value))
 
     def __iter__(self):
-        for value, (t, dt, s, ds, rows) in zip(self.values, self.pieces):
+        for value, piece in zip(self.values, self.pieces):
             shared = _shared(value)
-            for t_row, s_row in zip(accumulate(repeat(dt, rows - 1), initial=t),
-                                    accumulate(repeat(ds, rows - 1), initial=s)):
-                yield SimRecord(t_row, s_row, *shared)
+            for flat in piece_rows(piece):
+                pairs = iter(flat)
+                for t, s in zip(pairs, pairs):
+                    yield SimRecord(t, s, *shared)
 
     def __eq__(self, other):
         if not isinstance(other, Records):
@@ -312,98 +324,39 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
                      compressions, torque)
 
 
-def _reach(bounds: tuple, i: int, h: float) -> float:
-    """The least float ``c`` with ``c + h >= b``, ``b = bounds[i]``: -inf for ``i``
-    < 0, inf for the last, which ends no segment for ``segment_at``.  ``c + h``
-    rounds to ``b`` or up from the midpoint of ``b`` and the float below it, so
-    ``c`` is the float nearest that midpoint less ``h`` (``fsum`` of quarters,
-    so no sum overflows) or a neighbour of it."""
-    if not 0 <= i < len(bounds) - 1:
-        return math.inf if i >= 0 else -math.inf
-    b = bounds[i]
-    c = 2.0 * math.fsum((math.nextafter(b, -math.inf) / 4.0, -h / 2.0, b / 4.0))
-    while c + h < b:
-        c = math.nextafter(c, math.inf)
-    while math.nextafter(c, -math.inf) + h >= b:
-        c = math.nextafter(c, -math.inf)
-    return c
-
-
 def _check_rows(scenario: Scenario, failing: set, s: float, ds: float, rows: int) -> None:
-    """Raise on the first of ``rows`` rows, ``s`` and then ``ds`` added in
-    sequence, with the body's front and rear on a pair of kinds in ``failing``:
-    the springs under each end, then the tilt between them.  ``s + L/2`` rounds
-    monotonically in ``s``, so the front keeps its segment while ``s`` stays
-    between two ``_reach`` values, and so does the rear: ``first_exit`` finds
-    each row where either moves."""
+    """Raise on the first of ``rows`` rows, row ``k`` at ``s + k·ds``, with
+    the body's front and rear on a pair of kinds in ``failing``: the springs
+    under each end, then the tilt between them.  The segment under each end
+    is monotone in ``k``, so one bisection finds the next row where either
+    moves."""
     network, robot = scenario.network, scenario.robot
-    bounds, curvatures = network.cumulative_lengths, network.curvatures
-    half, extra = robot.length_mm / 2.0, scenario.bend_extra_compression_mm
-    row = 0
-    while True:
-        front, rear = segment_at(network, s + half), segment_at(network, s - half)
+    curvatures, half = network.curvatures, robot.length_mm / 2.0
+    extra = scenario.bend_extra_compression_mm
+
+    def ends(x):
+        return segment_at(network, x + half), segment_at(network, x - half)
+
+    row, pair = 0, ends(s)
+    while row < rows:
+        front, rear = pair
         if (curvatures[front] != 0.0, curvatures[rear] != 0.0) in failing:
             asymmetry_deg(spring_compression(curvatures[front], robot, extra),
                           spring_compression(curvatures[rear], robot, extra), robot)
-        low = max(_reach(bounds, front - 1, half), _reach(bounds, rear - 1, -half))
-        high = min(_reach(bounds, front, half), _reach(bounds, rear, -half))
-        n, s = first_exit(s, ds, low, high, rows - 1 - row)
-        if low <= s < high:  # no later row has another front or rear
-            return
-        row += n
-
-
-_LAST_BINADE = 2.0 ** 1023  # from here on a sum may overflow
+        row = bisect_left(range(rows), True, row + 1, key=lambda k: ends(s + k * ds) != pair)
+        pair = ends(s + row * ds)
 
 
 def first_exit(x: float, d: float, low: float, high: float, count: int) -> tuple[int, float]:
-    """The first ``k`` in 1..``count`` with ``x_k`` outside ``[low, high)``,
-    and ``x_k``, where ``x_k`` is ``x`` with ``d`` added ``k`` times in
-    sequence (``x = x + d``, as ``accumulate``); ``(count, x_count)`` if
-    there is none.
-
-    Inside one binade of spacing ``u`` each add is exact up to one rounding
-    to a multiple of ``u``, so while the exact sum stays below the binade's
-    top every step adds ``round(d/u)·u`` (Goldberg, "What every computer
-    scientist should know about floating-point arithmetic", 1991, §1.2).
-    The steps in a binade and the first row at or past ``high`` then follow
-    from integer arithmetic in units of ``u``.  A tie rounds to the even
-    multiple of ``u``, so it obeys the rule only from an even one.  Where
-    the rule proves nothing, the loop adds ``d`` once and tries again: ``d``
-    not positive (zero, negative or NaN), ``x`` below ``d`` (or negative),
-    ``x`` outside ``[low, high)``, a tie from an odd multiple, and the top
-    binade, where a sum may overflow.  Subnormals need no exception: their
-    spacing is one ``u`` throughout.  An add that leaves ``x`` as it was
-    (``d`` zero, or too small to move it) ends the search.
-    """
-    k = 0
-    while k < count:
-        if 0.0 < d <= x < _LAST_BINADE and low <= x < high:
-            u = math.ulp(x)
-            q = d / u  # exact: u is a power of 2 and q < 2**53
-            whole = math.floor(q)
-            units = int(x / u)
-            if q - whole != 0.5 or units % 2 == 0:
-                step = round(q)  # a tie goes to the even neighbour, and units stay even
-                # The spacing is u up to 2**53·u (2**-1021 for the subnormals),
-                # and the j-th add stays below that while units + (j-1)·step + q < 2**53.
-                room = 2**53 - units - whole - 1
-                if room >= 0:
-                    n = count - k if step == 0 else min(room // step + 1, count - k)
-                    if high <= (units + n * step) * u:
-                        j = -((units - math.ceil(high / u)) // step)
-                        return k + j, (units + j * step) * u
-                    k += n
-                    x = (units + n * step) * u
-                    if k == count:
-                        break  # else the next add leaves the binade
-        x = x + d
-        k += 1
-        if not low <= x < high:
-            return k, x
-        if x + d == x:  # then so is every later add: x stays put
-            return count, x
-    return k, x
+    """The first ``k`` in 1..``count`` with ``x + k·d`` outside ``[low,
+    high)``, and ``x + k·d``; ``(count, x + count·d)`` if there is none.
+    ``x + k·d`` is monotone in ``k``, so from an ``x`` in ``[low, high)``
+    the rows outside follow all those inside, and a bisection finds the
+    first: d zero, negative, NaN or overflowing to inf needs no case of
+    its own."""
+    k = min(bisect_left(range(count + 1), True, 1,
+                        key=lambda k: not low <= x + k * d < high), count)
+    return k, x + k * d
 
 
 def run(scenario: Scenario) -> tuple[Records, SimSummary]:
@@ -416,22 +369,20 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     limits are checked here alone: the compression once per kind the
     network has, and the tilt once per pair of those kinds; only if such a
     pair fails does ``_check_rows`` follow the body's ends, after the
-    centre's solve.  Each row advances ``t`` by ``dt_s`` and ``s`` by
-    ``dt_s`` times the mean track speed; ``first_exit`` finds the row where
-    the centre leaves its segment or the time budget runs out, and its
-    ``(t, s)``.  There the run checks the float range, then the time
-    budget, then the network end, then the network start.
+    centre's solve.
 
-    Each centre segment visited is one ``Piece``, sized by one
-    ``first_exit`` call over ``count = int((limit - t) / dt) + 2`` rows,
-    which always reach the time budget ``limit``.  ``run`` expects a
-    validated scenario, as ``parse_scenario`` and ``sweep_orientation``'s
-    caller give it, so ``limit / dt`` is within ``Scenario.validate``'s cap
-    on the rows of a run.  Each add of ``dt`` to ``t`` errs by at most half
-    an ulp of a value below ``limit + 2·dt`` (Goldberg 1991, §1.2), and
-    subnormal adds are exact, so ``count`` adds fall short of
-    ``t + count·dt`` by less than about 1e-4·``dt``: the time column
-    reaches ``limit`` within ``count`` rows.
+    Row ``n`` is at ``t = n·dt_s``, and the run's last row is the last with
+    ``t`` below the time budget ``limit``.  ``n·dt_s`` is monotone in
+    ``n``, so one bisection finds the first row at or past it, ``end``,
+    among rows 0 to ``int(limit / dt)``, or else the row after them: the
+    float quotient is at least the greatest integer under the exact one, so
+    that row number is past the exact quotient, and its ``t`` is at or past
+    ``limit``.  Each
+    centre segment visited is one ``Piece``: its ``ds`` is ``dt_s`` times
+    the mean track speed, and ``first_exit`` finds the row where the centre
+    leaves the segment, or ``end``, and the ``s`` there.  There the run
+    checks the float range, then the time budget, then the network end,
+    then the network start.
     """
     network, robot = scenario.network, scenario.robot
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
@@ -452,10 +403,12 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             failing.add((front, rear))
     solved = {}  # centre curvature -> the record ``step`` solved there
     values, pieces = [], []  # per centre segment visited: its record, its rows' piece
+    end = bisect_left(range(int(limit / dt) + 1), True, key=lambda n: n * dt >= limit)
 
-    t = s = 0.0
+    n, s = 0, 0.0
     while True:
-        if t >= limit:
+        t = n * dt
+        if n >= end:
             records = Records(values, pieces)
             raise MaxTimeExceeded(
                 f"robot did not finish within {limit} s "
@@ -476,28 +429,21 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
             record = SimRecord(t, s, index, *_shared(record)[1:])
         w0, w1, w2 = record.track_speeds
         ds = dt * (0.0 + w0 + w1 + w2) / 3.0
-        # The centre stays in this segment while low <= s < high.  The rows
-        # run to the time budget; the margin covers rounding.  A robot that
-        # does not advance (ds underflows to 0, or the solve leaves a tiny
-        # negative mean speed) runs on the time budget alone.
+        # The centre stays in this segment while low <= s < high; row 0,
+        # (t, s), is in it and within the budget.  A robot that does not
+        # advance (ds underflows to 0) runs on the time budget alone.
         low, high = bounds[index - 1] if index else 0.0, bounds[index]
-        count = int((limit - t) / dt) + 2
-        # The run leaves this segment at the first row over budget or with
-        # the centre elsewhere; row 0, (t, s), is neither.
-        k, s_next = first_exit(s, ds, low, high, count)
-        k_t, t_next = first_exit(t, dt, -math.inf, limit, k)
-        if k_t < k:  # over budget first
-            k, s_next = k_t, first_exit(s, ds, low, high, k_t)[1]
+        k, s_next = first_exit(s, ds, low, high, end - n)
         if failing:
             _check_rows(scenario, failing, s, ds, k)
         values.append(record)
-        pieces.append(Piece(t, dt, s, ds, k))
-        t, s = t_next, s_next
-        if not math.isfinite(s):  # the sum carries inf or NaN on to this row
-            raise SimulationError(f"arc length left the float range ({s} mm) at {t} s: "
+        pieces.append(Piece(n, dt, s, ds, k))
+        n, s = n + k, s_next
+        if not math.isfinite(s):  # inf or NaN on to this row
+            raise SimulationError(f"arc length left the float range ({s} mm) at {n * dt} s: "
                                   f"dt_s ({dt}) times the track speed is too large")
     records = Records(values, pieces)
-    return records, summarize(records, scenario, t, s)
+    return records, summarize(records, scenario, n * dt, s)
 
 
 def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float, float, float]:
@@ -513,62 +459,21 @@ def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float
             center * track_path_radius(radius, h, qc) / radius)
 
 
-def _copies_sums(v: tuple, n: int, memo: dict) -> tuple:
-    """numpy's pairwise sum of ``n`` copies of each of the three floats ``v``
-    (``pairwise_sum`` in numpy/_core/src/umath/loops_utils.h.src), each on
-    its own: fewer than 8 in sequence from 0.0, up to 128 in eight
-    accumulators and then the rest, more split at ``n // 2`` rounded down
-    to a multiple of 8.  The split depends on ``n`` alone, so the three
-    sums share it, and ``memo`` holds the sums of each size met: O(log n)
-    adds."""
-    total = memo.get(n)
-    if total is None:
-        a, b, c = v
-        if n < 8:
-            x = y = z = 0.0
-            for _ in range(n):
-                x, y, z = x + a, y + b, z + c
-        elif n <= 128:
-            x, y, z = v  # each accumulator: n // 8 copies, in sequence
-            for _ in range(n // 8 - 1):
-                x, y, z = x + a, y + b, z + c
-            # The eight are equal, so their sum, (p + p) + (p + p) with p the
-            # sum of a pair, is 8 times one: each doubling is exact, or inf.
-            x, y, z = 8.0 * x, 8.0 * y, 8.0 * z
-            for _ in range(n % 8):
-                x, y, z = x + a, y + b, z + c
-        else:
-            half = n // 2 - n // 2 % 8
-            (x, y, z), (p, q, r) = _copies_sums(v, half, memo), _copies_sums(v, n - half, memo)
-            x, y, z = x + p, y + q, z + r
-        total = memo[n] = (x, y, z)
-    return total
-
-
-def means_of_copies(v: tuple, n: int) -> tuple:
-    """``float(np.mean(np.full(n, x)))`` for each of the three floats ``v``,
-    bit for bit, sign of zero included, without the arrays: numpy's
-    reduction starts from +0.0, then divides by ``n``."""
-    x, y, z = _copies_sums(v, n, {})
-    return (0.0 + x) / n, (0.0 + y) / n, (0.0 + z) / n
-
-
 def summarize(records: Records, scenario: Scenario, finish_time: float,
               final_s: float) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics; the run
     ended at ``finish_time`` with the body centre at ``final_s``.  Each visit
     runs from its piece's ``t`` to the next's (the last to ``finish_time``)
-    and gives means over its piece's rows, reference speeds and APEs; each
-    track's worst APE is ``max`` over them in run order."""
+    and gives its mean track speeds, the speeds its rows share, reference
+    speeds and APEs; each track's worst APE is ``max`` over them in run
+    order."""
     segments, values, pieces = scenario.network.segments, records.values, records.pieces
     segment_stats = []
     worst_a = worst_b = worst_c = 0.0
     exits = itertools.chain((piece.t for piece in pieces[1:]), (finish_time,))
     for value, piece, exit_time in zip(values, pieces, exits):
         index = value.segment_index
-        # The mean over the run's rows of a value they all share, with the
-        # bits of np.mean over those rows.
-        means = ma, mb, mc = means_of_copies(value.track_speeds, piece.rows)
+        means = ma, mb, mc = value.track_speeds
         analytic = aa, ab, ac = analytic_track_speeds(scenario, index)
         errors = ea, eb, ec = ape(ma, aa), ape(mb, ab), ape(mc, ac)
         worst_a, worst_b, worst_c = max(worst_a, ea), max(worst_b, eb), max(worst_c, ec)

@@ -8,7 +8,8 @@ only (no walk, no halving of ordered keys), the closed form for equal slip
 loads and the exact root of linear ones in ``Fraction``s, the reference run
 solves every row instead of once per centre segment, checks every row's
 front and rear itself instead of once per pair of segment kinds, and
-aggregates and writes its rows one at a time instead of from columns; bend
+aggregates and writes its rows one at a time instead of from columns, its
+means in ``Fraction``s; the writers' rows come from numpy's columns; bend
 track speeds come from contact paths traced through sampled centerline
 frames instead of the path-radius formula.
 """
@@ -170,17 +171,20 @@ def equal_slip_solution(required_speeds, stiffness, wheel_radius, input_speed, o
     return speeds, stiffness * slip
 
 
+def exact_mean(values) -> float:
+    """The mean of ``values``, summed in ``Fraction``s and rounded once."""
+    return float(sum(map(Fraction, values), Fraction(0)) / len(values))
+
+
 def stepwise_summary(records, scenario, finish_time, final_s):
     """``summarize`` over a list of rows: group them by segment and average
-    each track's speeds over the group."""
+    each track's speeds over the group, exactly."""
     segment_stats = []
     per_track_ape = np.zeros(3)
     groups = [(i, list(recs)) for i, recs in groupby(records, attrgetter("segment_index"))]
     for pos, (index, recs) in enumerate(groups):
         exit_time = groups[pos + 1][1][0].t if pos + 1 < len(groups) else finish_time
-        mean_speeds = tuple(
-            float(np.mean([r.track_speeds[j] for r in recs])) for j in range(3)
-        )
+        mean_speeds = tuple(exact_mean([r.track_speeds[j] for r in recs]) for j in range(3))
         analytic = analytic_track_speeds(scenario, index)
         errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
         per_track_ape = np.maximum(per_track_ape, errors)
@@ -211,13 +215,16 @@ def stepwise_run(scenario):
     springs under the body's front and rear and the tilt between them:
     returns (records, summary) with the records in a list, or raises what
     ``run`` raises, MaxTimeExceeded with the partial records and their
-    summary."""
+    summary.  Row ``n`` is at ``n * dt_s``; the centre moves ``k`` steps of
+    the row's advance from where it entered its segment."""
     records = []
     network, robot = scenario.network, scenario.robot
     half, extra = robot.length_mm / 2.0, scenario.bend_extra_compression_mm
-    total = network.total_length
-    t = s = 0.0
+    total, dt = network.total_length, scenario.dt_s
+    n, s = 0, 0.0
+    entered, k = None, 0  # the segment the centre is in, and its row count there
     while True:
+        t = n * dt
         if t >= scenario.max_time_s:
             raise MaxTimeExceeded(
                 f"robot did not finish within {scenario.max_time_s} s "
@@ -228,13 +235,16 @@ def stepwise_run(scenario):
         if s >= total:
             return records, stepwise_summary(records, scenario, t, s)
         record = step(scenario, t, s)
+        if record.segment_index != entered:
+            entered, s0, k = record.segment_index, s, 0
         front = network.curvatures[segment_at(network, s + half)]
         rear = network.curvatures[segment_at(network, s - half)]
         asymmetry_deg(spring_compression(front, robot, extra),
                       spring_compression(rear, robot, extra), robot)
         records.append(record)
         w0, w1, w2 = record.track_speeds
-        t, s = t + scenario.dt_s, s + scenario.dt_s * (0.0 + w0 + w1 + w2) / 3.0
+        n, k = n + 1, k + 1
+        s = s0 + k * (dt * (0.0 + w0 + w1 + w2) / 3.0)
 
 
 def _row(record) -> list:
@@ -250,12 +260,12 @@ def _row(record) -> list:
     ]
 
 
-def built_rows(piece):
-    """``piece``'s (t, s) rows from ``np.cumsum``, overflow allowed, with
-    no code of the package's progressions."""
-    t, s = ([x, *[d] * (piece.rows - 1)] for x, d in ((piece.t, piece.dt), (piece.s, piece.ds)))
+def grid_rows(piece):
+    """``piece``'s (t, s) rows as numpy columns, overflow allowed, with no
+    code of the package's rows: ``t = (n + k) * dt`` and ``s + k * ds``."""
+    k = np.arange(piece.rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumsum(t), np.cumsum(s)
+        return (piece.n + k) * piece.dt, piece.s + k * piece.ds
 
 
 def write_rows(records, fmt, path):

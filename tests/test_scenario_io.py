@@ -44,7 +44,7 @@ from pipeclimber import (
 import pipeclimber.scenario_io as scenario_io
 from pipeclimber.scenario_io import _CHUNK_ROWS, SCHEMA
 from conftest import make_four_section_scenario
-from oracles import built_rows, write_rows
+from oracles import grid_rows, write_rows
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -546,12 +546,12 @@ def table(visits, segment_index=0, constants=(1.0,) * 13):
     return Records(values, visits)
 
 
-def cumsum_rows(records):
-    """``records``' rows, their ``t`` and ``s`` from ``built_rows``'
-    ``np.cumsum``, not from the table's own iteration."""
+def column_rows(records):
+    """``records``' rows, their ``t`` and ``s`` from ``grid_rows``' numpy
+    columns, not from the table's own iteration."""
     rows = []
     for value, piece in zip(records.values, records.pieces):
-        ts, ss = built_rows(piece)
+        ts, ss = grid_rows(piece)
         rows += [dataclasses.replace(value, t=t_row, s=s_row)
                  for t_row, s_row in zip(ts.tolist(), ss.tolist())]
     return rows
@@ -562,10 +562,11 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e30
                1.7976931348623157e308, 1 / 3, 1e-7, 123456789.5)
 finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 edges = st.sampled_from(EDGE_FLOATS)
-# A one-row visit holds any values; a longer one is a progression whose
-# rows end inside a chunk, at its end and one row past it.
-visits = st.one_of(st.builds(Piece, finite, finite, finite, finite, st.just(1)),
-                   st.builds(Piece, edges, edges, edges, edges, st.sampled_from(RUN_LENGTHS)))
+row_numbers = st.sampled_from([0, 1, 2**20, 2**52]) | st.integers(0, 2**53 - 3 * _CHUNK_ROWS)
+# A one-row visit holds any values; a longer one has rows that end inside
+# a chunk, at its end and one row past it.
+visits = st.one_of(st.builds(Piece, row_numbers, finite, finite, finite, st.just(1)),
+                   st.builds(Piece, row_numbers, edges, edges, edges, st.sampled_from(RUN_LENGTHS)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -574,9 +575,9 @@ visits = st.one_of(st.builds(Piece, finite, finite, finite, finite, st.just(1)),
 def test_emitted_bytes_match_a_row_by_row_writer(tmp_path_factory, visits, segment_index,
                                                  constants):
     # The floats take in signed zeros, subnormals and the ends of the float
-    # range; a progression that leaves it raises before the file opens.
+    # range; a column that leaves it raises before the file opens.
     records = table(visits, segment_index, constants)
-    rows = cumsum_rows(records)
+    rows = column_rows(records)
     folder = tmp_path_factory.mktemp("rows")
     for fmt in ("csv", "json"):
         target = folder / f"table.{fmt}"
@@ -597,7 +598,7 @@ def test_chunks_cut_short_give_the_same_table(monkeypatch, tmp_path, chunk_rows)
     # from the last row of the one before.
     records, _ = run(make_four_section_scenario(dt_s=0.1))
     monkeypatch.setattr(scenario_io, "_CHUNK_ROWS", chunk_rows)
-    rows = cumsum_rows(records)
+    rows = column_rows(records)
     for fmt in ("csv", "json"):
         emit_records(records, fmt, tmp_path / f"table.{fmt}")
         write_rows(rows, fmt, tmp_path / f"rows.{fmt}")
@@ -609,11 +610,11 @@ def test_chunks_cut_short_give_the_same_table(monkeypatch, tmp_path, chunk_rows)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_records_raise_before_the_file_opens(tmp_path, fmt, column, bad):
     # ``%r`` writes nan and inf where json writes NaN and Infinity, which
-    # standard JSON cannot hold either.  The bad value starts the second
-    # visit's column, or is the constant the visits share.
-    t, s, constants = [0.0, 1.0], [0.0, 2.0], [1.0] * 13
-    {"t": t, "s": s, "constant": constants}[column][-1] = bad
-    visits = [Piece(t[0], 0.5, s[0], 0.5, 1), Piece(t[1], 0.5, s[1], 0.5, 2)]
+    # standard JSON cannot hold either.  The bad value is the second visit's
+    # time step or first ``s``, or the constant the visits share.
+    dt, s, constants = [0.5, 0.5], [0.0, 2.0], [1.0] * 13
+    {"t": dt, "s": s, "constant": constants}[column][-1] = bad
+    visits = [Piece(0, dt[0], s[0], 0.5, 1), Piece(1, dt[1], s[1], 0.5, 2)]
     target = tmp_path / f"records.{fmt}"
     with pytest.raises(SimulationError, match=str(target)):
         emit_records(table(visits, constants=constants), fmt, target)
@@ -622,18 +623,16 @@ def test_non_finite_records_raise_before_the_file_opens(tmp_path, fmt, column, b
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_progression_that_overflows_raises_before_the_file_opens(tmp_path, fmt):
-    # Only the 18th add of s reaches inf, at a third of the bound that spares
-    # the writer the walk to a piece's last row.  A column that ends just
-    # short of inf, past that bound, is written as a row-by-row writer
-    # writes it.
-    overflowing = table([Piece(0.0, 0.01, 0.0, 1e307, 20)])
+    # Only the last two rows of s, from 1.8e308, overflow to inf; a column
+    # that ends just short of inf is written as a row-by-row writer writes it.
+    overflowing = table([Piece(0, 0.01, 0.0, 1e307, 20)])
     target = tmp_path / f"records.{fmt}"
     with pytest.raises(SimulationError, match=f"{target}: s_mm is not finite"):
         emit_records(overflowing, fmt, target)
     assert not target.exists()
-    near_the_top = table([Piece(0.0, 0.01, 1e308, 4e306, 20)])
+    near_the_top = table([Piece(0, 0.01, 1e308, 4e306, 20)])
     emit_records(near_the_top, fmt, target)
-    write_rows(cumsum_rows(near_the_top), fmt, tmp_path / f"rows.{fmt}")
+    write_rows(column_rows(near_the_top), fmt, tmp_path / f"rows.{fmt}")
     assert target.read_bytes() == (tmp_path / f"rows.{fmt}").read_bytes()
 
 
@@ -644,9 +643,9 @@ def test_emitting_holds_one_chunk_of_text_at_a_time(tmp_path, fmt):
     # file's 8 kB text buffer in and out of the peak, hence the margin; the
     # whole text of 10,000 rows would be over ten times the peak.
     def peak(rows):
-        records = table([Piece(0.1, 1 / 3, 2.5, 1e3, rows // 4),
-                         Piece(1 / 3, 7e-5, 1e3, 2.5, rows // 2),
-                         Piece(7e-5, 0.1, 2.5, 1e3, rows // 4)])
+        records = table([Piece(0, 1 / 3, 2.5, 1e3, rows // 4),
+                         Piece(rows // 4, 7e-5, 1e3, 2.5, rows // 2),
+                         Piece(3 * rows // 4, 0.1, 2.5, 1e3, rows // 4)])
         tracemalloc.start()
         try:
             emit_records(records, fmt, tmp_path / f"records.{fmt}")

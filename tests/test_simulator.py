@@ -5,6 +5,8 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,9 +36,11 @@ from pipeclimber import (
     step,
     sweep_orientation,
 )
+from pipeclimber.scenario_io import scenario_from_dict
 from conftest import make_four_section_scenario, make_robot
+import golden_corpus
 import oracles
-from oracles import built_rows, contact_path_speeds, stepwise_run, write_rows
+from oracles import contact_path_speeds, exact_mean, grid_rows, stepwise_run, write_rows
 
 
 def straight_only_scenario(length=500.0, **overrides):
@@ -519,6 +523,29 @@ def test_a_robot_that_slides_back_across_a_boundary_is_out_of_range(monkeypatch)
         run(make_four_section_scenario(max_time_s=0.5, robot=make_robot(length_mm=1000.02)))
 
 
+@pytest.mark.parametrize("speed, error, message", [
+    (0.0, MaxTimeExceeded, "within 120.0 s (reached 0.0 of "),
+    (-1.0, OutOfRange, "arc length -10.0 outside [0, "),
+    (math.nan, SimulationError, "arc length left the float range (nan mm) at 10.0 s"),
+    (1e308, SimulationError, "arc length left the float range (inf mm) at 10.0 s"),
+], ids=["zero", "negative", "nan", "inf"])
+def test_a_row_advance_of_zero_negative_nan_or_inf_ends_the_run(monkeypatch, speed, error,
+                                                                message):
+    # A row's advance ds, dt_s times the mean track speed, that is 0 runs on
+    # the budget alone, a negative one slides back past the start, and a NaN
+    # one, or one that overflows (10 s times 1e308 mm/s), leaves the float
+    # range on the next row.
+    real_step = simulator.step
+    monkeypatch.setattr(simulator, "step", lambda scenario, t, s: replace(
+        real_step(scenario, t, s), track_speeds=(speed,) * 3))
+    with pytest.raises(error) as err:
+        run(make_four_section_scenario(dt_s=10.0))
+    assert type(err.value) is error
+    assert message in str(err.value)
+    if error is MaxTimeExceeded:
+        assert len(err.value.records) == 12
+
+
 # --- APE ---------------------------------------------------------------------------
 
 def test_ape_examples():
@@ -572,66 +599,76 @@ def test_bend_track_speeds_follow_the_contact_paths(orientation, roll):
 
 # --- means -------------------------------------------------------------------------
 
-# Where numpy's pairwise sum changes shape: 8 copies start the eight
-# accumulators, past 128 the sum splits, at a multiple of 8.
+# Run lengths around the shapes of numpy's pairwise sum, which the means
+# once copied: 8 copies started its eight accumulators, past 128 it split.
 BLOCK_EDGES = [1, 7, 8, 9, 127, 128, 129, 135, 136, 255, 256, 257]
 MEAN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -4e-310, 1e308, -1e308,
                0.1, 1 / 3, 50.0, -7.25, 61.803398874989484]
 
 
-def numpy_mean(v, n):
-    with np.errstate(over="ignore"):  # n copies of 1e308 add up to inf
-        return float(np.mean(np.full(n, v)))
+def visit_means(speeds, rows):
+    """``summarize``'s mean track speeds of one visit of ``rows`` rows, all at ``speeds``."""
+    scenario = straight_only_scenario()
+    value = replace(step(scenario, 0.0, 0.0), track_speeds=speeds)
+    table = simulator.Records([value], [simulator.Piece(0, scenario.dt_s, 0.0, 0.5, rows)])
+    return simulator.summarize(table, scenario, rows * scenario.dt_s,
+                               0.5 * rows).segments[0].mean_track_speeds
 
 
-def means_of_one(v, n):
-    """``means_of_copies`` with ``v`` on every track, each lane's bits as hex."""
-    return [m.hex() for m in simulator.means_of_copies((v, v, v), n)]
+def rows_mean(v, rows):
+    """``exact_mean`` of ``rows`` rows at ``v``, summed as one product."""
+    return float(Fraction(v) * rows / rows)
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
-def test_means_of_copies_have_the_bits_of_numpys_mean_at_the_block_edges(n):
+def test_a_visits_means_are_its_rows_exact_mean_at_the_block_edges(n):
+    # .hex() tells -0.0 from 0.0: the mean is the value the rows share.
     for v in MEAN_VALUES:
-        assert means_of_one(v, n) == [numpy_mean(v, n).hex()] * 3, v
+        means = visit_means((v, v, v), n)
+        assert means == (exact_mean([v] * n),) * 3, v
+        assert [m.hex() for m in means] == [v.hex()] * 3, v
 
 
 @given(v=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(MEAN_VALUES),
        n=st.integers(1, 10**6))
 @settings(max_examples=200, deadline=None)
-def test_means_of_copies_have_the_bits_of_numpys_mean(v, n):
-    # .hex() tells -0.0 from 0.0.
-    assert means_of_one(v, n) == [numpy_mean(v, n).hex()] * 3
+def test_a_visits_means_are_its_rows_exact_mean(v, n):
+    # numpy's mean of 1e308 copies overflowed to inf; the exact one does not.
+    means = visit_means((v, v, v), n)
+    assert means == (rows_mean(v, n),) * 3
+    assert [m.hex() for m in means] == [v.hex()] * 3
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 1000])
-def test_the_three_track_sum_keeps_each_tracks_bits(n):
-    # One pairwise sum carries the three tracks; each must come out as its
-    # own mean, here with every value of MEAN_VALUES on every track.
+def test_each_track_mean_is_its_own_rows_mean(n):
+    # Each track comes out as its own mean, here with every value of
+    # MEAN_VALUES on every track.
     for i in range(len(MEAN_VALUES)):
         speeds = tuple(MEAN_VALUES[(i + j) % len(MEAN_VALUES)] for j in range(3))
-        means = simulator.means_of_copies(speeds, n)
-        assert [m.hex() for m in means] == [means_of_one(v, n)[0] for v in speeds] == [
-            numpy_mean(v, n).hex() for v in speeds], speeds
+        means = visit_means(speeds, n)
+        assert means == tuple(exact_mean([v] * n) for v in speeds), speeds
+        assert [m.hex() for m in means] == [v.hex() for v in speeds], speeds
 
 
 @pytest.mark.parametrize("speeds", [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0,) * 3,
                                     (5e-324, 5e-324, -5e-324), (0.1, 0.1, 0.1 + 2**-56)])
 def test_equal_comparing_speeds_keep_each_tracks_bits(speeds):
     # The speeds compare equal, or nearly, but their bits differ: each
-    # track's mean is numpy's mean of its own rows.
+    # track's mean is the exact mean of its own rows, with its own bits.
     scenario = straight_only_scenario()
     records, summary = run(scenario)
     value = replace(records.values[0], track_speeds=speeds)
     table = simulator.Records([value], records.pieces)
     means = simulator.summarize(table, scenario, summary.finish_time,
                                 summary.final_s).segments[0].mean_track_speeds
-    assert [m.hex() for m in means] == [numpy_mean(v, len(records)).hex() for v in speeds]
+    assert means == tuple(exact_mean([v] * len(records)) for v in speeds)
+    assert [m.hex() for m in means] == [v.hex() for v in speeds]
 
 
 def test_summarize_allocates_no_array_of_rows():
-    # Memory, not time: at 100 times the rows per segment the peak grows
-    # only by the O(log n) partial sums a mean keeps, about 1.5 kB here.  A
-    # float64 array of the shortest run's rows at the fine step is 112 kB.
+    # Memory, not time: at 100 times the rows per segment the peak stays
+    # put, since a visit's means are the speeds its rows share.  A float64
+    # array of the shortest run's rows at the fine step is 112 kB.
     def peak(dt_s):
         scenario = make_four_section_scenario(dt_s=dt_s)
         records, summary = run(scenario)
@@ -676,7 +713,8 @@ def test_run_allocates_no_array_of_rows(tmp_path):
 
         assert arrays() == 0  # emitting built no column either
         assert len(records.pieces) == len(records.values)
-        assert all(type(value) is float for piece in records.pieces for value in piece[:4])
+        assert all(type(piece.n) is int for piece in records.pieces)
+        assert all(type(value) is float for piece in records.pieces for value in piece[1:4])
         assert len(records.t) == len(records)
         assert arrays() == 1  # t, built on its first read and kept
         return ran, emitted, min(np.diff((0, *records.run_ends)))
@@ -719,19 +757,19 @@ def test_a_limit_only_an_absent_kind_meets_costs_no_row_lookup():
 def test_a_failing_pair_costs_per_boundary_and_fails_on_the_stepping_row(monkeypatch):
     # A 0.1 deg tilt limit fails every pair of a bend and a straight.  The
     # run follows the body's ends from boundary to boundary, so at 100 times
-    # the rows it calls first_exit as often and its peak stays put (the s of
-    # the 80,000 rows before the failing one would take 640 kB); and the
-    # first failing row is stepping's: the first where one end is in a bend
-    # and the other is not.
+    # the rows it bisects as often and its peak stays put (the s of the
+    # 80,000 rows before the failing one would take 640 kB); and the first
+    # failing row is stepping's: the first where one end is in a bend and
+    # the other is not.
     tilt = make_robot(max_asym_deg=0.1)
     calls = Counter()
 
-    def counted(*args):
-        calls["first_exit"] += 1
-        return first_exit(*args)
+    def counted(*args, **kwargs):
+        calls["bisect_left"] += 1
+        return bisect_left(*args, **kwargs)
 
-    first_exit = simulator.first_exit
-    monkeypatch.setattr(simulator, "first_exit", counted)
+    bisect_left = simulator.bisect_left
+    monkeypatch.setattr(simulator, "bisect_left", counted)
     seen = []
     for dt_s in (0.01, 0.0001):
         calls.clear()
@@ -742,7 +780,7 @@ def test_a_failing_pair_costs_per_boundary_and_fails_on_the_stepping_row(monkeyp
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        seen.append((calls["first_exit"], peak))
+        seen.append((calls["bisect_left"], peak))
     (coarse_calls, coarse_peak), (fine_calls, fine_peak) = seen
     assert coarse_calls == fine_calls
     assert fine_peak <= coarse_peak + 4096
@@ -765,14 +803,12 @@ def test_a_failing_pair_costs_per_boundary_and_fails_on_the_stepping_row(monkeyp
                                                              "0.1 deg limit")
 
 
-# --- progressions ------------------------------------------------------------------
+# --- rows on the grid ---------------------------------------------------------------
 
-def cumsum_exit(x, d, low, high, count):
-    """``first_exit`` from ``np.cumsum``'s column of ``x`` and ``count`` adds of ``d``."""
-    column = np.full(count + 1, d)
-    column[0] = x
+def grid_exit(x, d, low, high, count):
+    """``first_exit`` from numpy's column ``x + k * d``, k = 0..``count``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        column = np.cumsum(column)
+        column = x + np.arange(count + 1) * d
         outside = ~((low <= column) & (column < high))
     outside[0] = False
     k = int(np.argmax(outside)) if outside.any() else count
@@ -800,6 +836,7 @@ PROGRESSION_EDGES = {
     "negative step": (10.0, -0.3, 0.0, 20.0, 100),
     "negative step through zero": (1.0, -0.1, -math.inf, 2.0, 30),
     "zero step": (5.0, 0.0, 0.0, 6.0, 50),
+    "NaN step": (5.0, math.nan, 0.0, 6.0, 50),
     "overflow to inf": (1e308, 1e307, -math.inf, math.inf, 30),
     "top binade": (2.0 ** 1022, 0.7 * 2.0 ** 1021, 0.0, math.inf, 30),
     "negative start": (-3.0, 0.7, -math.inf, 10.0, 50),
@@ -809,24 +846,24 @@ PROGRESSION_EDGES = {
 
 
 @pytest.mark.parametrize("case", PROGRESSION_EDGES)
-def test_first_exit_matches_cumsum_progression_edges(case):
+def test_first_exit_matches_the_grid_column_edges(case):
     x, d, low, high, count = PROGRESSION_EDGES[case]
     k, value = simulator.first_exit(x, d, low, high, count)
-    expected_k, expected = cumsum_exit(x, d, low, high, count)
+    expected_k, expected = grid_exit(x, d, low, high, count)
     assert (k, value.hex()) == (expected_k, expected.hex())
 
 
 @st.composite
 def progressions(draw):
-    """(x, d, low, high, count): often a step under the start, so that the
-    rule applies, and a bound the sum reaches within the count."""
+    """(x, d, low, high, count): often a step under the start and a bound
+    the column reaches within the count."""
     x = draw(st.floats(allow_nan=False) | st.floats(0.0, 1e4)
              | st.sampled_from([0.0, -0.0, TINY, 1.0, 1.0 + ULP1, 1e308]))
     d = draw(st.floats(allow_nan=False) | st.floats(-1.0, 10.0)
              | st.floats(1e-17, 1.0).map(lambda ratio: abs(x) * ratio)
              | st.sampled_from([0.0, -0.0, TINY, 1.5 * ULP1]))
     count = draw(st.integers(0, 2000))
-    reach = x + d * draw(st.floats(0.5, 1.5 * count + 1.0))  # where the sum is some rows on
+    reach = x + d * draw(st.floats(0.5, 1.5 * count + 1.0))  # where the column is some rows on
     high = draw(st.sampled_from([reach, reach, reach, math.inf, x, None]))
     low = draw(st.sampled_from([-math.inf, 0.0, x, x, None]))
     anywhere = st.floats(allow_nan=False)
@@ -836,38 +873,43 @@ def progressions(draw):
 
 @given(case=progressions())
 @settings(max_examples=500, deadline=None)
-def test_first_exit_matches_cumsum_progression(case):
-    # .hex() tells -0.0 from 0.0.
+def test_first_exit_matches_the_grid_column(case):
+    # .hex() tells -0.0 from 0.0.  The first exit is defined where the rows
+    # outside follow all those inside, as from a start inside [low, high):
+    # a column that comes back in has no first exit to bisect for.
     x, d, low, high, count = case
-    expected_k, expected = cumsum_exit(x, d, low, high, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = x + np.arange(1, count + 1) * d
+        outside = ~((low <= column) & (column < high))
+    assume((np.diff(outside.astype(int)) >= 0).all())
+    expected_k, expected = grid_exit(x, d, low, high, count)
     k, value = simulator.first_exit(x, d, low, high, count)
     assert (k, value.hex()) == (expected_k, expected.hex())
 
 
 @st.composite
 def time_budgets(draw):
-    """(t, dt, limit) of a validated scenario's time grid: ``limit`` from
-    the subnormals at 2**-1070 up to 2**1020, ``dt`` below it with
-    ``limit / dt`` up to MAX_STEPS, and ``t`` anywhere in ``[0, limit)``."""
+    """(dt, limit) of a validated scenario's time grid: ``limit`` from the
+    subnormals at 2**-1070 up to 2**1020, ``dt`` below it with
+    ``limit / dt`` up to MAX_STEPS."""
     limit = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(-1070, 1020)))
     most = simulator.MAX_STEPS
     dt = limit / draw(st.floats(1.0, most) | st.sampled_from([most, 1.5, 2.0]))
     assume(0.0 < dt < limit and limit / dt <= most)
-    t = draw(st.sampled_from([0.0, math.nextafter(limit, 0.0)])
-             | st.floats(0.0, 1.0, exclude_max=True).map(lambda f: f * limit))
-    assume(t < limit)
-    return t, dt, limit
+    return dt, limit
 
 
 @given(grid=time_budgets())
-@example(grid=(0.0, 1.25e-06, 1.25))  # a million adds fall short of 1.25: one spare row
+@example(grid=(1.25e-06, 1.25))  # a million adds of dt fell short of 1.25
 @settings(max_examples=300, deadline=None)
-def test_a_visits_row_count_always_reaches_the_time_budget(grid):
-    # ``run`` sizes each centre segment's visit, one piece, with this count.
-    t, dt, limit = grid
-    count = int((limit - t) / dt) + 2
-    k, t_end = simulator.first_exit(t, dt, -math.inf, limit, count)
-    assert t_end >= limit, (k, count)
+def test_the_budget_row_is_within_the_bisected_range(grid):
+    # ``run`` bisects for the first row at or past the budget among rows
+    # 0..int(limit / dt), and takes the next row if none is: that one
+    # always reaches it.
+    dt, limit = grid
+    last = int(limit / dt) + 1
+    assert last * dt >= limit
+    assert Fraction(last) * Fraction(dt) > Fraction(limit)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -878,38 +920,117 @@ MAX = 1.7976931348623157e308  # the largest float
 def pieces(draw):
     """A ``Piece`` whose columns end near the top of the float range as often as not."""
     rows = draw(st.integers(1, 2000))
-    starts = finite_floats | st.sampled_from([1e308, -1e308, 1.7e308, 0.0])
-    t, s = draw(starts), draw(starts)
-
-    def near(start):  # a step that takes the column some way past the largest float, or short of it
-        return st.floats(-3.0, 3.0).map(lambda f: f * (MAX - abs(start)) / rows)
-
-    return simulator.Piece(t, draw(finite_floats | near(t)), s, draw(finite_floats | near(s)), rows)
+    n = draw(st.integers(0, 10**6))
+    s = draw(finite_floats | st.sampled_from([1e308, -1e308, 1.7e308, 0.0]))
+    # A step that takes the column some way past the largest float, or short of it.
+    dt = draw(finite_floats | st.floats(-3.0, 3.0).map(lambda f: f * MAX / (n + rows)))
+    ds = draw(finite_floats | st.floats(-3.0, 3.0).map(lambda f: f * (MAX - abs(s)) / rows))
+    return simulator.Piece(n, dt, s, ds, rows)
 
 
 @given(piece=pieces())
+# Only the last row overflows: s at 1.8e308, t at 18 times 1e307.
+@example(piece=simulator.Piece(0, 0.01, 0.0, 1e307, 19))
+@example(piece=simulator.Piece(9, 1e307, 0.0, 1.0, 10))
 @settings(max_examples=300, deadline=None)
-def test_piece_finite_tells_whether_its_progression_rows_are(piece):
+def test_piece_finite_tells_whether_its_rows_are(piece):
     # The writers check this before they open a file; the rows are never built there.
-    t, s = built_rows(piece)
+    t, s = grid_rows(piece)
     assert piece.finite() == (bool(np.isfinite(t).all()), bool(np.isfinite(s).all()))
 
 
 @given(b=st.floats(5e-324, MAX), h=st.floats(-MAX / 2, MAX / 2),
-       near=st.floats(0.0, 1e-9), sign=st.sampled_from([1.0, -1.0]))
-# A subnormal bound where the fsum start overshoots, so the downward step runs.
-@example(b=2e-323, h=5e-324, near=0.0, sign=1.0)
+       near=st.floats(0.0, 1e-9), sign=st.sampled_from([1.0, -1.0]),
+       per=st.integers(1, 1000), back=st.integers(0, 200))
+# A subnormal bound where one end meets the boundary a few rows on.
+@example(b=2e-323, h=5e-324, near=0.0, sign=1.0, per=1, back=3)
 @settings(max_examples=300, deadline=None)
-def test_reach_is_the_least_float_whose_sum_reaches_the_bound(b, h, near, sign):
-    # Where the run follows a body end: the least c with c + h >= b in float
-    # arithmetic, h often within a relative 1e-9 of b, where c is far finer
-    # than the spacing at b.
+def test_a_body_end_crosses_a_boundary_on_the_stepping_row(b, h, near, sign, per, back):
+    # Where the run follows a body end: the first row k with (s + k·ds) ± h
+    # at or past a boundary b, h often within a relative 1e-9 of b, where the
+    # centre's column is far finer than the spacing at b.  The network has
+    # one boundary, at b, with a bend past it whose springs need 9.5 mm, over
+    # the 9 mm limit: ``_check_rows`` raises on rows that hold the crossing
+    # row and not on rows that stop before it.
+    network = SimpleNamespace(cumulative_lengths=(b, math.inf), segments=(None, None),
+                              curvatures=(0.0, 1.0))
+    failing = {(1, 0), (0, 1), (1, 1)}
     for h in (h, sign * b * (1.0 - near)):
-        c = simulator._reach((b, math.inf), 0, h)
-        assert c + h >= b
-        assert math.nextafter(c, -math.inf) + h < b
-    assert simulator._reach((b, math.inf), -1, h) == -math.inf
-    assert simulator._reach((b, math.inf), 1, h) == math.inf
+        start = b - abs(h)  # the centre where the leading end is at b
+        ds = max(abs(start), math.ulp(b)) / per
+        s = start - back * ds
+        if not math.isfinite(s + 2.0 * h):  # a body or a start past the float range
+            continue
+        scenario = SimpleNamespace(network=network, bend_extra_compression_mm=1.5,
+                                   robot=make_robot(max_compression_mm=9.0, length_mm=2.0 * h))
+        rows = back + 2 * per + 10
+        with np.errstate(over="ignore", invalid="ignore"):
+            reached = (s + np.arange(rows) * ds) + abs(h) >= b  # s - h is s + |h| for h < 0
+        crossing = int(np.argmax(reached))
+        assert reached[crossing]
+        simulator._check_rows(scenario, failing, s, ds, crossing)
+        with pytest.raises(CompressionLimit):
+            simulator._check_rows(scenario, failing, s, ds, crossing + 1)
+
+
+def budget_rows(dt_s, max_time_s):
+    """The rows a run cut short by its budget holds: rows 0..n - 1 for the
+    first n with n·dt_s, rounded once, at or past the budget."""
+    dt, limit = Fraction(dt_s), Fraction(max_time_s)
+    return next(n for n in itertools.count() if Fraction(float(n * dt)) >= limit)
+
+
+CUT = {name: doc for name, doc in golden_corpus.documents().items() if name.endswith("+cut")}
+
+
+@pytest.mark.parametrize("name", CUT)
+def test_a_cut_run_stops_on_the_last_row_under_its_budget(name):
+    # A budget that is a multiple of dt_s, such as generated_0+cut's 54.0 s
+    # at 0.05 s, admits no row at the nominal time of the budget itself.
+    scenario = scenario_from_dict(CUT[name])
+    with pytest.raises(MaxTimeExceeded) as err:
+        run(scenario)
+    records = err.value.records
+    assert len(records) == budget_rows(scenario.dt_s, scenario.max_time_s)
+    assert records.t[-1] < scenario.max_time_s <= len(records) * scenario.dt_s
+    if name == "generated_0+cut":
+        assert len(records) == 1080
+        assert "(reached 2700.0 of " in str(err.value)
+
+
+@given(dt_s=st.floats(0.001, 0.5), share=st.floats(0.0, 1.0), exact=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_a_run_stops_on_the_last_row_under_its_budget(dt_s, share, exact):
+    # The budget is a number of rows times dt_s, rounded, or a little more;
+    # the robot, 16 s from the end of an 800 mm straight, times out first.
+    rows = 2 + int(share * (15.9 / dt_s - 2))
+    limit = rows * dt_s if exact else rows * dt_s * 1.0000001
+    scenario = straight_only_scenario(length=800.0, dt_s=dt_s, max_time_s=limit)
+    scenario.validate()
+    with pytest.raises(MaxTimeExceeded) as err:
+        run(scenario)
+    records = err.value.records
+    assert len(records) == budget_rows(dt_s, limit)
+    assert records.t[-1] < limit <= len(records) * dt_s
+
+
+def test_rows_are_the_exact_grid_within_an_ulp(four_section_scenario):
+    # Row n is at n·dt_s rounded once, and row k of a visit entered at s0
+    # is within an ulp of s0 + k·ds: no error grows with the row count.
+    for dt_s in (0.01, 0.05, 0.003):
+        records, summary = run(replace(four_section_scenario, dt_s=dt_s))
+        dt = Fraction(dt_s)
+        rows = iter(records)
+        for piece in records.pieces:
+            assert piece.dt == dt_s
+            for k in range(piece.rows):
+                row = next(rows)
+                assert row.t == float((piece.n + k) * dt)
+                assert abs(Fraction(row.s) - (Fraction(piece.s) + k * Fraction(piece.ds))) \
+                    <= Fraction(math.ulp(row.s))
+        assert summary.finish_time == float(len(records) * dt)
+        assert [seg.entry_time for seg in summary.segments] == [
+            float(piece.n * dt) for piece in records.pieces]
 
 
 # --- orientation sweep ----------------------------------------------------------------
