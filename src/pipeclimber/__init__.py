@@ -54,9 +54,7 @@ from .scenario_io import (
     CSV_COLUMNS,
     emit_records,
     parse_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     summary_to_dict,
     write_summary,
     write_sweep,

@@ -123,4 +123,4 @@ class MaxTimeExceeded(SimulationError):
 
 
 class IoError(PipeClimberError):
-    """Failed to read or write an artifact (records, summaries, scenarios)."""
+    """Failed to read a scenario or write an output file (records, summaries, sweeps)."""

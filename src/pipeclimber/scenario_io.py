@@ -9,14 +9,15 @@ validators' included, name the offending key path.
 
 Record output is CSV (fixed column order, 9 significant digits) or JSON
 (one object per row, as ``json.dump(rows, indent=1)`` lays it out), streamed
-by one writer from a ``Records`` table's columns, a chunk of rows at a time.
+by one writer from a ``Records`` table's pieces, a chunk of rows at a time.
 Run and sweep summaries are JSON as ``json.dumps(payload, indent=1)`` lays
 it out, filled into templates.
 
 Every output file is ASCII bytes, written in binary by ``_write`` alone, so
-its lines end in LF on every platform.  Rows fill bytes templates with PEP
-461's ``%``: ``b"%.9g" % x`` is ``format(x, ".9g").encode()`` and
-``b"%r" % x`` is ``repr(x).encode()``.
+its lines end in LF on every platform.  A chunk of rows is one PEP 461
+``bytes %`` of its ``t`` and ``s`` alone, each row's constant text spliced
+in after: ``b"%.9g" % x`` is ``format(x, ".9g").encode()`` and ``b"%r" % x``
+is ``repr(x).encode()``.
 """
 
 from __future__ import annotations
@@ -242,24 +243,6 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
-def _section_doc(obj, section: str) -> dict:
-    return {key: getattr(obj, field) for key, field, _ in SCHEMA[section]}
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical document for a Scenario; parsing it back is an identity."""
-    segments = []
-    for seg in scenario.network.segments:
-        kind = "bend" if isinstance(seg, Bend) else "straight"
-        segments.append({"kind": kind, **_section_doc(seg, kind)})
-    return {
-        "pipe": {"inner_radius_mm": scenario.network.inner_radius, "segments": segments},
-        "robot": _section_doc(scenario.robot, "robot"),
-        "transmission": _section_doc(scenario.transmission, "transmission"),
-        "sim": _section_doc(scenario, "sim"),
-    }
-
-
 def _write(path, chunks, what: str = "") -> None:
     """Write ``chunks``, byte strings, to ``path``: the one place an output
     file opens.  OSError becomes IoError, "cannot write {what}{path}: ..."."""
@@ -281,12 +264,6 @@ def _write_text(text_of, payload, path) -> None:
     except ValueError as exc:
         raise SimulationError(f"cannot write {path}: {exc}") from None
     _write(path, (text.encode(), b"\n"))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    """Write ``json.dumps(scenario_to_dict(scenario), indent=2)`` plus a newline."""
-    _write_text(functools.partial(json.dumps, indent=2, allow_nan=False),
-                scenario_to_dict(scenario), path)
 
 
 # summary.json and sweep.json are ``json.dumps(payload, indent=1)`` of
@@ -386,10 +363,11 @@ def write_sweep(entries, path) -> None:
     _write_text(_sweep_text, entries, path)
 
 
-def _row_template(record: SimRecord, piece, fmt: str, path) -> bytes:
-    """The %-template of each row of a centre segment's run, ``piece``: its
-    constant fields formatted, ``t`` and ``s`` two slots.  A non-finite
-    value, which JSON cannot hold, raises SimulationError in either format."""
+def _row_parts(record: SimRecord, piece, fmt: str, path) -> tuple:
+    """The (prefix, slots, suffix) of each row of a centre segment's run,
+    ``piece``: ``t`` and ``s`` are the two slots of a bytes %-format, and the
+    constant fields, formatted, make the suffix.  A non-finite value, which
+    JSON cannot hold, raises SimulationError in either format."""
     constants = [record.segment_index, *record.track_speeds, *record.required_speeds,
                  *record.slip, *record.compressions, record.common_torque]  # column order
     t_finite, s_finite = piece.finite()
@@ -398,9 +376,9 @@ def _row_template(record: SimRecord, piece, fmt: str, path) -> bytes:
         if not finite:
             raise SimulationError(f"cannot write records to {path}: {name} is not finite")
     if fmt == "csv":
-        return ("%.9g,%.9g" + "".join(
-            "," + (str(v) if isinstance(v, int) else format(v, ".9g")) for v in constants)).encode()
-    return (' {\n  "t_s": %r,\n  "s_mm": %r' + "".join(
+        return b"", b"%.9g,%.9g", "".join(
+            "," + (str(v) if isinstance(v, int) else format(v, ".9g")) for v in constants).encode()
+    return b' {\n  "t_s": ', b'%r,\n  "s_mm": %r', ("".join(
         f',\n  "{name}": {json.dumps(v)}' for name, v in zip(CSV_COLUMNS[2:], constants))
         + "\n }").encode()
 
@@ -411,7 +389,7 @@ _LAYOUTS = {
     "csv": (",".join(CSV_COLUMNS).encode(), b"\n", b"\n", b"\n"),
     "json": (b"[", b",\n", b"\n]\n", b"]\n"),
 }
-_CHUNK_ROWS = 256  # rows formatted by one % call: about 110 kB of JSON text
+_CHUNK_ROWS = 256  # rows to a chunk: at most about 121 kB of JSON text
 
 
 def emit_records(records: Records, fmt: str, path) -> None:
@@ -419,25 +397,33 @@ def emit_records(records: Records, fmt: str, path) -> None:
     IoError, and a non-finite value SimulationError before the file opens.
 
     The table's columns are never built: ``piece_rows`` makes the ``t`` and
-    ``s`` of one chunk of a run's rows at a time, with the columns' bits,
-    and each chunk is one ``bytes %`` of the run's row template, repeated,
-    over its interleaved ``t`` and ``s``.  So neither the columns nor the
-    text ever hold more than a chunk.  ``b"%.9g" % x`` is
+    ``s`` of one chunk of a run's rows at a time, with the columns' bits.
+    Each chunk is one ``bytes %`` over a format of the rows' ``t`` and ``s``
+    slots alone, a NUL byte between rows, then one ``bytes.replace`` puts the
+    run's constant text in place of each NUL: a row's suffix, the separator
+    and the next row's prefix.  So neither the columns nor the text ever hold
+    more than a chunk, and the text is held about once.  ``b"%.9g" % x`` is
     ``format(x, ".9g").encode()`` and ``b"%r" % x`` is ``repr(x).encode()``,
     json's float text, so the bytes are those of a row-by-row writer.
     """
     if fmt not in _LAYOUTS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    runs = [(_row_template(record, piece, fmt, path), piece)
+    runs = [(_row_parts(record, piece, fmt, path), piece)
             for record, piece in zip(records.values, records.pieces)]
     head, sep, end, empty_end = _LAYOUTS[fmt]
 
     def chunks():
         yield head
         lead = b"\n"
-        for template, piece in runs:
+        for (prefix, slots, suffix), piece in runs:
+            # The constant texts come from str(int), format(v, ".9g"),
+            # json.dumps(v) and fixed key names: they hold no NUL and no %.
+            # Those that go into the format are escaped anyway.
+            joint = suffix + sep + prefix
+            prefix, suffix = prefix.replace(b"%", b"%%"), suffix.replace(b"%", b"%%")
             for flat in piece_rows(piece, _CHUNK_ROWS):
-                yield (lead + template + (sep + template) * (len(flat) // 2 - 1)) % tuple(flat)
+                rows = (slots + b"\0") * (len(flat) // 2 - 1) + slots
+                yield ((lead + prefix + rows + suffix) % tuple(flat)).replace(b"\0", joint)
                 lead = sep
         yield end if len(records) else empty_end
 

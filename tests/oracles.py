@@ -11,11 +11,14 @@ front and rear itself instead of once per pair of segment kinds, and
 aggregates and writes its rows one at a time instead of from columns, its
 means in ``Fraction``s; the writers' rows come from numpy's columns; bend
 track speeds come from contact paths traced through sampled centerline
-frames instead of the path-radius formula.
+frames instead of the path-radius formula.  The canonical scenario
+document and its writer live here too: no command writes a scenario, and
+parsing the document back checks the parser.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -29,7 +32,7 @@ from pipeclimber import Bend, MaxTimeExceeded, pose_at, step
 from pipeclimber.differential import SPAN_FACTOR, TorqueBalance
 from pipeclimber.geometry import segment_at
 from pipeclimber.robot import asymmetry_deg, spring_compression
-from pipeclimber.scenario_io import CSV_COLUMNS
+from pipeclimber.scenario_io import CSV_COLUMNS, SCHEMA, _write_text
 from pipeclimber.simulator import SegmentStats, SimSummary, analytic_track_speeds, ape
 
 EPS = Fraction(sys.float_info.epsilon)
@@ -282,6 +285,31 @@ def write_rows(records, fmt, path):
             json.dump([dict(zip(CSV_COLUMNS, _row(record))) for record in records], handle,
                       indent=1)
             handle.write("\n")
+
+
+def _section_doc(obj, section: str) -> dict:
+    return {key: getattr(obj, field) for key, field, _ in SCHEMA[section]}
+
+
+def scenario_to_dict(scenario) -> dict:
+    """Canonical document for a Scenario; parsing it back is an identity."""
+    segments = []
+    for seg in scenario.network.segments:
+        kind = "bend" if isinstance(seg, Bend) else "straight"
+        segments.append({"kind": kind, **_section_doc(seg, kind)})
+    return {
+        "pipe": {"inner_radius_mm": scenario.network.inner_radius, "segments": segments},
+        "robot": _section_doc(scenario.robot, "robot"),
+        "transmission": _section_doc(scenario.transmission, "transmission"),
+        "sim": _section_doc(scenario, "sim"),
+    }
+
+
+def save_scenario(scenario, path) -> None:
+    """Write ``json.dumps(scenario_to_dict(scenario), indent=2)`` plus a
+    newline through the package's file writer, with its errors."""
+    _write_text(functools.partial(json.dumps, indent=2, allow_nan=False),
+                scenario_to_dict(scenario), path)
 
 
 def contact_path_speeds(scenario, segment_index, samples=200):

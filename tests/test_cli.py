@@ -114,14 +114,22 @@ def test_run_compression_limit_exits_2(straight_scenario, tmp_path, capsys):
 
 
 def test_run_timeout_exits_2_with_partial_records(straight_scenario, tmp_path, capsys):
+    # A run stopped by its time budget writes the records of the rows it
+    # simulated, in either format, and no summary.
     doc = json.loads(straight_scenario.read_text())
     doc["sim"]["max_time_s"] = 1.0
     path = tmp_path / "short.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 2
-    assert len((out / "records.csv").read_text().splitlines()) == 101
+    csv_lines = (out / "records.csv").read_text().splitlines()
+    assert len(csv_lines) == 101
     assert "did not finish" in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(out), "--format", "json"]) == 2
+    assert "did not finish" in capsys.readouterr().err
+    with open(out / "records.json", encoding="ascii") as handle:
+        assert len(json.load(handle)) == len(csv_lines) - 1  # the CSV's header line
+    assert not (out / "summary.json").exists()
 
 
 def test_run_whose_arc_length_overflows_exits_2(tmp_path, capsys):

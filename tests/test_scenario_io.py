@@ -34,9 +34,7 @@ from pipeclimber import (
     emit_records,
     parse_scenario,
     run,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     summary_to_dict,
     write_summary,
     write_sweep,
@@ -44,7 +42,7 @@ from pipeclimber import (
 import pipeclimber.scenario_io as scenario_io
 from pipeclimber.scenario_io import _CHUNK_ROWS, SCHEMA
 from conftest import make_four_section_scenario
-from oracles import grid_rows, write_rows
+from oracles import grid_rows, save_scenario, scenario_to_dict, write_rows
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -637,15 +635,17 @@ def test_a_progression_that_overflows_raises_before_the_file_opens(tmp_path, fmt
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_emitting_holds_one_chunk_of_text_at_a_time(tmp_path, fmt):
+def test_emitting_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch, fmt):
     # The writer's peak memory does not grow with the table: ten times the
     # rows, the same few runs.  Where the last chunk of a run ends moves the
     # file's 8 kB text buffer in and out of the peak, hence the margin; the
     # whole text of 10,000 rows would be over ten times the peak.
-    def peak(rows):
-        records = table([Piece(0, 1 / 3, 2.5, 1e3, rows // 4),
-                         Piece(rows // 4, 7e-5, 1e3, 2.5, rows // 2),
-                         Piece(3 * rows // 4, 0.1, 2.5, 1e3, rows // 4)])
+    def records_of(rows, constants=(1.0,) * 13):
+        return table([Piece(0, 1 / 3, 2.5, 1e3, rows // 4),
+                      Piece(rows // 4, 7e-5, 1e3, 2.5, rows // 2),
+                      Piece(3 * rows // 4, 0.1, 2.5, 1e3, rows // 4)], constants=constants)
+
+    def peak(records):
         tracemalloc.start()
         try:
             emit_records(records, fmt, tmp_path / f"records.{fmt}")
@@ -653,7 +653,18 @@ def test_emitting_holds_one_chunk_of_text_at_a_time(tmp_path, fmt):
         finally:
             tracemalloc.stop()
 
-    assert peak(10_000) <= 1.5 * peak(1_000)
+    assert peak(records_of(10_000)) <= 1.5 * peak(records_of(1_000))
+
+    # Nor does it hold a chunk's text much more than once: with rows as wide
+    # as a run's, every constant at full width, the peak is at most twice
+    # the largest chunk.  It reads about 1.8 (CSV) and 1.3 (JSON); a format
+    # that repeats each row's constant text reads about 2.8 and 2.4.
+    wide = records_of(10_000, tuple(-i / 7 for i in range(1, 14)))
+    chunks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario_io, "_write", lambda path, items, what: chunks.extend(items))
+        emit_records(wide, fmt, tmp_path / f"records.{fmt}")
+    assert peak(wide) <= 2 * max(map(len, chunks))
 
 
 def test_four_section_records_keep_their_digest(tmp_path):
