@@ -22,14 +22,15 @@ minimum-norm selection, which has a closed form.
 Under load the equilibrium is found by scalar root finding on the common
 torque level: invert each (strictly monotone) load curve at a trial torque
 and adjust the torque until the mean output speed meets the averaging
-constraint.  For ``LinearLoad``s the mean inverse is affine, so the search
-starts at its closed-form root and walks to the adjacent pair of floats
-that straddles the float root, stepping past flat runs to the next float
-at which a term can change; for exact ``LinearLoad``s the output speeds
-are the terms the walk computed at the end it keeps.  Any other curve, or a
-walk that fails its checks, falls back to plain bisection of the whole
-bracket, which keeps the solve robust for any monotone curve and takes at
-most MAX_BISECTIONS halvings.
+constraint.  The search takes one of two paths.  When all three loads are
+exactly ``LinearLoad``, the mean inverse is affine, so a walk starts at its
+closed-form root and steps to the adjacent pair of floats that straddles
+the float root, past flat runs to the next float at which a term can
+change; the output speeds are the terms it computed at the end it keeps.
+Any other load, a ``LinearLoad`` subclass included, and a walk that fails
+its checks, take the bracketed search: plain bisection of the whole bracket
+through the loads' methods, which keeps the solve robust for any monotone
+curve and takes at most MAX_BISECTIONS halvings.  Both end on the same bits.
 
 ``TorqueBalance`` and ``TransmissionState`` are named tuples: immutable and
 hashable, but they compare equal to plain tuples of their fields, and a copy
@@ -146,51 +147,49 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
 
     F is strictly increasing, so evaluating each load at the target mean
     speed brackets the root: [lo, hi] = [min_j, max_j] of the torques.  F's
-    float values are monotone too, so every search below ends on the same
-    adjacent pair (p, p+) with F(p) < 0 <= F(p+), and the result is
+    float values are monotone too, so both search paths below end on the
+    same adjacent pair (p, p+) with F(p) < 0 <= F(p+), and the result is
     deterministic, even when the equilibrium torque is tiny.
 
-    When all three loads are ``LinearLoad``s, subclasses included, F is
-    affine and the search starts at its closed-form root
+    When all three loads are exactly ``LinearLoad``, as the simulator's slip
+    law makes them, F is affine.  Its residuals, the bracket torques and the
+    slope check are computed from the loads' twelve fields (stiffness k,
+    wheel_radius r, target_speed g, offset o), read once, in the order of
+    ``LinearLoad.inverse``, ``torque`` and ``slope``: the same bits as the
+    method calls, without their cost.  The walk starts at F's closed-form
+    root
 
         tau0 = (3 * target - sum_j (g_j - o_j / k_j) / r_j) / sum_j 1 / (k_j r_j)
 
-    (stiffness k, wheel_radius r, target_speed g, offset o), clamped to
-    [lo, hi].  It walks from there to the pair: ULP_STEPS probes one ulp
-    apart, or fewer if a one-ulp step leaves every track's (tau - o) / k + g
-    as it was, then straight to the next float at which some track's term
-    rounds to another value, since F cannot change before one does.  That
-    float is computed from the fields, and moved on one ulp where the term
-    has not changed yet; it is only a candidate, and every probe stays in
-    [lo, hi] and strictly between the nearest probes on either side of the
-    root.  The pair it finds is the one the bracketed search ends on, which
-    keeps the end with the smaller residual; at a zero run (F(p+) == 0)
-    that is p+ only when F(hi) > 0, so that one residual is evaluated too,
-    and F(lo) < 0 follows from lo <= p.  The walk runs only where hi - lo
-    and every midpoint sum of the bracket are finite and sum_j 1 / (k_j r_j)
-    is not 0, and hands over to the bracketed search after WALK_STEPS
-    probes, at a bracket end or at a NaN.
+    clamped to [lo, hi].  It walks from there to the pair: ULP_STEPS probes
+    one ulp apart, or fewer if a one-ulp step leaves every track's
+    (tau - o) / k + g as it was, then straight to the next float at which
+    some track's term rounds to another value, since F cannot change before
+    one does.  That float is computed from the fields, and moved on one ulp
+    where the term has not changed yet; it is only a candidate, and every
+    probe stays in [lo, hi] and strictly between the nearest probes on
+    either side of the root.  The pair it finds is the one the bracketed
+    search ends on, which keeps the end with the smaller residual; at a zero
+    run (F(p+) == 0) that is p+ only when F(hi) > 0, so that one residual is
+    evaluated too, and F(lo) < 0 follows from lo <= p.  The walk runs only
+    where hi - lo and every midpoint sum of the bracket are finite and
+    sum_j 1 / (k_j r_j) is not 0, and hands over to the bracketed search
+    after WALK_STEPS probes, at a bracket end or at a NaN.  Each probe's
+    three inverses are its output speeds, and F is their mean minus the
+    target, so when the walk ends the solve the speeds and the residual
+    checked against SOLVE_TOL are those of the probe it keeps, computed once.
 
-    The bracketed search, for other curves and for a walk that did not end,
-    widens the bracket if a curve's torque and inverse disagree, then
-    bisects the whole bracket to adjacent floats (at most MAX_BISECTIONS
-    halvings: at float midpoints, then at midpoints of the doubles' order)
-    and keeps the end with the smaller residual.  SOLVE_TOL (relative on
-    the mean-speed residual) is the guaranteed accuracy; the solve is
-    verified against it and far exceeds it in practice.
-
-    When all three loads are exactly ``LinearLoad`` (a subclass may
-    override ``inverse``), the walk's F, the bracket torques and the slope
-    check are computed from their twelve fields, read once, in the order
-    of ``LinearLoad.inverse``, ``torque`` and ``slope``: the same bits as
-    the method calls, without their cost.  Each probe's three inverses are
-    its output speeds, and F is their mean minus the target, so when the
-    walk ends the solve the speeds and the residual checked against
-    SOLVE_TOL are those of the probe it keeps, computed once.  Where the
-    walk keeps a zero of the other sign, or the bracketed search ends the
-    solve, the loads' ``inverse`` methods give them at the torque kept, for
-    every load type.  Other loads are called through their methods; both
-    take the same search.
+    Any other load, a ``LinearLoad`` subclass included, and a walk that did
+    not end, take the bracketed search through the loads' ``torque`` and
+    ``inverse`` methods: it widens the bracket if a curve's torque and
+    inverse disagree, then bisects the whole bracket to adjacent floats (at
+    most MAX_BISECTIONS halvings: at float midpoints, then at midpoints of
+    the doubles' order) and keeps the end with the smaller residual.  Where
+    the walk keeps a zero of the other sign, or the bracketed search ends
+    the solve, the loads' ``inverse`` methods give the output speeds at the
+    torque kept.  SOLVE_TOL (relative on the mean-speed residual) is the
+    guaranteed accuracy; the solve is verified against it and far exceeds
+    it in practice.
 
     Raises NonMonotoneLoad for a non-increasing curve and NoBracket if the
     bracket cannot be established within MAX_WIDENINGS widenings, each
@@ -201,13 +200,10 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         raise ValueError(f"expected 3 load curves, got {len(loads)}")
     load0, load1, load2 = loads
     linear = type(load0) is LinearLoad and type(load1) is LinearLoad and type(load2) is LinearLoad
-    seeded = linear or (isinstance(load0, LinearLoad) and isinstance(load1, LinearLoad)
-                        and isinstance(load2, LinearLoad))
-    if seeded:
+    if linear:
         k0, r0, g0, o0 = load0.stiffness, load0.wheel_radius, load0.target_speed, load0.offset
         k1, r1, g1, o1 = load1.stiffness, load1.wheel_radius, load1.target_speed, load1.offset
         k2, r2, g2, o2 = load2.stiffness, load2.wheel_radius, load2.target_speed, load2.offset
-    if linear:
         monotone = k0 * r0 > 0.0 and k1 * r1 > 0.0 and k2 * r2 > 0.0
     else:
         monotone = all(getattr(load, "slope", 1.0) > 0.0 for load in loads)
@@ -223,7 +219,6 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
         t1 = k1 * (target * r1 - g1) + o1
         t2 = k2 * (target * r2 - g2) + o2
     else:
-        residual = _mean_inverse(loads, target)
         t0, t1, t2 = load0.torque(target), load1.torque(target), load2.torque(target)
     # min() and max() of the three, as those builtins pick them (NaN included), without
     # their call.
@@ -233,17 +228,13 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
     hi = t2 if t2 > hi else hi
 
     tau = speeds = None
-    # A subclass was checked through its ``slope``, which it may override: check k * r too.
-    if seeded and lo < hi and -inf < lo + lo and hi + hi < inf and (
-            linear or (k0 * r0 > 0.0 and k1 * r1 > 0.0 and k2 * r2 > 0.0)):
+    if linear and lo < hi and -inf < lo + lo and hi + hi < inf:
         gain = 1.0 / (k0 * r0) + 1.0 / (k1 * r1) + 1.0 / (k2 * r2)
         if gain != 0.0:
             x = (3.0 * target - ((g0 - o0 / k0) / r0 + (g1 - o1 / k1) / r1
                                  + (g2 - o2 / k2) / r2)) / gain
             if not lo <= x <= hi:  # NaN starts at hi
                 x = lo if x < lo else hi
-            if not linear:
-                inv0, inv1, inv2 = load0.inverse, load1.inverse, load2.inverse
             p = q = None  # the nearest probes with F < 0 and with F >= 0
             c0 = c1 = c2 = math.nan  # each track's (tau - o) / k + g at the last probe
             for step in range(WALK_STEPS):
@@ -251,10 +242,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
                 c0 = (x - o0) / k0 + g0
                 c1 = (x - o1) / k1 + g1
                 c2 = (x - o2) / k2 + g2
-                if linear:  # the probe's output speeds, and F from them as residual() sums
-                    w0, w1, w2 = c0 / r0, c1 / r1, c2 / r2
-                else:
-                    w0, w1, w2 = inv0(x), inv1(x), inv2(x)
+                w0, w1, w2 = c0 / r0, c1 / r1, c2 / r2  # the probe's output speeds
                 f = (0.0 + w0 + w1 + w2) / 3.0 - target
                 if f < 0.0:
                     p, f_p, d = x, f, inf
@@ -271,14 +259,13 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
                         break
                     if f_q > 0.0:
                         tau = p if abs(f_p) < abs(f_q) else q
-                    elif q != hi and ((
-                            (0.0 + ((hi - o0) / k0 + g0) / r0 + ((hi - o1) / k1 + g1) / r1
-                             + ((hi - o2) / k2 + g2) / r2) / 3.0 - target)
-                            if linear else residual(hi)) > 0.0:
+                    # F(hi) from the fields: about half of the C1 solves end on a zero run.
+                    elif q != hi and (0.0 + ((hi - o0) / k0 + g0) / r0 + ((hi - o1) / k1 + g1) / r1
+                                      + ((hi - o2) / k2 + g2) / r2) / 3.0 - target > 0.0:
                         tau = q
                     if tau == 0.0:  # the bracketed search gives -0.0 only as a bracket end
                         tau = lo if lo == 0.0 else hi if hi == 0.0 else 0.0
-                    elif linear and tau is not None:  # that probe's speeds and F are the result's
+                    elif tau is not None:  # that probe's speeds and F are the result's
                         if tau == p:
                             speeds, mean_residual = (p0, p1, p2), f_p
                         else:
@@ -315,9 +302,7 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
 
     iterations = 0
     if tau is None:
-        if linear:
-            residual = _mean_inverse(loads, target)
-        tau, iterations = _bracketed_root(residual, lo, hi)
+        tau, iterations = _bracketed_root(_mean_inverse(loads, target), lo, hi)
     if speeds is None:
         w0, w1, w2 = load0.inverse(tau), load1.inverse(tau), load2.inverse(tau)
         speeds = (w0, w1, w2)

@@ -11,9 +11,10 @@ raises:
 * ``--bends`` bend-shaped cases on the same seed: the speeds a bend requires of
   the tracks, with one stiffness, sprocket radius and offset for all three.
 
-Each case is solved three ways: as ``LinearLoad``s, as a ``LinearLoad`` subclass
-(the walk through the methods) and as loads that only have ``torque`` and
-``inverse`` (the bracketed search alone).  The ``pipeclimber`` imported is the
+Each case is solved three ways: as ``LinearLoad``s, which the solve walks from
+their fields, and as a ``LinearLoad`` subclass and as loads that only have
+``torque`` and ``inverse``, which it bisects through their methods, so every case
+checks the walk against the bracketed search.  The ``pipeclimber`` imported is the
 first on the path, so a run with ``PYTHONPATH`` at another tree's ``src``
 digests that tree's solver::
 
@@ -42,7 +43,8 @@ SIGNS = (0.0, -0.0, 1.0, -1.0)
 
 
 class SubclassLoad(LinearLoad):
-    """A ``LinearLoad`` subclass: the solve walks it through its methods."""
+    """A ``LinearLoad`` subclass that overrides nothing: the solve bisects it through its
+    methods, on the same curve as the walk."""
 
 
 class MethodLoad:
