@@ -33,7 +33,7 @@ from .dimensions import pipe_inner_radius
 from .errors import BadSegment, IoError, ParseError, SimulationError, ValidationError
 from .geometry import Bend, Straight, build_network
 from .robot import RobotParams
-from .simulator import Records, Scenario, SimRecord, piece_rows
+from .simulator import Piece, Records, Scenario, SimRecord
 
 CSV_COLUMNS = (
     "t_s",
@@ -389,19 +389,37 @@ _LAYOUTS = {
     "csv": (",".join(CSV_COLUMNS).encode(), b"\n", b"\n", b"\n"),
     "json": (b"[", b",\n", b"\n]\n", b"]\n"),
 }
-_CHUNK_ROWS = 256  # rows to a chunk: at most about 121 kB of JSON text
+# The one chunk size: rows to a chunk, at most about 121 kB of JSON text;
+# a visit's last chunk may be shorter.
+_CHUNK_ROWS = 256
+_STEPS = tuple(map(float, range(_CHUNK_ROWS)))  # row offsets within a chunk, as floats
+
+
+def _piece_rows(piece: Piece):
+    """The rows of ``piece`` in chunks of ``_CHUNK_ROWS``: flat lists of
+    floats, ``t`` and ``s`` interleaved.  ``Piece``'s formula, with row
+    numbers as floats, exact below 2**53, so each product is the
+    interpreter's float fast path and gives a read's bits."""
+    n, dt, s, ds, rows = piece
+    for start in range(0, rows, _CHUNK_ROWS):
+        ks = _STEPS[:min(_CHUNK_ROWS, rows - start)]
+        first, offset = float(n + start), float(start)
+        flat = [0.0] * (2 * len(ks))
+        flat[::2] = [(first + k) * dt for k in ks]
+        flat[1::2] = [s + (offset + k) * ds for k in ks]
+        yield flat
 
 
 def emit_records(records: Records, fmt: str, path) -> None:
     """Write a ``Records`` table to ``path`` as CSV or JSON; OSError becomes
     IoError, and a non-finite value SimulationError before the file opens.
 
-    The table's columns are never built: ``piece_rows`` makes the ``t`` and
-    ``s`` of one chunk of a run's rows at a time, with the columns' bits.
+    No column is built: ``_piece_rows`` makes the ``t`` and ``s`` of one
+    chunk of a run's rows at a time, with the bits of the table's reads.
     Each chunk is one ``bytes %`` over a format of the rows' ``t`` and ``s``
     slots alone, a NUL byte between rows, then one ``bytes.replace`` puts the
     run's constant text in place of each NUL: a row's suffix, the separator
-    and the next row's prefix.  So neither the columns nor the text ever hold
+    and the next row's prefix.  So neither the floats nor the text ever hold
     more than a chunk, and the text is held about once.  ``b"%.9g" % x`` is
     ``format(x, ".9g").encode()`` and ``b"%r" % x`` is ``repr(x).encode()``,
     json's float text, so the bytes are those of a row-by-row writer.
@@ -421,7 +439,7 @@ def emit_records(records: Records, fmt: str, path) -> None:
             # Those that go into the format are escaped anyway.
             joint = suffix + sep + prefix
             prefix, suffix = prefix.replace(b"%", b"%%"), suffix.replace(b"%", b"%%")
-            for flat in piece_rows(piece, _CHUNK_ROWS):
+            for flat in _piece_rows(piece):
                 rows = (slots + b"\0") * (len(flat) // 2 - 1) + slots
                 yield ((lead + prefix + rows + suffix) % tuple(flat)).replace(b"\0", joint)
                 lead = sep

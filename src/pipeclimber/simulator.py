@@ -32,8 +32,9 @@ per row.
 Records are a ``Records`` table: the record of each centre segment visited
 once, with its rows as one ``Piece`` of that grid and the row where the
 centre leaves it.  ``summarize`` reads each visit's piece for its entry
-time; its mean track speeds are the speeds its rows share.  The writers
-build one chunk of rows at a time with ``piece_rows``.
+time; its mean track speeds are the speeds its rows share.  The table
+keeps no column: a row is read from its piece, one bisection to find the
+visit and one product for each of ``t`` and ``s``.
 
 With equal slip stiffness on all tracks this equilibrium reproduces the
 required speeds exactly (the common slip is the mean mismatch, which is
@@ -43,11 +44,9 @@ control input.  That limit behaviour is what the acceptance suite pins.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -172,25 +171,6 @@ class Piece(NamedTuple):
                 all(math.isfinite(s + k * ds) for k in ends))
 
 
-_STEPS = tuple(map(float, range(256)))  # row offsets within a chunk, as floats
-
-
-def piece_rows(piece: Piece, size: int = len(_STEPS)):
-    """The rows of ``piece`` in chunks: flat lists of floats, ``t`` and
-    ``s`` interleaved, ``size`` rows to a list, at most 256 (the last may
-    be shorter).  Row numbers go in as floats, exact below 2**53, so each
-    product is the interpreter's float fast path."""
-    n, dt, s, ds, rows = piece
-    size = min(size, len(_STEPS))
-    for start in range(0, rows, size):
-        ks = _STEPS[:min(size, rows - start)]
-        first, offset = float(n + start), float(start)
-        flat = [0.0] * (2 * len(ks))
-        flat[::2] = [(first + k) * dt for k in ks]
-        flat[1::2] = [s + (offset + k) * ds for k in ks]
-        yield flat
-
-
 # The fields after ``t`` and ``s``, which every row of a run shares.
 _shared = operator.attrgetter("segment_index", "track_speeds", "required_speeds", "slip",
                               "compressions", "common_torque")
@@ -203,11 +183,10 @@ class Records(Sequence):
     ``s``, so ``values[j]`` holds the record of the ``j``-th centre segment
     visited, ``pieces[j]`` its rows as one ``Piece``, and
     ``run_ends[j]`` is the row where the centre leaves it; all three are
-    tuples, and every run has at least one row.  The columns ``t`` and
-    ``s`` are each an ``array('d')``, built on its first read and kept.
-    Indexing by row number reads the columns; iteration makes each piece's
-    rows a chunk at a time and builds no column.  All three take the rows
-    from ``piece_rows``.  Both give ``SimRecord`` rows, and two tables are
+    tuples, and every run has at least one row.  The table holds nothing
+    else: indexing by row number bisects ``run_ends`` for the visit and
+    computes the row with ``Piece``'s formula, and iteration computes each
+    row the same way.  Both give ``SimRecord`` rows, and two tables are
     equal when their rows are.
     """
 
@@ -219,30 +198,18 @@ class Records(Sequence):
     def __len__(self) -> int:
         return self.run_ends[-1] if self.run_ends else 0
 
-    @functools.cached_property
-    def t(self) -> array:
-        """Time (s) per row."""
-        return array("d", itertools.chain.from_iterable(
-            flat[::2] for piece in self.pieces for flat in piece_rows(piece)))
-
-    @functools.cached_property
-    def s(self) -> array:
-        """Centre arc length (mm) per row."""
-        return array("d", itertools.chain.from_iterable(
-            flat[1::2] for piece in self.pieces for flat in piece_rows(piece)))
-
     def __getitem__(self, key):
         row = range(len(self))[operator.index(key)]  # IndexError past either end
-        value = self.values[bisect_right(self.run_ends, row)]
-        return SimRecord(self.t[row], self.s[row], *_shared(value))
+        j = bisect_right(self.run_ends, row)
+        n, dt, s, ds, rows = self.pieces[j]
+        k = row - self.run_ends[j] + rows
+        return SimRecord((n + k) * dt, s + k * ds, *_shared(self.values[j]))
 
     def __iter__(self):
-        for value, piece in zip(self.values, self.pieces):
+        for value, (n, dt, s, ds, rows) in zip(self.values, self.pieces):
             shared = _shared(value)
-            for flat in piece_rows(piece):
-                pairs = iter(flat)
-                for t, s in zip(pairs, pairs):
-                    yield SimRecord(t, s, *shared)
+            for k in range(rows):
+                yield SimRecord((n + k) * dt, s + k * ds, *shared)
 
     def __eq__(self, other):
         if not isinstance(other, Records):

@@ -1,11 +1,13 @@
 """The console script's contract, each check in a fresh ``python -m
 pipeclimber.cli`` process: exit codes, the key path on stderr, and the
-layout of the files it writes.  ``-W error::RuntimeWarning`` makes a
-RuntimeWarning fail the process, as pytest's filterwarnings does in-process.
+layout of the files it writes; and README's library example, in a fresh
+``python -S`` process.  ``-W error::RuntimeWarning`` makes a RuntimeWarning
+fail the process, as pytest's filterwarnings does in-process.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,18 @@ def pipeclimb(*args, python_flags=("-W", "error::RuntimeWarning")):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, *python_flags, "-m", "pipeclimber.cli", *map(str, args)],
                           capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+
+
+def test_the_readme_library_example_runs_as_written():
+    # -S leaves site-packages off the path: the library needs only the
+    # standard library and src.
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-S", "-W", "error::RuntimeWarning", "-c", blocks[0]],
+                            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def edited(old: str, new: str) -> str:

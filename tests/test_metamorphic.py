@@ -125,8 +125,8 @@ def check_relation(base_doc, keys, out, factor, folder):
         assert got_records.run_ends == records.run_ends
         assert [record_fields(v, out, factor) for v in records.values] == \
             [record_fields(v, out, 1.0) for v in got_records.values]
-        assert [x * factor ** out["t"] for x in records.t.tolist()] == got_records.t.tolist()
-        assert [x * factor ** out["s"] for x in records.s.tolist()] == got_records.s.tolist()
+        assert [row.t * factor ** out["t"] for row in records] == [row.t for row in got_records]
+        assert [row.s * factor ** out["s"] for row in records] == [row.s for row in got_records]
     assert (got_summary is None) == (summary is None)
     if summary is not None:
         assert summary_fields(summary, out, factor) == summary_fields(got_summary, out, 1.0)

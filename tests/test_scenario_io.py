@@ -519,8 +519,8 @@ def test_json_mirrors_the_csv_fields(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emitting_records_builds_no_row_objects(monkeypatch, tmp_path, fmt):
-    # Both writers read the table's columns, one centre segment's run at a
-    # time, rather than a ``SimRecord`` per row.
+    # Both writers compute each centre segment's rows from its piece, a
+    # chunk at a time, rather than reading a ``SimRecord`` per row.
     records = sample_records(3)
     built = []
     init = SimRecord.__init__
@@ -555,6 +555,12 @@ def column_rows(records):
     return rows
 
 
+def hexed(rows):
+    """``rows`` with their ``t`` and ``s`` as ``float.hex``, so that a
+    signed zero or a last-bit difference shows."""
+    return [(row.t.hex(), row.s.hex(), row) for row in rows]
+
+
 RUN_LENGTHS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS)
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                1.7976931348623157e308, 1 / 3, 1e-7, 123456789.5)
@@ -570,12 +576,21 @@ visits = st.one_of(st.builds(Piece, row_numbers, finite, finite, finite, st.just
 @settings(max_examples=60, deadline=None)
 @given(visits=st.lists(visits, min_size=1, max_size=4), segment_index=st.integers(0, 10**6),
        constants=st.lists(finite, min_size=13, max_size=13))
+# The last row's t, (7 + 255)·0.1, is one ulp from 7·0.1 + 255·0.1.
+@example(visits=[Piece(7, 0.1, 0.1, 1 / 3, 256)], segment_index=0, constants=[1.0] * 13)
 def test_emitted_bytes_match_a_row_by_row_writer(tmp_path_factory, visits, segment_index,
                                                  constants):
     # The floats take in signed zeros, subnormals and the ends of the float
     # range; a column that leaves it raises before the file opens.
     records = table(visits, segment_index, constants)
     rows = column_rows(records)
+    # Reads and the writer's chunks are two codes for the same formula:
+    # iteration, and indexing from either end at each visit's first and
+    # last row, give the oracle's bits too.
+    assert hexed(records) == hexed(rows)
+    for end, piece in zip(records.run_ends, records.pieces):
+        for row in (end - piece.rows, end - 1):
+            assert hexed([records[row], records[row - len(records)]]) == hexed([rows[row]] * 2)
     folder = tmp_path_factory.mktemp("rows")
     for fmt in ("csv", "json"):
         target = folder / f"table.{fmt}"

@@ -327,9 +327,11 @@ def test_table_rows_are_built_from_their_fields(monkeypatch, four_section_scenar
     # Each row is a ``SimRecord`` built positionally from its run's value;
     # ``dataclasses.replace`` gives the same rows at about twice the cost.
     records, _ = run(four_section_scenario)
+    ts, ss = (np.concatenate(columns).tolist()
+              for columns in zip(*map(grid_rows, records.pieces)))
     expected = [replace(value, t=t, s=s) for value, t, s in zip(
         (records.values[bisect_right(records.run_ends, row)] for row in range(len(records))),
-        records.t.tolist(), records.s.tolist())]
+        ts, ss)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a table row went through dataclasses.replace")
@@ -437,7 +439,7 @@ def _check_against_stepping(scenario, folder):
         assert len(records.pieces) == len(records.values)
         assert all(a.segment_index != b.segment_index
                    for a, b in zip(records.values, records.values[1:]))
-        centre = [geometry.segment_at(scenario.network, s) for s in records.s]
+        centre = [geometry.segment_at(scenario.network, row.s) for row in rows]
         changes = [row for row in range(1, len(centre)) if centre[row] != centre[row - 1]]
         assert records.run_ends == (*changes, len(records))
         for fmt in ("csv", "json"):
@@ -691,7 +693,8 @@ def test_run_allocates_no_array_of_rows(tmp_path):
     # ``run`` keeps one piece per segment visited and no column, so its peak
     # stays put; the writers build one chunk of rows at a time, so theirs
     # stay put too.  The t and s of the shortest run at the fine step, as
-    # float64, would take 224 kB.
+    # float64, would take 224 kB; a t column of all 90,549 rows at the fine
+    # step, built on a read of the last row, about 1.5 MB.
     def peaks(dt_s):
         tracemalloc.start()
         try:
@@ -699,6 +702,7 @@ def test_run_allocates_no_array_of_rows(tmp_path):
             ran = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        attributes = set(vars(records))
         emitted = []
         for fmt in ("csv", "json"):
             tracemalloc.start()
@@ -708,15 +712,21 @@ def test_run_allocates_no_array_of_rows(tmp_path):
             finally:
                 tracemalloc.stop()
 
-        def arrays():
-            return sum(isinstance(value, array) for value in vars(records).values())
-
-        assert arrays() == 0  # emitting built no column either
         assert len(records.pieces) == len(records.values)
         assert all(type(piece.n) is int for piece in records.pieces)
         assert all(type(value) is float for piece in records.pieces for value in piece[1:4])
-        assert len(records.t) == len(records)
-        assert arrays() == 1  # t, built on its first read and kept
+        # A read costs per row read: the last row is one bisection and two
+        # products, and no read, nor emitting, leaves a column behind.
+        tracemalloc.start()
+        try:
+            records[-1]
+            assert tracemalloc.get_traced_memory()[1] < 4096
+        finally:
+            tracemalloc.stop()
+        records[len(records) // 2]
+        assert sum(1 for _ in records) == len(records)
+        assert set(vars(records)) == attributes
+        assert not any(isinstance(value, array) for value in vars(records).values())
         return ran, emitted, min(np.diff((0, *records.run_ends)))
 
     (coarse, coarse_emitted, coarse_rows), (fine, fine_emitted, fine_rows) = peaks(0.05), peaks(0.0005)
@@ -992,7 +1002,7 @@ def test_a_cut_run_stops_on_the_last_row_under_its_budget(name):
         run(scenario)
     records = err.value.records
     assert len(records) == budget_rows(scenario.dt_s, scenario.max_time_s)
-    assert records.t[-1] < scenario.max_time_s <= len(records) * scenario.dt_s
+    assert records[-1].t < scenario.max_time_s <= len(records) * scenario.dt_s
     if name == "generated_0+cut":
         assert len(records) == 1080
         assert "(reached 2700.0 of " in str(err.value)
@@ -1011,7 +1021,7 @@ def test_a_run_stops_on_the_last_row_under_its_budget(dt_s, share, exact):
         run(scenario)
     records = err.value.records
     assert len(records) == budget_rows(dt_s, limit)
-    assert records.t[-1] < limit <= len(records) * dt_s
+    assert records[-1].t < limit <= len(records) * dt_s
 
 
 def test_rows_are_the_exact_grid_within_an_ulp(four_section_scenario):
