@@ -29,7 +29,7 @@ class ParseError(ConfigError):
 class ValidationError(ConfigError, ValueError):
     """A value violates an invariant.
 
-    ``path`` names the offending value: a dataclass field name when a
+    ``path`` names the offending value: a record field name when a
     validator raises, the document key path once the scenario parser has
     re-raised it; the empty path, the document itself, is left out of the
     message.
@@ -64,7 +64,7 @@ class EmptyNetwork(ConfigError):
 
 class BadSegment(ConfigError):
     """A segment specification violates its invariants; ``field`` names the
-    offending dataclass field of segment ``index``."""
+    offending record field of segment ``index``."""
 
     def __init__(self, reason, index=None, field=None):
         message = reason if field is None else f"{field}: {reason}"

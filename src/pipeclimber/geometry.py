@@ -26,19 +26,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BadSegment, EmptyNetwork, OutOfRange, ValidationError, require
 
-@dataclass(frozen=True)
-class Straight:
+
+class Straight(NamedTuple):
     """Straight run of a given centerline length (mm)."""
 
     length: float
 
 
-@dataclass(frozen=True)
-class Bend:
+class Bend(NamedTuple):
     """Circular bend: centerline radius (mm), sweep in (0, 180] degrees,
     and the roll of the bend plane relative to the carried reference."""
 
@@ -51,8 +50,7 @@ class Bend:
         return self.bend_radius * math.radians(self.sweep_angle)
 
 
-@dataclass(frozen=True)
-class CenterlinePose:
+class CenterlinePose(NamedTuple):
     """Local centerline frame at one arc length.
 
     ``bend_outward`` points from the bend center to the centerline and is
@@ -67,15 +65,14 @@ class CenterlinePose:
     segment_index: int
 
 
-@dataclass(frozen=True, eq=False)
-class PipeNetwork:
+class PipeNetwork(NamedTuple):
     """Immutable pipe network: segments and per-segment scalars, no frames."""
 
     segments: tuple
     inner_radius: float
     cumulative_lengths: tuple
     # per segment: 0.0 on a straight, 1.0 / bend_radius on a bend (1/mm)
-    curvatures: tuple = field(repr=False, compare=False)
+    curvatures: tuple
 
     @property
     def total_length(self) -> float:

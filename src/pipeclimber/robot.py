@@ -29,7 +29,7 @@ rather than interpreted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AsymmetryLimit, CompressionLimit, DegenerateBend, require, require_positive
 
@@ -40,8 +40,7 @@ DEFAULT_SPRINGS = 12  # 4 linkages x 3 modules
 DEFAULT_MAX_ASYMMETRY_DEG = 10.0
 
 
-@dataclass(frozen=True)
-class RobotParams:
+class RobotParams(NamedTuple):
     """Geometry, spring, and traction parameters of the climbing robot.
 
     contact_radius_mm:  radial distance from robot axis to track contact line.

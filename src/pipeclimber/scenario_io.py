@@ -3,7 +3,7 @@
 Scenario files are JSON with four sections (pipe, robot, transmission, sim).
 Every physical quantity carries its unit in the key name; values are
 converted exactly once, here, at the boundary, where ``SCHEMA`` maps each
-key to the dataclass field it fills.  Range rules live in the dataclass
+key to the record field it fills.  Range rules live in the records'
 validators.  Unknown keys are rejected and all validation errors, the
 validators' included, name the offending key path.
 
@@ -54,8 +54,8 @@ CSV_COLUMNS = (
     "torque_nm",
 )
 
-# (JSON key, dataclass field, required) per section, in canonical document
-# order.  Absent optional keys take the dataclass default.
+# (JSON key, record field, required) per section, in canonical document
+# order.  Absent optional keys take the field's default.
 SCHEMA = {
     "robot": (
         ("h_mm", "contact_radius_mm", True),
@@ -90,7 +90,7 @@ SCHEMA = {
     ),
 }
 
-# Validators name the dataclass field at fault.  Field names are unique
+# Validators name the record field at fault.  Field names are unique
 # across sections, so one map takes each back to its key path.
 _PATHS = {"inner_radius": "pipe.inner_radius_mm"} | {
     field: f"{section}.{key}" for section in ("robot", "transmission", "sim")
@@ -449,7 +449,8 @@ def emit_records(records: Records, fmt: str, path) -> None:
 
 
 def summary_to_dict(summary) -> dict:
-    """Plain-dict view of a SimSummary: ``dataclasses.asdict``'s value, without
-    its deep copy.  No writer calls it; the tests check that ``summary.json``
-    and ``sweep.json`` hold its ``json.dumps(..., indent=1)`` byte for byte."""
-    return dict(vars(summary), segments=tuple(dict(vars(seg)) for seg in summary.segments))
+    """Plain-dict view of a SimSummary: its ``_asdict()``, with each of its
+    segments' ``_asdict()`` in place of the SegmentStats.  No writer calls it;
+    the tests check that ``summary.json`` and ``sweep.json`` hold its
+    ``json.dumps(..., indent=1)`` byte for byte."""
+    return dict(summary._asdict(), segments=tuple(seg._asdict() for seg in summary.segments))

@@ -49,7 +49,6 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -65,8 +64,7 @@ from .robot import track_path_radius
 MAX_STEPS = 1_000_000  # most rows a valid scenario may take: max_time_s / dt_s
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(NamedTuple):
     """Everything one run needs: network, robot, transmission, drive, time grid."""
 
     network: PipeNetwork
@@ -131,8 +129,7 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class SimRecord:
+class SimRecord(NamedTuple):
     """One timestep: speeds and spring state per track plus the torque level."""
 
     t: float
@@ -171,11 +168,6 @@ class Piece(NamedTuple):
                 all(math.isfinite(s + k * ds) for k in ends))
 
 
-# The fields after ``t`` and ``s``, which every row of a run shares.
-_shared = operator.attrgetter("segment_index", "track_speeds", "required_speeds", "slip",
-                              "compressions", "common_torque")
-
-
 class Records(Sequence):
     """A run's records, run-end encoded after Apache Arrow's layout.
 
@@ -186,8 +178,9 @@ class Records(Sequence):
     tuples, and every run has at least one row.  The table holds nothing
     else: indexing by row number bisects ``run_ends`` for the visit and
     computes the row with ``Piece``'s formula, and iteration computes each
-    row the same way.  Both give ``SimRecord`` rows, and two tables are
-    equal when their rows are.
+    row the same way.  Both give ``SimRecord`` rows, each built with
+    ``tuple.__new__`` from ``t``, ``s`` and the fields after them, which every
+    row of a visit shares; two tables are equal when their rows are.
     """
 
     def __init__(self, values, pieces):
@@ -203,13 +196,13 @@ class Records(Sequence):
         j = bisect_right(self.run_ends, row)
         n, dt, s, ds, rows = self.pieces[j]
         k = row - self.run_ends[j] + rows
-        return SimRecord((n + k) * dt, s + k * ds, *_shared(self.values[j]))
+        return tuple.__new__(SimRecord, ((n + k) * dt, s + k * ds, *self.values[j][2:]))
 
     def __iter__(self):
         for value, (n, dt, s, ds, rows) in zip(self.values, self.pieces):
-            shared = _shared(value)
+            shared = value[2:]
             for k in range(rows):
-                yield SimRecord((n + k) * dt, s + k * ds, *shared)
+                yield tuple.__new__(SimRecord, ((n + k) * dt, s + k * ds, *shared))
 
     def __eq__(self, other):
         if not isinstance(other, Records):
@@ -220,8 +213,7 @@ class Records(Sequence):
         return f"Records({len(self)} rows, {len(self.values)} segments)"
 
 
-@dataclass(frozen=True)
-class SegmentStats:
+class SegmentStats(NamedTuple):
     """Aggregates over the records logged inside one segment."""
 
     index: int
@@ -233,8 +225,7 @@ class SegmentStats:
     ape_percent: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class SimSummary:
+class SimSummary(NamedTuple):
     """Run-level aggregates; per-track APE is the worst over all segments."""
 
     segments: tuple[SegmentStats, ...]
@@ -246,13 +237,12 @@ class SimSummary:
     total_distance_mm: float
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     """One orientation of a sweep; ``error`` is set when that run failed."""
 
     orientation_deg: float
     summary: SimSummary | None
-    error: Exception | None = field(default=None, repr=False)
+    error: Exception | None = None
 
     @property
     def ok(self) -> bool:
@@ -393,7 +383,7 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
         if record is None:
             record = solved[curvature] = step(scenario, t, s)
         else:
-            record = SimRecord(t, s, index, *_shared(record)[1:])
+            record = tuple.__new__(SimRecord, (t, s, index, *record[3:]))
         w0, w1, w2 = record.track_speeds
         ds = dt * (0.0 + w0 + w1 + w2) / 3.0
         # The centre stays in this segment while low <= s < high; row 0,
@@ -461,9 +451,7 @@ def sweep_orientation(scenario: Scenario, orientations_deg) -> list[SweepEntry]:
         raise EmptySweep("orientation sweep needs at least one angle")
     entries = []
     for theta in orientations:
-        oriented = replace(
-            scenario, robot=replace(scenario.robot, orientation_deg=theta)
-        )
+        oriented = scenario._replace(robot=scenario.robot._replace(orientation_deg=theta))
         try:
             oriented.robot.validate()  # ValidationError, not a failed run, for a bad angle
             _, summary = run(oriented)

@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import json
 import math
 import random
@@ -166,7 +165,7 @@ def test_non_finite_summary_exits_2_without_writing(straight_scenario, tmp_path,
     # The summary writer reads the SimSummary that ``run`` returns.
     def run_to_inf(scenario):
         records, summary = run(scenario)
-        return records, dataclasses.replace(summary, final_s=math.inf)
+        return records, summary._replace(final_s=math.inf)
 
     monkeypatch.setattr(cli, "run_scenario", run_to_inf)
     out = tmp_path / "out"

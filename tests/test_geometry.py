@@ -39,7 +39,9 @@ def test_four_section_cumulative_boundaries():
     assert len(net.segments) == 4
     for got, want in zip(net.cumulative_lengths, expected):
         assert got == pytest.approx(want, abs=1e-5)
-    assert net == net and net != build_network(FOUR_SECTION, inner_radius=77.0)  # by identity
+    same = build_network(FOUR_SECTION, inner_radius=77.0)
+    assert net == same and hash(net) == hash(same)  # by value
+    assert net != build_network(FOUR_SECTION, inner_radius=78.0)
 
 
 def test_empty_network_rejected():

@@ -1,5 +1,4 @@
 import _pyio
-import dataclasses
 import functools
 import hashlib
 import json
@@ -359,14 +358,27 @@ def _reject_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
 
 
+SUMMARY_KEYS = ("segments", "per_track_ape_percent", "max_abs_slip", "max_compression",
+                "finish_time", "final_s", "total_distance_mm")
+SEGMENT_KEYS = ("index", "kind", "entry_time", "exit_time", "mean_track_speeds",
+                "analytic_speeds", "ape_percent")
+
+
 @pytest.mark.parametrize("max_time_s", [60.0, 20.0])
 def test_summary_to_dict_equals_asdict(max_time_s):
     # A complete run, and one the time budget cuts short in its third segment.
+    # The keys are written out, in order: a renamed or reordered field fails.
     try:
         _, summary = run(make_four_section_scenario(max_time_s=max_time_s))
     except MaxTimeExceeded as exc:
         summary = exc.summary
-    assert summary_to_dict(summary) == dataclasses.asdict(summary)
+    expected = {key: getattr(summary, key) for key in SUMMARY_KEYS}
+    expected["segments"] = tuple({key: getattr(seg, key) for key in SEGMENT_KEYS}
+                                 for seg in summary.segments)
+    got = summary_to_dict(summary)
+    assert got == expected
+    assert tuple(got) == SUMMARY_KEYS
+    assert all(tuple(seg) == SEGMENT_KEYS for seg in got["segments"])
 
 
 def test_malformed_json_reports_the_line(tmp_path):
@@ -550,7 +562,7 @@ def column_rows(records):
     rows = []
     for value, piece in zip(records.values, records.pieces):
         ts, ss = grid_rows(piece)
-        rows += [dataclasses.replace(value, t=t_row, s=s_row)
+        rows += [value._replace(t=t_row, s=s_row)
                  for t_row, s_row in zip(ts.tolist(), ss.tolist())]
     return rows
 
@@ -786,11 +798,11 @@ def _out_of_range() -> str:
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
 def test_non_finite_summaries_raise_before_the_file_opens(tmp_path, bad):
     _, summary = run(make_four_section_scenario())
-    segment = dataclasses.replace(summary.segments[1], analytic_speeds=(1.0, bad, 2.0))
+    segment = summary.segments[1]._replace(analytic_speeds=(1.0, bad, 2.0))
     cases = [
-        (write_summary, dataclasses.replace(summary, final_s=bad), "summary.json"),
-        (write_summary, dataclasses.replace(summary, segments=(segment,)), "summary.json"),
-        (write_sweep, [SweepEntry(0.0, dataclasses.replace(summary, max_abs_slip=bad))],
+        (write_summary, summary._replace(final_s=bad), "summary.json"),
+        (write_summary, summary._replace(segments=(segment,)), "summary.json"),
+        (write_sweep, [SweepEntry(0.0, summary._replace(max_abs_slip=bad))],
          "sweep.json"),
         (write_sweep, [SweepEntry(0.0, summary), SweepEntry(bad, None, SimulationError("x"))],
          "sweep.json"),

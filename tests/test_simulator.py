@@ -4,7 +4,6 @@ import tracemalloc
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -114,7 +113,7 @@ def test_partial_results_on_timeout():
 
 def test_time_budget_is_checked_before_the_network_end(four_section_scenario):
     records, summary = run(four_section_scenario)
-    spent = replace(four_section_scenario, max_time_s=summary.finish_time)
+    spent = four_section_scenario._replace(max_time_s=summary.finish_time)
     with pytest.raises(MaxTimeExceeded) as err:
         run(spent)
     assert err.value.records == records
@@ -283,20 +282,23 @@ def test_run_cost_does_not_grow_with_rows(monkeypatch, tmp_path):
     for name in ("pose_at", "spring_compression", "asymmetry_deg", "required_track_speeds",
                  "solve_torque_balance", "summarize", "_check_rows"):
         monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
-    monkeypatch.setattr(SimRecord, "__init__", counted("SimRecord", SimRecord.__init__))
-    monkeypatch.setattr(simulator.SegmentStats, "__init__",
-                        counted("SegmentStats", simulator.SegmentStats.__init__))
+    # A named tuple's constructor is its __new__; ``run`` copies a solved
+    # record for a later visit with ``tuple.__new__``, which no hook sees.
+    monkeypatch.setattr(SimRecord, "__new__", counted("SimRecord", SimRecord.__new__))
+    monkeypatch.setattr(simulator.SegmentStats, "__new__",
+                        counted("SegmentStats", simulator.SegmentStats.__new__))
     seen = []
     for dt_s in (0.01, 0.001):
         calls.clear()
         records, _ = run(make_four_section_scenario(dt_s=dt_s))
         emit_records(records, "csv", tmp_path / "records.csv")
         assert not any(isinstance(value, array) for value in vars(records).values())
-        seen.append((dict(calls), len(records)))
-    (coarse, coarse_rows), (fine, fine_rows) = seen
+        seen.append((dict(calls), len(records), len(records.values)))
+    (coarse, coarse_rows, coarse_values), (fine, fine_rows, fine_values) = seen
     assert coarse == fine
     assert coarse["step"] == 2
-    assert coarse["SimRecord"] == 4
+    assert coarse["SimRecord"] == 2  # 1 per step
+    assert coarse_values == fine_values == 4  # 1 record per centre segment visited
     assert "pose_at" not in coarse
     assert coarse["spring_compression"] == 4  # 1 per kind of segment, 1 per step
     assert "_check_rows" not in coarse
@@ -324,19 +326,22 @@ def test_records_table_reads_like_a_list_of_rows(four_section_scenario):
 
 
 def test_table_rows_are_built_from_their_fields(monkeypatch, four_section_scenario):
-    # Each row is a ``SimRecord`` built positionally from its run's value;
-    # ``dataclasses.replace`` gives the same rows at about twice the cost.
+    # Each row is a ``SimRecord`` built with ``tuple.__new__`` from its ``t``,
+    # ``s`` and its visit's value's other fields.  ``_replace`` gives the same
+    # rows at about three times the cost, the named tuple's own ``__new__`` at
+    # about 1.3 times.
     records, _ = run(four_section_scenario)
     ts, ss = (np.concatenate(columns).tolist()
               for columns in zip(*map(grid_rows, records.pieces)))
-    expected = [replace(value, t=t, s=s) for value, t, s in zip(
+    expected = [value._replace(t=t, s=s) for value, t, s in zip(
         (records.values[bisect_right(records.run_ends, row)] for row in range(len(records))),
         ts, ss)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a table row went through dataclasses.replace")
+        raise AssertionError("a table row went through SimRecord._replace or SimRecord()")
 
-    monkeypatch.setattr(simulator, "replace", refuse)
+    monkeypatch.setattr(SimRecord, "_replace", refuse)
+    monkeypatch.setattr(SimRecord, "__new__", refuse)
     assert list(records) == expected
     assert [records[row] for row in range(len(records))] == expected
     assert records[-1] == expected[-1]
@@ -417,7 +422,7 @@ def _check_drawn_scenario(folder, network, dt_s, orientation, length_mm, preload
         bend_extra_compression_mm=extra_mm,
     )
     finish = scenario.network.total_length / scenario.center_speed_mm_s
-    scenario = replace(scenario, max_time_s=max(1.5 * dt_s, budget * finish))
+    scenario = scenario._replace(max_time_s=max(1.5 * dt_s, budget * finish))
     scenario.validate()
     _check_against_stepping(scenario, folder)
 
@@ -484,7 +489,7 @@ def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segme
     scenario.validate()
     # The same run with no tilt limit passes the failing row: the first
     # with one end in a bend and the other not.
-    untilted = replace(scenario, robot=replace(scenario.robot, max_asym_deg=math.inf))
+    untilted = scenario._replace(robot=scenario.robot._replace(max_asym_deg=math.inf))
     records, _, error = _outcome(run, untilted)
     assert error[0] is MaxTimeExceeded
     network, half = scenario.network, scenario.robot.length_mm / 2.0
@@ -494,7 +499,7 @@ def test_a_tilt_met_between_solves_raises_within_the_time_budget(tmp_path, segme
     assert (failing in (0, *records.run_ends)) == (len(segments) == 3)
     expected = AsymmetryLimit
     if budget_row is not None:
-        scenario = replace(scenario, max_time_s=records[failing + budget_row].t)
+        scenario = scenario._replace(max_time_s=records[failing + budget_row].t)
         expected = MaxTimeExceeded if budget_row <= 0 else AsymmetryLimit
     assert _check_against_stepping(scenario, tmp_path) is expected
 
@@ -506,7 +511,7 @@ def test_a_robot_that_slides_back_past_the_start_is_out_of_range(monkeypatch, tm
     real_step = simulator.step
 
     def sliding_step(scenario, t, s):
-        return replace(real_step(scenario, t, s), track_speeds=(-1e-9,) * 3)
+        return real_step(scenario, t, s)._replace(track_speeds=(-1e-9,) * 3)
 
     monkeypatch.setattr(simulator, "step", sliding_step)
     monkeypatch.setattr(oracles, "step", sliding_step)
@@ -519,8 +524,8 @@ def test_a_robot_that_slides_back_across_a_boundary_is_out_of_range(monkeypatch)
     # (500 mm) and slides back over it two rows later, with the centre
     # behind the start.  ``step`` rejects that centre, and so does the run.
     real_step = simulator.step
-    monkeypatch.setattr(simulator, "step", lambda scenario, t, s: replace(
-        real_step(scenario, t, s), track_speeds=(-1.0,) * 3))
+    monkeypatch.setattr(simulator, "step", lambda scenario, t, s: real_step(
+        scenario, t, s)._replace(track_speeds=(-1.0,) * 3))
     with pytest.raises(OutOfRange):
         run(make_four_section_scenario(max_time_s=0.5, robot=make_robot(length_mm=1000.02)))
 
@@ -538,8 +543,8 @@ def test_a_row_advance_of_zero_negative_nan_or_inf_ends_the_run(monkeypatch, spe
     # one, or one that overflows (10 s times 1e308 mm/s), leaves the float
     # range on the next row.
     real_step = simulator.step
-    monkeypatch.setattr(simulator, "step", lambda scenario, t, s: replace(
-        real_step(scenario, t, s), track_speeds=(speed,) * 3))
+    monkeypatch.setattr(simulator, "step", lambda scenario, t, s: real_step(
+        scenario, t, s)._replace(track_speeds=(speed,) * 3))
     with pytest.raises(error) as err:
         run(make_four_section_scenario(dt_s=10.0))
     assert type(err.value) is error
@@ -570,7 +575,7 @@ def test_bend_track_speeds_that_underflow_are_rejected():
     assert err.value.path == "input_speed_rad_s"
     assert "every bend track speed (down to 0.0 mm/s) is > 0" in str(err.value)
     # In a 101 mm bend that track runs at 51/101 of an ulp, which rounds up to one.
-    replace(scenario, network=build_network([Bend(101.0, 90.0)], 77.0)).validate()
+    scenario._replace(network=build_network([Bend(101.0, 90.0)], 77.0)).validate()
 
 
 def test_bend_ape_is_tiny(four_section_scenario):
@@ -611,7 +616,7 @@ MEAN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -4e-310, 1e3
 def visit_means(speeds, rows):
     """``summarize``'s mean track speeds of one visit of ``rows`` rows, all at ``speeds``."""
     scenario = straight_only_scenario()
-    value = replace(step(scenario, 0.0, 0.0), track_speeds=speeds)
+    value = step(scenario, 0.0, 0.0)._replace(track_speeds=speeds)
     table = simulator.Records([value], [simulator.Piece(0, scenario.dt_s, 0.0, 0.5, rows)])
     return simulator.summarize(table, scenario, rows * scenario.dt_s,
                                0.5 * rows).segments[0].mean_track_speeds
@@ -659,7 +664,7 @@ def test_equal_comparing_speeds_keep_each_tracks_bits(speeds):
     # track's mean is the exact mean of its own rows, with its own bits.
     scenario = straight_only_scenario()
     records, summary = run(scenario)
-    value = replace(records.values[0], track_speeds=speeds)
+    value = records.values[0]._replace(track_speeds=speeds)
     table = simulator.Records([value], records.pieces)
     means = simulator.summarize(table, scenario, summary.finish_time,
                                 summary.final_s).segments[0].mean_track_speeds
@@ -804,7 +809,7 @@ def test_a_failing_pair_costs_per_boundary_and_fails_on_the_stepping_row(monkeyp
     # A budget that ends on that row stops one row short of it; one a row
     # later meets the limit there.
     before = make_four_section_scenario(robot=tilt, max_time_s=rows[failing].t)
-    after = replace(before, max_time_s=rows[failing + 1].t)
+    after = before._replace(max_time_s=rows[failing + 1].t)
     for run_fn in (run, stepwise_run):
         records, _, error = _outcome(run_fn, before)
         assert error[0] is MaxTimeExceeded
@@ -1028,7 +1033,7 @@ def test_rows_are_the_exact_grid_within_an_ulp(four_section_scenario):
     # Row n is at n·dt_s rounded once, and row k of a visit entered at s0
     # is within an ulp of s0 + k·ds: no error grows with the row count.
     for dt_s in (0.01, 0.05, 0.003):
-        records, summary = run(replace(four_section_scenario, dt_s=dt_s))
+        records, summary = run(four_section_scenario._replace(dt_s=dt_s))
         dt = Fraction(dt_s)
         rows = iter(records)
         for piece in records.pieces:
