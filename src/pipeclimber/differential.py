@@ -32,22 +32,21 @@ its checks, take the bracketed search: plain bisection of the whole bracket
 through the loads' methods, which keeps the solve robust for any monotone
 curve and takes at most MAX_BISECTIONS halvings.  Both end on the same bits.
 
-The package's record types follow one rule: a dataclass only where the
+The package's record types follow one rule: a ``__slots__`` class where the
 solve reads fields per call, a named tuple everywhere else.  So
-``LinearLoad`` and ``TransmissionConfig`` are the only dataclasses: CPython
-3.11 reads their attributes several times faster than a named tuple's
-fields.  Every other record type, ``TorqueBalance``, ``TransmissionState``
-and those of ``geometry``, ``robot`` and ``simulator``, is a named tuple,
-which is cheaper to define at import: immutable and hashable, but equal to
-the plain tuple of its fields, and a copy with other fields is
-``x._replace(...)``, not ``dataclasses.replace``.
+``LinearLoad`` and ``TransmissionConfig`` are plain ``__slots__`` classes:
+CPython 3.11 reads their attributes several times faster than a named
+tuple's fields.  Both share ``_Frozen``'s methods: immutable (assigning or
+deleting an attribute raises AttributeError), equal and hashed by their
+fields, and a copy with other fields is a new instance built from them.
+Every other record type, ``TorqueBalance``, ``TransmissionState`` and those
+of ``geometry``, ``robot`` and ``simulator``, is a named tuple, which is
+cheaper to define at import: immutable and hashable, but equal to the plain
+tuple of its fields, and a copy with other fields is ``x._replace(...)``.
 """
-
-from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from math import inf, nextafter
 from typing import NamedTuple
 
@@ -63,8 +62,42 @@ ULP_STEPS = 3  # at most this many one-ulp probes before the walk steps to the n
 AVERAGING_TOL = 1e-9  # relative mean-speed mismatch ``internal_state`` accepts
 
 
-@dataclass(frozen=True)
-class TransmissionConfig:
+class _Frozen:
+    """Methods of an immutable ``__slots__`` class whose fields ``_fields`` names.
+
+    ``repr``, ``==`` and ``hash`` see those fields alone, in order, and ``==``
+    holds only between instances of one class.  ``copy``, ``deepcopy`` and
+    ``pickle`` rebuild an instance through its constructor from its fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class TransmissionConfig(_Frozen):
     """Gear ratios of the three-output differential.
 
     ring_ratio:   input shaft -> stage-1 ring gears (speed multiplier).
@@ -72,19 +105,21 @@ class TransmissionConfig:
     efficiency:   input->output power efficiency, in (0, 1].
 
     ``overall_ratio``, ring_ratio * output_ratio, is the speed multiplier from
-    the input shaft to the mean of the outputs.  It is set at construction as
-    a plain attribute, not a field, so ``repr``, ``==``, ``hash``,
-    ``dataclasses.fields`` and ``replace`` see the three fields only.
+    the input shaft to the mean of the outputs.  It is set at construction and
+    is not a field, so ``repr``, ``==`` and ``hash`` see the three fields only.
     """
 
-    ring_ratio: float = 1.0
-    output_ratio: float = 1.0
-    efficiency: float = 1.0
+    __slots__ = ("ring_ratio", "output_ratio", "efficiency", "overall_ratio")
+    _fields = ("ring_ratio", "output_ratio", "efficiency")
 
-    def __post_init__(self):
+    def __init__(self, ring_ratio: float = 1.0, output_ratio: float = 1.0,
+                 efficiency: float = 1.0):
+        object.__setattr__(self, "ring_ratio", ring_ratio)
+        object.__setattr__(self, "output_ratio", output_ratio)
+        object.__setattr__(self, "efficiency", efficiency)
         require_positive(self, "ring_ratio", "output_ratio")
-        require(0.0 < self.efficiency <= 1.0, "efficiency", self.efficiency, "in (0, 1]")
-        object.__setattr__(self, "overall_ratio", self.ring_ratio * self.output_ratio)
+        require(0.0 < efficiency <= 1.0, "efficiency", efficiency, "in (0, 1]")
+        object.__setattr__(self, "overall_ratio", ring_ratio * output_ratio)
 
 
 class TransmissionState(NamedTuple):
@@ -102,8 +137,7 @@ class TransmissionState(NamedTuple):
     output_torques: tuple[float, float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class LinearLoad:
+class LinearLoad(_Frozen):
     """Resistive torque growing linearly with output speed (slip law).
 
     torque(w) = stiffness * (w * wheel_radius - target_speed) + offset
@@ -114,10 +148,14 @@ class LinearLoad:
     ``solve_torque_balance`` rejects any other slope before it inverts.
     """
 
-    stiffness: float
-    wheel_radius: float = 1.0
-    target_speed: float = 0.0
-    offset: float = 0.0
+    __slots__ = _fields = ("stiffness", "wheel_radius", "target_speed", "offset")
+
+    def __init__(self, stiffness: float, wheel_radius: float = 1.0, target_speed: float = 0.0,
+                 offset: float = 0.0):
+        object.__setattr__(self, "stiffness", stiffness)
+        object.__setattr__(self, "wheel_radius", wheel_radius)
+        object.__setattr__(self, "target_speed", target_speed)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def slope(self) -> float:

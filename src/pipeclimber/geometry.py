@@ -22,8 +22,6 @@ Inside a bend at entry point p with entry tangent t and outward direction u
     outward(a)  = u cos a + t sin a
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from typing import NamedTuple

@@ -26,8 +26,6 @@ negative for strong springs, so both f and TE are exposed and reported
 rather than interpreted.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

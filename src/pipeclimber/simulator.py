@@ -42,8 +42,6 @@ zero by the speed-averaging law), so slip vanishes in bends without any
 control input.  That limit behaviour is what the acceptance suite pins.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

@@ -159,6 +159,28 @@ def test_no_command_imports_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    # Under -S no site hook imports them first.  dataclasses pulls in
+    # inspect, and inspect ast, dis and tokenize: none of them is needed to
+    # import the package or to run a command.
+    script = """if True:
+        import sys
+        import pipeclimber.cli
+        scenario, out = sys.argv[1:]
+        for argv in (["run", scenario, "--out", out + "/run"],
+                     ["run", scenario, "--format", "json", "--out", out + "/json"],
+                     ["sweep", scenario, "--theta", "0,120,240", "--out", out + "/sweep.json"]):
+            assert pipeclimber.cli.main(argv) == 0, argv
+        loaded = [name for name in ("dataclasses", "inspect", "ast", "dis", "tokenize")
+                  if name in sys.modules]
+        assert loaded == [], loaded
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-S", "-c", script, str(FOUR_SECTION), str(tmp_path)],
+                            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_only_a_pipe_size_lookup_imports_importlib_resources(tmp_path):
     # Under -S no site hook imports it first.  A run that gives
     # inner_radius_mm never reads the bundled NPS table, so it leaves

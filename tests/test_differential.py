@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import FrozenInstanceError, astuple, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +38,11 @@ from test_acceptance import random_case
 UNIT = TransmissionConfig()
 
 
+def load_fields(load):
+    """A ``LinearLoad``'s fields in constructor order, to build a copy of another type."""
+    return load.stiffness, load.wheel_radius, load.target_speed, load.offset
+
+
 def triple_approx(actual, expected, tol=1e-9):
     scale = max(1.0, max(abs(e) for e in expected))
     assert all(abs(a - e) <= tol * scale for a, e in zip(actual, expected)), (
@@ -68,17 +72,19 @@ def test_config_rejects_bad_values(kwargs):
 def test_overall_ratio_is_set_at_construction(ring_ratio, output_ratio):
     config = TransmissionConfig(ring_ratio, output_ratio, 0.9)
     assert config.overall_ratio.hex() == (ring_ratio * output_ratio).hex()
-    changed = replace(config, output_ratio=2.5)
+    changed = TransmissionConfig(config.ring_ratio, 2.5, config.efficiency)
     assert changed.overall_ratio.hex() == (ring_ratio * 2.5).hex()
-    # A plain attribute, not a field: the dataclass sees the three fields only.
-    assert [field.name for field in fields(config)] == ["ring_ratio", "output_ratio", "efficiency"]
-    assert astuple(config) == (ring_ratio, output_ratio, 0.9)
+    # Not a field: equality, hashing, repr and pickling see the three fields only.
+    assert TransmissionConfig._fields == ("ring_ratio", "output_ratio", "efficiency")
+    assert config.__reduce__() == (TransmissionConfig, (ring_ratio, output_ratio, 0.9))
     assert repr(config) == (f"TransmissionConfig(ring_ratio={ring_ratio!r}, "
                             f"output_ratio={output_ratio!r}, efficiency=0.9)")
     assert config == TransmissionConfig(ring_ratio, output_ratio, 0.9) != changed
     assert hash(config) == hash((ring_ratio, output_ratio, 0.9))
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         config.overall_ratio = 1.0
+    with pytest.raises(AttributeError):
+        del config.overall_ratio
 
 
 # --- torque balance: frozen examples ------------------------------------------
@@ -292,8 +298,8 @@ def test_solver_bits_match_plain_bisection_on_c1_cases():
         reference = bisect_torque_balance(input_speed, loads, config)
         assert bits(result) == bits(reference), (loads, config, input_speed)
         # A subclass takes the bracketed search through its methods: the walk's bits.
-        counted = solve_torque_balance(input_speed, [_CountingLoad(*astuple(l)) for l in loads],
-                                       config)
+        counted = solve_torque_balance(input_speed,
+                                       [_CountingLoad(*load_fields(l)) for l in loads], config)
         assert bits(counted) == bits(result)
 
 
@@ -520,7 +526,7 @@ def test_bend_solves_take_at_most_64_halvings(bend_radius, orientation, monkeypa
     assert_near_exact_balance(result, 2.5, loads, UNIT)
     # A subclass takes the bracketed search to the same bits.  Its 64 float halvings stop
     # short of the pair near 0, and key halvings end the search.
-    counted = solve_torque_balance(2.5, [_CountingLoad(*astuple(l)) for l in loads], UNIT)
+    counted = solve_torque_balance(2.5, [_CountingLoad(*load_fields(l)) for l in loads], UNIT)
     assert bits(counted) == bits(result)
     assert counted.iterations <= MAX_BISECTIONS
 
@@ -542,7 +548,7 @@ ZERO_RUNS = {
 @pytest.mark.parametrize("load_type", [LinearLoad, _CountingLoad])
 @pytest.mark.parametrize("shape", ZERO_RUNS)
 def test_zero_runs_keep_the_bracketed_search_bits(shape, load_type):
-    loads = [load_type(*astuple(load)) for load in ZERO_RUNS[shape]]
+    loads = [load_type(*load_fields(load)) for load in ZERO_RUNS[shape]]
     torques = [load.torque(1.0) for load in loads]
     lo, hi = min(torques), max(torques)
     signs = (np.sign(mean_speed(loads, lo) - 1.0), np.sign(mean_speed(loads, hi) - 1.0))
@@ -586,7 +592,8 @@ def test_bend_shaped_loads_match_plain_bisection(bend_radius, orientation, stiff
     loads = [LinearLoad(stiffness, 20.0, float(v), offset) for v in required]
     result = solve_torque_balance(input_speed, loads, UNIT)
     assert bits(result) == bits(bisect_torque_balance(input_speed, loads, UNIT))
-    counted = solve_torque_balance(input_speed, [_CountingLoad(*astuple(l)) for l in loads], UNIT)
+    counted = solve_torque_balance(input_speed, [_CountingLoad(*load_fields(l)) for l in loads],
+                                   UNIT)
     assert bits(counted) == bits(result)
 
 

@@ -1,11 +1,15 @@
-"""The package's record types: a dataclass only where the solve reads fields
-per call (``LinearLoad``, ``TransmissionConfig``), a named tuple everywhere
-else.  A named tuple is built by position, so each one's fields are written
-out here in order: a swapped field fails here even where no output shows it.
+"""The package's record types: a ``__slots__`` class only where the solve
+reads fields per call (``LinearLoad``, ``TransmissionConfig``), a named tuple
+everywhere else.  A named tuple is built by position, so each one's fields
+are written out here in order: a swapped field fails here even where no
+output shows it.
 """
 
+import copy
 import dataclasses
 import inspect
+import pickle
+import typing
 
 import pytest
 
@@ -44,11 +48,46 @@ DEFAULTS = {
 }
 
 
-def test_only_the_types_the_solve_reads_per_call_are_dataclasses():
-    dataclass_names = {name for name, obj in vars(pipeclimber).items()
-                       if not name.startswith("_") and inspect.isclass(obj)
-                       and dataclasses.is_dataclass(obj)}
-    assert dataclass_names == {"LinearLoad", "TransmissionConfig"}
+SLOTS = {
+    "LinearLoad": ("stiffness", "wheel_radius", "target_speed", "offset"),
+    "TransmissionConfig": ("ring_ratio", "output_ratio", "efficiency", "overall_ratio"),
+}
+
+
+def test_the_package_exposes_no_dataclass():
+    assert [name for name, obj in vars(pipeclimber).items()
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj)] == []
+
+
+@pytest.mark.parametrize("name", SLOTS)
+def test_the_types_the_solve_reads_per_call_are_slots_classes(name):
+    instance = getattr(pipeclimber, name)(1.0)
+    assert type(instance).__slots__ == SLOTS[name]
+    assert not hasattr(instance, "__dict__")
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_named_tuple_annotations_are_types_not_strings(name):
+    # A string annotation is compiled into a ForwardRef when the class is made.
+    hints = getattr(pipeclimber, name).__annotations__
+    assert list(hints) == list(FIELDS[name])
+    assert not [hint for hint in hints.values() if isinstance(hint, (str, typing.ForwardRef))]
+
+
+@pytest.mark.parametrize("instance", [
+    pipeclimber.LinearLoad(0.7, 20.0, -3.5, 0.25),
+    pipeclimber.TransmissionConfig(1.7, 0.1 + 0.2, 0.9),
+], ids=["LinearLoad", "TransmissionConfig"])
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_round_trip(instance, round_trip):
+    copied = round_trip(instance)
+    assert type(copied) is type(instance)
+    assert copied == instance
+    assert repr(copied) == repr(instance)
+    if isinstance(instance, pipeclimber.TransmissionConfig):
+        assert copied.overall_ratio.hex() == instance.overall_ratio.hex()
 
 
 @pytest.mark.parametrize("name", FIELDS)
