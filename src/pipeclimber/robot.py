@@ -24,12 +24,14 @@ Traction and climbing-effort formulas (n springs total, k in N/m, x in m):
 TE as written is weight minus the friction-coupled spring force; it goes
 negative for strong springs, so both f and TE are exposed and reported
 rather than interpreted.
+
+The formulas return numbers; ``simulator`` alone compares them with the limits.
 """
 
 import math
 from typing import NamedTuple
 
-from .errors import AsymmetryLimit, CompressionLimit, DegenerateBend, require, require_positive
+from .errors import CompressionLimit, DegenerateBend, require, require_positive
 
 GRAVITY = 9.81  # m/s^2
 
@@ -121,36 +123,18 @@ def spring_compression(curvature: float, params: RobotParams,
     nearest the bend plane take extra compression, scaled by |cos| of the
     module angle so the in-plane modules gain the full ``bend_extra_mm``.
     """
-    compressions = (float(params.preload_mm),) * 3
-    if curvature != 0.0:
-        compressions = tuple(params.preload_mm + bend_extra_mm * abs(math.cos(math.radians(q)))
-                             for q in params.module_angles_deg)
-    worst = max(range(3), key=compressions.__getitem__)  # the first largest
-    if compressions[worst] > params.max_compression_mm:
-        raise CompressionLimit(
-            f"module {'ABC'[worst]} needs {compressions[worst]:.3f} mm, over the "
-            f"{params.max_compression_mm} mm limit"
-        )
-    return compressions
+    if curvature == 0.0:
+        return (float(params.preload_mm),) * 3
+    return tuple(params.preload_mm + bend_extra_mm * abs(math.cos(math.radians(q)))
+                 for q in params.module_angles_deg)
 
 
-def asymmetry_deg(
-    front_compressions: tuple, rear_compressions: tuple, params: RobotParams
-) -> tuple[float, float, float]:
-    """Per-module tilt (degrees) from uneven front/rear compression.
-
-    The tilt is the front-to-rear compression difference taken over the body
-    length.  Raises AsymmetryLimit beyond the configured angle.
-    """
-    tilt = tuple(math.degrees(math.atan2(abs(front - rear), params.length_mm))
+def asymmetry_deg(front_compressions: tuple, rear_compressions: tuple,
+                  params: RobotParams) -> tuple[float, float, float]:
+    """Per-module tilt (degrees) from uneven front/rear compression: the
+    front-to-rear compression difference taken over the body length."""
+    return tuple(math.degrees(math.atan2(abs(front - rear), params.length_mm))
                  for front, rear in zip(front_compressions, rear_compressions))
-    worst = max(range(3), key=tilt.__getitem__)
-    if tilt[worst] > params.max_asym_deg:
-        raise AsymmetryLimit(
-            f"module {'ABC'[worst]} tilts {tilt[worst]:.3f} deg, over the "
-            f"{params.max_asym_deg} deg limit"
-        )
-    return tilt
 
 
 def traction_force(params: RobotParams, compression_mm: float | None = None) -> float:

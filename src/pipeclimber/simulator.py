@@ -10,14 +10,15 @@ centerline by the mean track speed.
 ``run`` owns the time grid: it numbers the rows, places the body centre,
 decides when the run ends and alone checks the limits under the body's front
 and rear; ``step`` only solves the equilibrium at a given ``t`` and ``s``
-and checks the centre's springs.  Both read segment curvatures, not frames:
-the equilibrium depends only on the centre's, the limits only on whether the
-centre, front and rear are in bends.  So ``run`` solves once per centre
-curvature, computes the springs' compression once for each kind of segment
-(bend or straight) the network has, and from those tries the tilt of each
-(front, rear) pair of kinds; only a pair that fails sends it to find the
+and checks the centre's springs, by the rules ``_compression_error`` and
+``_tilt_error``: the robot's formulas return numbers.  Both read curvatures,
+not frames: the equilibrium depends only on the centre's, the limits only on
+whether the centre, front and rear are in bends.  So ``run`` solves once per
+centre curvature, applies the compression rule once per kind of segment
+(bend or straight) the network has, and maps each (front, rear) pair of
+kinds to the first limit it breaks; only such a pair sends it to find the
 rows where the body's front or rear crosses a boundary, and the first row
-on such a pair raises.
+on such a pair raises that limit.
 
 The transmission sets each track's speed from the forces on it, with no
 control loop, so within one segment the body moves at a constant speed.
@@ -256,10 +257,10 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
     """The equilibrium at time ``t`` with the body centre at arc length ``s``.
 
     Solves the torque balance against the slip loads built from the
-    required speeds at the centre segment's curvature, and checks the
-    centre's springs.  The body's front and rear, and advancing ``t`` and
-    ``s``, are left to ``run``.  It calls the robot and the solve through
-    this module's names, which ``bench/tracing.py`` wraps.
+    required speeds at the centre segment's curvature, and raises the
+    centre's ``_compression_error``.  The body's front and rear, and
+    advancing ``t`` and ``s``, are left to ``run``.  It calls the robot and
+    the solve through this module's names, which ``bench/tracing.py`` wraps.
     """
     network, robot = scenario.network, scenario.robot
     if not 0.0 <= s <= network.total_length:
@@ -269,6 +270,9 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
 
     required = ra, rb, rc = required_track_speeds(curvature, scenario.center_speed_mm_s, robot)
     compressions = spring_compression(curvature, robot, scenario.bend_extra_compression_mm)
+    error = _compression_error(robot, compressions)
+    if error:
+        raise error
 
     k, r = scenario.slip_stiffness, robot.sprocket_radius_mm
     loads = LinearLoad(k, r, ra), LinearLoad(k, r, rb), LinearLoad(k, r, rc)
@@ -279,15 +283,33 @@ def step(scenario: Scenario, t: float, s: float) -> SimRecord:
                      compressions, torque)
 
 
-def _check_rows(scenario: Scenario, failing: set, s: float, ds: float, rows: int) -> None:
-    """Raise on the first of ``rows`` rows, row ``k`` at ``s + k·ds``, with
-    the body's front and rear on a pair of kinds in ``failing``: the springs
-    under each end, then the tilt between them.  The segment under each end
-    is monotone in ``k``, so one bisection finds the next row where either
-    moves."""
-    network, robot = scenario.network, scenario.robot
-    curvatures, half = network.curvatures, robot.length_mm / 2.0
-    extra = scenario.bend_extra_compression_mm
+def _compression_error(robot: RobotParams, compressions: tuple) -> CompressionLimit | None:
+    """The CompressionLimit of springs at ``compressions`` (mm) over the
+    robot's budget, naming the first of the largest, or None."""
+    worst = max(range(3), key=compressions.__getitem__)
+    if compressions[worst] > robot.max_compression_mm:
+        return CompressionLimit(f"module {'ABC'[worst]} needs {compressions[worst]:.3f} mm, "
+                                f"over the {robot.max_compression_mm} mm limit")
+    return None
+
+
+def _tilt_error(robot: RobotParams, front: tuple, rear: tuple) -> AsymmetryLimit | None:
+    """The AsymmetryLimit of the tilt between ``front`` and ``rear``
+    compressions over the robot's limit, naming the first of the largest, or None."""
+    tilt = asymmetry_deg(front, rear, robot)
+    worst = max(range(3), key=tilt.__getitem__)
+    if tilt[worst] > robot.max_asym_deg:
+        return AsymmetryLimit(f"module {'ABC'[worst]} tilts {tilt[worst]:.3f} deg, over the "
+                              f"{robot.max_asym_deg} deg limit")
+    return None
+
+
+def _check_rows(scenario: Scenario, failing: dict, s: float, ds: float, rows: int) -> None:
+    """Raise ``failing[pair]`` on the first of ``rows`` rows, row ``k`` at
+    ``s + k·ds``, with the body's front and rear on a ``pair`` of kinds in
+    ``failing``.  The segment under each end is monotone in ``k``, so one
+    bisection finds the next row where either moves."""
+    network, half = scenario.network, scenario.robot.length_mm / 2.0
 
     def ends(x):
         return segment_at(network, x + half), segment_at(network, x - half)
@@ -295,9 +317,9 @@ def _check_rows(scenario: Scenario, failing: set, s: float, ds: float, rows: int
     row, pair = 0, ends(s)
     while row < rows:
         front, rear = pair
-        if (curvatures[front] != 0.0, curvatures[rear] != 0.0) in failing:
-            asymmetry_deg(spring_compression(curvatures[front], robot, extra),
-                          spring_compression(curvatures[rear], robot, extra), robot)
+        error = failing.get((network.curvatures[front] != 0.0, network.curvatures[rear] != 0.0))
+        if error:
+            raise error
         row = bisect_left(range(rows), True, row + 1, key=lambda k: ends(s + k * ds) != pair)
         pair = ends(s + row * ds)
 
@@ -321,10 +343,9 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     of each centre curvature; a later segment reuses that record.  So
     ``step`` sees the first row with the centre in each kind of segment, and
     the centre's compression needs no other check.  The front and rear
-    limits are checked here alone: the compression once per kind the
-    network has, and the tilt once per pair of those kinds; only if such a
-    pair fails does ``_check_rows`` follow the body's ends, after the
-    centre's solve.
+    limits are checked here alone: each pair of kinds the network has maps
+    to the first limit it breaks (the front's compression, the rear's, the
+    tilt), and only such a pair sends ``_check_rows`` after the body's ends.
 
     Row ``n`` is at ``t = n·dt_s``, and the run's last row is the last with
     ``t`` below the time budget ``limit``.  ``n·dt_s`` is monotone in
@@ -332,30 +353,25 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     among rows 0 to ``int(limit / dt)``, or else the row after them: the
     float quotient is at least the greatest integer under the exact one, so
     that row number is past the exact quotient, and its ``t`` is at or past
-    ``limit``.  Each
-    centre segment visited is one ``Piece``: its ``ds`` is ``dt_s`` times
-    the mean track speed, and ``first_exit`` finds the row where the centre
-    leaves the segment, or ``end``, and the ``s`` there.  There the run
-    checks the float range, then the time budget, then the network end,
-    then the network start.
+    ``limit``.  Each centre segment visited is one ``Piece``: its ``ds`` is
+    ``dt_s`` times the mean track speed, and ``first_exit`` finds the row
+    where the centre leaves the segment, or ``end``, and the ``s`` there.
+    There the run checks the float range, then the time budget, then the
+    network end, then the network start.
     """
     network, robot = scenario.network, scenario.robot
     dt, limit, total = scenario.dt_s, scenario.max_time_s, network.total_length
     bounds = network.cumulative_lengths
     kinds = {int(c != 0.0) for c in network.curvatures}  # no end is ever on another kind
-    compressions = {}  # kind -> its springs' compression, if within the limit
+    springs, over = {}, {}  # kind -> its springs' compression, and the limit it breaks
     for bend in kinds:  # only whether a curvature is 0 matters
-        try:
-            compressions[bend] = spring_compression(float(bend), robot,
-                                                    scenario.bend_extra_compression_mm)
-        except CompressionLimit:
-            pass
-    failing = set()  # (front, rear) pairs of kinds over a limit
+        springs[bend] = spring_compression(float(bend), robot, scenario.bend_extra_compression_mm)
+        over[bend] = _compression_error(robot, springs[bend])
+    failing = {}  # (front, rear) pair of kinds -> the first limit it breaks
     for front, rear in itertools.product(kinds, repeat=2):
-        try:  # a kind over the compression limit is missing: KeyError
-            asymmetry_deg(compressions[front], compressions[rear], robot)
-        except (KeyError, AsymmetryLimit):
-            failing.add((front, rear))
+        error = over[front] or over[rear] or _tilt_error(robot, springs[front], springs[rear])
+        if error:
+            failing[front, rear] = error
     solved = {}  # centre curvature -> the record ``step`` solved there
     values, pieces = [], []  # per centre segment visited: its record, its rows' piece
     end = bisect_left(range(int(limit / dt) + 1), True, key=lambda n: n * dt >= limit)

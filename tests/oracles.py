@@ -28,7 +28,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from pipeclimber import Bend, MaxTimeExceeded, pose_at, step
+from pipeclimber import AsymmetryLimit, Bend, CompressionLimit, MaxTimeExceeded, pose_at, step
 from pipeclimber.differential import SPAN_FACTOR, TorqueBalance
 from pipeclimber.geometry import segment_at
 from pipeclimber.robot import asymmetry_deg, spring_compression
@@ -214,12 +214,13 @@ def stepwise_summary(records, scenario, finish_time, final_s):
 
 
 def stepwise_run(scenario):
-    """``run`` as a loop that calls ``step`` on every row and then checks the
-    springs under the body's front and rear and the tilt between them:
-    returns (records, summary) with the records in a list, or raises what
-    ``run`` raises, MaxTimeExceeded with the partial records and their
-    summary.  Row ``n`` is at ``n * dt_s``; the centre moves ``k`` steps of
-    the row's advance from where it entered its segment."""
+    """``run`` as a loop that calls ``step`` on every row and then compares
+    the springs under the body's front and rear, and the tilt between them,
+    with the robot's limits in its own lines: returns (records, summary)
+    with the records in a list, or raises what ``run`` raises,
+    MaxTimeExceeded with the partial records and their summary.  Row ``n``
+    is at ``n * dt_s``; the centre moves ``k`` steps of the row's advance
+    from where it entered its segment."""
     records = []
     network, robot = scenario.network, scenario.robot
     half, extra = robot.length_mm / 2.0, scenario.bend_extra_compression_mm
@@ -240,10 +241,18 @@ def stepwise_run(scenario):
         record = step(scenario, t, s)
         if record.segment_index != entered:
             entered, s0, k = record.segment_index, s, 0
-        front = network.curvatures[segment_at(network, s + half)]
-        rear = network.curvatures[segment_at(network, s - half)]
-        asymmetry_deg(spring_compression(front, robot, extra),
-                      spring_compression(rear, robot, extra), robot)
+        front = spring_compression(network.curvatures[segment_at(network, s + half)], robot, extra)
+        rear = spring_compression(network.curvatures[segment_at(network, s - half)], robot, extra)
+        for end in front, rear:
+            worst = end.index(max(end))  # the first of the largest
+            if end[worst] > robot.max_compression_mm:
+                raise CompressionLimit(f"module {'ABC'[worst]} needs {end[worst]:.3f} mm, over "
+                                       f"the {robot.max_compression_mm} mm limit")
+        tilt = asymmetry_deg(front, rear, robot)
+        worst = tilt.index(max(tilt))
+        if tilt[worst] > robot.max_asym_deg:
+            raise AsymmetryLimit(f"module {'ABC'[worst]} tilts {tilt[worst]:.3f} deg, over the "
+                                 f"{robot.max_asym_deg} deg limit")
         records.append(record)
         w0, w1, w2 = record.track_speeds
         n, k = n + 1, k + 1

@@ -20,6 +20,7 @@ from pipeclimber import (
     traction_force,
     tractive_effort_and_torque,
 )
+from pipeclimber.simulator import _compression_error, _tilt_error
 from conftest import make_robot
 
 
@@ -124,24 +125,34 @@ def test_bend_adds_compression_on_the_bend_plane_module(robot_params):
     assert comp == pytest.approx([9.5, 8.75, 8.75])
 
 
+# The formulas return numbers at any compression or tilt; the simulator's
+# rules, ``_compression_error`` and ``_tilt_error``, compare them with the
+# limits and give the error a run raises, or None.
+
 def test_preload_beyond_budget_raises():
     robot = make_robot(preload_mm=17.0)
-    with pytest.raises(CompressionLimit):
-        spring_compression(straight_curvature(), robot, 1.5)
+    error = _compression_error(robot, spring_compression(straight_curvature(), robot, 1.5))
+    assert type(error) is CompressionLimit
+    assert str(error) == "module A needs 17.000 mm, over the 16.0 mm limit"
     with pytest.raises(CompressionLimit):
         robot.validate()
 
 
 def test_bend_compression_beyond_budget_raises():
     robot = make_robot(preload_mm=15.0)
-    with pytest.raises(CompressionLimit):
-        spring_compression(bend_curvature(), robot, bend_extra_mm=1.5)
+    comp = spring_compression(bend_curvature(), robot, bend_extra_mm=1.5)
+    assert comp == pytest.approx([16.5, 15.75, 15.75])
+    error = _compression_error(robot, comp)
+    assert type(error) is CompressionLimit
+    assert str(error) == "module A needs 16.500 mm, over the 16.0 mm limit"
 
 
 def test_compression_never_exceeds_budget_when_returned():
+    # 14.5 mm of preload meets the 16 mm budget exactly in the bend: not over.
     for preload in (0.0, 5.0, 14.5):
         robot = make_robot(preload_mm=preload)
         comp = spring_compression(bend_curvature(), robot, bend_extra_mm=1.5)
+        assert _compression_error(robot, comp) is None
         assert max(comp) <= robot.max_compression_mm
 
 
@@ -162,8 +173,13 @@ def test_tilt_angle_from_compression_difference(robot_params):
 
 def test_tilt_beyond_limit_raises():
     robot = make_robot(length_mm=20.0, max_asym_deg=10.0)
-    with pytest.raises(AsymmetryLimit):
-        asymmetry_deg(np.full(3, 12.0), np.full(3, 2.0), robot)
+    front, rear = np.full(3, 12.0), np.full(3, 2.0)
+    tilt = math.degrees(math.atan2(10.0, 20.0))
+    assert asymmetry_deg(front, rear, robot) == pytest.approx([tilt] * 3)
+    error = _tilt_error(robot, front, rear)
+    assert type(error) is AsymmetryLimit
+    assert str(error) == "module A tilts 26.565 deg, over the 10.0 deg limit"
+    assert _tilt_error(robot, front, front) is None
 
 
 # --- traction formulas ------------------------------------------------------------------

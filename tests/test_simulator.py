@@ -35,7 +35,7 @@ from pipeclimber import (
     step,
     sweep_orientation,
 )
-from pipeclimber.scenario_io import scenario_from_dict
+from pipeclimber.scenario_io import parse_scenario, scenario_from_dict
 from conftest import make_four_section_scenario, make_robot
 import golden_corpus
 import oracles
@@ -206,6 +206,27 @@ def test_run_propagates_asymmetry_limit():
         run(scenario)
 
 
+@pytest.mark.parametrize("field, reached, error", [
+    ("max_asym_deg", 0.4297102894010436, AsymmetryLimit),  # a bend and a straight
+    ("max_compression_mm", 9.5, CompressionLimit),  # module A in a bend
+], ids=["tilt", "compression"])
+def test_a_limit_met_exactly_is_not_over(field, reached, error):
+    # The limits are strict: on the shipped four-section scenario the body
+    # reaches each value above and no more, so at that limit the run
+    # finishes, and one float below it the limit is over.
+    assert math.degrees(math.atan2(1.5, 200.0)) == 0.4297102894010436
+    scenario = parse_scenario(golden_corpus.ROOT / "scenarios" / "four_section.json")
+    for limit, over in ((reached, False), (math.nextafter(reached, 0.0), True)):
+        limited = scenario._replace(robot=scenario.robot._replace(**{field: limit}))
+        limited.validate()
+        for simulate in (run, stepwise_run):
+            if over:
+                with pytest.raises(error, match=f"{reached:.3f}"):
+                    simulate(limited)
+            else:
+                assert simulate(limited)[1].finish_time == run(scenario)[1].finish_time
+
+
 @pytest.mark.parametrize("limit, error, message", [
     ({"max_compression_mm": 9.0}, CompressionLimit, "9.500 mm"),
     ({"max_asym_deg": 0.1}, AsymmetryLimit, "0.430 deg"),
@@ -349,10 +370,11 @@ def test_table_rows_are_built_from_their_fields(monkeypatch, four_section_scenar
 
 def test_per_segment_values_are_plain_floats(four_section_scenario):
     # Only per-row columns are arrays: the robot's formulas give tuples of
-    # floats on straights and in bends, from int arguments too, and the run
-    # ends are ints.
+    # floats on straights and in bends, from int arguments too, and over the
+    # compression and tilt limits as within them; the run ends are ints.
     extra = four_section_scenario.bend_extra_compression_mm
-    robots = (four_section_scenario.robot, make_robot(preload_mm=8, length_mm=200))
+    robots = (four_section_scenario.robot, make_robot(preload_mm=8, length_mm=200),
+              make_robot(preload_mm=15, length_mm=20, max_asym_deg=1))
     for curvature, robot in itertools.product((0.0, 1.0 / 300.0), robots):
         compressions = spring_compression(curvature, robot, extra)
         tilt = asymmetry_deg(compressions, spring_compression(0.0, robot, extra), robot)
@@ -969,22 +991,23 @@ def test_a_body_end_crosses_a_boundary_on_the_stepping_row(b, h, near, sign, per
     # row and not on rows that stop before it.
     network = SimpleNamespace(cumulative_lengths=(b, math.inf), segments=(None, None),
                               curvatures=(0.0, 1.0))
-    failing = {(1, 0), (0, 1), (1, 1)}
     for h in (h, sign * b * (1.0 - near)):
         start = b - abs(h)  # the centre where the leading end is at b
         ds = max(abs(start), math.ulp(b)) / per
         s = start - back * ds
         if not math.isfinite(s + 2.0 * h):  # a body or a start past the float range
             continue
-        scenario = SimpleNamespace(network=network, bend_extra_compression_mm=1.5,
-                                   robot=make_robot(max_compression_mm=9.0, length_mm=2.0 * h))
+        robot = make_robot(max_compression_mm=9.0, length_mm=2.0 * h)
+        scenario = SimpleNamespace(network=network, bend_extra_compression_mm=1.5, robot=robot)
+        bend = simulator._compression_error(robot, spring_compression(1.0, robot, 1.5))
+        failing = {(1, 0): bend, (0, 1): bend, (1, 1): bend}
         rows = back + 2 * per + 10
         with np.errstate(over="ignore", invalid="ignore"):
             reached = (s + np.arange(rows) * ds) + abs(h) >= b  # s - h is s + |h| for h < 0
         crossing = int(np.argmax(reached))
         assert reached[crossing]
         simulator._check_rows(scenario, failing, s, ds, crossing)
-        with pytest.raises(CompressionLimit):
+        with pytest.raises(CompressionLimit, match="module A needs 9.500 mm"):
             simulator._check_rows(scenario, failing, s, ds, crossing + 1)
 
 
