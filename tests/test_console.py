@@ -162,7 +162,9 @@ def test_no_command_imports_numpy(tmp_path):
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     # Under -S no site hook imports them first.  dataclasses pulls in
     # inspect, and inspect ast, dis and tokenize: none of them is needed to
-    # import the package or to run a command.
+    # import the package or to run a command.  The CSV writer reads its
+    # decimal grid from repr text with int arithmetic, so decimal and
+    # fractions stay out too.
     script = """if True:
         import sys
         import pipeclimber.cli
@@ -171,8 +173,8 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
                      ["run", scenario, "--format", "json", "--out", out + "/json"],
                      ["sweep", scenario, "--theta", "0,120,240", "--out", out + "/sweep.json"]):
             assert pipeclimber.cli.main(argv) == 0, argv
-        loaded = [name for name in ("dataclasses", "inspect", "ast", "dis", "tokenize")
-                  if name in sys.modules]
+        loaded = [name for name in ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                                    "decimal", "fractions") if name in sys.modules]
         assert loaded == [], loaded
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

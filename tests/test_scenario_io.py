@@ -616,11 +616,89 @@ def test_emitted_bytes_match_a_row_by_row_writer(tmp_path_factory, visits, segme
         assert target.read_bytes() == (folder / f"rows.{fmt}").read_bytes()
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 5])
+# (name, piece, whether its CSV takes the writer's decimal grid path) at
+# each edge of the grid rule, on both sides where it has two.
+GRID_EDGES = (
+    # s in hundredths: its last row is 999,999,999 of them, then 10**9.
+    ("last s at 999999999e-2", Piece(0, 0.5, 9999999.98, 0.01, 2), True),
+    ("last s at 10**9 e-2", Piece(0, 0.5, 9999999.99, 0.01, 2), False),
+    # repr writes 1e-4 in fixed notation and 1e-05 with an exponent.
+    ("first s at 1e-4", Piece(0, 0.5, 0.0001, 0.0, 3), True),
+    ("first s at 1e-05", Piece(0, 0.5, 1e-05, 0.0, 3), False),
+    # Periods of 256 (t) and 2 (s), then of 64 (t) and 5 (s): lcm 320.
+    ("lcm at _CHUNK_ROWS", Piece(0, 0.00390625, 0.0, 0.5, 600), True),
+    ("lcm past _CHUNK_ROWS", Piece(0, 0.015625, 0.0, 0.2, 700), False),
+    ("ds 0", Piece(5, 0.1, 3.5, 0.0, 300), True),
+    ("s -0.0", Piece(0, 0.1, -0.0, 0.5, 20), False),
+    # t's integer part carries from row 9 to row 10, s's every other row.
+    ("carry", Piece(0, 0.1, 0.0, 0.5, 12), True),
+)
+
+
+def short_decimals(digits: int):
+    """Floats nearest decimals of up to ``digits`` digits, up to 4 of them
+    after the point."""
+    return st.builds(lambda m, d: float(f"{m}e-{d}"), st.integers(0, 10**digits - 1),
+                     st.integers(0, 4))
+
+
+def with_grid_edges(test):
+    """``test`` with an ``@example`` of a table of each of ``GRID_EDGES``."""
+    for _, piece, _ in GRID_EDGES:
+        test = example(visits=[piece])(test)
+    return test
+
+
+# About two draws in three take the grid path; the rest fall back to the
+# float path, as do half the edges.
+grid_visits = st.builds(Piece, st.sampled_from([0, 1, 999]) | st.integers(0, 10**7),
+                        short_decimals(3), short_decimals(9), short_decimals(3),
+                        st.integers(1, 3 * _CHUNK_ROWS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(visits=st.lists(grid_visits, min_size=1, max_size=3))
+@with_grid_edges
+def test_grid_rows_match_a_row_by_row_writer(tmp_path_factory, visits):
+    records = table(visits)
+    folder = tmp_path_factory.mktemp("grid")
+    emit_records(records, "csv", folder / "table.csv")
+    write_rows(column_rows(records), "csv", folder / "rows.csv")
+    assert (folder / "table.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("piece, on_grid", [edge[1:] for edge in GRID_EDGES],
+                         ids=[edge[0] for edge in GRID_EDGES])
+def test_grid_rule_edges(piece, on_grid):
+    assert (scenario_io._grid_chunks(piece) is not None) == on_grid
+
+
+@pytest.mark.parametrize("fmt, digest, calls", [
+    ("csv", "623795f54112ed15afc1108057e9302675e4b99e5a336a5a20ca101573caba67", 0),
+    ("json", "6081376ff75f570d5b53ea28ffc8962b6aff78dbc5a74bac178c150100cc7080", 4),
+])
+def test_four_section_csv_never_takes_the_float_path(tmp_path, monkeypatch, fmt, digest, calls):
+    # Every visit of the shipped run lies on the decimal grid, so its CSV
+    # skips ``_piece_rows``; JSON writes ``%r`` and takes it for each visit.
+    # A fallback would keep the bytes and lose the speed, so it fails here.
+    records, _ = run(parse_scenario(SCENARIOS / "four_section.json"))
+    pieces = []
+    piece_rows = scenario_io._piece_rows
+    monkeypatch.setattr(scenario_io, "_piece_rows",
+                        lambda piece, slots: pieces.append(piece) or piece_rows(piece, slots))
+    target = tmp_path / f"records.{fmt}"
+    emit_records(records, fmt, target)
+    assert len(pieces) == calls
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 5, 10, 20, 30])
 def test_chunks_cut_short_give_the_same_table(monkeypatch, tmp_path, chunk_rows):
     # Chunks of a few rows end inside every visit of a run, so each visit's
     # last row falls on, or just past, a chunk's end; each chunk goes on
-    # from the last row of the one before.
+    # from the last row of the one before.  At dt 0.1 the CSV rows repeat
+    # their fraction texts every 10 rows, so from 10 rows a chunk up they
+    # take the grid path, in chunks of whole periods.
     records, _ = run(make_four_section_scenario(dt_s=0.1))
     monkeypatch.setattr(scenario_io, "_CHUNK_ROWS", chunk_rows)
     rows = column_rows(records)

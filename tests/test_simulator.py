@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pipeclimber.geometry as geometry
+import pipeclimber.scenario_io as scenario_io
 import pipeclimber.simulator as simulator
 from pipeclimber import (
     AsymmetryLimit,
@@ -715,13 +716,19 @@ def test_summarize_allocates_no_array_of_rows():
     assert fine <= coarse + 4096
 
 
-def test_run_allocates_no_array_of_rows(tmp_path):
+def test_run_allocates_no_array_of_rows(tmp_path, monkeypatch):
     # Memory, not time: from dt_s 0.05 to 0.0005 the rows grow 100-fold.
     # ``run`` keeps one piece per segment visited and no column, so its peak
     # stays put; the writers build one chunk of rows at a time, so theirs
     # stay put too.  The t and s of the shortest run at the fine step, as
     # float64, would take 224 kB; a t column of all 90,549 rows at the fine
     # step, built on a read of the last row, about 1.5 MB.
+    # No step below 1/256 s puts a CSV on the writer's decimal grid (its t
+    # period is over ``_CHUNK_ROWS`` rows), so both steps write CSV on the
+    # float path, and the peaks compare one path with itself; the grid
+    # path's is held by test_emitting_holds_one_chunk_of_text_at_a_time.
+    monkeypatch.setattr(scenario_io, "_grid_chunks", lambda piece: None)
+
     def peaks(dt_s):
         tracemalloc.start()
         try:
