@@ -25,9 +25,7 @@ from .errors import (
     BadSegment,
     CompressionLimit,
     ConfigError,
-    DegenerateBend,
     EmptyNetwork,
-    EmptySweep,
     InconsistentOutputs,
     IoError,
     MaxTimeExceeded,

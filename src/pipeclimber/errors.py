@@ -90,10 +90,6 @@ class InconsistentOutputs(SimulationError):
     """Output speeds violate the speed-averaging constraint of the gear train."""
 
 
-class DegenerateBend(SimulationError):
-    """Bend radius does not exceed the track contact radius."""
-
-
 class CompressionLimit(SimulationError):
     """Required spring compression exceeds the per-module maximum."""
 
@@ -104,10 +100,6 @@ class AsymmetryLimit(SimulationError):
 
 class OutOfRange(SimulationError):
     """Arc-length query outside the network."""
-
-
-class EmptySweep(SimulationError):
-    """An orientation sweep needs at least one orientation."""
 
 
 class MaxTimeExceeded(SimulationError):

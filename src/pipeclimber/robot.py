@@ -31,7 +31,7 @@ The formulas return numbers; ``simulator`` alone compares them with the limits.
 import math
 from typing import NamedTuple
 
-from .errors import CompressionLimit, DegenerateBend, require, require_positive
+from .errors import CompressionLimit, require, require_positive
 
 GRAVITY = 9.81  # m/s^2
 
@@ -92,10 +92,6 @@ class RobotParams(NamedTuple):
 
 def track_path_radius(bend_radius: float, contact_radius: float, module_angle_deg: float) -> float:
     """Turning radius of one track's contact path about the bend axis (mm)."""
-    if bend_radius <= contact_radius:
-        raise DegenerateBend(
-            f"bend radius {bend_radius} must exceed contact radius {contact_radius}"
-        )
     return bend_radius + contact_radius * math.cos(math.radians(module_angle_deg))
 
 

@@ -152,7 +152,7 @@ def _fields(obj, path: str, section: str) -> dict:
             if key in obj}
 
 
-def _segments_from(items, contact_radius: float) -> list:
+def _segments_from(items) -> list:
     if not isinstance(items, list) or not items:
         raise ValidationError("expected a non-empty array of segments", "pipe.segments")
     segments = []
@@ -164,12 +164,6 @@ def _segments_from(items, contact_radius: float) -> list:
                 f"kind must be 'straight' or 'bend', got {kind!r}", f"{path}.kind"
             )
         fields = _fields(item, path, kind)
-        if kind == "bend" and fields["bend_radius"] <= contact_radius:
-            raise ValidationError(
-                f"degenerate bend: radius {fields['bend_radius']} mm does not exceed the "
-                f"robot contact radius {contact_radius} mm",
-                f"{path}.bend_radius_mm",
-            )
         segments.append(Bend(**fields) if kind == "bend" else Straight(**fields))
     return segments
 
@@ -200,7 +194,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         inner_radius = pipe_inner_radius(pipe["nps"], pipe["schedule"])
     else:
         raise ValidationError("needs inner_radius_mm or both nps and schedule", "pipe")
-    segments = _segments_from(pipe["segments"], robot["contact_radius_mm"])
+    segments = _segments_from(pipe["segments"])
 
     try:
         scenario = Scenario(

@@ -52,13 +52,12 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .differential import LinearLoad, TransmissionConfig, solve_torque_balance
-from .errors import AsymmetryLimit, BadSegment, CompressionLimit, EmptySweep, MaxTimeExceeded
+from .errors import AsymmetryLimit, BadSegment, CompressionLimit, MaxTimeExceeded
 from .errors import OutOfRange, SimulationError
 from .errors import require, require_positive
 from .geometry import Bend, PipeNetwork, segment_at
 from .geometry import pose_at  # noqa: F401  no call left; the bench tracer wraps it by name
 from .robot import RobotParams, asymmetry_deg, required_track_speeds, spring_compression
-from .robot import track_path_radius
 
 MAX_STEPS = 1_000_000  # most rows a valid scenario may take: max_time_s / dt_s
 
@@ -76,7 +75,9 @@ class Scenario(NamedTuple):
     bend_extra_compression_mm: float = 1.5
 
     def validate(self) -> None:
-        """Raise ValidationError naming the field at fault; validates the robot too."""
+        """Raise ValidationError naming the field at fault, or BadSegment naming a
+        bend at fault, one with a radius not above the robot's contact radius
+        among them; validates the robot too."""
         require_positive(self, "dt_s", "slip_stiffness", "input_speed_rad_s")
         require(self.dt_s < self.max_time_s < math.inf, "max_time_s", self.max_time_s,
                 f"finite and exceed dt_s ({self.dt_s})")
@@ -100,18 +101,21 @@ class Scenario(NamedTuple):
         speed = self.center_speed_mm_s
         require(0.0 < speed < math.inf, culprit, factors[culprit],
                 f"such that the centerline speed ({speed} mm/s) is > 0 and finite")
-        # A bend's tracks run at speed * (R + h cos q) / R: keep the fastest
-        # finite, the slowest, an APE reference, > 0 and the slip torque of the
-        # widest mismatch, speed * h / R, finite.  ``run`` rejects R <= h.
+        # A bend's tracks run at speed * (R + h cos q) / R: keep R above h,
+        # the fastest finite, the slowest, an APE reference, > 0 and the slip
+        # torque of the widest mismatch, speed * h / R, finite.
         h = self.robot.contact_radius_mm
         for index, seg in enumerate(self.network.segments):
             if not isinstance(seg, Bend):
                 continue
+            if not seg.bend_radius > h:
+                raise BadSegment(f"degenerate bend: radius {seg.bend_radius} mm does not exceed "
+                                 f"the robot contact radius {h} mm", index, "bend_radius")
             if not speed * (seg.bend_radius + h) < math.inf:
                 raise BadSegment(f"must keep the track speeds finite at {speed} mm/s, got "
                                  f"{seg.bend_radius}", index, "bend_radius")
             slowest = speed * (seg.bend_radius - h) / seg.bend_radius
-            require(seg.bend_radius <= h or slowest > 0.0, culprit, factors[culprit],
+            require(slowest > 0.0, culprit, factors[culprit],
                     f"such that every bend track speed (down to {slowest} mm/s) is > 0")
             mismatch = speed * h / seg.bend_radius
             require(self.slip_stiffness * mismatch < math.inf, "slip_stiffness",
@@ -213,7 +217,9 @@ class Records(Sequence):
 
 
 class SegmentStats(NamedTuple):
-    """Aggregates over the records logged inside one segment."""
+    """Aggregates over the records logged inside one segment.  The reference
+    ``analytic_speeds`` are the visit's required speeds, v·(R + h·cos q)/R at
+    R = 1/curvature, from which its slip loads were built."""
 
     index: int
     kind: str
@@ -417,27 +423,15 @@ def run(scenario: Scenario) -> tuple[Records, SimSummary]:
     return records, summarize(records, scenario, n * dt, s)
 
 
-def analytic_track_speeds(scenario: Scenario, segment_index: int) -> tuple[float, float, float]:
-    """Reference per-track speeds inside one segment (mm/s)."""
-    center = scenario.center_speed_mm_s
-    seg = scenario.network.segments[segment_index]
-    if not isinstance(seg, Bend):
-        return (center, center, center)
-    h, radius = scenario.robot.contact_radius_mm, seg.bend_radius
-    qa, qb, qc = scenario.robot.module_angles_deg
-    return (center * track_path_radius(radius, h, qa) / radius,
-            center * track_path_radius(radius, h, qb) / radius,
-            center * track_path_radius(radius, h, qc) / radius)
-
-
 def summarize(records: Records, scenario: Scenario, finish_time: float,
               final_s: float) -> SimSummary:
     """Aggregate records into per-segment and run-level statistics; the run
     ended at ``finish_time`` with the body centre at ``final_s``.  Each visit
     runs from its piece's ``t`` to the next's (the last to ``finish_time``)
-    and gives its mean track speeds, the speeds its rows share, reference
-    speeds and APEs; each track's worst APE is ``max`` over them in run
-    order."""
+    and gives its mean track speeds, the speeds its rows share, its
+    reference speeds, the required speeds its rows share, and the APEs of
+    the one against the other; each track's worst APE is ``max`` over them
+    in run order."""
     segments, values, pieces = scenario.network.segments, records.values, records.pieces
     segment_stats = []
     worst_a = worst_b = worst_c = 0.0
@@ -445,7 +439,7 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
     for value, piece, exit_time in zip(values, pieces, exits):
         index = value.segment_index
         means = ma, mb, mc = value.track_speeds
-        analytic = aa, ab, ac = analytic_track_speeds(scenario, index)
+        analytic = aa, ab, ac = value.required_speeds
         errors = ea, eb, ec = ape(ma, aa), ape(mb, ab), ape(mc, ac)
         worst_a, worst_b, worst_c = max(worst_a, ea), max(worst_b, eb), max(worst_c, ec)
         kind = "bend" if isinstance(segments[index], Bend) else "straight"
@@ -460,11 +454,8 @@ def summarize(records: Records, scenario: Scenario, finish_time: float,
 
 def sweep_orientation(scenario: Scenario, orientations_deg) -> list[SweepEntry]:
     """Run the scenario once per orientation, tolerating per-run failures."""
-    orientations = list(orientations_deg)
-    if not orientations:
-        raise EmptySweep("orientation sweep needs at least one angle")
     entries = []
-    for theta in orientations:
+    for theta in orientations_deg:
         oriented = scenario._replace(robot=scenario.robot._replace(orientation_deg=theta))
         try:
             oriented.robot.validate()  # ValidationError, not a failed run, for a bad angle

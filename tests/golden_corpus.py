@@ -17,8 +17,10 @@ version.  ``golden.json`` records the Python and numpy versions that
 wrote it under ``VERSIONS``, which no document name takes: every name
 starts with a base name.
 
-Rewrite the digests only after an intended change of output::
+List each (document, command) pair whose digest moved, exiting 1 if any
+did; then rewrite the digests, only after an intended change of output::
 
+    PYTHONPATH=src python tests/golden_corpus.py --check
     PYTHONPATH=src python tests/golden_corpus.py --write
 """
 
@@ -159,12 +161,26 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def moved(old: dict, new: dict) -> list[tuple[str, str]]:
+    """The (document, command) pairs whose digest differs between two
+    tables, one missing from either table among them."""
+    return [(name, command) for name in {**old, **new} if name != VERSIONS
+            for command in {**old.get(name, {}), **new.get(name, {})}
+            if old.get(name, {}).get(command) != new.get(name, {}).get(command)]
+
+
 def main(argv) -> int:
-    if argv != ["--write"]:
+    if argv not in (["--write"], ["--check"]):
         print(__doc__, file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: digests(doc, Path(tmp)) for name, doc in documents().items()}
+    if argv == ["--check"]:
+        pairs = moved(json.loads(GOLDEN.read_text(encoding="utf-8")), table)
+        for name, command in pairs:
+            print(name, command)
+        print(f"{len(pairs)} digests moved in {len({name for name, _ in pairs})} documents")
+        return 1 if pairs else 0
     GOLDEN.write_text(json.dumps({VERSIONS: versions(), **table}, indent=1) + "\n",
                       encoding="utf-8")
     print(f"{len(table)} documents -> {GOLDEN}")

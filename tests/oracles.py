@@ -33,7 +33,7 @@ from pipeclimber.differential import SPAN_FACTOR, TorqueBalance
 from pipeclimber.geometry import segment_at
 from pipeclimber.robot import asymmetry_deg, spring_compression
 from pipeclimber.scenario_io import CSV_COLUMNS, SCHEMA, _write_text
-from pipeclimber.simulator import SegmentStats, SimSummary, analytic_track_speeds, ape
+from pipeclimber.simulator import SegmentStats, SimSummary, ape
 
 EPS = Fraction(sys.float_info.epsilon)
 TINY = Fraction(2) ** -1074  # the spacing of subnormal floats
@@ -188,7 +188,7 @@ def stepwise_summary(records, scenario, finish_time, final_s):
     for pos, (index, recs) in enumerate(groups):
         exit_time = groups[pos + 1][1][0].t if pos + 1 < len(groups) else finish_time
         mean_speeds = tuple(exact_mean([r.track_speeds[j] for r in recs]) for j in range(3))
-        analytic = analytic_track_speeds(scenario, index)
+        analytic = recs[0].required_speeds
         errors = tuple(ape(m, a) for m, a in zip(mean_speeds, analytic))
         per_track_ape = np.maximum(per_track_ape, errors)
         segment_stats.append(

@@ -262,6 +262,14 @@ def test_corpus_outputs_match_their_recorded_digests(name, tmp_path):
         f"running under {golden_corpus.versions()}")
 
 
+def test_corpus_check_names_each_moved_digest():
+    old = {golden_corpus.VERSIONS: {"python": "3.11"}, "a": {"run": "1", "sweep": "2"},
+           "b": {"run": "3"}, "gone": {"run": "4"}}
+    new = {"a": {"run": "1", "sweep": "5"}, "b": {"run": "3"}, "c": {"validate": "6"}}
+    assert golden_corpus.moved(old, new) == [("a", "sweep"), ("gone", "run"), ("c", "validate")]
+    assert golden_corpus.moved(GOLDEN, GOLDEN) == []
+
+
 def _compensated_sum(iterable, /, start=0, *, _sum=sum):
     """``sum`` as Python 3.12 and later round it for floats: Neumaier's
     compensated summation (ZAMM 54, 1974).  Anything but floats from a zero

@@ -9,7 +9,6 @@ from pipeclimber import (
     AsymmetryLimit,
     Bend,
     CompressionLimit,
-    DegenerateBend,
     Straight,
     asymmetry_deg,
     build_network,
@@ -47,11 +46,6 @@ def test_three_module_radii_average_to_the_bend_radius():
     radii = [track_path_radius(300.0, 50.0, angle) for angle in (0.0, 120.0, 240.0)]
     assert radii == pytest.approx([350.0, 275.0, 275.0])
     assert sum(radii) / 3.0 == pytest.approx(300.0)
-
-
-def test_degenerate_bend_rejected():
-    with pytest.raises(DegenerateBend):
-        track_path_radius(40.0, 50.0, 0.0)
 
 
 # --- required track speeds -------------------------------------------------------

@@ -39,6 +39,7 @@ from pipeclimber import (
     write_sweep,
 )
 import pipeclimber.scenario_io as scenario_io
+from pipeclimber import cli
 from pipeclimber.scenario_io import _CHUNK_ROWS, SCHEMA
 from conftest import make_four_section_scenario
 from oracles import grid_rows, save_scenario, scenario_to_dict, write_rows
@@ -131,13 +132,15 @@ def test_unknown_keys_rejected(tmp_path):
         parse_scenario(write_doc(tmp_path, doc))
 
 
-def test_degenerate_bend_rejected_at_parse(tmp_path):
+def test_degenerate_bend_rejected_at_parse(tmp_path, capsys):
+    # A 45 mm bend fits a 40 mm bore but not a robot whose tracks touch 50 mm out.
     doc = minimal_doc()
-    doc["pipe"]["segments"].append(
-        {"kind": "bend", "bend_radius_mm": 10, "sweep_deg": 90}
-    )
-    with pytest.raises(ValidationError, match="degenerate"):
-        parse_scenario(write_doc(tmp_path, doc))
+    doc["pipe"]["inner_radius_mm"] = 40
+    doc["pipe"]["segments"].append({"kind": "bend", "bend_radius_mm": 45, "sweep_deg": 45})
+    assert cli.main(["validate", str(write_doc(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == (
+        "error: pipe.segments[1].bend_radius_mm: degenerate bend: radius 45.0 mm does not "
+        "exceed the robot contact radius 50.0 mm\n")
 
 
 def test_bore_and_nps_are_mutually_exclusive(tmp_path):

@@ -17,9 +17,9 @@ import pipeclimber.scenario_io as scenario_io
 import pipeclimber.simulator as simulator
 from pipeclimber import (
     AsymmetryLimit,
+    BadSegment,
     Bend,
     CompressionLimit,
-    EmptySweep,
     MaxTimeExceeded,
     OutOfRange,
     SimRecord,
@@ -618,13 +618,33 @@ def test_bend_track_speeds_follow_the_contact_paths(orientation, roll):
     scenario = make_four_section_scenario(
         network=network, robot=make_robot(orientation_deg=orientation)
     )
-    records, _ = run(scenario)
+    records, summary = run(scenario)
     for index in (1, 3):
         expected = contact_path_speeds(scenario, index)
         speeds = {r.track_speeds for r in records.values if r.segment_index == index}
         assert speeds
         for track_speeds in speeds:
             assert track_speeds == pytest.approx(expected, rel=1e-9)
+        references = [stats.analytic_speeds for stats in summary.segments
+                      if stats.index == index]
+        assert references
+        for analytic in references:
+            assert analytic == pytest.approx(expected, rel=1e-9)
+
+
+def test_ape_reference_is_the_required_speeds():
+    # 1/(1/103) is not 103, so a reference recomputed from the bend radius
+    # could differ in its last bits from the speeds the loads were built from.
+    assert 1.0 / (1.0 / 103.0) != 103.0
+    network = build_network([Straight(300.0), Bend(103.0, 90.0), Straight(300.0)], 77.0)
+    for orientation in (0.0, 37.0, 200.0):
+        scenario = make_four_section_scenario(
+            network=network, robot=make_robot(orientation_deg=orientation))
+        records, summary = run(scenario)
+        assert len(summary.segments) == len(records.values) == 3
+        for stats, value in zip(summary.segments, records.values):
+            assert list(map(float.hex, stats.analytic_speeds)) == \
+                list(map(float.hex, value.required_speeds))
 
 
 # --- means -------------------------------------------------------------------------
@@ -1080,9 +1100,9 @@ def test_rows_are_the_exact_grid_within_an_ulp(four_section_scenario):
 
 # --- orientation sweep ----------------------------------------------------------------
 
-def test_empty_sweep_rejected(four_section_scenario):
-    with pytest.raises(EmptySweep):
-        sweep_orientation(four_section_scenario, [])
+def test_empty_sweep_has_no_entries(four_section_scenario):
+    # The CLI rejects an empty --theta; the library sweeps no angle.
+    assert sweep_orientation(four_section_scenario, []) == []
 
 
 def test_sweep_at_120_degree_steps_relabels_tracks(four_section_scenario):
@@ -1132,3 +1152,15 @@ def test_sweep_continues_past_failed_orientations():
 def test_scenario_invariants(overrides):
     with pytest.raises(ValueError):
         make_four_section_scenario(**overrides).validate()
+
+
+@pytest.mark.parametrize("radius", [50.0, 45.0])  # the contact radius is 50 mm
+def test_bend_radius_must_exceed_the_contact_radius(radius):
+    network = build_network([Straight(500.0), Bend(radius, 90.0)], 40.0)
+    scenario = make_four_section_scenario(network=network)
+    with pytest.raises(BadSegment) as err:
+        scenario.validate()
+    assert (err.value.index, err.value.field) == (1, "bend_radius")
+    assert err.value.reason == (f"degenerate bend: radius {radius} mm does not exceed the "
+                                f"robot contact radius 50.0 mm")
+    scenario._replace(network=build_network([Bend(50.5, 90.0)], 40.0)).validate()
