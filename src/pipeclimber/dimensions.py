@@ -4,10 +4,17 @@ The table ships with the package (one record per line: designator,
 schedule, outer diameter mm, wall thickness mm) so lookups never touch the
 network.  Designators accept a few spellings: "6", "NPS 6", 6, "1-1/2",
 "1 1/2", "1.5".
+
+The table is read as a plain file next to this module, not through
+``importlib.resources``, whose import brings in ``zipfile``, ``tempfile``
+and some twenty more modules that a lookup does not need.  The trade: an
+install as a zip archive cannot read the table.  pip and setuptools
+install the package unzipped.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 from .errors import UnknownSize
@@ -45,12 +52,10 @@ def _normalize_schedule(schedule) -> str:
 
 @lru_cache(maxsize=1)
 def _load_table() -> dict:
-    # Imported here: it pulls in zipfile, tempfile and shutil, which a run
-    # that gives inner_radius_mm never needs.
-    from importlib import resources
-
     table = {}
-    text = resources.files(__package__).joinpath("data", _TABLE_RESOURCE).read_text()
+    with open(os.path.join(os.path.dirname(__file__), "data", _TABLE_RESOURCE),
+              encoding="utf-8") as handle:
+        text = handle.read()
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):

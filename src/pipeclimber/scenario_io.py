@@ -11,17 +11,18 @@ Record output is CSV (fixed column order, 9 significant digits) or JSON
 (one object per row, as ``json.dump(rows, indent=1)`` lays it out), streamed
 by one writer from a ``Records`` table's pieces, a chunk of rows at a time.
 Run and sweep summaries are JSON as ``json.dumps(payload, indent=1)`` lays
-it out, filled into templates.
+it out: one ``bytes %`` of a template per summary, straight from its
+numbers, all built before the file opens.
 
 Every output file is ASCII bytes, written in binary by ``_write`` alone, so
 its lines end in LF on every platform.  A chunk of rows is one PEP 461
 ``bytes %`` of its ``t`` and ``s`` alone, each row's constant text spliced
 in after: ``b"%.9g" % x`` is ``format(x, ".9g").encode()`` and ``b"%r" % x``
-is ``repr(x).encode()``.  Where a visit's ``t`` and ``s`` lie on a short
-decimal grid, its ``dt``, ``s`` and ``ds`` decimals of a few digits, CSV
-writes them as ``%d`` of their integer parts with each row's fraction text
-in the format: the same bytes at about a third of the cost.
-``_grid_chunks`` gives the rule and its proof.
+is ``repr(x).encode()``, json's text of an exact float.  Where a visit's
+``t`` and ``s`` lie on a short decimal grid, its ``dt``, ``s`` and ``ds``
+decimals of a few digits, CSV writes them as ``%d`` of their integer parts
+with each row's fraction text in the format: the same bytes at about a
+third of the cost.  ``_grid_chunks`` gives the rule and its proof.
 """
 
 from __future__ import annotations
@@ -251,114 +252,112 @@ def _write(path, chunks, what: str = "") -> None:
         raise IoError(f"cannot write {what}{path}: {exc}") from exc
 
 
-def _write_text(text_of, payload, path) -> None:
-    """Write ``text_of(payload)`` plus a newline, as bytes, through ``_write``.
-
-    A non-finite number raises SimulationError before the file is opened:
-    standard JSON cannot hold it, and only a run's results can carry one.
-    """
-    try:
-        text = text_of(payload)
-    except ValueError as exc:
-        raise SimulationError(f"cannot write {path}: {exc}") from None
-    _write(path, (text.encode(), b"\n"))
-
-
 # summary.json and sweep.json are ``json.dumps(payload, indent=1)`` of
-# ``summary_to_dict`` payloads, written from %-templates: a SimSummary is an
-# object template with a ``%s`` slot per scalar, built once per nesting depth
-# and count of segments, and one call of json's C encoder writes every
-# scalar, "\n" between them.  JSON escapes a newline inside a string, so the
-# "\n"s split the scalars apart.  json's indenting encoder is pure Python: on
-# a sweep it takes about twice as long as this.
+# ``summary_to_dict`` payloads, written from bytes %-templates: a SimSummary
+# is an object template with a ``%r`` slot per number and a ``%s`` slot per
+# string, built once per nesting depth and count of segments, and one
+# ``bytes %`` fills it from the summary's own numbers.  json writes a float
+# as ``float.__repr__`` and an int as ``int.__repr__``, which is what ``%r``
+# writes for an exact float or int, so no text is kept per number.  json's
+# indenting encoder is pure Python: on a sweep it takes about three times as
+# long as this.
 
-def _container(items, depth: int, brackets: str) -> str:
+def _container(items, depth: int, brackets: bytes) -> bytes:
     """``json.dumps(..., indent=1)``'s layout of an array or object whose
     items' texts are ``items``, its opening bracket at nesting ``depth``."""
     if not items:
         return brackets
-    inner = "\n" + " " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * depth + brackets[1]
+    inner = b"\n" + b" " * (depth + 1)
+    return brackets[:1] + inner + (b"," + inner).join(items) + b"\n" + b" " * depth + brackets[1:]
 
 
 @functools.cache
-def _template(cls, depth: int, segments: int) -> str:
+def _template(cls, depth: int, segments: int) -> bytes:
     """The template of a ``cls`` record, SimSummary or SegmentStats, as its
     ``summary_to_dict`` dict is laid out at nesting ``depth``, a SimSummary
     with ``segments`` segments.  Each field follows its type hint: a
-    ``tuple[float, float, float]`` is an array of three slots, a
-    ``tuple[SegmentStats, ...]`` an array of records, anything else a slot."""
+    ``tuple[float, float, float]`` is an array of three ``%r`` slots, a
+    ``tuple[SegmentStats, ...]`` an array of records, a ``str`` a ``%s``
+    slot for its json text, anything else a ``%r`` slot."""
     items = []
     for name, hint in typing.get_type_hints(cls).items():
         args = typing.get_args(hint)
         if args[-1:] == (Ellipsis,):
-            text = _container([_template(args[0], depth + 2, 0)] * segments, depth + 1, "[]")
+            text = _container([_template(args[0], depth + 2, 0)] * segments, depth + 1, b"[]")
         elif args:
-            text = _container(["%s"] * len(args), depth + 1, "[]")
+            text = _container([b"%r"] * len(args), depth + 1, b"[]")
         else:
-            text = "%s"
-        items.append(f'"{name}": {text}')
-    return _container(items, depth, "{}")
+            text = b"%s" if hint is str else b"%r"
+        items.append(b'"%s": %s' % (name.encode(), text))
+    return _container(items, depth, b"{}")
 
 
-def _scalars(summary, scalars: list) -> None:
-    """Put ``summary``'s scalars on ``scalars`` in its template's slot order."""
+def _scalars(summary, scalars: list) -> list:
+    """``scalars`` with ``summary``'s scalars put on in its template's slot
+    order, each string as its json bytes."""
     for seg in summary.segments:
-        scalars += (seg.index, seg.kind, seg.entry_time, seg.exit_time, *seg.mean_track_speeds,
-                    *seg.analytic_speeds, *seg.ape_percent)
+        scalars += (seg.index, json.dumps(seg.kind).encode(), seg.entry_time, seg.exit_time,
+                    *seg.mean_track_speeds, *seg.analytic_speeds, *seg.ape_percent)
     scalars += (*summary.per_track_ape_percent, summary.max_abs_slip, summary.max_compression,
                 summary.finish_time, summary.final_s, summary.total_distance_mm)
+    return scalars
 
 
-def _fill(template: str, scalars: list) -> str:
-    """``template`` with each slot filled by json's text of its scalar; a
-    non-finite one raises ValueError, as ``json.dumps(allow_nan=False)``."""
-    if not scalars:
-        return template
-    text = json.dumps(scalars, separators=("\n", ": "), allow_nan=False)
-    return template % tuple(text[1:-1].split("\n"))
+_PLAIN = frozenset((float, int, bytes))  # the types whose %r or %s text is json's
 
 
-def _summary_text(summary) -> str:
-    scalars = []
-    _scalars(summary, scalars)
-    return _fill(_template(type(summary), 0, len(summary.segments)), scalars)
+def _fill(template: bytes, scalars: list, path) -> bytes:
+    """``template`` with each slot filled by json's text of its scalar,
+    which ``%r`` writes for a finite exact float or int.  If a scalar has
+    another type (``%r`` of numpy's float64 is ``np.float64(1.5)``) or the
+    text shows inf or nan, each number is filled by ``json.dumps(x,
+    allow_nan=False)`` instead: a float subclass as ``float.__repr__``, a
+    non-finite number as json's ValueError, raised as SimulationError."""
+    text = template % tuple(scalars)
+    if {*map(type, scalars)} <= _PLAIN and b"inf" not in text and b"nan" not in text:
+        return text
+    try:
+        return template.replace(b"%r", b"%s") % tuple(
+            x if type(x) is bytes else json.dumps(x, allow_nan=False).encode() for x in scalars)
+    except ValueError as exc:
+        raise SimulationError(f"cannot write {path}: {exc}") from None
 
 
 def write_summary(summary, path) -> None:
     """Write ``summary.json``: ``json.dumps(summary_to_dict(summary),
-    indent=1)`` plus a newline, byte for byte; errors as in ``_write_text``."""
-    _write_text(_summary_text, summary, path)
+    indent=1)`` plus a newline, byte for byte.  A non-finite number, which
+    standard JSON cannot hold, raises SimulationError before the file
+    opens; OSError becomes IoError."""
+    template = _template(type(summary), 0, len(summary.segments))
+    _write(path, (_fill(template, _scalars(summary, []), path), b"\n"))
 
 
 @functools.cache
-def _entry_template(summary_type, segments: int) -> str:
+def _entry_template(summary_type, segments: int) -> bytes:
     """The template of a sweep entry whose summary has ``segments``
-    segments, or is None if ``summary_type`` is."""
-    summary = "%s" if summary_type is None else _template(summary_type, 2, segments)
-    return _container(('"orientation_deg": %s', f'"summary": {summary}', '"error": %s'), 1, "{}")
-
-
-def _sweep_text(entries) -> str:
-    scalars, items = [], []
-    for entry in entries:
-        scalars.append(entry.orientation_deg)
-        if entry.summary is None:
-            scalars.append(None)
-            items.append(_entry_template(None, 0))
-        else:
-            _scalars(entry.summary, scalars)
-            items.append(_entry_template(type(entry.summary), len(entry.summary.segments)))
-        scalars.append(None if entry.error is None else str(entry.error))
-    return _fill(_container(items, 0, "[]"), scalars)
+    segments, or is null if ``summary_type`` is None."""
+    summary = b"null" if summary_type is None else _template(summary_type, 2, segments)
+    return _container((b'"orientation_deg": %r', b'"summary": ' + summary, b'"error": %s'),
+                      1, b"{}")
 
 
 def write_sweep(entries, path) -> None:
     """Write ``sweep.json``: ``json.dumps`` with ``indent=1``, plus a newline,
     of one object per ``SweepEntry`` with its orientation, its summary's
     ``summary_to_dict`` and its error's ``str``, each None as null; errors as
-    in ``_write_text``."""
-    _write_text(_sweep_text, entries, path)
+    in ``write_summary``.  Each entry is filled on its own and handed to
+    ``_write`` as one part, so the file's text is never joined."""
+    parts = [b"[\n "]
+    for entry in entries:
+        if entry.summary is None:
+            scalars, template = [entry.orientation_deg], _entry_template(None, 0)
+        else:
+            scalars = _scalars(entry.summary, [entry.orientation_deg])
+            template = _entry_template(type(entry.summary), len(entry.summary.segments))
+        scalars.append(b"null" if entry.error is None else json.dumps(str(entry.error)).encode())
+        parts += (_fill(template, scalars, path), b",\n ")
+    parts[-1:] = [b"\n]\n"] if len(parts) > 1 else [b"[]\n"]
+    _write(path, parts)
 
 
 def _row_parts(record: SimRecord, piece, fmt: str, path) -> tuple:

@@ -77,7 +77,8 @@ class Scenario(NamedTuple):
     def validate(self) -> None:
         """Raise ValidationError naming the field at fault, or BadSegment naming a
         bend at fault, one with a radius not above the robot's contact radius
-        among them; validates the robot too."""
+        among them; validates the robot too.  The contact radius may not
+        exceed the pipe's inner radius: the tracks press on the wall."""
         require_positive(self, "dt_s", "slip_stiffness", "input_speed_rad_s")
         require(self.dt_s < self.max_time_s < math.inf, "max_time_s", self.max_time_s,
                 f"finite and exceed dt_s ({self.dt_s})")
@@ -121,6 +122,9 @@ class Scenario(NamedTuple):
             require(self.slip_stiffness * mismatch < math.inf, "slip_stiffness",
                     self.slip_stiffness,
                     f"such that the slip torque of a {mismatch} mm/s speed mismatch is finite")
+        # After the bends: a robot that breaks both rules keeps the bend's error.
+        require(h <= self.network.inner_radius, "contact_radius_mm", h,
+                f"at most the pipe inner radius ({self.network.inner_radius} mm)")
 
     @property
     def center_speed_mm_s(self) -> float:

@@ -18,7 +18,6 @@ parsing the document back checks the parser.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -32,7 +31,7 @@ from pipeclimber import AsymmetryLimit, Bend, CompressionLimit, MaxTimeExceeded,
 from pipeclimber.differential import SPAN_FACTOR, TorqueBalance
 from pipeclimber.geometry import segment_at
 from pipeclimber.robot import asymmetry_deg, spring_compression
-from pipeclimber.scenario_io import CSV_COLUMNS, SCHEMA, _write_text
+from pipeclimber.scenario_io import CSV_COLUMNS, SCHEMA, _write
 from pipeclimber.simulator import SegmentStats, SimSummary, ape
 
 EPS = Fraction(sys.float_info.epsilon)
@@ -316,9 +315,9 @@ def scenario_to_dict(scenario) -> dict:
 
 def save_scenario(scenario, path) -> None:
     """Write ``json.dumps(scenario_to_dict(scenario), indent=2)`` plus a
-    newline through the package's file writer, with its errors."""
-    _write_text(functools.partial(json.dumps, indent=2, allow_nan=False),
-                scenario_to_dict(scenario), path)
+    newline through the package's file writer, with its IoError."""
+    _write(path, (json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False).encode(),
+                  b"\n"))
 
 
 def contact_path_speeds(scenario, segment_index, samples=200):

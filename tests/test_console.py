@@ -164,7 +164,9 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     # inspect, and inspect ast, dis and tokenize: none of them is needed to
     # import the package or to run a command.  The CSV writer reads its
     # decimal grid from repr text with int arithmetic, so decimal and
-    # fractions stay out too.
+    # fractions stay out too, and the NPS table is read as a plain file, so
+    # importlib.resources, zipfile and tempfile do.  (shutil still comes in
+    # with argparse's help formatter.)
     script = """if True:
         import sys
         import pipeclimber.cli
@@ -174,7 +176,8 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
                      ["sweep", scenario, "--theta", "0,120,240", "--out", out + "/sweep.json"]):
             assert pipeclimber.cli.main(argv) == 0, argv
         loaded = [name for name in ("dataclasses", "inspect", "ast", "dis", "tokenize",
-                                    "decimal", "fractions") if name in sys.modules]
+                                    "decimal", "fractions", "importlib.resources", "zipfile",
+                                    "tempfile") if name in sys.modules]
         assert loaded == [], loaded
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -183,20 +186,22 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_only_a_pipe_size_lookup_imports_importlib_resources(tmp_path):
-    # Under -S no site hook imports it first.  A run that gives
-    # inner_radius_mm never reads the bundled NPS table, so it leaves
-    # importlib.resources (and the zipfile, tempfile and shutil it pulls in)
-    # unimported; a run by nps and schedule, and ``dims``, still find the table.
+def test_no_command_loads_importlib_resources(tmp_path):
+    # Under -S no site hook imports it first.  The NPS table is read as a
+    # plain file, so no command loads importlib.resources: not a run that
+    # gives inner_radius_mm, nor one by nps and schedule, nor ``dims``,
+    # which still find the table.
     script = """if True:
         import sys
         import pipeclimber.cli
         straight, four_section, out = sys.argv[1:]
-        assert pipeclimber.cli.main(["run", straight, "--out", out + "/straight"]) == 0
+        for argv in (["run", straight, "--out", out + "/straight"],
+                     ["run", four_section, "--out", out + "/four"],
+                     ["validate", four_section],
+                     ["sweep", four_section, "--theta", "0", "--out", out + "/sweep.json"],
+                     ["dims", "6", "40"]):
+            assert pipeclimber.cli.main(argv) == 0, argv
         assert "importlib.resources" not in sys.modules
-        assert pipeclimber.cli.main(["run", four_section, "--out", out + "/four"]) == 0
-        assert pipeclimber.cli.main(["dims", "6", "40"]) == 0
-        assert "importlib.resources" in sys.modules
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-S", "-c", script,

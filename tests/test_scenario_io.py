@@ -35,6 +35,7 @@ from pipeclimber import (
     run,
     scenario_from_dict,
     summary_to_dict,
+    sweep_orientation,
     write_summary,
     write_sweep,
 )
@@ -133,7 +134,8 @@ def test_unknown_keys_rejected(tmp_path):
 
 
 def test_degenerate_bend_rejected_at_parse(tmp_path, capsys):
-    # A 45 mm bend fits a 40 mm bore but not a robot whose tracks touch 50 mm out.
+    # A 45 mm bend fits a 40 mm bore but not a robot whose tracks touch 50 mm
+    # out.  That robot is wider than the bore too; the bend's error comes first.
     doc = minimal_doc()
     doc["pipe"]["inner_radius_mm"] = 40
     doc["pipe"]["segments"].append({"kind": "bend", "bend_radius_mm": 45, "sweep_deg": 45})
@@ -141,6 +143,17 @@ def test_degenerate_bend_rejected_at_parse(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: pipe.segments[1].bend_radius_mm: degenerate bend: radius 45.0 mm does not "
         "exceed the robot contact radius 50.0 mm\n")
+
+
+def test_a_robot_wider_than_its_pipe_is_rejected(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["pipe"]["inner_radius_mm"] = 10
+    assert cli.main(["validate", str(write_doc(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == (
+        "error: robot.h_mm: must be at most the pipe inner radius (10.0 mm), got 50.0\n")
+    doc["pipe"]["inner_radius_mm"] = 50  # tracks exactly on the wall
+    assert cli.main(["validate", str(write_doc(tmp_path, doc))]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bore_and_nps_are_mutually_exclusive(tmp_path):
@@ -817,7 +830,9 @@ summaries = st.builds(
     per_track_ape_percent=triples, max_abs_slip=numbers, max_compression=numbers,
     finish_time=numbers, final_s=numbers, total_distance_mm=numbers,
 )
-messages = st.one_of(st.sampled_from(['no "bracket"', "C:\\out", "two\nlines", "Überlast ✗"]),
+# A message that shows inf or nan makes the writer fill every number by json.dumps.
+messages = st.one_of(st.sampled_from(['no "bracket"', "C:\\out", "two\nlines", "Überlast ✗",
+                                      "inf or nan"]),
                      st.text())
 orientations = st.one_of(numbers, st.integers(-720, 720))
 entries = st.lists(st.one_of(
@@ -867,6 +882,46 @@ def test_each_count_of_segments_gets_its_own_template(tmp_path):
         write_sweep(entries, path)
         assert path.read_text(encoding="utf-8") == (
             json.dumps(sweep_payload(entries), indent=1) + "\n")
+
+
+def test_numpy_orientations_are_written_as_json_floats(tmp_path):
+    # Iterating an array hands sweep_orientation numpy float64s, whose %r
+    # is np.float64(120.0); json writes them through float.__repr__.
+    entries = sweep_orientation(make_four_section_scenario(), np.array([0.0, 120.0, 240.0]))
+    assert {type(entry.orientation_deg) for entry in entries} == {np.float64}
+    write_sweep(entries, tmp_path / "sweep.json")
+    assert (tmp_path / "sweep.json").read_bytes() == (
+        json.dumps(sweep_payload(entries), indent=1) + "\n").encode()
+
+
+def test_integer_times_are_written_as_json_ints(tmp_path):
+    # A library Scenario may take an int dt_s; its row times are then ints.
+    _, summary = run(make_four_section_scenario(dt_s=1, max_time_s=120))
+    assert type(summary.finish_time) is type(summary.segments[1].entry_time) is int
+    write_summary(summary, tmp_path / "summary.json")
+    write_sweep([SweepEntry(0, summary)], tmp_path / "sweep.json")
+    assert (tmp_path / "summary.json").read_bytes() == (
+        json.dumps(summary_to_dict(summary), indent=1) + "\n").encode()
+    assert (tmp_path / "sweep.json").read_bytes() == (
+        json.dumps(sweep_payload([SweepEntry(0, summary)]), indent=1) + "\n").encode()
+
+
+def test_a_sweep_is_written_in_under_twice_its_bytes(tmp_path):
+    # Each entry is filled from its summary's numbers, with no text per
+    # number, and goes to the file as its own part, never joined: the peak
+    # is about 1.2 times the file.  Json's text of every number held at
+    # once, or the entries joined, would take it past 2.  The first write
+    # builds the templates, which later writes of the same shape reuse.
+    entries = sweep_orientation(make_four_section_scenario(), [15.0 * k for k in range(24)])
+    path = tmp_path / "sweep.json"
+    write_sweep(entries, path)
+    tracemalloc.start()
+    try:
+        write_sweep(entries, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
 
 
 def _out_of_range() -> str:

@@ -1163,4 +1163,5 @@ def test_bend_radius_must_exceed_the_contact_radius(radius):
     assert (err.value.index, err.value.field) == (1, "bend_radius")
     assert err.value.reason == (f"degenerate bend: radius {radius} mm does not exceed the "
                                 f"robot contact radius 50.0 mm")
-    scenario._replace(network=build_network([Bend(50.5, 90.0)], 40.0)).validate()
+    # A bore as wide as the robot: the bend rule alone passes 50.5 mm.
+    scenario._replace(network=build_network([Bend(50.5, 90.0)], 50.0)).validate()
