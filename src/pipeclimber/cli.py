@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -107,31 +108,63 @@ def _cmd_dims(args) -> int:
     return EXIT_OK
 
 
+def _terminal_columns() -> int:
+    """``shutil.get_terminal_size().columns``, read with ``os`` alone:
+    ``COLUMNS`` if it is a positive integer, else the width of the terminal
+    on ``sys.__stdout__``, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help layout at argparse's own default width, the terminal's
+    columns less 2.  argparse reads that width through ``shutil``, whose
+    import brings in ``bz2``, ``lzma`` and ``zlib``, on each formatter that
+    ``add_argument`` builds; this reads it with ``os``."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        super().__init__(prog, indent_increment, max_help_position,
+                         _terminal_columns() - 2 if width is None else width)
+
+
 @functools.cache  # one argparse tree per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pipeclimb",
         description="Quasi-static simulator for a differential-driven in-pipe climbing robot.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="simulate a scenario and write records + summary")
+    p_run = sub.add_parser("run", help="simulate a scenario and write records + summary",
+                           formatter_class=_HelpFormatter)
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a scenario at several module orientations")
+    p_sweep = sub.add_parser("sweep", help="run a scenario at several module orientations",
+                             formatter_class=_HelpFormatter)
     p_sweep.add_argument("scenario", help="scenario JSON file")
     p_sweep.add_argument("--theta", required=True, help="comma-separated orientations in degrees")
     p_sweep.add_argument("--out", default=None, help="optional JSON output path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="check a scenario file and exit")
+    p_val = sub.add_parser("validate", help="check a scenario file and exit",
+                           formatter_class=_HelpFormatter)
     p_val.add_argument("scenario", help="scenario JSON file")
     p_val.set_defaults(func=_cmd_validate)
 
-    p_dims = sub.add_parser("dims", help="look up pipe dimensions by NPS and schedule")
+    p_dims = sub.add_parser("dims", help="look up pipe dimensions by NPS and schedule",
+                            formatter_class=_HelpFormatter)
     p_dims.add_argument("nps")
     p_dims.add_argument("schedule")
     p_dims.set_defaults(func=_cmd_dims)

@@ -292,11 +292,16 @@ def _template(cls, depth: int, segments: int) -> bytes:
     return _container(items, depth, b"{}")
 
 
+_KIND_TEXTS = {kind: json.dumps(kind).encode() for kind in _SEGMENT_KINDS}
+
+
 def _scalars(summary, scalars: list) -> list:
     """``scalars`` with ``summary``'s scalars put on in its template's slot
-    order, each string as its json bytes."""
+    order, each string as its json bytes: a segment kind's from
+    ``_KIND_TEXTS``, any other's from ``json.dumps``."""
     for seg in summary.segments:
-        scalars += (seg.index, json.dumps(seg.kind).encode(), seg.entry_time, seg.exit_time,
+        kind = _KIND_TEXTS.get(seg.kind) or json.dumps(seg.kind).encode()
+        scalars += (seg.index, kind, seg.entry_time, seg.exit_time,
                     *seg.mean_track_speeds, *seg.analytic_speeds, *seg.ape_percent)
     scalars += (*summary.per_track_ape_percent, summary.max_abs_slip, summary.max_compression,
                 summary.finish_time, summary.final_s, summary.total_distance_mm)
@@ -386,26 +391,40 @@ _LAYOUTS = {
     "csv": (",".join(CSV_COLUMNS).encode(), b"\n", b"\n", b"\n"),
     "json": (b"[", b",\n", b"\n]\n", b"]\n"),
 }
-# The one chunk size: rows to a chunk, at most about 121 kB of JSON text;
-# a visit's last chunk may be shorter.
-_CHUNK_ROWS = 256
-_STEPS = tuple(map(float, range(_CHUNK_ROWS)))  # row offsets within a chunk, as floats
+# Rows to a chunk: ``_FLOAT_ROWS``, at most about 130 kB of JSON text; on
+# the CSV grid path, the whole periods within ``_GRID_CHUNK_ROWS`` rows, or
+# one period if it is longer (see ``_grid_chunks``), about 16 kB of text for
+# the shipped run.  A visit's last chunk may be shorter.  Each chunk is one
+# write call, and JSON's text costs most to write: at 128 rows its extra
+# writes made a four-section JSON emit about 3% slower (a 2-vCPU VM, ext4),
+# so the float path keeps 256.
+_FLOAT_ROWS = 256
+_GRID_CHUNK_ROWS = 128
+# The grid rule's cap on the rows after which a visit's fraction texts
+# repeat; it does not follow either chunk size.
+_GRID_ROWS = 256
+_STEPS = tuple(map(float, range(_FLOAT_ROWS)))  # row offsets within a chunk, as floats
 
 
 def _piece_rows(piece: Piece, slots: bytes):
-    """The rows of ``piece`` in chunks of ``_CHUNK_ROWS``, each its format,
-    ``slots`` once per row with a NUL byte between rows, and a flat list of
-    floats, ``t`` and ``s`` interleaved.  ``Piece``'s formula, with row
-    numbers as floats, exact below 2**53, so each product is the
-    interpreter's float fast path and gives a read's bits."""
+    """The rows of ``piece`` in chunks of ``_FLOAT_ROWS``, each chunk's text
+    one ``bytes %`` of ``slots`` once per row, a NUL byte between rows, over
+    its ``t`` and ``s``.  ``Piece``'s formula, with row numbers as floats,
+    exact below 2**53, so each product is the interpreter's float fast path
+    and gives a read's bits."""
     n, dt, s, ds, rows = piece
-    for start in range(0, rows, _CHUNK_ROWS):
-        ks = _STEPS[:min(_CHUNK_ROWS, rows - start)]
+    for start in range(0, rows, _FLOAT_ROWS):
+        ks = _STEPS[:min(_FLOAT_ROWS, rows - start)]
         first, offset = float(n + start), float(start)
-        flat = [0.0] * (2 * len(ks))
-        flat[::2] = [(first + k) * dt for k in ks]
-        flat[1::2] = [s + (offset + k) * ds for k in ks]
-        yield (slots + b"\0") * (len(ks) - 1) + slots, flat
+        yield ((slots + b"\0") * (len(ks) - 1) + slots) % _interleave(
+            [(first + k) * dt for k in ks], [s + (offset + k) * ds for k in ks])
+
+
+def _interleave(ts: list, ss: list) -> tuple:
+    """``(ts[0], ss[0], ts[1], ss[1], ...)``, as ``bytes %`` takes them."""
+    flat = [0] * (2 * len(ts))
+    flat[::2], flat[1::2] = ts, ss
+    return tuple(flat)
 
 
 def _decimal(x: float):
@@ -419,19 +438,6 @@ def _decimal(x: float):
     return int(whole + fraction), len(fraction)
 
 
-def _grid_column(first: int, step: int, digits: int, rows: int):
-    """The fraction texts of a grid column whose row k is the decimal (first
-    + k·step) / 10**digits, one per row of its period: a point and the
-    digits, trailing zeros dropped, or nothing for an integer.  None where
-    the column breaks the grid rule (see ``_grid_chunks``)."""
-    scale = 10**digits
-    period = scale // math.gcd(step, scale)
-    if first + (rows - 1) * step >= 10**9 or period > _CHUNK_ROWS:
-        return None
-    return [(b".%0*d" % (digits, (first + k * step) % scale)).rstrip(b"0").rstrip(b".")
-            for k in range(period)]
-
-
 def _grid_chunks(piece: Piece):
     """The CSV rows of ``piece`` as ``_piece_rows`` gives them, but with
     ``t`` and ``s`` as the integer parts of their decimals and each row's
@@ -443,9 +449,10 @@ def _grid_chunks(piece: Piece):
     k)·dt and its ``s`` the decimal s + k·ds, each (first + k·step) / 10**d
     for integers first and step, ``s`` over the larger ``d`` of ``s`` and
     ``ds``.  Every such integer is below 10**9, and the fraction texts repeat
-    within ``_CHUNK_ROWS`` rows: a column's period is 10**d / gcd(step,
-    10**d), and the two periods' lcm is at most ``_CHUNK_ROWS``.  A chunk
-    holds a whole number of periods, so every full chunk has one format.
+    within ``_GRID_ROWS`` rows: a column's period is 10**d / gcd(step,
+    10**d), and the two periods' lcm is at most ``_GRID_ROWS``.  A chunk is
+    the whole periods within ``_GRID_CHUNK_ROWS`` rows, or one period if it
+    is longer, so every full chunk has one format.
 
     Why the text is ``%.9g``'s: the float ``fl((n + k)·dt)`` or ``fl(s +
     fl(k·ds))`` is within a few units in the last place of its decimal, for
@@ -464,32 +471,41 @@ def _grid_chunks(piece: Piece):
     (m_dt, d_dt), (m_s, d_s), (m_ds, d_ds) = decimals
     d = max(d_s, d_ds)
     columns = ((n * m_dt, m_dt, d_dt), (m_s * 10**(d - d_s), m_ds * 10**(d - d_ds), d))
-    t_texts, s_texts = texts = [_grid_column(*column, rows) for column in columns]
-    if None in texts:
+    if any(first + (rows - 1) * step >= 10**9 for first, step, _ in columns):
         return None
-    period = math.lcm(len(t_texts), len(s_texts))
-    if period > _CHUNK_ROWS:
+    periods = [10**digits // math.gcd(step, 10**digits) for _, step, digits in columns]
+    period = math.lcm(*periods)
+    if period > _GRID_ROWS:
         return None
-    formats = [b"%%d%s,%%d%s" % pair for pair in zip(t_texts * (period // len(t_texts)),
-                                                     s_texts * (period // len(s_texts)))]
-    return _grid_rows(columns, formats, rows)
+    # Each column's fraction texts over its own period: a point and the
+    # digits, trailing zeros dropped, or nothing for an integer.
+    texts = [[(b".%0*d" % (digits, (first + k * step) % 10**digits)).rstrip(b"0").rstrip(b".")
+              for k in range(own)] * (period // own)
+             for (first, step, digits), own in zip(columns, periods)]
+    size = max(_GRID_CHUNK_ROWS // period, 1) * period
+    formats = b"\0".join([b"%%d%s,%%d%s"] * period) % _interleave(*texts)
+    return _grid_rows(columns, b"\0".join([formats] * (size // period)), size, rows)
 
 
-def _grid_rows(columns, formats, rows: int):
-    """``_grid_chunks``' chunks: ``formats``, one period of rows' formats,
-    repeated to the largest chunk of whole periods within ``_CHUNK_ROWS``."""
-    period = len(formats)
-    size = _CHUNK_ROWS // period * period
-    full = b"\0".join(formats * (size // period))
+def _grid_rows(columns, full: bytes, size: int, rows: int):
+    """``_grid_chunks``' chunks of ``size`` rows, each one ``bytes %`` of
+    ``full``, their formats NUL-joined, over the rows' integer parts; a
+    visit's last chunk may be shorter and takes the formats of its rows
+    from ``full``'s first."""
     for start in range(0, rows, size):
         count = min(size, rows - start)
-        flat = [0] * (2 * count)
-        for i, (first, step, digits) in enumerate(columns):
-            first, scale = first + start * step, 10**digits
-            flat[i::2] = ([x // scale for x in range(first, first + count * step, step)] if step
-                          else [first // scale] * count)
-        yield (full if count == size
-               else b"\0".join((formats * (count // period + 1))[:count])), flat
+        yield (full if count == size else b"\0".join(full.split(b"\0", count)[:count])) % (
+            _interleave(*(_integer_parts(column, start, count) for column in columns)))
+
+
+def _integer_parts(column, start: int, count: int) -> list:
+    """The integer parts of rows ``start`` to ``start + count`` of a grid
+    column ``(first, step, digits)``."""
+    first, step, digits = column
+    first, scale = first + start * step, 10**digits
+    if not step:
+        return [first // scale] * count
+    return [x // scale for x in range(first, first + count * step, step)]
 
 
 def emit_records(records: Records, fmt: str, path) -> None:
@@ -497,20 +513,23 @@ def emit_records(records: Records, fmt: str, path) -> None:
     IoError, and a non-finite value SimulationError before the file opens.
 
     No column is built: ``_piece_rows`` makes the ``t`` and ``s`` of one
-    chunk of a run's rows at a time, with the bits of the table's reads.
-    Each chunk is one ``bytes %`` over a format of the rows' ``t`` and ``s``
-    slots alone, a NUL byte between rows, then one ``bytes.replace`` puts the
-    run's constant text in place of each NUL: a row's suffix, the separator
-    and the next row's prefix.  So neither the numbers nor the text ever hold
-    more than a chunk, and the text is held about once.  ``b"%.9g" % x`` is
-    ``format(x, ".9g").encode()`` and ``b"%r" % x`` is ``repr(x).encode()``,
-    json's float text, so the bytes are those of a row-by-row writer.
+    chunk of a run's rows at a time, with the bits of the table's reads, and
+    formats them with one ``bytes %`` over the rows' ``t`` and ``s`` slots
+    alone, a NUL byte between rows; the numbers are dropped before the text
+    goes on.  One ``bytes.replace`` then puts the run's constant text in
+    place of each NUL: a row's suffix, the separator and the next row's
+    prefix.  So neither the numbers nor the text ever hold more than a
+    chunk, and the text is held about once.  ``b"%.9g" % x`` is ``format(x,
+    ".9g").encode()`` and ``b"%r" % x`` is ``repr(x).encode()``, json's float
+    text, so the bytes are those of a row-by-row writer.
 
     In CSV a run whose ``t`` and ``s`` lie on a short decimal grid takes
     ``_grid_chunks`` instead, the same text from ``%d`` of small integers,
-    which costs about a third of ``%.9g`` of a float; ``_grid_chunks`` gives
-    the rule and why the bytes are the same.  JSON's ``%r`` is the shortest
-    repr, not the decimal (``3 * 0.1``), so it always takes ``_piece_rows``.
+    which costs about a third of ``%.9g`` of a float, in chunks of at most
+    ``_GRID_CHUNK_ROWS`` rows, or one period, against ``_FLOAT_ROWS`` on the
+    float path; ``_grid_chunks`` gives the rule and why the bytes are the same.
+    JSON's ``%r`` is the shortest repr, not the decimal (``3 * 0.1``), so it
+    always takes ``_piece_rows``.
     """
     if fmt not in _LAYOUTS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -523,12 +542,10 @@ def emit_records(records: Records, fmt: str, path) -> None:
         lead = b"\n"
         for (prefix, slots, suffix), piece in runs:
             # The constant texts come from str(int), format(v, ".9g"),
-            # json.dumps(v) and fixed key names: they hold no NUL and no %.
-            # Those that go into the format are escaped anyway.
+            # json.dumps(v) and fixed key names: they hold no NUL.
             joint = suffix + sep + prefix
-            prefix, suffix = prefix.replace(b"%", b"%%"), suffix.replace(b"%", b"%%")
-            for rows, flat in (fmt == "csv" and _grid_chunks(piece)) or _piece_rows(piece, slots):
-                yield ((lead + prefix + rows + suffix) % tuple(flat)).replace(b"\0", joint)
+            for rows in (fmt == "csv" and _grid_chunks(piece)) or _piece_rows(piece, slots):
+                yield (lead + prefix + rows + suffix).replace(b"\0", joint)
                 lead = sep
         yield end if len(records) else empty_end
 

@@ -1,7 +1,9 @@
+import argparse
 import builtins
 import json
 import math
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -243,6 +245,23 @@ def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (captured.err if code else captured.out).startswith("usage: pipeclimb")
+
+
+@pytest.mark.parametrize("columns", [None, "60", "200", "1", "0", "-5", "wide"])
+def test_help_wraps_at_argparse_default_width(monkeypatch, columns):
+    # The CLI's formatter reads the width without shutil; the help it lays
+    # out must be argparse's own, for a set COLUMNS, a bad one and none.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+    parser = cli.build_parser()
+    parsers = (parser, *parser._subparsers._group_actions[0].choices.values())
+    ours = [each.format_help() for each in parsers]
+    for each in parsers:
+        monkeypatch.setattr(each, "formatter_class", argparse.HelpFormatter)
+    assert [each.format_help() for each in parsers] == ours
 
 
 def test_dims_lookup(capsys):

@@ -165,8 +165,9 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     # import the package or to run a command.  The CSV writer reads its
     # decimal grid from repr text with int arithmetic, so decimal and
     # fractions stay out too, and the NPS table is read as a plain file, so
-    # importlib.resources, zipfile and tempfile do.  (shutil still comes in
-    # with argparse's help formatter.)
+    # importlib.resources, zipfile and tempfile do.  argparse's help
+    # formatter reads the terminal width through shutil, which brings bz2
+    # and lzma; the CLI's formatter reads it with os, so they stay out too.
     script = """if True:
         import sys
         import pipeclimber.cli
@@ -177,7 +178,8 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
             assert pipeclimber.cli.main(argv) == 0, argv
         loaded = [name for name in ("dataclasses", "inspect", "ast", "dis", "tokenize",
                                     "decimal", "fractions", "importlib.resources", "zipfile",
-                                    "tempfile") if name in sys.modules]
+                                    "tempfile", "shutil", "bz2", "lzma")
+                  if name in sys.modules]
         assert loaded == [], loaded
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -41,7 +41,7 @@ from pipeclimber import (
 )
 import pipeclimber.scenario_io as scenario_io
 from pipeclimber import cli
-from pipeclimber.scenario_io import _CHUNK_ROWS, SCHEMA
+from pipeclimber.scenario_io import _FLOAT_ROWS, _GRID_ROWS, SCHEMA
 from conftest import make_four_section_scenario
 from oracles import grid_rows, save_scenario, scenario_to_dict, write_rows
 
@@ -589,14 +589,14 @@ def hexed(rows):
     return [(row.t.hex(), row.s.hex(), row) for row in rows]
 
 
-RUN_LENGTHS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS)
+RUN_LENGTHS = (1, _FLOAT_ROWS - 1, _FLOAT_ROWS, _FLOAT_ROWS + 1, 3 * _FLOAT_ROWS)
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                1.7976931348623157e308, 1 / 3, 1e-7, 123456789.5)
 finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 edges = st.sampled_from(EDGE_FLOATS)
-row_numbers = st.sampled_from([0, 1, 2**20, 2**52]) | st.integers(0, 2**53 - 3 * _CHUNK_ROWS)
+row_numbers = st.sampled_from([0, 1, 2**20, 2**52]) | st.integers(0, 2**53 - 3 * _FLOAT_ROWS)
 # A one-row visit holds any values; a longer one has rows that end inside
-# a chunk, at its end and one row past it.
+# a float-path chunk, at its end and one row past it.
 visits = st.one_of(st.builds(Piece, row_numbers, finite, finite, finite, st.just(1)),
                    st.builds(Piece, row_numbers, edges, edges, edges, st.sampled_from(RUN_LENGTHS)))
 
@@ -641,7 +641,9 @@ GRID_EDGES = (
     # repr writes 1e-4 in fixed notation and 1e-05 with an exponent.
     ("first s at 1e-4", Piece(0, 0.5, 0.0001, 0.0, 3), True),
     ("first s at 1e-05", Piece(0, 0.5, 1e-05, 0.0, 3), False),
-    # Periods of 256 (t) and 2 (s), then of 64 (t) and 5 (s): lcm 320.
+    # Periods of 256 (t) and 2 (s), then of 64 (t) and 5 (s): lcm 320, either
+    # side of the rule's cap ``_GRID_ROWS``, 256, the chunk size when these
+    # edges were named.
     ("lcm at _CHUNK_ROWS", Piece(0, 0.00390625, 0.0, 0.5, 600), True),
     ("lcm past _CHUNK_ROWS", Piece(0, 0.015625, 0.0, 0.2, 700), False),
     ("ds 0", Piece(5, 0.1, 3.5, 0.0, 300), True),
@@ -669,7 +671,7 @@ def with_grid_edges(test):
 # float path, as do half the edges.
 grid_visits = st.builds(Piece, st.sampled_from([0, 1, 999]) | st.integers(0, 10**7),
                         short_decimals(3), short_decimals(9), short_decimals(3),
-                        st.integers(1, 3 * _CHUNK_ROWS))
+                        st.integers(1, 3 * _GRID_ROWS))
 
 
 @settings(max_examples=100, deadline=None)
@@ -708,20 +710,38 @@ def test_four_section_csv_never_takes_the_float_path(tmp_path, monkeypatch, fmt,
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 5, 10, 20, 30])
-def test_chunks_cut_short_give_the_same_table(monkeypatch, tmp_path, chunk_rows):
+@pytest.mark.parametrize("chunk_rows, on_grid", [(1, True), (2, True), (5, True), (10, True),
+                                                (20, True), (30, True), (5, False)])
+def test_chunks_cut_short_give_the_same_table(monkeypatch, tmp_path, chunk_rows, on_grid):
     # Chunks of a few rows end inside every visit of a run, so each visit's
     # last row falls on, or just past, a chunk's end; each chunk goes on
     # from the last row of the one before.  At dt 0.1 the CSV rows repeat
-    # their fraction texts every 10 rows, so from 10 rows a chunk up they
-    # take the grid path, in chunks of whole periods.
+    # their fraction texts every 10 rows, so on the grid path a chunk is
+    # whole periods, at least one: 10 rows for 1 to 19 rows a chunk, then
+    # 20 and 30.  JSON, and CSV with the grid path off, take the float path
+    # in chunks of ``chunk_rows``.  The chunks that reach ``_write`` are
+    # counted, so a chunk size that does not take effect fails here.
     records, _ = run(make_four_section_scenario(dt_s=0.1))
-    monkeypatch.setattr(scenario_io, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(scenario_io, "_GRID_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(scenario_io, "_FLOAT_ROWS", chunk_rows)
+    if not on_grid:
+        monkeypatch.setattr(scenario_io, "_grid_chunks", lambda piece: None)
+    write, parts = scenario_io._write, []
+
+    def counted(path, items, what):
+        parts.extend(items)
+        write(path, parts, what)
+
+    monkeypatch.setattr(scenario_io, "_write", counted)
     rows = column_rows(records)
     for fmt in ("csv", "json"):
+        parts.clear()
         emit_records(records, fmt, tmp_path / f"table.{fmt}")
         write_rows(rows, fmt, tmp_path / f"rows.{fmt}")
         assert (tmp_path / f"table.{fmt}").read_bytes() == (tmp_path / f"rows.{fmt}").read_bytes()
+        size = max(chunk_rows // 10, 1) * 10 if fmt == "csv" and on_grid else chunk_rows
+        # The head, each visit's rows in chunks of ``size``, and the end.
+        assert len(parts) == 2 + sum(-(-piece.rows // size) for piece in records.pieces)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -778,14 +798,28 @@ def test_emitting_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch, fmt):
 
     # Nor does it hold a chunk's text much more than once: with rows as wide
     # as a run's, every constant at full width, the peak is at most twice
-    # the largest chunk.  It reads about 1.8 (CSV) and 1.3 (JSON); a format
-    # that repeats each row's constant text reads about 2.8 and 2.4.
+    # the largest chunk.  It reads about 1.4 (CSV) and 1.2 (JSON); a format
+    # that repeats each row's constant text reads about 3.7 and 3.3.
     wide = records_of(10_000, tuple(-i / 7 for i in range(1, 14)))
     chunks = []
     with monkeypatch.context() as patch:
         patch.setattr(scenario_io, "_write", lambda path, items, what: chunks.extend(items))
         emit_records(wide, fmt, tmp_path / f"records.{fmt}")
     assert peak(wide) <= 2 * max(map(len, chunks))
+
+
+def test_four_section_csv_is_written_in_under_40_kB(tmp_path):
+    # The shipped run's CSV takes the grid path in chunks of 100 rows, one
+    # period of its fraction texts.  The peak of a first write reads about
+    # 28.9 kB; chunks of 200 rows read about 57 kB.
+    records, _ = run(parse_scenario(SCENARIOS / "four_section.json"))
+    tracemalloc.start()
+    try:
+        emit_records(records, "csv", tmp_path / "records.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000
 
 
 def test_four_section_records_keep_their_digest(tmp_path):
@@ -822,7 +856,8 @@ triples = st.tuples(numbers, numbers, numbers)
 summaries = st.builds(
     SimSummary,
     segments=st.lists(st.builds(SegmentStats, index=st.integers(0, 10**6),
-                                kind=st.sampled_from(["straight", "bend"]),
+                                # The parser's two kinds, or any a library caller names.
+                                kind=st.sampled_from(["straight", "bend"]) | st.text(),
                                 entry_time=numbers, exit_time=numbers,
                                 mean_track_speeds=triples, analytic_speeds=triples,
                                 ape_percent=triples),
