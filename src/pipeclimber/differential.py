@@ -225,8 +225,8 @@ def solve_torque_balance(input_speed: float, loads, config: TransmissionConfig) 
 
     Any other load, a ``LinearLoad`` subclass included, and a walk that did
     not end, take the bracketed search through the loads' ``torque`` and
-    ``inverse`` methods: it widens the bracket if a curve's torque and
-    inverse disagree, then bisects the whole bracket to adjacent floats (at
+    ``inverse`` methods: it widens the bracket if its ends' residuals
+    share a sign, then bisects the whole bracket to adjacent floats (at
     most MAX_BISECTIONS halvings: at float midpoints, then at midpoints of
     the doubles' order) and keeps the end with the smaller residual.  Where
     the walk keeps a zero of the other sign, or the bracketed search ends
@@ -402,8 +402,10 @@ def _bracketed_root(residual, lo: float, hi: float) -> tuple[float, int]:
     f_lo = residual(lo)
     f_hi = f_lo if hi == lo else residual(hi)  # a point bracket costs one residual
 
-    # The [min, max] torque bracket is valid for exact monotone curves; grow
-    # it geometrically if a user-supplied curve disagrees with its inverse.
+    # The [min, max] torque bracket holds the root in exact arithmetic, not
+    # always in floats: a point bracket (equal torques) whose one residual
+    # rounds off zero, even for LinearLoads, or a curve whose torque and
+    # inverse disagree.  Grow it geometrically, as plain bisection does.
     if f_lo > 0.0 or f_hi < 0.0:
         span = max(1.0, hi - lo, abs(lo), abs(hi))
         widenings = 0

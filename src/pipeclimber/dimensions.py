@@ -31,23 +31,12 @@ _FRACTION_ALIASES = {
 }
 
 
-def _normalize_designator(designator) -> str:
-    text = str(designator).strip().upper()
-    if text.startswith("NPS"):
-        text = text[3:].strip()
-    text = text.replace(" ", "-")
-    if text.endswith(".0"):
-        text = text[:-2]
-    return _FRACTION_ALIASES.get(text, text)
-
-
-def _normalize_schedule(schedule) -> str:
-    text = str(schedule).strip().upper()
-    if text.startswith("SCH"):
-        text = text[3:].strip()
-    if text.endswith(".0"):
-        text = text[:-2]
-    return text
+def _normalize(value, prefix: str) -> str:
+    """``value`` as table text: upper case, without ``prefix`` or a trailing ".0"."""
+    text = str(value).strip().upper()
+    if text.startswith(prefix):
+        text = text[len(prefix):].strip()
+    return text[:-2] if text.endswith(".0") else text
 
 
 @lru_cache(maxsize=1)
@@ -67,7 +56,8 @@ def _load_table() -> dict:
 
 def pipe_dimensions(designator, schedule) -> tuple[float, float]:
     """(outer diameter mm, wall thickness mm) for a designator/schedule pair."""
-    key = (_normalize_designator(designator), _normalize_schedule(schedule))
+    nps = _normalize(designator, "NPS").replace(" ", "-")
+    key = (_FRACTION_ALIASES.get(nps, nps), _normalize(schedule, "SCH"))
     try:
         return _load_table()[key]
     except KeyError:

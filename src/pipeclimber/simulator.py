@@ -76,9 +76,10 @@ class Scenario(NamedTuple):
 
     def validate(self) -> None:
         """Raise ValidationError naming the field at fault, or BadSegment naming a
-        bend at fault, one with a radius not above the robot's contact radius
-        among them; validates the robot too.  The contact radius may not
-        exceed the pipe's inner radius: the tracks press on the wall."""
+        bend at fault; validates the robot too.  The contact radius may not
+        exceed the pipe's inner radius: the tracks press on the wall.  Since
+        ``build_network`` puts every bend radius above that radius, each bend
+        is then wider than the robot."""
         require_positive(self, "dt_s", "slip_stiffness", "input_speed_rad_s")
         require(self.dt_s < self.max_time_s < math.inf, "max_time_s", self.max_time_s,
                 f"finite and exceed dt_s ({self.dt_s})")
@@ -102,16 +103,15 @@ class Scenario(NamedTuple):
         speed = self.center_speed_mm_s
         require(0.0 < speed < math.inf, culprit, factors[culprit],
                 f"such that the centerline speed ({speed} mm/s) is > 0 and finite")
-        # A bend's tracks run at speed * (R + h cos q) / R: keep R above h,
-        # the fastest finite, the slowest, an APE reference, > 0 and the slip
-        # torque of the widest mismatch, speed * h / R, finite.
         h = self.robot.contact_radius_mm
+        require(h <= self.network.inner_radius, "contact_radius_mm", h,
+                f"at most the pipe inner radius ({self.network.inner_radius} mm)")
+        # A bend's tracks run at speed * (R + h cos q) / R: keep the fastest
+        # finite, the slowest, an APE reference, > 0 and the slip torque of
+        # the widest mismatch, speed * h / R, finite.
         for index, seg in enumerate(self.network.segments):
             if not isinstance(seg, Bend):
                 continue
-            if not seg.bend_radius > h:
-                raise BadSegment(f"degenerate bend: radius {seg.bend_radius} mm does not exceed "
-                                 f"the robot contact radius {h} mm", index, "bend_radius")
             if not speed * (seg.bend_radius + h) < math.inf:
                 raise BadSegment(f"must keep the track speeds finite at {speed} mm/s, got "
                                  f"{seg.bend_radius}", index, "bend_radius")
@@ -122,9 +122,6 @@ class Scenario(NamedTuple):
             require(self.slip_stiffness * mismatch < math.inf, "slip_stiffness",
                     self.slip_stiffness,
                     f"such that the slip torque of a {mismatch} mm/s speed mismatch is finite")
-        # After the bends: a robot that breaks both rules keeps the bend's error.
-        require(h <= self.network.inner_radius, "contact_radius_mm", h,
-                f"at most the pipe inner radius ({self.network.inner_radius} mm)")
 
     @property
     def center_speed_mm_s(self) -> float:
@@ -184,10 +181,10 @@ class Records(Sequence):
     ``run_ends[j]`` is the row where the centre leaves it; all three are
     tuples, and every run has at least one row.  The table holds nothing
     else: indexing by row number bisects ``run_ends`` for the visit and
-    computes the row with ``Piece``'s formula, and iteration computes each
-    row the same way.  Both give ``SimRecord`` rows, each built with
-    ``tuple.__new__`` from ``t``, ``s`` and the fields after them, which every
-    row of a visit shares; two tables are equal when their rows are.
+    computes the row with ``Piece``'s formula, and ``Sequence`` iterates by
+    index.  A row is a ``SimRecord`` built with ``tuple.__new__`` from ``t``,
+    ``s`` and the fields after them, which every row of a visit shares; two
+    tables are equal when their rows are.
     """
 
     def __init__(self, values, pieces):
@@ -204,12 +201,6 @@ class Records(Sequence):
         n, dt, s, ds, rows = self.pieces[j]
         k = row - self.run_ends[j] + rows
         return tuple.__new__(SimRecord, ((n + k) * dt, s + k * ds, *self.values[j][2:]))
-
-    def __iter__(self):
-        for value, (n, dt, s, ds, rows) in zip(self.values, self.pieces):
-            shared = value[2:]
-            for k in range(rows):
-                yield tuple.__new__(SimRecord, ((n + k) * dt, s + k * ds, *shared))
 
     def __eq__(self, other):
         if not isinstance(other, Records):

@@ -136,22 +136,26 @@ def test_non_monotone_load_rejected(bad, index):
 
 
 class _BrokenLoad:
-    """Monotone torque but an inverse that never matches it."""
+    """Monotone torque but an inverse that never matches it: always ``speed``."""
 
     slope = 1.0
+
+    def __init__(self, speed):
+        self.speed = speed
 
     def torque(self, speed):
         return speed
 
     def inverse(self, torque):
-        return 1e12
+        return self.speed
 
 
-@pytest.mark.parametrize("input_speed, loads", [
-    (1.0, [_BrokenLoad()] * 3),
+@pytest.mark.parametrize("input_speed, loads, side", [
+    (1.0, [_BrokenLoad(1e12)] * 3, "below"),  # the residual is above 0 everywhere
+    (1.0, [_BrokenLoad(-1e12)] * 3, "above"),  # and here below 0
 ])
-def test_unbracketable_root_raises(input_speed, loads):
-    with pytest.raises(NoBracket):
+def test_unbracketable_root_raises(input_speed, loads, side):
+    with pytest.raises(NoBracket, match=f"^no sign change {side} torque "):
         solve_torque_balance(input_speed, loads, UNIT)
 
 

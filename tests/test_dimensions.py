@@ -40,8 +40,8 @@ def test_fractional_designators(spelling):
 
 def test_schedule_spellings():
     base = pipe_dimensions("6", "40")
-    assert pipe_dimensions("6", 40) == base
-    assert pipe_dimensions("6", "SCH 40") == base
+    for schedule in (40, "SCH 40", "sch 40", "40.0", 40.0):
+        assert pipe_dimensions("6", schedule) == base
 
 
 def test_wall_thinner_than_radius_everywhere():

@@ -133,24 +133,20 @@ def test_unknown_keys_rejected(tmp_path):
         parse_scenario(write_doc(tmp_path, doc))
 
 
-def test_degenerate_bend_rejected_at_parse(tmp_path, capsys):
-    # A 45 mm bend fits a 40 mm bore but not a robot whose tracks touch 50 mm
-    # out.  That robot is wider than the bore too; the bend's error comes first.
-    doc = minimal_doc()
-    doc["pipe"]["inner_radius_mm"] = 40
-    doc["pipe"]["segments"].append({"kind": "bend", "bend_radius_mm": 45, "sweep_deg": 45})
-    assert cli.main(["validate", str(write_doc(tmp_path, doc))]) == 1
-    assert capsys.readouterr().err == (
-        "error: pipe.segments[1].bend_radius_mm: degenerate bend: radius 45.0 mm does not "
-        "exceed the robot contact radius 50.0 mm\n")
-
-
 def test_a_robot_wider_than_its_pipe_is_rejected(tmp_path, capsys):
     doc = minimal_doc()
     doc["pipe"]["inner_radius_mm"] = 10
     assert cli.main(["validate", str(write_doc(tmp_path, doc))]) == 1
     assert capsys.readouterr().err == (
         "error: robot.h_mm: must be at most the pipe inner radius (10.0 mm), got 50.0\n")
+    # A 45 mm bend fits a 40 mm bore but not a robot whose tracks touch 50 mm
+    # out: the width rule rejects that robot before any bend is looked at.
+    bent = minimal_doc()
+    bent["pipe"]["inner_radius_mm"] = 40
+    bent["pipe"]["segments"].append({"kind": "bend", "bend_radius_mm": 45, "sweep_deg": 45})
+    assert cli.main(["validate", str(write_doc(tmp_path, bent))]) == 1
+    assert capsys.readouterr().err == (
+        "error: robot.h_mm: must be at most the pipe inner radius (40.0 mm), got 50.0\n")
     doc["pipe"]["inner_radius_mm"] = 50  # tracks exactly on the wall
     assert cli.main(["validate", str(write_doc(tmp_path, doc))]) == 0
     assert capsys.readouterr().err == ""

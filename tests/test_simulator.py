@@ -17,7 +17,6 @@ import pipeclimber.scenario_io as scenario_io
 import pipeclimber.simulator as simulator
 from pipeclimber import (
     AsymmetryLimit,
-    BadSegment,
     Bend,
     CompressionLimit,
     MaxTimeExceeded,
@@ -1158,12 +1157,17 @@ def test_scenario_invariants(overrides):
 
 @pytest.mark.parametrize("radius", [50.0, 45.0])  # the contact radius is 50 mm
 def test_bend_radius_must_exceed_the_contact_radius(radius):
+    # A bend in a 40 mm bore is wider than the bore, not always than the
+    # robot; the width rule rejects the robot before any bend is looked at.
     network = build_network([Straight(500.0), Bend(radius, 90.0)], 40.0)
     scenario = make_four_section_scenario(network=network)
-    with pytest.raises(BadSegment) as err:
+    with pytest.raises(ValidationError) as err:
         scenario.validate()
-    assert (err.value.index, err.value.field) == (1, "bend_radius")
-    assert err.value.reason == (f"degenerate bend: radius {radius} mm does not exceed the "
-                                f"robot contact radius 50.0 mm")
-    # A bore as wide as the robot: the bend rule alone passes 50.5 mm.
+    assert err.value.path == "contact_radius_mm"
+    # A network built by hand may widen its bore past such a bend: the inner
+    # track's speed, v·(R − h)/R, is then not above 0.
+    fitted = scenario._replace(network=network._replace(inner_radius=50.0))
+    with pytest.raises(ValidationError, match=r"every bend track speed \(down to (0\.0|-)"):
+        fitted.validate()
+    # A bore as wide as the robot: any bend it admits, 50.5 mm too, passes.
     scenario._replace(network=build_network([Bend(50.5, 90.0)], 50.0)).validate()
